@@ -10,6 +10,7 @@ from .errors import (
     ConvergenceError,
     DataFormatError,
     EnflowError,
+    FlowCertificateError,
     NonProductiveEconomyError,
     NumericalError,
     ReducibleNetworkError,
@@ -87,6 +88,7 @@ __all__ = [
     "ConvergenceError",
     "ReducibleNetworkError",
     "ZeroBaselineError",
+    "FlowCertificateError",
     # multinet
     "NetworkShape",
     "SupraAdjacency",

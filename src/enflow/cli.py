@@ -271,7 +271,7 @@ def cmd_criticality(args) -> int:
                 f"arcs={len(report.rows)} mode={report.mode}"
             )
             per_year[label] = report
-            for position, row in enumerate(report.top(args.top), start=1):
+            for row in report.top(args.top):
                 top_arcs.add((codes.country_codes[row.tail], codes.country_codes[row.head]))
         for label, report in per_year.items():
             for position, row in enumerate(report.rows, start=1):
@@ -344,12 +344,17 @@ def _add_input_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--synthetic-spec", help="synthetic dataset spec (JSON) to generate")
 
 
-def _add_common(p: argparse.ArgumentParser, *, tol: float, max_iter: int) -> None:
+def _add_common(
+    p: argparse.ArgumentParser, *, tol: float | None = None, max_iter: int | None = None
+) -> None:
+    """Shared options; ``--tol``/``--max-iter`` only for commands that iterate."""
     p.add_argument("--source", choices=[s.value for s in SourceClass], default=None,
                    help="energy source class (default: all three)")
     p.add_argument("--years", default=None, help="inclusive year range as FIRST:LAST")
-    p.add_argument("--tol", type=float, default=tol)
-    p.add_argument("--max-iter", type=int, default=max_iter)
+    if tol is not None:
+        p.add_argument("--tol", type=float, default=tol)
+    if max_iter is not None:
+        p.add_argument("--max-iter", type=int, default=max_iter)
     p.add_argument("--out", default="enflow_out", help="workspace directory")
 
 
@@ -396,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eig)
 
     p = sub.add_parser("criticality", help="country-level arc criticality per period")
-    _add_common(p, tol=1e-10, max_iter=1000)
+    _add_common(p)
     p.add_argument("--mode", choices=["exact", "sampled"], default=None,
                    help=f"default: exact up to {EXACT_MODE_NODE_LIMIT} nodes, sampled beyond")
     p.add_argument("--pairs", type=int, default=2000, help="ordered pairs per sampled total")
@@ -406,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("consumption", help="consumption aggregates and rankings")
     _add_input_options(p)
-    _add_common(p, tol=1e-10, max_iter=1000)
+    _add_common(p)
     p.add_argument("--top", type=int, default=10, help="rows per year in the top table")
     p.set_defaults(func=cmd_consumption)
 

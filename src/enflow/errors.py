@@ -59,3 +59,8 @@ class ReducibleNetworkError(NumericalError):
 
 class ZeroBaselineError(NumericalError):
     """The baseline total max flow is zero, leaving the criticality index undefined."""
+
+
+class FlowCertificateError(NumericalError):
+    """A computed max flow failed its certificate (capacity bounds or
+    conservation), so its value cannot be trusted."""

@@ -3,7 +3,7 @@
 The criticality of an arc is the relative drop in the total max flow of the
 network caused by deleting that arc: with m_base the sum of the max-flow
 values over a fixed set of ordered node pairs and m_removed the same sum
-recomputed from scratch without the arc,
+without the arc,
 
     index = 1 - m_removed / m_base.
 
@@ -18,16 +18,26 @@ identity to be exact on integer inputs. In exact mode the pair set is all
 ordered pairs; in sampled mode it is a seeded fixed sample of ordered pairs
 reused for the baseline and for every arc removal, so sampled runs are
 reproducible given (seed, pair count).
+
+Removal totals are computed pair by pair, and both shortcuts are exact. Each
+pair is solved once. An arc that carries no flow in that certified max flow
+leaves the pair's value unchanged: the flow stays feasible without the arc,
+and deleting capacity cannot raise a max flow. Only the arcs that carry flow
+are re-solved, each warm-started from the pair's final residual (see
+``_BlockingFlowEngine.value_without``); the re-solve ends in a residual with
+no augmenting path, as a from-scratch solve does. Every solve, baseline or
+re-solve, is certified (capacity bounds and conservation).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ValidationError, ZeroBaselineError
+from .errors import FlowCertificateError, ValidationError, ZeroBaselineError
 from .multinet import SupraAdjacency, aggregate_to_layers
 
 __all__ = [
@@ -106,8 +116,11 @@ class FlowNetwork:
 class _BlockingFlowEngine:
     """Reusable residual-graph solver over one arc list.
 
-    Each arc a occupies residual slots 2a (forward) and 2a+1 (reverse); a
-    solve resets residual capacities, so one engine serves many queries.
+    Each arc a occupies residual slots 2a (forward) and 2a+1 (reverse). A
+    residual is a list of slot capacities. The reverse slot starts at 0 and
+    holds the flow on its arc: unlike ``base_cap[2a] - cap[2a]``, it keeps a
+    flow far below the arc's capacity. Every solve copies ``base_cap``, so one
+    engine serves many queries.
     """
 
     def __init__(self, node_count: int, arcs: Sequence[tuple[int, int, float]]):
@@ -126,11 +139,51 @@ class _BlockingFlowEngine:
         self.base_cap = base_cap
         self.adj = adj
         self.scale = max(1.0, max(base_cap, default=0.0))
+        self.arc_cap = np.array(base_cap[0::2], dtype=np.float64)
+        self.tails = np.array(to[1::2], dtype=np.intp)
+        self.heads = np.array(to[0::2], dtype=np.intp)
 
-    def max_flow(self, source: int, target: int, disabled_arc: int | None = None) -> float:
+    def solve(self, source: int, target: int) -> tuple[float, list[float]]:
+        """Certified max-flow value and the final residual."""
         cap = self.base_cap.copy()
-        if disabled_arc is not None:
-            cap[2 * disabled_arc] = 0.0
+        value = self._augment(cap, source, target)
+        self._certify(cap, source, target, value)
+        return value, cap
+
+    def value_without(
+        self, cap: Sequence[float], source: int, target: int, value: float, arc: int
+    ) -> float:
+        """Certified max-flow value after deleting ``arc``, warm-started from
+        ``cap``, a max-flow residual of value ``value`` for the same pair.
+
+        The arc's flow f is first rerouted from its tail u to its head v; the
+        part e that cannot be rerouted is cancelled by pushing e from u back to
+        the source and from the target to v. The residual then holds a valid
+        flow of value ``value - e`` without the arc, and augmenting it to
+        optimality gives the exact new max flow.
+        """
+        cap = list(cap)
+        u, v = self.to[2 * arc + 1], self.to[2 * arc]
+        f = cap[2 * arc + 1]
+        cap[2 * arc] = cap[2 * arc + 1] = 0.0
+        e = f - self._augment(cap, u, v, f)
+        if e > 0.0:
+            # With no u-v path left, the e units reach u only from the source
+            # and leave v only towards the target, so both pushes find e.
+            if u != source:
+                self._augment(cap, u, source, e)
+            if v != target:
+                self._augment(cap, target, v, e)
+        value = value - e + self._augment(cap, source, target)
+        self._certify(cap, source, target, value)
+        return value
+
+    def _augment(
+        self, cap: list[float], source: int, target: int, limit: float = math.inf
+    ) -> float:
+        """Push up to ``limit`` units from source to target by blocking flows
+        on level graphs (Dinic), updating the residual ``cap`` in place.
+        Returns the amount pushed, exactly ``limit`` when the limit binds."""
         to = self.to
         adj = self.adj
         n = self.n
@@ -154,7 +207,6 @@ class _BlockingFlowEngine:
                         if to[e] == target:
                             target_level = next_level
             if level[target] < 0:
-                self._certify(cap, source, target, total, disabled_arc)
                 return total
             pointer = [0] * n
             path: list[int] = []
@@ -162,10 +214,15 @@ class _BlockingFlowEngine:
             while True:
                 if v == target:
                     bottleneck = min(cap[e] for e in path)
-                    total += bottleneck
+                    done = bottleneck >= limit - total
+                    if done:
+                        bottleneck = limit - total
                     for e in path:
                         cap[e] -= bottleneck
                         cap[e ^ 1] += bottleneck
+                    if done:
+                        return limit
+                    total += bottleneck
                     cut = 0
                     while cut < len(path) and cap[path[cut]] > 0.0:
                         cut += 1
@@ -193,28 +250,22 @@ class _BlockingFlowEngine:
                     v = to[e ^ 1]
                     pointer[v] += 1
 
-    def _certify(
-        self,
-        cap: Sequence[float],
-        source: int,
-        target: int,
-        value: float,
-        disabled_arc: int | None,
-    ) -> None:
-        """Certify the computed assignment: capacity bounds plus conservation."""
-        net = [0.0] * self.n
+    def _certify(self, cap: Sequence[float], source: int, target: int, value: float) -> None:
+        """Certify the residual as a flow of ``value``: capacity bounds plus
+        conservation."""
+        flow = np.asarray(cap)[1::2]
         tol = 1e-9 * self.scale
-        for arc in range(len(self.base_cap) // 2):
-            bound = 0.0 if arc == disabled_arc else self.base_cap[2 * arc]
-            f = bound - cap[2 * arc]
-            if f < -tol or f > bound + tol:
-                raise AssertionError(f"flow on arc {arc} violates its capacity bound")
-            net[self.to[2 * arc + 1]] -= f
-            net[self.to[2 * arc]] += f
-        for v in range(self.n):
-            expected = -value if v == source else value if v == target else 0.0
-            if abs(net[v] - expected) > 1e-6 * self.scale:
-                raise AssertionError(f"flow conservation violated at node {v}")
+        bad = (flow < -tol) | (flow > self.arc_cap + tol)
+        if bad.any():
+            raise FlowCertificateError(
+                f"flow on arc {int(bad.argmax())} violates its capacity bound"
+            )
+        net = np.bincount(self.heads, flow, self.n) - np.bincount(self.tails, flow, self.n)
+        net[source] += value
+        net[target] -= value
+        bad = np.abs(net) > 1e-6 * self.scale
+        if bad.any():
+            raise FlowCertificateError(f"flow conservation violated at node {int(bad.argmax())}")
 
 
 def max_flow(net: FlowNetwork, source: int, target: int) -> float:
@@ -224,7 +275,7 @@ def max_flow(net: FlowNetwork, source: int, target: int) -> float:
     for name, v in (("source", source), ("target", target)):
         if not 0 <= v < net.node_count:
             raise ValidationError(f"{name} node {v} outside 0..{net.node_count - 1}")
-    return net.engine.max_flow(source, target)
+    return net.engine.solve(source, target)[0]
 
 
 @dataclass(frozen=True)
@@ -250,17 +301,6 @@ def _pair_set(node_count: int, mode: str, pairs: int, seed: int) -> list[tuple[i
     return out
 
 
-def _total_over_pairs(
-    engine: _BlockingFlowEngine,
-    pair_list: Sequence[tuple[int, int]],
-    disabled_arc: int | None = None,
-) -> np.ndarray:
-    values = np.empty(len(pair_list))
-    for i, (s, t) in enumerate(pair_list):
-        values[i] = engine.max_flow(s, t, disabled_arc)
-    return values
-
-
 def all_pairs_total(net: FlowNetwork) -> tuple[AllPairsFlow, float]:
     """Max flow for every ordered node pair, plus the grand total over pairs.
 
@@ -273,7 +313,7 @@ def all_pairs_total(net: FlowNetwork) -> tuple[AllPairsFlow, float]:
     for s in range(m):
         for t in range(m):
             if s != t:
-                matrix[s, t] = engine.max_flow(s, t)
+                matrix[s, t] = engine.solve(s, t)[0]
     return AllPairsFlow(matrix=matrix), float(matrix.sum())
 
 
@@ -314,8 +354,10 @@ def arc_criticality(
 
     In exact mode the total runs over all ordered node pairs; in sampled
     mode over a fixed seeded sample of ordered pairs shared by the baseline
-    and every removal. The removal totals are recomputed from scratch per
-    arc (no incremental updates).
+    and every removal. Per pair, arcs without flow in the baseline max flow
+    keep the pair's value exactly and are not re-solved; arcs with flow are
+    re-solved warm-started from the baseline residual. Per-arc drops are
+    summed in pair-list order, so reruns are bit-identical.
 
     Raises
     ------
@@ -328,20 +370,29 @@ def arc_criticality(
         raise ValidationError("sampled mode needs at least one pair")
     pair_list = _pair_set(net.node_count, mode, pairs, seed)
     engine = net.engine
-    baseline_values = _total_over_pairs(engine, pair_list)
-    baseline = float(baseline_values.sum())
+    # drops[a] sums, pair by pair in pair-list order, the fall in the pair's
+    # max flow when arc a is deleted. Only arcs carrying flow in the pair's
+    # certified max flow are re-solved: without any other arc that flow stays
+    # feasible, and deleting capacity cannot raise a max flow.
+    values = np.empty(len(pair_list))
+    drops = np.zeros(len(net.arcs))
+    for i, (s, t) in enumerate(pair_list):
+        value, cap = engine.solve(s, t)
+        values[i] = value
+        carrying = np.flatnonzero(np.asarray(cap)[1::2] > 0.0)
+        drops[carrying] += [
+            value - engine.value_without(cap, s, t, value, int(a)) for a in carrying
+        ]
+    baseline = float(values.sum())
     if baseline <= 0.0:
         raise ZeroBaselineError(
             "baseline total max flow is zero; the criticality index is undefined"
         )
-    # Pairs with zero baseline flow stay zero after any removal.
-    active_pairs = [p for p, v in zip(pair_list, baseline_values) if v > 0.0]
     rows = []
-    for arc_id, (tail, head, _) in enumerate(net.arcs):
-        removed = float(_total_over_pairs(engine, active_pairs, disabled_arc=arc_id).sum())
+    for (tail, head, _), drop in zip(net.arcs, drops):
         # Deleting capacity cannot raise the total; clip float dust so the
         # reported pair (removed, index) stays exactly on the defining line.
-        removed = min(removed, baseline)
+        removed = min(baseline - float(drop), baseline)
         rows.append(
             ArcRemovalRow(
                 tail=tail, head=head, removed_total=removed, index=1.0 - removed / baseline

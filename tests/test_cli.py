@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from enflow import MrioPeriod, NetworkShape, SourceClass, load_network
 from enflow.cli import main
 from enflow.dataio import CodeBook, MrioDataset, save_dataset
+from enflow.flowcrit import _BlockingFlowEngine
 
 
 def run(*argv) -> int:
@@ -160,6 +162,29 @@ def test_argparse_usage_error_is_2(capsys):
     with pytest.raises(SystemExit) as exc:
         run("criticality", "--mode", "bogus")
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["criticality", "consumption"])
+@pytest.mark.parametrize("flag", ["--tol", "--max-iter"])
+def test_solver_flags_rejected_where_nothing_iterates(command, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(command, flag, "1e-3" if flag == "--tol" else "10")
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_flow_certificate_failure_exits_3(workspace, monkeypatch, capsys):
+    _, out = workspace
+    augment = _BlockingFlowEngine._augment
+
+    def corrupted(self, cap, source, target, limit=math.inf):
+        pushed = augment(self, cap, source, target, limit)
+        cap[1] += 1.0  # phantom flow on arc 0, unbalanced at both ends
+        return pushed
+
+    monkeypatch.setattr(_BlockingFlowEngine, "_augment", corrupted)
+    assert run("criticality", "--out", out, "--source", "all") == 3
+    assert "numerical error: flow" in capsys.readouterr().err
 
 
 def reducible_dataset(tmp_path):

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from enflow import (
+    FlowCertificateError,
     FlowNetwork,
     NetworkShape,
     SupraAdjacency,
@@ -14,6 +17,7 @@ from enflow import (
     country_level_criticality,
     max_flow,
 )
+from enflow.flowcrit import _BlockingFlowEngine, _pair_set
 
 from oracles import lp_max_flow, min_cut_value
 
@@ -286,6 +290,175 @@ def test_scale_covariance():
         r1 = by_arc[(r0.tail, r0.head)]
         assert r1.removed_total == pytest.approx(lam * r0.removed_total, rel=1e-12)
         assert r1.index == pytest.approx(r0.index, abs=1e-12)
+
+
+def test_redundant_flowless_arcs_score_exactly_zero():
+    # (0, 2) has zero capacity; (3, 0) has capacity but only pairs leaving
+    # node 3 can use it, and the sample below holds none of them.
+    net = FlowNetwork(4, [(0, 1, 3.0), (1, 2, 2.0), (0, 2, 0.0), (3, 0, 1.5)])
+    seed = next(s for s in range(100) if {p[0] for p in _pair_set(4, "sampled", 5, s)} == {0, 1, 2})
+    report = arc_criticality(net, "sampled", pairs=5, seed=seed)
+    for arc in ((0, 2), (3, 0)):
+        row = next(r for r in report.rows if (r.tail, r.head) == arc)
+        assert row.index == 0.0
+        assert row.removed_total == report.baseline_total
+
+
+def test_flow_far_below_arc_capacity_is_rescored():
+    # 1e-70 units cross (1, 2), yet 1.0 - (1.0 - 1e-70) == 0.0: the flow must
+    # be read where it does not round away, or (1, 2) looks flowless.
+    net = FlowNetwork(3, [(0, 1, 1e-70), (1, 2, 1.0)])
+    seed = next(s for s in range(100) if _pair_set(3, "sampled", 1, s) == [(0, 2)])
+    report = arc_criticality(net, "sampled", pairs=1, seed=seed)
+    assert [(r.tail, r.head, r.index) for r in report.rows] == [(0, 1, 1.0), (1, 2, 1.0)]
+
+
+# ---------------------------------------------------------------------------
+# warm-started re-solves against from-scratch solves
+# ---------------------------------------------------------------------------
+
+
+def from_scratch_totals(net, pair_list):
+    """Removal totals by brute force: rebuild the network without each arc."""
+    totals = []
+    for i in range(len(net.arcs)):
+        without = FlowNetwork(net.node_count, net.arcs[:i] + net.arcs[i + 1 :])
+        totals.append(sum(max_flow(without, s, t) for s, t in pair_list))
+    return totals
+
+
+def drawn_case(data, capacity):
+    """A drawn network, its pair list, and its report (None for a zero baseline)."""
+    n = data.draw(st.integers(2, 6), label="n")
+    edges = data.draw(
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), capacity), max_size=20),
+        label="edges",
+    )
+    net = FlowNetwork(n, [(a, b, c) for a, b, c in edges if a != b])
+    mode, pairs, seed = "exact", 0, 0
+    if data.draw(st.booleans(), label="sampled"):
+        mode = "sampled"
+        pairs = data.draw(st.integers(1, n * (n - 1)), label="pairs")
+        seed = data.draw(st.integers(0, 2**16), label="seed")
+    try:
+        report = arc_criticality(net, mode, pairs=pairs, seed=seed)
+    except ZeroBaselineError:
+        report = None
+    return net, _pair_set(n, mode, pairs, seed), report
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_removed_totals_match_from_scratch_real(data):
+    capacity = st.floats(0.0, 100.0, allow_nan=False, allow_infinity=False)
+    net, pair_list, report = drawn_case(data, capacity)
+    if report is None:
+        return
+    want = dict(zip(((t, h) for t, h, _ in net.arcs), from_scratch_totals(net, pair_list)))
+    for row in report.rows:
+        assert abs(row.removed_total - want[(row.tail, row.head)]) <= 1e-12 * report.baseline_total
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_removed_totals_and_order_match_from_scratch_integer(data):
+    capacity = st.integers(0, 9).map(float)
+    net, pair_list, report = drawn_case(data, capacity)
+    if report is None:
+        return
+    baseline = sum(max_flow(net, s, t) for s, t in pair_list)
+    assert report.baseline_total == baseline
+    want = sorted(
+        (
+            (1.0 - min(removed, baseline) / baseline, t, h, removed)
+            for (t, h, _), removed in zip(net.arcs, from_scratch_totals(net, pair_list))
+        ),
+        key=lambda r: (-r[0], r[1], r[2]),
+    )
+    got = [(r.index, r.tail, r.head, r.removed_total) for r in report.rows]
+    assert got == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 4),
+    edges=st.lists(
+        st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 9)), max_size=10
+    ),
+)
+def test_removed_totals_match_min_cut_oracle(n, edges):
+    net = FlowNetwork(n, [(a % n, b % n, float(c)) for a, b, c in edges if a % n != b % n])
+    try:
+        report = arc_criticality(net)
+    except ZeroBaselineError:
+        return
+    pair_list = [(s, t) for s in range(n) for t in range(n) if s != t]
+    for row in report.rows:
+        remaining = [a for a in net.arcs if (a[0], a[1]) != (row.tail, row.head)]
+        assert row.removed_total == sum(min_cut_value(n, remaining, s, t) for s, t in pair_list)
+
+
+def warm_start_trace(monkeypatch, net, source, target, arc):
+    """Value after deleting ``arc`` and the (from, to, limit) of every push."""
+    engine = net.engine
+    value, cap = engine.solve(source, target)
+    calls = []
+    augment = _BlockingFlowEngine._augment
+
+    def traced(self, cap, s, t, limit=math.inf):
+        calls.append((s, t, limit))
+        return augment(self, cap, s, t, limit)
+
+    monkeypatch.setattr(_BlockingFlowEngine, "_augment", traced)
+    arc_id = next(i for i, (a, b, _) in enumerate(net.arcs) if (a, b) == arc)
+    return engine.value_without(cap, source, target, value, arc_id), calls
+
+
+def test_warm_start_full_reroute(monkeypatch):
+    # 0->1->2->4 carries the unit; 1->3->2 takes all of it when (1, 2) goes.
+    net = FlowNetwork(5, [(0, 1, 1.0), (1, 2, 1.0), (1, 3, 1.0), (3, 2, 1.0), (2, 4, 1.0)])
+    value, calls = warm_start_trace(monkeypatch, net, 0, 4, (1, 2))
+    assert value == 1.0
+    assert calls == [(1, 2, 1.0), (0, 4, math.inf)]
+
+
+def test_warm_start_partial_reroute_inner_arc(monkeypatch):
+    # (1, 2) carries 2; the detour 1->3->2 takes 1, the other unit is cancelled
+    # from node 1 back to the source and from the target back to node 2.
+    net = FlowNetwork(5, [(0, 1, 2.0), (1, 2, 2.0), (1, 3, 1.0), (3, 2, 1.0), (2, 4, 2.0)])
+    value, calls = warm_start_trace(monkeypatch, net, 0, 4, (1, 2))
+    assert value == 1.0
+    assert calls == [(1, 2, 2.0), (1, 0, 1.0), (4, 2, 1.0), (0, 4, math.inf)]
+
+
+def test_warm_start_arc_leaving_source(monkeypatch):
+    net = FlowNetwork(4, [(0, 1, 2.0), (1, 3, 2.0), (0, 2, 1.0), (2, 1, 1.0)])
+    value, calls = warm_start_trace(monkeypatch, net, 0, 3, (0, 1))
+    assert value == 1.0
+    assert calls == [(0, 1, 2.0), (3, 1, 1.0), (0, 3, math.inf)]
+
+
+def test_warm_start_arc_entering_target(monkeypatch):
+    net = FlowNetwork(4, [(0, 1, 2.0), (1, 2, 2.0), (1, 3, 1.0), (3, 2, 1.0)])
+    value, calls = warm_start_trace(monkeypatch, net, 0, 2, (1, 2))
+    assert value == 1.0
+    assert calls == [(1, 2, 2.0), (1, 0, 1.0), (0, 2, math.inf)]
+
+
+def test_certificate_rejects_corrupted_residual():
+    engine = diamond().engine
+    value, cap = engine.solve(0, 3)
+    engine._certify(cap, 0, 3, value)
+    with pytest.raises(FlowCertificateError, match="conservation"):
+        engine._certify(cap, 0, 3, value + 0.5)
+    unbalanced = list(cap)
+    unbalanced[1] -= 0.5  # half a unit less on arc (0, 1), none less beyond it
+    with pytest.raises(FlowCertificateError, match="conservation violated at node 0"):
+        engine._certify(unbalanced, 0, 3, value)
+    over = list(cap)
+    over[1] = 4.0  # arc (0, 1) carries 4 > 3
+    with pytest.raises(FlowCertificateError, match="arc 0 violates its capacity"):
+        engine._certify(over, 0, 3, value)
 
 
 # ---------------------------------------------------------------------------
