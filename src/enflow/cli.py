@@ -116,14 +116,6 @@ def _load_input(args) -> MrioDataset:
     return dataset
 
 
-def _restricted(net: TemporalMultilayerNetwork, years: tuple[int, int] | None):
-    if years is None:
-        return net
-    return net.restrict_periods(
-        label for label in net.labels if years[0] <= label <= years[1]
-    )
-
-
 # ---------------------------------------------------------------------------
 # Subcommand bodies
 # ---------------------------------------------------------------------------
@@ -176,8 +168,7 @@ def cmd_mdhits(args) -> int:
     years = _parse_years(args.years)
     out = Path(args.out)
     for source in _sources(args.source):
-        net, codes = load_network(out, source)
-        net = _restricted(net, years)
+        net, codes = load_network(out, source, years)
         scores = md_hits(net, gamma=gamma, tol=args.tol, max_iter=args.max_iter)
         path = out / f"mdhits_{source.value}.csv"
         export_results(scores, path, "csv", codes=codes, period_labels=net.labels)
@@ -213,8 +204,7 @@ def cmd_hits(args) -> int:
     years = _parse_years(args.years)
     out = Path(args.out)
     for source in _sources(args.source):
-        net, codes = load_network(out, source)
-        net = _restricted(net, years)
+        net, codes = load_network(out, source, years)
         rows = []
         for label, matrix in net.periods:
             scores = hits(matrix.matrix, tol=args.tol, max_iter=args.max_iter)
@@ -232,8 +222,7 @@ def cmd_eig(args) -> int:
     years = _parse_years(args.years)
     out = Path(args.out)
     for source in _sources(args.source):
-        net, codes = load_network(out, source)
-        net = _restricted(net, years)
+        net, codes = load_network(out, source, years)
         rows = []
         for label, matrix in net.periods:
             scores = eigenvector_centrality(
@@ -254,8 +243,7 @@ def cmd_criticality(args) -> int:
     years = _parse_years(args.years)
     out = Path(args.out)
     for source in _sources(args.source):
-        net, codes = load_network(out, source)
-        net = _restricted(net, years)
+        net, codes = load_network(out, source, years)
         mode = args.mode
         if mode is None:
             mode = "exact" if codes.n_layers <= EXACT_MODE_NODE_LIMIT else "sampled"

@@ -13,20 +13,26 @@ File contracts (CSV, UTF-8, header row, '.' decimal separator):
 biomass_waste, hydro, other_renewable. A manifest (JSON) names the data
 files, an optional inclusive year range, the code lists and the units.
 
-Loading is strict: unknown codes, duplicate keys, negative or non-finite
-values and column use exceeding output are reported with file and line.
-Saving writes canonical files (sorted rows, shortest round-trip float
-formatting), so load -> save is byte-stable on canonical data.
+Loading is strict: wrong field counts, unknown codes, duplicate keys,
+negative or non-finite values and column use exceeding output are reported
+with file and line. Every table, network arc lists included, goes through
+one columnar reader keyed on ``_SCHEMAS``. Saving writes canonical files
+(sorted rows, shortest round-trip float formatting), so load -> save is
+byte-stable on canonical data.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import itertools
 import json
+import mmap
+import warnings
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -34,7 +40,7 @@ from scipy import sparse
 from .centrality import MdHitsScores, RankingTable, RankingRow
 from .errors import DataFormatError, ValidationError
 from .flowcrit import ArcCriticalityReport, ArcRemovalRow
-from .leontief import ENERGY_SOURCES, MrioPeriod, SourceClass, input_coefficients, spectral_radius_estimate
+from .leontief import ENERGY_SOURCES, MrioPeriod, SourceClass
 from .multinet import EntityCodes, NetworkShape, SupraAdjacency, TemporalMultilayerNetwork
 
 __all__ = [
@@ -75,6 +81,7 @@ _SCHEMAS = {
     "outputs": ["year", "country", "sector", "total_output"],
     "energy": ["year", "country", "sector", "source", "value"],
     "final_demand": ["year", "src_country", "sector", "dst_country", "value"],
+    "network": ["year", "src_country", "src_sector", "dst_country", "dst_sector", "weight"],
     "codes": ["code", "name"],
 }
 
@@ -82,6 +89,16 @@ _SCHEMAS = {
 def _fmt(value: float) -> str:
     """Shortest decimal string that round-trips the float exactly."""
     return repr(float(value))
+
+
+def _read_json_object(path: Path) -> dict:
+    try:
+        raw = json.loads(path.read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise DataFormatError(f"invalid JSON: {exc}", path=str(path)) from exc
+    if not isinstance(raw, dict):
+        raise DataFormatError(f"expected a JSON object, got {type(raw).__name__}", path=str(path))
+    return raw
 
 
 def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
@@ -184,10 +201,7 @@ class DatasetManifest:
     @classmethod
     def from_json(cls, path: Path | str) -> "DatasetManifest":
         path = Path(path)
-        try:
-            raw = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"invalid JSON: {exc}", path=str(path)) from exc
+        raw = _read_json_object(path)
         base = path.parent
         required = ["transactions", "outputs", "energy", "final_demand"]
         missing = [key for key in required if key not in raw]
@@ -257,62 +271,252 @@ class MrioDataset:
         return tuple(p.label for p in self.periods)
 
 
-class _Parser:
-    """Shared strict-parse helpers carrying file/line context."""
+# What ``str.strip()`` removes from an ASCII field: the dataset readers strip
+# code fields, the network reader matches them exactly.
+_WHITESPACE = " \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f"
 
-    def __init__(self, path: Path, kind: str):
-        self.path = path
-        self.fh = open(path, newline="", encoding="utf-8")
-        self.reader = csv.DictReader(self.fh)
-        expected = _SCHEMAS[kind]
-        if self.reader.fieldnames != expected:
-            self.fh.close()
+# Whitespace a stripped code field may carry beyond the longest code's width.
+_PADDING = 64
+
+_UNKNOWN_CODE = {
+    "source": "unknown energy source {code!r}; expected one of " + str(sorted(ENERGY_SOURCES)),
+}
+
+
+class _Table(NamedTuple):
+    """Validated records of one table that lie in the year window, in file order."""
+
+    record: np.ndarray  # 0-based record index in the file (header and blank lines excluded)
+    year: np.ndarray
+    codes: tuple[np.ndarray, ...]  # one index array per code column, in schema order
+    value: np.ndarray
+
+
+def _records(path: Path) -> Iterator[tuple[int, list[str]]]:
+    """(line, fields) of each record after the header, as ``csv`` reads them.
+
+    Only used once an error is certain: it gives a record its file line
+    (blank lines, CRLF and quoted fields included) and its raw text.
+    """
+    with open(path, newline="", encoding="utf-8", errors="replace") as fh:
+        reader = csv.reader(fh)
+        try:
+            next(reader, None)
+            for row in reader:
+                if row:
+                    yield reader.line_num, row
+        except csv.Error as exc:
+            raise DataFormatError(str(exc), path=str(path), line=reader.line_num) from exc
+
+
+def _number(text: str, kind: type):
+    """``kind(text)`` under the rules of numpy's text reader (ASCII only, no
+    digit separators, int64 range), or None when it does not parse."""
+    if not text.isascii() or "_" in text:
+        return None
+    try:
+        value = kind(text)
+    except ValueError:
+        return None
+    if kind is int and not -(2**63) <= value < 2**63:
+        return None
+    return value
+
+
+def _lookup(table: Sequence[str], fields: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index of each byte-string field in ``table`` (0 where unknown) and the hit mask."""
+    keys = np.array([code.encode() for code in table])
+    order = np.argsort(keys, kind="stable")
+    pos = np.searchsorted(keys[order], fields)
+    pos[pos == len(table)] = 0
+    hit = keys[order][pos] == fields
+    return np.where(hit, order[pos], 0), hit
+
+
+def _parse(
+    path: Path, columns: list[str], widths: list[int], strip: bool
+) -> tuple[np.ndarray, list[np.ndarray], np.ndarray, dict[str, np.ndarray]]:
+    """Year, code and value columns of one table, read by numpy's text reader.
+
+    Code fields are fixed-width bytes of the raw UTF-8 text, stripped when
+    ``strip``. A stripped field that fills its width with whitespace at an
+    edge may have been cut short: the table is read once more with room for
+    ``_PADDING`` bytes, and a field still cut short reads as no code. When a
+    record does not parse (field count, year or value), the records before it
+    are read and it is appended; ``bad`` masks what failed in it.
+    """
+    code_columns = columns[1:-1]
+    with open(path, "rb") as fh:
+        first = fh.readline().decode("utf-8", "replace")
+        try:
+            header = next(csv.reader([first]), [])
+        except csv.Error:
+            header = [first.rstrip("\r\n")]
+        if header != columns:
             raise DataFormatError(
-                f"expected header {','.join(expected)}, got "
-                f"{','.join(self.reader.fieldnames or [])}",
+                f"expected header {','.join(columns)}, got {','.join(header)}",
                 path=str(path),
                 line=1,
             )
+        body = fh.tell()
+        with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as view:
+            nul = view.find(b"\0", body)
+            if nul >= 0:  # a fixed-width byte field would drop it at a field's end
+                raise DataFormatError("NUL byte", path=str(path),
+                                      line=view[:nul].count(b"\n") + 1)
 
-    def __enter__(self):
-        return self
+        def load(max_rows=None):
+            for pad in (0, _PADDING):
+                fh.seek(body)
+                dtype = [("year", np.int64), *((c, f"S{w + pad}") for c, w in zip(code_columns, widths)),
+                         ("value", np.float64)]
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)  # a table with no records
+                    data = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, quotechar='"',
+                                      encoding="latin1", ndmin=1, max_rows=max_rows)
+                if not strip or not any(_cut(data[c], w + pad).any()
+                                        for c, w in zip(code_columns, widths)):
+                    break
+            return data
 
-    def __exit__(self, *exc):
-        self.fh.close()
-        return False
-
-    def __iter__(self):
-        return iter(self.reader)
-
-    @property
-    def line(self) -> int:
-        return self.reader.line_num
-
-    def fail(self, message: str):
-        raise DataFormatError(message, path=str(self.path), line=self.line)
-
-    def year(self, row) -> int:
         try:
-            return int(row["year"])
-        except (TypeError, ValueError):
-            self.fail(f"invalid year {row['year']!r}")
+            data = load()
+            failed = None
+        except ValueError as exc:
+            # Find the first record that does not parse and read up to it.
+            failed = next(((k, row) for k, (_, row) in enumerate(_records(path))
+                           if len(row) != len(columns) or _number(row[0], int) is None
+                           or _number(row[-1], float) is None), None)
+            data = None
+            if failed is not None:
+                with contextlib.suppress(ValueError):
+                    data = load(max_rows=failed[0])
+            if data is None:  # the csv reading disagrees: no record to name
+                raise DataFormatError(f"unreadable table: {exc}", path=str(path)) from exc
 
-    def value(self, row, column: str) -> float:
-        try:
-            v = float(row[column])
-        except (TypeError, ValueError):
-            self.fail(f"invalid number {row[column]!r} in column {column!r}")
-        if not np.isfinite(v):
-            self.fail(f"non-finite value in column {column!r}")
-        if v < 0:
-            self.fail(f"negative value {v} in column {column!r}")
-        return v
+    year, value = data["year"], data["value"]
+    codes = [data[c] for c in code_columns]
+    bad = {}
+    if failed is not None:
+        row = failed[1] + [""] * (len(columns) - len(failed[1]))
+        parsed_year, parsed_value = _number(row[0], int), _number(row[-1], float)
+        fields = np.zeros(year.size + 1, dtype=bool)
+        fields[-1] = len(failed[1]) != len(columns)
+        bad = {"fields": fields, "year": fields.copy(), "value": fields.copy()}
+        bad["year"][-1] |= parsed_year is None
+        bad["value"][-1] = parsed_value is None
+        year = np.append(year, parsed_year or 0)
+        value = np.append(value, np.nan if parsed_value is None else parsed_value)
+        codes = [np.append(f, np.array(text.encode()[: f.dtype.itemsize], dtype=f.dtype))
+                 for f, text in zip(codes, row[1:-1])]
+    if strip:
+        codes = [np.where(_cut(f, f.dtype.itemsize), b"", np.char.strip(f, _WHITESPACE.encode()))
+                 for f in codes]
+    return year, codes, value, bad
 
-    def code(self, row, column: str, table: Mapping[str, int], what: str) -> int:
-        raw = (row[column] or "").strip()
-        if raw not in table:
-            self.fail(f"unknown {what} code {raw!r} in column {column!r}")
-        return table[raw]
+
+def _cut(fields: np.ndarray, width: int) -> np.ndarray:
+    """Fields that fill ``width`` with whitespace at an edge."""
+    cut = np.char.str_len(fields) == width
+    cut[cut] = np.char.strip(fields[cut], _WHITESPACE.encode()) != fields[cut]
+    return cut
+
+
+def _read_table(
+    path: Path,
+    kind: str,
+    tables: Mapping[str, Sequence[str]],
+    *,
+    window: tuple[int, int] | None = None,
+    periods: np.ndarray | None = None,
+    orphan: str = "",
+    duplicate: str = "",
+) -> _Table:
+    """Parse and validate one CSV table of ``_SCHEMAS[kind]`` in one columnar pass.
+
+    The first column is the year, the last the value, and each column between
+    holds a code looked up in ``tables`` under the column name's last word
+    (country, sector or source). Records whose year lies outside ``window``
+    are dropped once the year parses. A year missing from ``periods`` fails
+    with ``orphan``; a repeated (year, codes) key fails with ``duplicate``.
+    The error names the first record with any violation and, within it, the
+    first failing check: field count, year, listed year, codes in column
+    order, value (parse, finite, negative), duplicate key. Field count, year
+    and value parsing apply to every record, inside the window or not.
+    """
+    columns = _SCHEMAS[kind]
+    code_columns = columns[1:-1]
+    strip = kind != "network"
+    code_tables = [tables[column.split("_")[-1]] for column in code_columns]
+    # One byte more than the longest code, so a longer field cannot truncate
+    # into a known code.
+    widths = [max(len(code.encode()) for code in table) + 1 for table in code_tables]
+    year, codes, value, bad = _parse(path, columns, widths, strip)
+
+    live = np.ones(year.shape, dtype=bool)
+    if window is not None:
+        live = (window[0] <= year) & (year <= window[1])
+    if bad:
+        live &= ~bad["year"]
+
+    def field(row: list[str], column: str) -> str:
+        text = row[columns.index(column)]
+        return text.strip(_WHITESPACE) if strip else text
+
+    # (violating records, message from the record's raw fields), in check order.
+    checks = []
+    if bad:
+        checks.append((bad["fields"], lambda row: f"expected {len(columns)} fields, got {len(row)}"))
+        checks.append((bad["year"], lambda row: f"invalid year {row[0]!r}"))
+    if periods is not None:
+        checks.append((live & ~np.isin(year, periods), lambda row: orphan.format(year=int(row[0]))))
+    indices = []
+    for column, table, fields in zip(code_columns, code_tables, codes):
+        idx, hit = _lookup(table, fields)
+        indices.append(idx)
+        template = _UNKNOWN_CODE.get(column, "unknown {what} code {code!r} in column {column!r}")
+        checks.append((live & ~hit, lambda row, c=column, t=template: t.format(
+            what=c.split("_")[-1], code=field(row, c), column=c)))
+    name = columns[-1]
+    if bad:  # every record's value must parse, as its field count must match
+        checks.append((bad["value"], lambda row: f"invalid number {row[-1]!r} in column {name!r}"))
+    checks.append((live & ~np.isfinite(value), lambda row: f"non-finite value in column {name!r}"))
+    checks.append((live & (value < 0),
+                   lambda row: f"negative value {float(row[-1])} in column {name!r}"))
+    kept = np.flatnonzero(live)
+    if duplicate:
+        distinct, year_idx = np.unique(year[kept], return_inverse=True)
+        key = np.ravel_multi_index(
+            (year_idx.reshape(-1), *(idx[kept] for idx in indices)),
+            (max(distinct.size, 1), *(len(t) for t in code_tables)),
+        )
+        dup = np.zeros(year.shape, dtype=bool)
+        dup[kept] = True
+        dup[kept[np.unique(key, return_index=True)[1]]] = False
+        checks.append((dup, lambda row: duplicate.format(
+            **{**dict(zip(columns, row)), "year": int(row[0])})))
+
+    record, message = year.size, None
+    for mask, text in checks:
+        k = int(np.argmax(mask)) if mask.size else 0
+        if mask.size and mask[k] and k < record:
+            record, message = k, text
+    if message is not None:
+        line, row = _record(path, record)
+        raise DataFormatError(message(row), path=str(path), line=line)
+    return _Table(kept, year[kept], tuple(idx[kept] for idx in indices), value[kept])
+
+
+def _record(path: Path, k: int) -> tuple[int, list[str]]:
+    """(line, fields) of the k-th record (0-based)."""
+    return next(itertools.islice(_records(path), k, None))
+
+
+def _by_period(t: np.ndarray, n_periods: int) -> list[np.ndarray]:
+    """Record positions of each period, in file order."""
+    order = np.argsort(t, kind="stable")
+    bounds = np.searchsorted(t[order], np.arange(n_periods + 1))
+    return [order[bounds[p] : bounds[p + 1]] for p in range(n_periods)]
 
 
 def load_dataset(manifest: DatasetManifest) -> MrioDataset:
@@ -323,138 +527,93 @@ def load_dataset(manifest: DatasetManifest) -> MrioDataset:
     years. Every violation is reported with its file and line.
     """
     codebook = manifest.codebook()
-    sector_idx = {code: i for i, code in enumerate(codebook.sector_codes)}
-    country_idx = {code: i for i, code in enumerate(codebook.country_codes)}
-    n = len(sector_idx)
-    n_layers = len(country_idx)
+    n = len(codebook.sectors)
+    n_layers = len(codebook.countries)
     dim = n * n_layers
-    lo, hi = manifest.years if manifest.years else (None, None)
+    tables = {
+        "country": codebook.country_codes,
+        "sector": codebook.sector_codes,
+        "source": sorted(ENERGY_SOURCES),
+    }
+    window = manifest.years
 
-    def in_range(year: int) -> bool:
-        return (lo is None or year >= lo) and (hi is None or year <= hi)
-
-    outputs: dict[int, np.ndarray] = {}
-    output_lines: dict[tuple[int, int], int] = {}
-    with _Parser(manifest.outputs, "outputs") as parser:
-        for row in parser:
-            year = parser.year(row)
-            if not in_range(year):
-                continue
-            a = parser.code(row, "country", country_idx, "country")
-            i = parser.code(row, "sector", sector_idx, "sector")
-            value = parser.value(row, "total_output")
-            key = (year, a * n + i)
-            if key in output_lines:
-                parser.fail(f"duplicate output for year {year}, {row['country']}/{row['sector']}")
-            output_lines[key] = parser.line
-            outputs.setdefault(year, np.zeros(dim))[key[1]] = value
-
-    if not outputs:
+    out = _read_table(
+        manifest.outputs, "outputs", tables, window=window,
+        duplicate="duplicate output for year {year}, {country}/{sector}",
+    )
+    if not out.year.size:
         raise ValidationError(
             f"no periods found in {manifest.outputs}"
-            + (f" within years {lo}..{hi}" if manifest.years else "")
+            + (f" within years {window[0]}..{window[1]}" if window else "")
         )
-    years = sorted(outputs)
+    years = np.unique(out.year)
+    t_out = np.searchsorted(years, out.year)
+    h_out = out.codes[0] * n + out.codes[1]
+    outputs = np.zeros((years.size, dim))
+    outputs[t_out, h_out] = out.value
+    output_record = np.full((years.size, dim), -1)
+    output_record[t_out, h_out] = out.record
 
-    use: dict[int, dict[tuple[int, int], float]] = {y: {} for y in years}
-    with _Parser(manifest.transactions, "transactions") as parser:
-        seen_tx: set[tuple[int, int, int]] = set()
-        for row in parser:
-            year = parser.year(row)
-            if not in_range(year):
-                continue
-            if year not in use:
-                parser.fail(f"year {year} has transactions but no outputs")
-            a = parser.code(row, "src_country", country_idx, "country")
-            i = parser.code(row, "src_sector", sector_idx, "sector")
-            b = parser.code(row, "dst_country", country_idx, "country")
-            j = parser.code(row, "dst_sector", sector_idx, "sector")
-            value = parser.value(row, "value")
-            key = (year, a * n + i, b * n + j)
-            if key in seen_tx:
-                parser.fail("duplicate transaction key")
-            seen_tx.add(key)
-            if value > 0:
-                use[year][key[1:]] = value
-        # Column use must not exceed the declared output.
-        for year in years:
-            col_use = np.zeros(dim)
-            for (_, k), v in use[year].items():
-                col_use[k] += v
-            o = outputs[year]
-            bad = np.flatnonzero(col_use > o * (1 + 1e-9) + 1e-12)
-            if bad.size:
-                k = int(bad[0])
-                line = output_lines.get((year, k))
-                raise DataFormatError(
-                    f"year {year}: column {codebook.country_codes[k // n]}/"
-                    f"{codebook.sector_codes[k % n]} uses {col_use[k]} "
-                    f"but output is {o[k]}",
-                    path=str(manifest.outputs),
-                    line=line,
-                )
+    def read(path: Path, kind: str, what: str, duplicate: str) -> tuple[_Table, np.ndarray]:
+        table = _read_table(path, kind, tables, window=window, periods=years,
+                            orphan=f"year {{year}} has {what} but no outputs", duplicate=duplicate)
+        return table, np.searchsorted(years, table.year)
 
-    energy: dict[int, dict[str, np.ndarray]] = {y: {} for y in years}
-    with _Parser(manifest.energy, "energy") as parser:
-        seen: set[tuple[int, int, str]] = set()
-        for row in parser:
-            year = parser.year(row)
-            if not in_range(year):
-                continue
-            if year not in energy:
-                parser.fail(f"year {year} has energy rows but no outputs")
-            a = parser.code(row, "country", country_idx, "country")
-            i = parser.code(row, "sector", sector_idx, "sector")
-            source = (row["source"] or "").strip()
-            if source not in ENERGY_SOURCES:
-                parser.fail(
-                    f"unknown energy source {source!r}; expected one of "
-                    f"{sorted(ENERGY_SOURCES)}"
-                )
-            value = parser.value(row, "value")
-            key = (year, a * n + i, source)
-            if key in seen:
-                parser.fail("duplicate energy key")
-            seen.add(key)
-            if value > 0:
-                energy[year].setdefault(source, np.zeros(dim))[a * n + i] = value
+    tx, t_tx = read(manifest.transactions, "transactions", "transactions",
+                    "duplicate transaction key")
+    src = tx.codes[0] * n + tx.codes[1]
+    dst = tx.codes[2] * n + tx.codes[3]
+    positive = tx.value > 0
+    # Column use must not exceed the declared output.
+    col_use = np.bincount(
+        t_tx[positive] * dim + dst[positive], weights=tx.value[positive], minlength=years.size * dim
+    ).reshape(years.size, dim)
+    bad = np.flatnonzero(col_use > outputs * (1 + 1e-9) + 1e-12)
+    if bad.size:
+        t, k = divmod(int(bad[0]), dim)
+        r = int(output_record[t, k])
+        raise DataFormatError(
+            f"year {years[t]}: column {codebook.country_codes[k // n]}/"
+            f"{codebook.sector_codes[k % n]} uses {col_use[t, k]} "
+            f"but output is {outputs[t, k]}",
+            path=str(manifest.outputs),
+            line=_record(manifest.outputs, r)[0] if r >= 0 else None,
+        )
 
-    demand: dict[int, dict[tuple[int, int, int], float]] = {y: {} for y in years}
-    with _Parser(manifest.final_demand, "final_demand") as parser:
-        seen_fd: set[tuple[int, int, int, int]] = set()
-        for row in parser:
-            year = parser.year(row)
-            if not in_range(year):
-                continue
-            if year not in demand:
-                parser.fail(f"year {year} has final demand but no outputs")
-            a = parser.code(row, "src_country", country_idx, "country")
-            j = parser.code(row, "sector", sector_idx, "sector")
-            b = parser.code(row, "dst_country", country_idx, "country")
-            value = parser.value(row, "value")
-            if (year, j, a, b) in seen_fd:
-                parser.fail("duplicate final demand key")
-            seen_fd.add((year, j, a, b))
-            if value > 0:
-                demand[year][(j, a, b)] = value
+    en, t_en = read(manifest.energy, "energy", "energy rows", "duplicate energy key")
+    consumption = np.zeros((years.size, len(tables["source"]), dim))
+    keep = en.value > 0
+    consumption[t_en[keep], en.codes[2][keep], (en.codes[0] * n + en.codes[1])[keep]] = en.value[keep]
+    present = consumption.any(axis=2)
+
+    fd, t_fd = read(manifest.final_demand, "final_demand", "final demand",
+                    "duplicate final demand key")
+    a_fd, j_fd, b_fd = (c.tolist() for c in fd.codes)
+    v_fd = fd.value.tolist()
 
     shape = NetworkShape(n, n_layers, 1)
     periods = []
-    for year in years:
-        entries = use[year]
-        if entries:
-            rows_, cols_, vals_ = zip(*((h, k, v) for (h, k), v in entries.items()))
-            u = sparse.coo_array((vals_, (rows_, cols_)), shape=(dim, dim))
+    for t, (tx_rows, fd_rows) in enumerate(zip(_by_period(t_tx, years.size),
+                                               _by_period(t_fd, years.size))):
+        tx_rows = tx_rows[positive[tx_rows]]
+        if tx_rows.size:
+            u = sparse.coo_array((tx.value[tx_rows], (src[tx_rows], dst[tx_rows])), shape=(dim, dim))
         else:
             u = sparse.csr_array((dim, dim))
         periods.append(
             MrioPeriod(
-                label=year,
+                label=int(years[t]),
                 shape=shape,
                 intermediate_use=u,
-                total_output=outputs[year],
-                energy_consumption=energy[year],
-                final_demand=demand[year],
+                total_output=outputs[t],
+                energy_consumption={
+                    source: consumption[t, s]
+                    for s, source in enumerate(tables["source"])
+                    if present[t, s]
+                },
+                final_demand={
+                    (j_fd[r], a_fd[r], b_fd[r]): v_fd[r] for r in fd_rows.tolist() if v_fd[r] > 0
+                },
             )
         )
     return MrioDataset(periods=tuple(periods), codebook=codebook, units=dict(manifest.units))
@@ -562,7 +721,7 @@ class SyntheticSpec:
 
     @classmethod
     def from_json(cls, path: Path | str) -> "SyntheticSpec":
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        raw = _read_json_object(Path(path))
         shape = NetworkShape(
             raw.get("n_sectors", 4), raw.get("n_countries", 3), raw.get("n_periods", 2)
         )
@@ -642,9 +801,6 @@ class ConsumptionSummary:
     period_labels: tuple[int, ...]
     codes: EntityCodes
     values: Mapping[SourceClass, np.ndarray]  # (T, N*L) each, sector fastest
-
-    def entity_values(self, source: SourceClass) -> np.ndarray:
-        return self.values[source]
 
     def country_totals(self, source: SourceClass) -> np.ndarray:
         t = len(self.period_labels)
@@ -868,11 +1024,7 @@ def save_network(
                 )
             )
     path = directory / f"network_{source.value}.csv"
-    write_csv(
-        path,
-        ["year", "src_country", "src_sector", "dst_country", "dst_sector", "weight"],
-        rows,
-    )
+    write_csv(path, _SCHEMAS["network"], rows)
 
     meta_path = directory / "network_meta.json"
     fields = {
@@ -895,19 +1047,34 @@ def save_network(
 
 
 def load_network(
-    directory: Path | str, source: SourceClass
+    directory: Path | str, source: SourceClass, years: tuple[int, int] | None = None
 ) -> tuple[TemporalMultilayerNetwork, EntityCodes]:
-    """Read back a network artifact written by :func:`save_network`."""
+    """Read back a network artifact written by :func:`save_network`.
+
+    ``years`` is an inclusive (first, last) window: rows outside it are
+    dropped once their year parses, before any matrix is built. The arc list
+    is read as strictly as the dataset files, with file:line errors.
+    """
     directory = Path(directory)
     meta_path = directory / "network_meta.json"
     if not meta_path.exists():
         raise ValidationError(f"no network artifacts found in {directory} (missing meta file)")
-    meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    meta = _read_json_object(meta_path)
+    for key, kind in (("sectors", str), ("countries", str), ("periods", int)):
+        value = meta.get(key)
+        if not isinstance(value, list) or not all(type(v) is kind for v in value):
+            raise DataFormatError(
+                f"{key!r} must be a list of {kind.__name__}", path=str(meta_path)
+            )
     codes = EntityCodes(tuple(meta["sectors"]), tuple(meta["countries"]))
     n, n_layers = codes.n_nodes, codes.n_layers
     shape = NetworkShape(n, n_layers, 1)
-    sector_idx = {code: i for i, code in enumerate(codes.sector_codes)}
-    country_idx = {code: i for i, code in enumerate(codes.country_codes)}
+    periods = np.unique(np.array(meta["periods"], dtype=np.int64))
+    labels = periods
+    if years is not None:
+        labels = periods[(years[0] <= periods) & (periods <= years[1])]
+        if not labels.size:
+            raise ValidationError("period restriction removed every period")
 
     path = directory / f"network_{source.value}.csv"
     if not path.exists():
@@ -915,30 +1082,15 @@ def load_network(
             f"network artifact for source {source.value!r} not found: {path}; "
             "run the build step first"
         )
-    per_year: dict[int, list[tuple[int, int, float]]] = {int(y): [] for y in meta["periods"]}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            year = int(row["year"])
-            if year not in per_year:
-                raise DataFormatError(
-                    f"year {year} not listed in network meta",
-                    path=str(path),
-                    line=reader.line_num,
-                )
-            h = country_idx[row["src_country"]] * n + sector_idx[row["src_sector"]]
-            k = country_idx[row["dst_country"]] * n + sector_idx[row["dst_sector"]]
-            per_year[year].append((h, k, float(row["weight"])))
-    periods = [
-        (year, SupraAdjacency.from_entries(shape, entries))
-        for year, entries in sorted(per_year.items())
-    ]
-    return TemporalMultilayerNetwork(periods), codes
-
-
-def dataset_spectral_radii(dataset: MrioDataset) -> dict[int, float]:
-    """Power-iteration spectral radius estimate of each period's coefficients."""
-    return {
-        p.label: spectral_radius_estimate(input_coefficients(p).matrix)
-        for p in dataset.periods
-    }
+    arcs = _read_table(
+        path, "network", {"country": codes.country_codes, "sector": codes.sector_codes},
+        window=years, periods=periods, orphan="year {year} not listed in network meta",
+    )
+    src_country, src_sector, dst_country, dst_sector = arcs.codes
+    entries = np.column_stack((src_country * n + src_sector, dst_country * n + dst_sector,
+                               arcs.value))
+    t = np.searchsorted(labels, arcs.year)
+    return TemporalMultilayerNetwork([
+        (int(label), SupraAdjacency.from_entries(shape, entries[rows]))
+        for label, rows in zip(labels, _by_period(t, labels.size))
+    ]), codes

@@ -306,16 +306,11 @@ class EmbodiedIntensity:
 
     ``by_sector[i, k]`` is the consumption of sector i (summed over all the
     economies where i consumes) propagated into the final output of the
-    receiving pair k = (economy, sector). ``vector`` aggregates the sending
-    sectors into a single length-M intensity.
+    receiving pair k = (economy, sector).
     """
 
     by_sector: np.ndarray
     source: SourceClass
-
-    @property
-    def vector(self) -> np.ndarray:
-        return self.by_sector.sum(axis=0)
 
 
 def embodied_intensity(

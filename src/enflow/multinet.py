@@ -21,7 +21,7 @@ subtract one when indexing into the stored arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -120,19 +120,18 @@ class SupraAdjacency:
         self.matrix = m
 
     @classmethod
-    def from_entries(
-        cls, shape: NetworkShape, entries: Iterable[tuple[int, int, float]]
-    ) -> "SupraAdjacency":
-        """Build from 0-based (row, col, weight) triplets; duplicates are summed."""
-        rows, cols, vals = [], [], []
+    def from_entries(cls, shape: NetworkShape, entries) -> "SupraAdjacency":
+        """Build from 0-based (row, col, weight) triplets, an (m, 3) array-like;
+        duplicates are summed."""
+        triplets = np.asarray(entries, dtype=np.float64).reshape(-1, 3)
+        rows = triplets[:, 0].astype(np.int64)
+        cols = triplets[:, 1].astype(np.int64)
         dim = shape.supra_dim
-        for h, k, w in entries:
-            if not (0 <= h < dim and 0 <= k < dim):
-                raise ValidationError(f"entry ({h}, {k}) outside supra dimension {dim}")
-            rows.append(h)
-            cols.append(k)
-            vals.append(w)
-        m = sparse.coo_array((vals, (rows, cols)), shape=(dim, dim), dtype=np.float64)
+        outside = (rows < 0) | (rows >= dim) | (cols < 0) | (cols >= dim)
+        if outside.any():
+            e = int(np.argmax(outside))
+            raise ValidationError(f"entry ({rows[e]}, {cols[e]}) outside supra dimension {dim}")
+        m = sparse.coo_array((triplets[:, 2], (rows, cols)), shape=(dim, dim))
         return cls(shape, m)
 
     @classmethod
@@ -276,13 +275,6 @@ class TemporalMultilayerNetwork:
             if plabel == label:
                 return matrix
         raise ValidationError(f"no period labelled {label}")
-
-    def restrict_periods(self, labels: Iterable[int]) -> "TemporalMultilayerNetwork":
-        wanted = set(labels)
-        kept = [(label, m) for label, m in self.periods if label in wanted]
-        if not kept:
-            raise ValidationError("period restriction removed every period")
-        return TemporalMultilayerNetwork(kept)
 
     def tensor_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Concatenate all stored arcs as (t, row, col, weight) arrays.
