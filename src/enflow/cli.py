@@ -45,6 +45,7 @@ from .dataio import (
     save_dataset,
     save_network,
     write_csv,
+    _score_sections,
 )
 from .errors import EnflowError, NumericalError, ValidationError
 from .flowcrit import EXACT_MODE_NODE_LIMIT, country_level_criticality
@@ -55,8 +56,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
-
-_FMT = repr  # shortest round-trip float formatting, matching dataio
 
 
 def _parse_years(text: str | None) -> tuple[int, int] | None:
@@ -177,16 +176,11 @@ def cmd_mdhits(args) -> int:
             rows = []
             for label, matrix in net.periods:
                 per = md_hits_single_period(matrix, gamma=gamma, tol=args.tol, max_iter=args.max_iter)
-                for component, labels, vector in (
-                    ("node_hub", codes.sector_codes, per.node_hub),
-                    ("node_authority", codes.sector_codes, per.node_authority),
-                    ("layer_broadcast", codes.country_codes, per.layer_broadcast),
-                    ("layer_receive", codes.country_codes, per.layer_receive),
-                ):
-                    table = rank(vector, labels)
+                # One period has no time axis to rank: skip the last section.
+                for component, labels, vector in _score_sections(per, codes, None)[:-1]:
                     rows.extend(
-                        (component, row.label, label, _FMT(row.score), row.rank)
-                        for row in table
+                        (component, row.label, label, row.score, row.rank)
+                        for row in rank(vector, labels)
                     )
             per_path = out / f"mdhits_{source.value}_by_year.csv"
             write_csv(per_path, ["component", "label", "year", "score", "rank"], rows)
@@ -194,49 +188,44 @@ def cmd_mdhits(args) -> int:
     return EXIT_OK
 
 
-def _entity_rows(codes, vector):
-    n = codes.n_nodes
-    for h, value in enumerate(vector.tolist()):
-        yield codes.country_codes[h // n], codes.sector_codes[h % n], value
+def _entity_scores(args, name: str, header: list[str], score) -> int:
+    """Write ``<name>_<source>.csv``: one row per period and (country, sector)
+    entity, holding the vectors that ``score(source, label, matrix)`` returns."""
+    years = _parse_years(args.years)
+    out = Path(args.out)
+    for source in _sources(args.source):
+        net, codes = load_network(out, source, years)
+        n = codes.n_nodes
+        rows = []
+        for label, matrix in net.periods:
+            vectors = [vector.tolist() for vector in score(source, label, matrix)]
+            rows.extend(
+                (label, codes.country_codes[h // n], codes.sector_codes[h % n], *values)
+                for h, values in enumerate(zip(*vectors))
+            )
+        path = out / f"{name}_{source.value}.csv"
+        write_csv(path, ["year", "country", "sector", *header], rows)
+        print(f"wrote {path}")
+    return EXIT_OK
 
 
 def cmd_hits(args) -> int:
-    years = _parse_years(args.years)
-    out = Path(args.out)
-    for source in _sources(args.source):
-        net, codes = load_network(out, source, years)
-        rows = []
-        for label, matrix in net.periods:
-            scores = hits(matrix.matrix, tol=args.tol, max_iter=args.max_iter)
-            for (country, sector, hub), (_, _, authority) in zip(
-                _entity_rows(codes, scores.hub), _entity_rows(codes, scores.authority)
-            ):
-                rows.append((label, country, sector, _FMT(hub), _FMT(authority)))
-        path = out / f"hits_{source.value}.csv"
-        write_csv(path, ["year", "country", "sector", "hub", "authority"], rows)
-        print(f"wrote {path}")
-    return EXIT_OK
+    def score(source, label, matrix):
+        scores = hits(matrix.matrix, tol=args.tol, max_iter=args.max_iter)
+        return scores.hub, scores.authority
+
+    return _entity_scores(args, "hits", ["hub", "authority"], score)
 
 
 def cmd_eig(args) -> int:
-    years = _parse_years(args.years)
-    out = Path(args.out)
-    for source in _sources(args.source):
-        net, codes = load_network(out, source, years)
-        rows = []
-        for label, matrix in net.periods:
-            scores = eigenvector_centrality(
-                matrix.matrix, tol=args.tol, max_iter=args.max_iter, largest_scc=args.largest_scc
-            )
-            print(f"{source.value} {label}: spectral radius {scores.spectral_radius:.6g}")
-            rows.extend(
-                (label, country, sector, _FMT(value))
-                for country, sector, value in _entity_rows(codes, scores.centrality)
-            )
-        path = out / f"eig_{source.value}.csv"
-        write_csv(path, ["year", "country", "sector", "score"], rows)
-        print(f"wrote {path}")
-    return EXIT_OK
+    def score(source, label, matrix):
+        scores = eigenvector_centrality(
+            matrix.matrix, tol=args.tol, max_iter=args.max_iter, largest_scc=args.largest_scc
+        )
+        print(f"{source.value} {label}: spectral radius {scores.spectral_radius:.6g}")
+        return (scores.centrality,)
+
+    return _entity_scores(args, "eig", ["score"], score)
 
 
 def cmd_criticality(args) -> int:
@@ -247,9 +236,7 @@ def cmd_criticality(args) -> int:
         mode = args.mode
         if mode is None:
             mode = "exact" if codes.n_layers <= EXACT_MODE_NODE_LIMIT else "sampled"
-        top_rows = []
-        top_arcs: set[tuple[str, str]] = set()
-        per_year = {}
+        reports = []
         for label, matrix in net.periods:
             report = country_level_criticality(matrix, mode, pairs=args.pairs, seed=args.seed)
             path = out / f"criticality_{source.value}_{label}.csv"
@@ -258,14 +245,15 @@ def cmd_criticality(args) -> int:
                 f"{source.value} {label}: baseline={report.baseline_total:.6g} "
                 f"arcs={len(report.rows)} mode={report.mode}"
             )
-            per_year[label] = report
-            for row in report.top(args.top):
-                top_arcs.add((codes.country_codes[row.tail], codes.country_codes[row.head]))
-        for label, report in per_year.items():
-            for position, row in enumerate(report.rows, start=1):
-                key = (codes.country_codes[row.tail], codes.country_codes[row.head])
-                if key in top_arcs:
-                    top_rows.append((label, key[0], key[1], _FMT(row.index), position))
+            reports.append((label, report))
+        # Every year's rows for the arcs that make any year's top list.
+        top_arcs = {(row.tail, row.head) for _, report in reports for row in report.top(args.top)}
+        top_rows = [
+            (label, codes.country_codes[row.tail], codes.country_codes[row.head], row.index, position)
+            for label, report in reports
+            for position, row in enumerate(report.rows, start=1)
+            if (row.tail, row.head) in top_arcs
+        ]
         path = out / f"criticality_{source.value}_top.csv"
         write_csv(path, ["year", "tail_code", "head_code", "index", "rank"], top_rows)
         print(f"wrote {path}")
@@ -281,42 +269,37 @@ def cmd_consumption(args) -> int:
     labels = summary.period_labels
     classes = [SourceClass.ALL, SourceClass.RENEWABLE, SourceClass.NONRENEWABLE]
 
-    country_rows, sector_rows, world_rows, top_rows = [], [], [], []
-    for cls in classes:
-        country = summary.country_totals(cls)
-        sector = summary.sector_totals(cls)
-        world = summary.world_series(cls)
-        for t, year in enumerate(labels):
-            world_rows.append((year, cls.value, _FMT(float(world[t]))))
-            for a, code in enumerate(codes.country_codes):
-                country_rows.append((year, code, cls.value, _FMT(float(country[t, a]))))
-            for i, code in enumerate(codes.sector_codes):
-                sector_rows.append((year, code, cls.value, _FMT(float(sector[t, i]))))
-            table = rank(country[t], codes.country_codes)
-            top_rows.extend(
-                (year, cls.value, row.rank, row.label, _FMT(row.score))
-                for row in table.rows[: args.top]
-            )
-    write_csv(out / "consumption_country.csv", ["year", "country", "source_class", "value"], country_rows)
-    write_csv(out / "consumption_sector.csv", ["year", "sector", "source_class", "value"], sector_rows)
+    for axis, axis_codes, totals_of in (
+        ("country", codes.country_codes, summary.country_totals),
+        ("sector", codes.sector_codes, summary.sector_totals),
+    ):
+        rows = [
+            (year, code, cls.value, value)
+            for cls in classes
+            for year, values in zip(labels, totals_of(cls).tolist())
+            for code, value in zip(axis_codes, values)
+        ]
+        write_csv(out / f"consumption_{axis}.csv", ["year", axis, "source_class", "value"], rows)
+        rows = [
+            (year, code, value)
+            for year, values in zip(labels, summary.renewable_incidence(totals_of).tolist())
+            for code, value in zip(axis_codes, values)
+            if np.isfinite(value)
+        ]
+        write_csv(out / f"incidence_{axis}.csv", ["year", axis, "incidence"], rows)
+    world_rows = [
+        (year, cls.value, value)
+        for cls in classes
+        for year, value in zip(labels, summary.world_series(cls).tolist())
+    ]
     write_csv(out / "consumption_world.csv", ["year", "source_class", "value"], world_rows)
+    top_rows = [
+        (year, cls.value, row.rank, row.label, row.score)
+        for cls in classes
+        for year, country in zip(labels, summary.country_totals(cls))
+        for row in rank(country, codes.country_codes).rows[: args.top]
+    ]
     write_csv(out / "consumption_top_countries.csv", ["year", "source_class", "rank", "country", "value"], top_rows)
-
-    incidence_rows = []
-    incidence = summary.renewable_incidence(summary.country_totals)
-    for t, year in enumerate(labels):
-        for a, code in enumerate(codes.country_codes):
-            if np.isfinite(incidence[t, a]):
-                incidence_rows.append((year, code, _FMT(float(incidence[t, a]))))
-    write_csv(out / "incidence_country.csv", ["year", "country", "incidence"], incidence_rows)
-
-    incidence_rows = []
-    incidence = summary.renewable_incidence(summary.sector_totals)
-    for t, year in enumerate(labels):
-        for i, code in enumerate(codes.sector_codes):
-            if np.isfinite(incidence[t, i]):
-                incidence_rows.append((year, code, _FMT(float(incidence[t, i]))))
-    write_csv(out / "incidence_sector.csv", ["year", "sector", "incidence"], incidence_rows)
 
     print(f"wrote consumption tables to {out}")
     return EXIT_OK

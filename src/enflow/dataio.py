@@ -25,21 +25,24 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import dataclasses
 import itertools
 import json
 import mmap
+import typing
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 from scipy import sparse
 
-from .centrality import MdHitsScores, RankingTable, RankingRow
+from .centrality import MdHitsScores, RankingTable
 from .errors import DataFormatError, ValidationError
-from .flowcrit import ArcCriticalityReport, ArcRemovalRow
+from .flowcrit import ArcCriticalityReport
 from .leontief import ENERGY_SOURCES, MrioPeriod, SourceClass
 from .multinet import EntityCodes, NetworkShape, SupraAdjacency, TemporalMultilayerNetwork
 
@@ -86,11 +89,6 @@ _SCHEMAS = {
 }
 
 
-def _fmt(value: float) -> str:
-    """Shortest decimal string that round-trips the float exactly."""
-    return repr(float(value))
-
-
 def _read_json_object(path: Path) -> dict:
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
@@ -101,12 +99,47 @@ def _read_json_object(path: Path) -> dict:
     return raw
 
 
+_JSON_TYPES = {int: "an integer", float: "a number", str: "a string", list: "an array",
+               dict: "an object"}
+
+
+def _decode(hint, value, what: str, path: Path):
+    """``value`` read from JSON as type ``hint``, else DataFormatError naming
+    ``what``. A dataclass comes from an object of exactly its fields (as
+    :func:`_encode` writes it), a float array or tuple from an array, a dict
+    or mapping from an object; an optional may be null; a float may be given
+    as an integer, and true/false is neither."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if dataclasses.is_dataclass(hint):
+        names = [f.name for f in dataclasses.fields(hint)]
+        if sorted(_decode(dict, value, what, path)) != sorted(names):
+            raise DataFormatError(f"{what} needs fields {names}, got {list(value)}", path=str(path))
+        hints = typing.get_type_hints(hint)
+        return hint(**{name: _decode(hints[name], value[name], f"{what}.{name}", path)
+                       for name in names})
+    if hint is np.ndarray:
+        return np.array(_decode(tuple[float, ...], value, what, path), dtype=np.float64)
+    if origin is tuple:
+        return tuple(_decode(args[0], item, f"{what}[{i}]", path)
+                     for i, item in enumerate(_decode(list, value, what, path)))
+    if origin in (dict, Mapping):
+        return {key: _decode(args[1], item, f"{what}[{key!r}]", path)
+                for key, item in _decode(dict, value, what, path).items()}
+    if type(None) in args:
+        return None if value is None else _decode(args[0], value, what, path)
+    if isinstance(value, bool) or not isinstance(value, (int, float) if hint is float else hint):
+        raise DataFormatError(f"{what} must be {_JSON_TYPES[hint]}, got {type(value).__name__}",
+                              path=str(path))
+    return value
+
+
 def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a header and rows. Floats must be Python floats: ``csv`` writes
+    them as ``str(float) == repr(float)``, the shortest round-trip form."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -204,32 +237,26 @@ class DatasetManifest:
         raw = _read_json_object(path)
         base = path.parent
         required = ["transactions", "outputs", "energy", "final_demand"]
-        missing = [key for key in required if key not in raw]
+        missing = [key for key in required if raw.get(key) is None]
         if missing:
             raise ValidationError(f"manifest {path} is missing keys: {missing}")
 
         def resolve(key: str) -> Path | None:
             if raw.get(key) is None:
                 return None
-            p = base / raw[key]
+            p = base / _decode(str, raw[key], repr(key), path)
             if not p.exists():
                 raise ValidationError(f"manifest {path}: file for {key!r} not found: {p}")
             return p
 
-        years = raw.get("years")
-        if years is not None:
-            if (
-                not isinstance(years, (list, tuple))
-                or len(years) != 2
-                or not all(isinstance(y, int) for y in years)
-                or years[0] > years[1]
-            ):
-                raise ValidationError(
-                    f"manifest {path}: 'years' must be [first, last] with first <= last"
-                )
-            years = (years[0], years[1])
+        years = _decode(tuple[int, ...] | None, raw.get("years"), "'years'", path)
+        if years is not None and (len(years) != 2 or years[0] > years[1]):
+            raise ValidationError(
+                f"manifest {path}: 'years' must be [first, last] with first <= last"
+            )
         units = dict(DEFAULT_UNITS)
-        units.update(raw.get("units") or {})
+        if raw.get("units") is not None:
+            units.update(_decode(dict[str, str], raw["units"], "'units'", path))
         return cls(
             transactions=resolve("transactions"),
             outputs=resolve("outputs"),
@@ -648,17 +675,17 @@ def save_dataset(dataset: MrioDataset, directory: Path | str) -> Path:
         for h, k, v in sorted(zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist())):
             sc, ss = pair(h)
             dc, ds = pair(k)
-            tx_rows.append((year, sc, ss, dc, ds, _fmt(v)))
+            tx_rows.append((year, sc, ss, dc, ds, v))
         for h in np.flatnonzero(period.total_output):
             c, s = pair(int(h))
-            out_rows.append((year, c, s, _fmt(period.total_output[h])))
+            out_rows.append((year, c, s, float(period.total_output[h])))
         for source in sorted(period.energy_consumption):
             vec = period.energy_consumption[source]
             for h in np.flatnonzero(vec):
                 c, s = pair(int(h))
-                energy_rows.append((year, c, s, source, _fmt(vec[h])))
+                energy_rows.append((year, c, s, source, float(vec[h])))
         for (j, a, b), v in sorted(period.final_demand.items()):
-            demand_rows.append((year, ccodes[a], scodes[j], ccodes[b], _fmt(v)))
+            demand_rows.append((year, ccodes[a], scodes[j], ccodes[b], v))
 
     energy_rows.sort(key=lambda r: (r[0], r[1], r[2], r[3]))
     write_csv(directory / "transactions.csv", _SCHEMAS["transactions"], tx_rows)
@@ -721,18 +748,19 @@ class SyntheticSpec:
 
     @classmethod
     def from_json(cls, path: Path | str) -> "SyntheticSpec":
-        raw = _read_json_object(Path(path))
-        shape = NetworkShape(
-            raw.get("n_sectors", 4), raw.get("n_countries", 3), raw.get("n_periods", 2)
-        )
-        return cls(
-            shape=shape,
-            density=raw.get("density", 0.3),
-            seed=raw.get("seed", 0),
-            rho_cap=raw.get("rho_cap", 0.9),
-            source_mix=raw.get("source_mix", dict(DEFAULT_SOURCE_MIX)),
-            start_year=raw.get("start_year", 1990),
-        )
+        """Read ``n_sectors``, ``n_countries``, ``n_periods`` and the other
+        fields by name; a missing key keeps its default."""
+        path = Path(path)
+        raw = _read_json_object(path)
+        shape = NetworkShape(*(
+            _decode(int, raw.get(key, default), repr(key), path)
+            for key, default in (("n_sectors", 4), ("n_countries", 3), ("n_periods", 2))
+        ))
+        hints = typing.get_type_hints(cls)
+        return cls(shape=shape, **{
+            f.name: _decode(hints[f.name], raw[f.name], repr(f.name), path)
+            for f in dataclasses.fields(cls) if f.name != "shape" and f.name in raw
+        })
 
 
 def generate_synthetic(spec: SyntheticSpec) -> MrioDataset:
@@ -826,12 +854,7 @@ class ConsumptionSummary:
 
 def consumption_summary(dataset: MrioDataset) -> ConsumptionSummary:
     """Aggregate raw consumption by period, country, sector and source class."""
-    t = len(dataset.periods)
-    dim = dataset.periods[0].shape.supra_dim
-    values = {cls: np.zeros((t, dim)) for cls in SourceClass}
-    for row, period in enumerate(dataset.periods):
-        for cls in SourceClass:
-            values[cls][row] = period.consumption_for(cls)
+    values = {cls: np.array([p.consumption_for(cls) for p in dataset.periods]) for cls in SourceClass}
     return ConsumptionSummary(
         period_labels=dataset.labels, codes=dataset.codes, values=values
     )
@@ -842,23 +865,36 @@ def consumption_summary(dataset: MrioDataset) -> ConsumptionSummary:
 # ---------------------------------------------------------------------------
 
 
-def _score_sections(scores: MdHitsScores, codes, period_labels):
-    sectors = list(codes.sector_codes) if codes else None
-    countries = list(codes.country_codes) if codes else None
-    periods = list(period_labels) if period_labels else None
+_RESULT_KINDS = {
+    "ranking": RankingTable,
+    "md_hits_scores": MdHitsScores,
+    "arc_criticality": ArcCriticalityReport,
+}
 
-    def labels(n, preferred):
-        if preferred and len(preferred) == n:
-            return [str(v) for v in preferred]
-        return [str(i) for i in range(n)]
 
-    return [
-        ("node_hub", labels(len(scores.node_hub), sectors), scores.node_hub),
-        ("node_authority", labels(len(scores.node_authority), sectors), scores.node_authority),
-        ("layer_broadcast", labels(len(scores.layer_broadcast), countries), scores.layer_broadcast),
-        ("layer_receive", labels(len(scores.layer_receive), countries), scores.layer_receive),
-        ("time", labels(len(scores.time), periods), scores.time),
-    ]
+def _score_sections(scores: MdHitsScores, codes: EntityCodes | None, period_labels):
+    """(component, labels, vector) of each MD-HITS component, time last.
+    Sector, country and period labels that do not fit a vector's length
+    fall back to positions."""
+    sectors, countries = (codes.sector_codes, codes.country_codes) if codes else ((), ())
+    axes = (sectors, sectors, countries, countries, period_labels or ())
+    sections = []
+    for (component, vector), axis in zip(scores.as_dict().items(), axes):
+        labels = axis if len(axis) == len(vector) else range(len(vector))
+        sections.append((component, [str(v) for v in labels], vector))
+    return sections
+
+
+def _encode(value):
+    """JSON form of a result: dataclasses as objects of their fields, arrays
+    and tuples as lists."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: _encode(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, tuple):
+        return [_encode(v) for v in value]
+    return value
 
 
 def export_results(
@@ -873,122 +909,48 @@ def export_results(
     """Write a result object to ``path`` as csv or json.
 
     Supported objects: RankingTable, MdHitsScores, ArcCriticalityReport.
-    JSON files are lossless and can be read back with :func:`import_results`;
-    the CSV layouts are the plot-ready long formats.
+    JSON files hold ``kind`` plus the object's dataclass fields; they are
+    lossless and can be read back with :func:`import_results`. The CSV
+    layouts are the plot-ready long formats, and only they carry labels.
     """
     path = Path(path)
     if fmt not in ("csv", "json"):
         raise ValidationError(f"format must be 'csv' or 'json', got {fmt!r}")
+    kind = next((k for k, cls in _RESULT_KINDS.items() if isinstance(obj, cls)), None)
+    if kind is None:
+        raise ValidationError(f"cannot export object of type {type(obj).__name__}")
 
-    if isinstance(obj, RankingTable):
-        if fmt == "csv":
-            write_csv(path, ["rank", "label", "score"], ((r.rank, r.label, _fmt(r.score)) for r in obj))
-        else:
-            payload = {
-                "kind": "ranking",
-                "rows": [{"rank": r.rank, "label": r.label, "score": r.score} for r in obj],
-            }
-            path.write_text(json.dumps(payload, indent=2) + "\n", "utf-8")
-        return path
-
-    if isinstance(obj, MdHitsScores):
-        sections = _score_sections(obj, codes, period_labels)
-        if fmt == "csv":
-            rows = []
-            for component, labels, vector in sections:
-                rows.extend(
-                    (component, label, _fmt(v)) for label, v in zip(labels, vector.tolist())
-                )
-            write_csv(path, ["component", "label", "score"], rows)
-        else:
-            payload = {
-                "kind": "md_hits_scores",
-                "gamma": list(obj.gamma),
-                "iterations": obj.iterations,
-                "components": {
-                    component: {"labels": labels, "scores": vector.tolist()}
-                    for component, labels, vector in sections
-                },
-            }
-            path.write_text(json.dumps(payload, indent=2) + "\n", "utf-8")
-        return path
-
-    if isinstance(obj, ArcCriticalityReport):
+    if fmt == "json":
+        path.write_text(json.dumps({"kind": kind, **_encode(obj)}, indent=2) + "\n", "utf-8")
+    elif kind == "ranking":
+        write_csv(path, ["rank", "label", "score"], ((r.rank, r.label, r.score) for r in obj))
+    elif kind == "md_hits_scores":
+        write_csv(path, ["component", "label", "score"], (
+            (component, label, v)
+            for component, labels, vector in _score_sections(obj, codes, period_labels)
+            for label, v in zip(labels, vector.tolist())
+        ))
+    else:
         def label(node: int) -> str:
             if node_labels is not None and node < len(node_labels):
                 return str(node_labels[node])
             return str(node)
 
-        if fmt == "csv":
-            rows = [
-                (label(r.tail), label(r.head), _fmt(r.removed_total), _fmt(r.index), i + 1)
-                for i, r in enumerate(obj.rows)
-            ]
-            write_csv(path, ["tail_code", "head_code", "removed_total", "index", "rank"], rows)
-        else:
-            payload = {
-                "kind": "arc_criticality",
-                "baseline_total": obj.baseline_total,
-                "mode": obj.mode,
-                "pair_count": obj.pair_count,
-                "seed": obj.seed,
-                "rows": [
-                    {
-                        "tail": r.tail,
-                        "head": r.head,
-                        "tail_label": label(r.tail),
-                        "head_label": label(r.head),
-                        "removed_total": r.removed_total,
-                        "index": r.index,
-                    }
-                    for r in obj.rows
-                ],
-            }
-            path.write_text(json.dumps(payload, indent=2) + "\n", "utf-8")
-        return path
-
-    raise ValidationError(f"cannot export object of type {type(obj).__name__}")
+        write_csv(path, ["tail_code", "head_code", "removed_total", "index", "rank"], (
+            (label(r.tail), label(r.head), r.removed_total, r.index, i + 1)
+            for i, r in enumerate(obj.rows)
+        ))
+    return path
 
 
 def import_results(path: Path | str):
     """Read back a JSON file written by :func:`export_results`."""
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    kind = raw.get("kind")
-    if kind == "ranking":
-        return RankingTable(
-            rows=tuple(
-                RankingRow(rank=r["rank"], label=r["label"], score=r["score"])
-                for r in raw["rows"]
-            )
-        )
-    if kind == "md_hits_scores":
-        comp = raw["components"]
-        return MdHitsScores(
-            node_hub=np.array(comp["node_hub"]["scores"]),
-            node_authority=np.array(comp["node_authority"]["scores"]),
-            layer_broadcast=np.array(comp["layer_broadcast"]["scores"]),
-            layer_receive=np.array(comp["layer_receive"]["scores"]),
-            time=np.array(comp["time"]["scores"]),
-            gamma=tuple(raw["gamma"]),
-            iterations=raw.get("iterations", 0),
-        )
-    if kind == "arc_criticality":
-        return ArcCriticalityReport(
-            baseline_total=raw["baseline_total"],
-            rows=tuple(
-                ArcRemovalRow(
-                    tail=r["tail"],
-                    head=r["head"],
-                    removed_total=r["removed_total"],
-                    index=r["index"],
-                )
-                for r in raw["rows"]
-            ),
-            mode=raw["mode"],
-            pair_count=raw.get("pair_count"),
-            seed=raw.get("seed"),
-        )
-    raise ValidationError(f"unrecognized result kind {kind!r} in {path}")
+    path = Path(path)
+    raw = _read_json_object(path)
+    kind = raw.pop("kind", None)
+    if not isinstance(kind, str) or kind not in _RESULT_KINDS:
+        raise DataFormatError(f"unrecognized result kind {kind!r}", path=str(path))
+    return _decode(_RESULT_KINDS[kind], raw, kind, path)
 
 
 # ---------------------------------------------------------------------------
@@ -1020,7 +982,7 @@ def save_network(
                     codes.sector_codes[h % n],
                     codes.country_codes[k // n],
                     codes.sector_codes[k % n],
-                    _fmt(w),
+                    w,
                 )
             )
     path = directory / f"network_{source.value}.csv"
@@ -1037,10 +999,11 @@ def save_network(
     }
     sources = {source.value}
     if meta_path.exists():
-        previous = json.loads(meta_path.read_text(encoding="utf-8"))
+        previous = _read_json_object(meta_path)
         # Accumulate sources only when the artifacts describe the same universe.
         if all(previous.get(k) == v for k, v in fields.items()):
-            sources |= set(previous.get("sources", []))
+            sources |= set(_decode(tuple[str, ...], previous.get("sources", []), "'sources'",
+                                   meta_path))
     meta = dict(fields, sources=sorted(sources))
     meta_path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n", "utf-8")
     return path

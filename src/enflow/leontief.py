@@ -170,9 +170,10 @@ class MrioPeriod:
         self.final_demand = demand
 
     def consumption_for(self, source: SourceClass) -> np.ndarray:
-        """Total consumption vector over the carriers of one source class."""
+        """Total consumption vector over the carriers of one source class,
+        summed in sorted carrier order so the result does not follow the hash seed."""
         total = np.zeros(self.shape.supra_dim)
-        for carrier in source.carriers:
+        for carrier in sorted(source.carriers):
             vec = self.energy_consumption.get(carrier)
             if vec is not None:
                 total += vec

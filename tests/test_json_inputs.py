@@ -1,0 +1,66 @@
+"""JSON inputs (synthetic spec, manifest, network meta) end in exit 2, not a traceback."""
+
+import json
+
+import pytest
+
+from enflow.cli import main
+
+
+def run(*argv) -> int:
+    return main([str(a) for a in argv])
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"density": "x"}, "'density' must be a number, got str"),
+    ({"rho_cap": None}, "'rho_cap' must be a number, got NoneType"),
+    ({"n_sectors": True}, "'n_sectors' must be an integer, got bool"),
+    ({"n_periods": 2.0}, "'n_periods' must be an integer, got float"),
+    ({"seed": "1"}, "'seed' must be an integer, got str"),
+    ({"start_year": [1990]}, "'start_year' must be an integer, got list"),
+    ({"source_mix": [1]}, "'source_mix' must be an object, got list"),
+    ({"source_mix": {"coal": "1", "hydro": 1}}, "'source_mix'['coal'] must be a number, got str"),
+])
+def test_synthetic_spec_value_types(tmp_path, capsys, spec, message):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert run("synth", "--synthetic-spec", path, "--out", tmp_path / "d") == 2
+    err = capsys.readouterr().err
+    assert f"spec.json: {message}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("edit, message", [
+    ({"units": [1]}, "'units' must be an object, got list"),
+    ({"units": {"energy": 3}}, "'units'['energy'] must be a string, got int"),
+    ({"sectors": 5}, "'sectors' must be a string, got int"),
+    ({"transactions": ["transactions.csv"]}, "'transactions' must be a string, got list"),
+    ({"transactions": None}, "is missing keys: ['transactions']"),
+    ({"years": [True, 1991]}, "'years'[0] must be an integer, got bool"),
+    ({"years": [1991]}, "'years' must be [first, last] with first <= last"),
+])
+def test_manifest_value_types(tmp_path, capsys, edit, message):
+    data = tmp_path / "data"
+    assert run("synth", "--shape", "2,2,2", "--out", data) == 0
+    raw = json.loads((data / "manifest.json").read_text())
+    path = data / "edited.json"
+    path.write_text(json.dumps({**raw, **edit}))
+    capsys.readouterr()
+    assert run("build", "--manifest", path, "--out", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda meta: "{not json", "invalid JSON"),
+    (lambda meta: json.dumps({**meta, "sources": 5}), "'sources' must be an array, got int"),
+])
+def test_corrupt_network_meta_exits_2_naming_the_file(tmp_path, capsys, corrupt, message):
+    data, out = tmp_path / "data", tmp_path / "out"
+    assert run("synth", "--shape", "2,2,2", "--out", data) == 0
+    assert run("build", "--manifest", data / "manifest.json", "--out", out) == 0
+    meta_path = out / "network_meta.json"
+    meta_path.write_text(corrupt(json.loads(meta_path.read_text())))
+    capsys.readouterr()
+    assert run("build", "--manifest", data / "manifest.json", "--out", out) == 2
+    err = capsys.readouterr().err
+    assert f"network_meta.json: {message}" in err and "Traceback" not in err

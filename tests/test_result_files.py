@@ -1,0 +1,105 @@
+"""JSON result files: lossless round trip and strict reading."""
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from enflow import ArcCriticalityReport, MdHitsScores, RankingTable
+from enflow.centrality import RankingRow
+from enflow.dataio import export_results, import_results
+from enflow.errors import DataFormatError
+from enflow.flowcrit import ArcRemovalRow
+
+# Hypothesis draws subnormals and extremes too; these pin the named cases.
+FLOATS = st.one_of(
+    st.sampled_from([1 / 3, 5e-324, 2.5e-310, 1e308, -1e308, 0.0]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+VECTORS = st.lists(FLOATS, max_size=6).map(lambda values: np.array(values, dtype=np.float64))
+
+RANKINGS = st.builds(
+    RankingTable,
+    rows=st.lists(st.builds(RankingRow, rank=st.integers(1, 10**6), label=st.text(max_size=8),
+                            score=FLOATS), max_size=5).map(tuple),
+)
+REPORTS = st.builds(
+    ArcCriticalityReport,
+    baseline_total=FLOATS,
+    rows=st.lists(st.builds(ArcRemovalRow, tail=st.integers(0, 500), head=st.integers(0, 500),
+                            removed_total=FLOATS, index=FLOATS), max_size=5).map(tuple),
+    mode=st.sampled_from(["exact", "sampled"]),
+    pair_count=st.none() | st.integers(1, 10**6),
+    seed=st.none() | st.integers(0, 2**63 - 1),
+)
+SCORES = st.builds(
+    MdHitsScores,
+    node_hub=VECTORS, node_authority=VECTORS, layer_broadcast=VECTORS, layer_receive=VECTORS,
+    time=VECTORS, gamma=st.lists(FLOATS, min_size=5, max_size=5).map(tuple),
+    iterations=st.integers(0, 10**6),
+)
+
+
+def round_trip(obj, tmp_path_factory):
+    path = tmp_path_factory.mktemp("results") / "result.json"
+    return import_results(export_results(obj, path, "json"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(obj=RANKINGS | REPORTS)
+def test_ranking_and_criticality_round_trip_exactly(obj, tmp_path_factory):
+    back = round_trip(obj, tmp_path_factory)
+    assert type(back) is type(obj)
+    assert back == obj  # dataclass equality: every float must match exactly
+
+
+@settings(max_examples=60, deadline=None)
+@given(scores=SCORES)
+def test_md_hits_scores_round_trip_exactly(scores, tmp_path_factory):
+    back = round_trip(scores, tmp_path_factory)
+    assert isinstance(back, MdHitsScores)
+    for name, vector in scores.as_dict().items():
+        assert getattr(back, name).dtype == np.float64
+        assert getattr(back, name).tolist() == vector.tolist(), name
+    assert back.gamma == scores.gamma and back.iterations == scores.iterations
+
+
+def test_json_layout_is_kind_plus_fields(tmp_path):
+    report = ArcCriticalityReport(1.0, (ArcRemovalRow(0, 1, 0.5, 0.5),), "sampled", 4, 7)
+    path = export_results(report, tmp_path / "crit.json", "json", node_labels=["A", "B"])
+    assert json.loads(path.read_text()) == {
+        "kind": "arc_criticality", "baseline_total": 1.0,
+        "rows": [{"tail": 0, "head": 1, "removed_total": 0.5, "index": 0.5}],
+        "mode": "sampled", "pair_count": 4, "seed": 7,
+    }
+
+
+RANKING = {"kind": "ranking", "rows": [{"rank": 1, "label": "A", "score": 0.5}]}
+
+
+@pytest.mark.parametrize("payload, message", [
+    ("{not json", "invalid JSON"),
+    ("[1, 2]", "expected a JSON object, got list"),
+    ({"rows": []}, "unrecognized result kind None"),
+    ({"kind": "histogram", "rows": []}, "unrecognized result kind 'histogram'"),
+    ({"kind": ["ranking"], "rows": []}, r"unrecognized result kind \['ranking'\]"),
+    ({"kind": "ranking"}, r"ranking needs fields \['rows'\], got \[\]"),
+    ({**RANKING, "extra": 1}, r"ranking needs fields \['rows'\], got \['rows', 'extra'\]"),
+    ({"kind": "ranking", "rows": [{"rank": 1, "label": "A"}]}, r"ranking\.rows\[0\] needs fields"),
+    ({"kind": "ranking", "rows": {}}, r"ranking\.rows must be an array, got dict"),
+    ({"kind": "ranking", "rows": [{"rank": True, "label": "A", "score": 0.5}]},
+     r"ranking\.rows\[0\]\.rank must be an integer, got bool"),
+    ({"kind": "ranking", "rows": [{"rank": 1, "label": "A", "score": "0.5"}]},
+     r"ranking\.rows\[0\]\.score must be a number, got str"),
+    ({"kind": "md_hits_scores", "node_hub": [1.0, None], "node_authority": [], "layer_broadcast": [],
+      "layer_receive": [], "time": [], "gamma": [], "iterations": 0},
+     r"md_hits_scores\.node_hub\[1\] must be a number, got NoneType"),
+    ({"kind": "arc_criticality", "baseline_total": 1.0, "rows": [], "mode": "exact",
+      "pair_count": "4", "seed": None}, r"arc_criticality\.pair_count must be an integer"),
+])
+def test_malformed_result_files_are_format_errors(tmp_path, payload, message):
+    path = tmp_path / "result.json"
+    path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
+    with pytest.raises(DataFormatError, match=message):
+        import_results(path)
