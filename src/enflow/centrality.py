@@ -2,8 +2,9 @@
 
 Three families:
 
-* eigenvector centrality of a nonnegative matrix (power iteration; requires
-  strong connectivity for a positive score vector);
+* eigenvector centrality of a nonnegative matrix (a power iteration from an
+  Arnoldi start vector; requires strong connectivity for a positive score
+  vector);
 * hub/authority scores from the alternating mutually-reinforcing recursion
   y <- W^T x, x <- W y (hubs point to good authorities, authorities are
   pointed at by good hubs); at the fixed point the hub vector is the dominant
@@ -31,6 +32,7 @@ from typing import Sequence
 import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
+from scipy.sparse import linalg as splinalg
 
 from .errors import ConvergenceError, NumericalError, ReducibleNetworkError, ValidationError
 from .multinet import SupraAdjacency, TemporalMultilayerNetwork
@@ -130,16 +132,26 @@ def eigenvector_centrality(
     *,
     largest_scc: bool = False,
 ) -> EigScores:
-    """Power-iteration eigenvector centrality of a nonnegative square matrix.
+    """Eigenvector centrality of a nonnegative square matrix.
 
     The matrix must be strongly connected for the dominant eigenvector to be
     positive and unique. With ``largest_scc=True`` a reducible matrix is
     restricted to its largest strongly connected component; entries outside
     the component get score zero.
 
-    Iterates on W + sI (s = the max column sum) so periodic structures still
-    converge; the shift moves the eigenvalue, not the eigenvector. Stops when
+    The start vector is ARPACK's eigenvector for the eigenvalue of largest
+    real part, which on an irreducible nonnegative matrix is the Perron root
+    (uniform start for dim <= 2 or when ARPACK fails). A power iteration on
+    W + sI (s = the max column sum, so periodic structures still converge;
+    the shift moves the eigenvalue, not the eigenvector) then runs from it
+    for at most ``max_iter`` iterations, and succeeds only when
     ||W x - rho x||_1 <= tol * rho.
+
+    Raises
+    ------
+    ConvergenceError
+        Iteration cap reached; carries the trailing residuals
+        ||W x - rho x||_1 / rho.
     """
     w = _as_csr(matrix)
     if w.nnz == 0:
@@ -160,18 +172,46 @@ def eigenvector_centrality(
         return EigScores(centrality=full, spectral_radius=inner.spectral_radius)
 
     shift = float(np.abs(w).sum(axis=0).max())
-    x = np.full(dim, 1.0 / dim)
+    x = _perron_start(w)
+    residuals: list[float] = []
     for _ in range(max_iter):
         wx = w @ x
         y = wx + shift * x
         norm = y.sum()
         rho = norm - shift
-        if rho > 0 and np.abs(wx - rho * x).sum() <= tol * rho:
+        residual = float(np.abs(wx - rho * x).sum())
+        residuals.append(residual / rho if rho > 0 else np.inf)
+        if rho > 0 and residual <= tol * rho:
             return EigScores(centrality=x, spectral_radius=float(rho))
         x = y / norm
+    last = f"{residuals[-1]:.3e}" if residuals else "n/a"
     raise ConvergenceError(
-        f"power iteration did not converge to tolerance {tol} in {max_iter} iterations"
+        f"power iteration did not converge to tolerance {tol} in {max_iter} "
+        f"iterations (last residual {last})",
+        residuals=residuals[-10:],
     )
+
+
+def _perron_start(w: sparse.csr_array) -> np.ndarray:
+    """Unit 1-norm start vector for the power iteration on irreducible ``w``:
+    |Re v| of ARPACK's eigenvector for the eigenvalue of largest real part,
+    or uniform when dim <= 2 (ARPACK needs k < dim - 1) or ARPACK fails.
+
+    ``v0`` and ``rng`` are fixed, so the start (and the scores) do not depend
+    on earlier calls or on the process."""
+    dim = w.shape[0]
+    uniform = np.full(dim, 1.0 / dim)
+    if dim <= 2:
+        return uniform
+    try:
+        _, vectors = splinalg.eigs(w, k=1, which="LR", v0=np.ones(dim), rng=0)
+    except (splinalg.ArpackNoConvergence, splinalg.ArpackError):
+        return uniform
+    x = np.abs(vectors[:, 0].real)
+    total = x.sum()
+    if not np.isfinite(total) or total <= 0:
+        return uniform
+    return x / total
 
 
 def hits(matrix, tol: float = 1e-12, max_iter: int = 10_000) -> HitsScores:

@@ -108,7 +108,8 @@ def _decode(hint, value, what: str, path: Path):
     ``what``. A dataclass comes from an object of exactly its fields (as
     :func:`_encode` writes it), a float array or tuple from an array, a dict
     or mapping from an object; an optional may be null; a float may be given
-    as an integer, and true/false is neither."""
+    as an integer (read as a float, DataFormatError beyond its range), and
+    true/false is neither."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if dataclasses.is_dataclass(hint):
         names = [f.name for f in dataclasses.fields(hint)]
@@ -130,6 +131,11 @@ def _decode(hint, value, what: str, path: Path):
     if isinstance(value, bool) or not isinstance(value, (int, float) if hint is float else hint):
         raise DataFormatError(f"{what} must be {_JSON_TYPES[hint]}, got {type(value).__name__}",
                               path=str(path))
+    if hint is float:
+        try:
+            return float(value)
+        except OverflowError:
+            raise DataFormatError(f"{what} is out of the float range", path=str(path)) from None
     return value
 
 
@@ -730,6 +736,8 @@ class SyntheticSpec:
     start_year: int = 1990
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if not 0 < self.density <= 1:
             raise ValidationError(f"density must be in (0, 1], got {self.density}")
         if not 0 < self.rho_cap < 1:

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from scipy import sparse
+from scipy.sparse import linalg as splinalg
 
 from enflow import (
     ConvergenceError,
@@ -84,6 +86,106 @@ def test_eigenvector_matches_dense_eigensolver():
         assert scores.spectral_radius == pytest.approx(np.abs(vals).max(), rel=1e-9)
         residual = np.abs(w @ scores.centrality - scores.spectral_radius * scores.centrality)
         assert residual.sum() <= 1e-10 * scores.spectral_radius
+
+
+WEIGHTS = st.floats(0.1, 10.0)
+
+
+@st.composite
+def irreducible_matrices(draw):
+    """Sparse strongly connected matrices: a weighted Hamiltonian cycle (period
+    dim), a bipartite graph (period 2) or a cycle plus random chords."""
+    dim = draw(st.integers(1, 3) | st.integers(4, 12))
+    kind = draw(st.sampled_from(["cycle", "bipartite", "chords"]))
+    w = np.zeros((dim, dim))
+    if kind == "bipartite" and dim >= 2:
+        side = draw(st.lists(st.booleans(), min_size=dim, max_size=dim))
+        side[0], side[1] = True, False
+        for node in range(2, dim):
+            other = 1 if side[node] else 0  # node 0 or 1 across the cut
+            w[node, other] = draw(WEIGHTS)
+            w[other, node] = draw(WEIGHTS)
+        w[0, 1], w[1, 0] = draw(WEIGHTS), draw(WEIGHTS)
+        for i in range(dim):
+            for j in range(dim):
+                if side[i] != side[j] and w[i, j] == 0 and draw(st.booleans()):
+                    w[i, j] = draw(WEIGHTS)
+        return w
+    order = draw(st.permutations(range(dim)))
+    for tail, head in zip(order, order[1:] + order[:1]):
+        w[tail, head] = draw(WEIGHTS)
+    if kind == "chords":
+        for _ in range(draw(st.integers(0, 2 * dim))):
+            w[draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))] = draw(WEIGHTS)
+    return w
+
+
+def dense_perron(w):
+    values, vectors = np.linalg.eig(w)
+    top = np.argmax(values.real)
+    vector = np.abs(vectors[:, top].real)
+    return values[top].real, vector / vector.sum(), np.abs(values).max()
+
+
+@settings(max_examples=150, deadline=None)
+@given(w=irreducible_matrices())
+def test_eigenvector_matches_dense_eig_on_sparse_irreducible(w):
+    scores = eigenvector_centrality(sparse.csr_array(w))
+    rho, vector, modulus = dense_perron(w)
+    assert scores.spectral_radius == pytest.approx(rho, rel=1e-9)
+    assert rho == pytest.approx(modulus, rel=1e-9)
+    assert np.abs(scores.centrality - vector).max() <= 1e-9
+    residual = np.abs(w @ scores.centrality - scores.spectral_radius * scores.centrality)
+    assert residual.sum() <= 1e-11 * scores.spectral_radius
+
+
+@pytest.mark.parametrize("outcome", [
+    splinalg.ArpackNoConvergence("no convergence", np.array([]), np.zeros((0, 0))),
+    splinalg.ArpackError(-9999),
+    0.0,
+    np.nan,
+], ids=["no-convergence", "error", "zero-vector", "nan-vector"])
+def test_eigenvector_uniform_start_when_arpack_fails(monkeypatch, outcome):
+    rng = np.random.default_rng(3)
+    w = rng.uniform(0.1, 1.0, (9, 9)) * (rng.random((9, 9)) < 0.3) + np.roll(np.eye(9), 1, axis=1)
+    expected = eigenvector_centrality(w)
+    calls = []
+
+    def eigs(matrix, **kwargs):
+        calls.append(kwargs)
+        if isinstance(outcome, Exception):
+            raise outcome
+        return np.array([1.0]), np.full((matrix.shape[0], 1), outcome, dtype=complex)
+
+    monkeypatch.setattr(splinalg, "eigs", eigs)
+    fallback = eigenvector_centrality(w)
+    assert len(calls) == 1
+    assert np.abs(fallback.centrality - expected.centrality).max() <= 1e-10
+    assert fallback.spectral_radius == pytest.approx(expected.spectral_radius, rel=1e-10)
+
+
+def test_eigenvector_cycle_longer_than_the_arnoldi_basis():
+    # The all-ones start is already an eigenvector, so the Arnoldi process
+    # breaks down at once and restarts from random vectors.
+    scores = eigenvector_centrality(sparse.csr_array(np.roll(np.eye(40), 1, axis=1)))
+    assert np.allclose(scores.centrality, 1 / 40, atol=1e-12)
+    assert scores.spectral_radius == pytest.approx(1.0, abs=1e-12)
+
+
+def test_eigenvector_max_iter_zero_raises():
+    w = np.array([[0, 1, 1], [1, 0, 1], [1, 1, 0]], dtype=float)
+    with pytest.raises(ConvergenceError, match=r"in 0 iterations \(last residual n/a\)") as err:
+        eigenvector_centrality(w, max_iter=0)
+    assert err.value.residuals == []
+
+
+def test_eigenvector_max_iter_error_carries_residuals():
+    w = np.random.default_rng(1).uniform(0.1, 1.0, (5, 5))
+    with pytest.raises(ConvergenceError) as err:
+        eigenvector_centrality(w, tol=1e-30, max_iter=25)
+    residuals = err.value.residuals
+    assert len(residuals) == 10 and all(0 < r < 1e-12 for r in residuals)
+    assert f"last residual {residuals[-1]:.3e}" in str(err.value)
 
 
 # ---------------------------------------------------------------------------

@@ -277,3 +277,32 @@ def test_synth_spec_json_input(tmp_path):
     assert run("build", "--synthetic-spec", spec_path, "--out", out, "--source", "all") == 0
     net, _ = load_network(out, SourceClass.ALL)
     assert net.labels == (2001, 2002)
+
+
+def test_eig_converges_on_the_renewable_2008_period(tmp_path, capsys):
+    # From a uniform start, the shifted power iteration needs more than the
+    # default 10,000 iterations on this period.
+    data, out = tmp_path / "data", tmp_path / "out"
+    assert run(*synth_args(data, shape="26,12,27", seed=1, density="0.05")) == 0
+    assert run("build", "--manifest", data / "manifest.json", "--out", out,
+               "--source", "renewable", "--years", "2008:2008") == 0
+    assert run("eig", "--out", out, "--source", "renewable", "--largest-scc") == 0
+    assert "renewable 2008: spectral radius" in capsys.readouterr().out
+    with (out / "eig_renewable.csv").open() as handle:
+        scores = [float(row["score"]) for row in csv.DictReader(handle)]
+    assert len(scores) == 26 * 12 and min(scores) >= 0
+    assert sum(scores) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("source", ["flag", "spec"])
+def test_negative_synthetic_seed_exits_2(tmp_path, capsys, source):
+    if source == "flag":
+        argv = ["synth", "--seed", -1, "--out", tmp_path / "data"]
+    else:
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"seed": -1}))
+        argv = ["synth", "--synthetic-spec", spec, "--out", tmp_path / "data"]
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert "seed must be >= 0, got -1" in err and "Traceback" not in err
+    assert not (tmp_path / "data").exists()

@@ -103,3 +103,29 @@ def test_malformed_result_files_are_format_errors(tmp_path, payload, message):
     path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
     with pytest.raises(DataFormatError, match=message):
         import_results(path)
+
+
+def test_integers_in_float_fields_are_read_as_floats(tmp_path):
+    path = tmp_path / "result.json"
+    path.write_text(json.dumps({"kind": "ranking", "rows": [{"rank": 1, "label": "A", "score": 1}]}))
+    score = import_results(path).rows[0].score
+    assert type(score) is float and score == 1.0
+
+
+HUGE = int("1" + "0" * 400)
+SCORES_JSON = {"kind": "md_hits_scores", "node_hub": [0.5, 0.5], "node_authority": [1],
+               "layer_broadcast": [1.0], "layer_receive": [1.0], "time": [1.0],
+               "gamma": [0.2] * 5, "iterations": 3}
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"kind": "ranking", "rows": [{"rank": 1, "label": "A", "score": HUGE}]},
+     r"ranking\.rows\[0\]\.score is out of the float range"),
+    ({**SCORES_JSON, "node_hub": [0.5, HUGE]}, r"md_hits_scores\.node_hub\[1\] is out of the float range"),
+    ({**SCORES_JSON, "gamma": [HUGE] * 5}, r"md_hits_scores\.gamma\[0\] is out of the float range"),
+])
+def test_integers_beyond_the_float_range_are_format_errors(tmp_path, payload, message):
+    path = tmp_path / "result.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(DataFormatError, match=message):
+        import_results(path)
