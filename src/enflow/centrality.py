@@ -256,7 +256,7 @@ def _check_gamma(gamma) -> np.ndarray:
     g = np.asarray(DEFAULT_GAMMA if gamma is None else gamma, dtype=np.float64)
     if g.shape != (5,):
         raise ValidationError(f"gamma must have exactly 5 entries, got shape {g.shape}")
-    if np.any(g <= 0) or np.any(g > 1):
+    if not np.all((g > 0) & (g <= 1)):
         raise ValidationError(f"every gamma entry must lie in (0, 1], got {g.tolist()}")
     return g
 

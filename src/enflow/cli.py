@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
+import math
 import sys
 from pathlib import Path
 
@@ -56,6 +58,26 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
+
+
+def _at_least(kind: type, low: float, *, strict: bool = False):
+    """argparse type: a finite ``kind`` that is >= ``low`` (> ``low`` when ``strict``)."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
+        if not (math.isfinite(value) and (value > low if strict else value >= low)):
+            bound = f"{kind.__name__} {'>' if strict else '>='} {low}"
+            raise argparse.ArgumentTypeError(f"expected a finite {bound}, got {text}")
+        return value
+
+    return parse
+
+
+_TOL = _at_least(float, 0, strict=True)
+_COUNT = _at_least(int, 1)
 
 
 def _parse_years(text: str | None) -> tuple[int, int] | None:
@@ -195,14 +217,11 @@ def _entity_scores(args, name: str, header: list[str], score) -> int:
     out = Path(args.out)
     for source in _sources(args.source):
         net, codes = load_network(out, source, years)
-        n = codes.n_nodes
+        countries, sectors = codes.supra_codes(np.arange(net.shape.supra_dim))
         rows = []
         for label, matrix in net.periods:
             vectors = [vector.tolist() for vector in score(source, label, matrix)]
-            rows.extend(
-                (label, codes.country_codes[h // n], codes.sector_codes[h % n], *values)
-                for h, values in enumerate(zip(*vectors))
-            )
+            rows += zip(itertools.repeat(label), countries, sectors, *vectors)
         path = out / f"{name}_{source.value}.csv"
         write_csv(path, ["year", "country", "sector", *header], rows)
         print(f"wrote {path}")
@@ -323,9 +342,9 @@ def _add_common(
                    help="energy source class (default: all three)")
     p.add_argument("--years", default=None, help="inclusive year range as FIRST:LAST")
     if tol is not None:
-        p.add_argument("--tol", type=float, default=tol)
+        p.add_argument("--tol", type=_TOL, default=tol)
     if max_iter is not None:
-        p.add_argument("--max-iter", type=int, default=max_iter)
+        p.add_argument("--max-iter", type=_COUNT, default=max_iter)
     p.add_argument("--out", default="enflow_out", help="workspace directory")
 
 
@@ -349,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build", help="build embodied-flow networks")
     _add_input_options(p)
     _add_common(p, tol=1e-10, max_iter=10_000)
-    p.add_argument("--min-weight", type=float, default=0.0,
+    p.add_argument("--min-weight", type=_at_least(float, 0), default=0.0,
                    help="prune arcs below this weight (default: keep all positive)")
     p.add_argument("--drop-self-loops", action="store_true",
                    help="drop same-sector same-economy arcs")
@@ -377,13 +396,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"default: exact up to {EXACT_MODE_NODE_LIMIT} nodes, sampled beyond")
     p.add_argument("--pairs", type=int, default=2000, help="ordered pairs per sampled total")
     p.add_argument("--seed", type=int, default=0, help="pair-sampling seed")
-    p.add_argument("--top", type=int, default=10, help="top arcs per year in the summary table")
+    p.add_argument("--top", type=_COUNT, default=10, help="top arcs per year in the summary table")
     p.set_defaults(func=cmd_criticality)
 
     p = sub.add_parser("consumption", help="consumption aggregates and rankings")
     _add_input_options(p)
     _add_common(p)
-    p.add_argument("--top", type=int, default=10, help="rows per year in the top table")
+    p.add_argument("--top", type=_COUNT, default=10, help="rows per year in the top table")
     p.set_defaults(func=cmd_consumption)
 
     return parser

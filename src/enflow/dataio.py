@@ -621,35 +621,23 @@ def load_dataset(manifest: DatasetManifest) -> MrioDataset:
 
     fd, t_fd = read(manifest.final_demand, "final_demand", "final demand",
                     "duplicate final demand key")
-    a_fd, j_fd, b_fd = (c.tolist() for c in fd.codes)
-    v_fd = fd.value.tolist()
+    fd_row = fd.codes[0] * n + fd.codes[1]
 
     shape = NetworkShape(n, n_layers, 1)
-    periods = []
-    for t, (tx_rows, fd_rows) in enumerate(zip(_by_period(t_tx, years.size),
-                                               _by_period(t_fd, years.size))):
-        tx_rows = tx_rows[positive[tx_rows]]
-        if tx_rows.size:
-            u = sparse.coo_array((tx.value[tx_rows], (src[tx_rows], dst[tx_rows])), shape=(dim, dim))
-        else:
-            u = sparse.csr_array((dim, dim))
-        periods.append(
-            MrioPeriod(
-                label=int(years[t]),
-                shape=shape,
-                intermediate_use=u,
-                total_output=outputs[t],
-                energy_consumption={
-                    source: consumption[t, s]
-                    for s, source in enumerate(tables["source"])
-                    if present[t, s]
-                },
-                final_demand={
-                    (j_fd[r], a_fd[r], b_fd[r]): v_fd[r] for r in fd_rows.tolist() if v_fd[r] > 0
-                },
-            )
+    periods = tuple(
+        MrioPeriod(
+            label=int(years[t]),
+            shape=shape,
+            intermediate_use=sparse.coo_array((tx.value[u], (src[u], dst[u])), shape=(dim, dim)),
+            total_output=outputs[t],
+            energy_consumption={source: consumption[t, s]
+                                for s, source in enumerate(tables["source"]) if present[t, s]},
+            final_demand=sparse.coo_array((fd.value[y], (fd_row[y], fd.codes[2][y])),
+                                          shape=(dim, n_layers)),
         )
-    return MrioDataset(periods=tuple(periods), codebook=codebook, units=dict(manifest.units))
+        for t, (u, y) in enumerate(zip(_by_period(t_tx, years.size), _by_period(t_fd, years.size)))
+    )
+    return MrioDataset(periods=periods, codebook=codebook, units=dict(manifest.units))
 
 
 def save_dataset(dataset: MrioDataset, directory: Path | str) -> Path:
@@ -661,43 +649,35 @@ def save_dataset(dataset: MrioDataset, directory: Path | str) -> Path:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     codebook = dataset.codebook
-    n = len(codebook.sectors)
-    ccodes = codebook.country_codes
-    scodes = codebook.sector_codes
-
+    codes = codebook.entity_codes
+    n, dim = codes.n_nodes, codes.n_nodes * codes.n_layers
     write_csv(directory / "sectors.csv", _SCHEMAS["codes"], codebook.sectors)
     write_csv(directory / "countries.csv", _SCHEMAS["codes"], codebook.countries)
 
-    def pair(h: int) -> tuple[str, str]:
-        return ccodes[h // n], scodes[h % n]
-
-    tx_rows = []
-    out_rows = []
-    energy_rows = []
-    demand_rows = []
+    # Energy rows sort by (country code, sector code, source).
+    countries, sectors = codes.supra_codes(np.arange(dim))
+    by_code = np.array(sorted(range(dim), key=lambda h: (countries[h], sectors[h])))
+    rows = {kind: [] for kind in ("transactions", "outputs", "energy", "final_demand")}
     for period in dataset.periods:
-        year = period.label
-        coo = period.intermediate_use.tocoo()
-        for h, k, v in sorted(zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist())):
-            sc, ss = pair(h)
-            dc, ds = pair(k)
-            tx_rows.append((year, sc, ss, dc, ds, v))
-        for h in np.flatnonzero(period.total_output):
-            c, s = pair(int(h))
-            out_rows.append((year, c, s, float(period.total_output[h])))
-        for source in sorted(period.energy_consumption):
-            vec = period.energy_consumption[source]
-            for h in np.flatnonzero(vec):
-                c, s = pair(int(h))
-                energy_rows.append((year, c, s, source, float(vec[h])))
-        for (j, a, b), v in sorted(period.final_demand.items()):
-            demand_rows.append((year, ccodes[a], scodes[j], ccodes[b], v))
-
-    energy_rows.sort(key=lambda r: (r[0], r[1], r[2], r[3]))
-    write_csv(directory / "transactions.csv", _SCHEMAS["transactions"], tx_rows)
-    write_csv(directory / "outputs.csv", _SCHEMAS["outputs"], out_rows)
-    write_csv(directory / "energy.csv", _SCHEMAS["energy"], energy_rows)
-    write_csv(directory / "final_demand.csv", _SCHEMAS["final_demand"], demand_rows)
+        year = itertools.repeat(period.label)
+        u = period.intermediate_use.tocoo()  # canonical CSR: in (h, k) order
+        rows["transactions"] += zip(year, *codes.supra_codes(u.row), *codes.supra_codes(u.col),
+                                    u.data.tolist())
+        h = np.flatnonzero(period.total_output)
+        rows["outputs"] += zip(year, *codes.supra_codes(h), period.total_output[h].tolist())
+        sources = sorted(period.energy_consumption)
+        c = np.array([period.energy_consumption[s] for s in sources]).reshape(len(sources), dim)
+        pos, s = np.nonzero(c[:, by_code].T)
+        h = by_code[pos]
+        rows["energy"] += zip(year, *codes.supra_codes(h), np.array(sources, dtype=object)[s],
+                              c[s, h].tolist())
+        y = period.final_demand.tocoo()
+        a, j = np.divmod(y.row, n)
+        order = np.lexsort((y.col, a, j))
+        rows["final_demand"] += zip(year, *codes.supra_codes(y.row[order]),
+                                    codes.supra_codes(y.col[order] * n)[0], y.data[order].tolist())
+    for kind, table in rows.items():
+        write_csv(directory / f"{kind}.csv", _SCHEMAS[kind], table)
 
     manifest = {
         "transactions": "transactions.csv",
@@ -804,13 +784,12 @@ def generate_synthetic(spec: SyntheticSpec) -> MrioDataset:
             if not any(consumption[c].any() for c in carriers):
                 consumption[carriers[0]][int(rng.integers(dim))] = mix[carriers[0]] * 0.5
 
-        demand: dict[tuple[int, int, int], float] = {}
         keep = rng.random((n, n_layers, n_layers)) < spec.density
         values = rng.uniform(0.1, 2.0, (n, n_layers, n_layers))
-        for j, a, b in zip(*np.nonzero(keep)):
-            demand[(int(j), int(a), int(b))] = float(values[j, a, b])
-        if not demand:
-            demand[(0, 0, n_layers - 1)] = float(values[0, 0, n_layers - 1])
+        if not keep.any():
+            keep[0, 0, n_layers - 1] = True
+        # values[j, a, b] is y[a*N + j, b].
+        demand = (values * keep).transpose(1, 0, 2).reshape(dim, n_layers)
 
         periods.append(
             MrioPeriod(
@@ -977,22 +956,11 @@ def save_network(
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     codes.check_shape(net.shape)
-    n = net.shape.n_nodes
     rows = []
     for label, matrix in net.periods:
-        r, c, v = matrix.entries()
-        order = np.lexsort((c, r))
-        for h, k, w in zip(r[order].tolist(), c[order].tolist(), v[order].tolist()):
-            rows.append(
-                (
-                    label,
-                    codes.country_codes[h // n],
-                    codes.sector_codes[h % n],
-                    codes.country_codes[k // n],
-                    codes.sector_codes[k % n],
-                    w,
-                )
-            )
+        h, k, w = matrix.entries()
+        rows += zip(itertools.repeat(label), *codes.supra_codes(h), *codes.supra_codes(k),
+                    w.tolist())
     path = directory / f"network_{source.value}.csv"
     write_csv(path, _SCHEMAS["network"], rows)
 

@@ -368,6 +368,8 @@ def arc_criticality(
         raise ValidationError(f"mode must be 'exact' or 'sampled', got {mode!r}")
     if mode == "sampled" and pairs < 1:
         raise ValidationError("sampled mode needs at least one pair")
+    if mode == "sampled" and seed < 0:
+        raise ValidationError(f"sampling seed must be >= 0, got {seed}")
     pair_list = _pair_set(net.node_count, mode, pairs, seed)
     engine = net.engine
     # drops[a] sums, pair by pair in pair-list order, the fall in the pair's

@@ -2,7 +2,8 @@
 
 Per period, the raw accounts are the intermediate-use matrix U (monetary),
 the total-output vector o (monetary), technical energy consumption c by
-carrier (TJ), and bilateral final demand d (monetary). The derived objects:
+carrier (TJ), and the bilateral final-demand matrix Y (monetary). The
+derived objects:
 
 * input coefficients  a_hk = u_hk / o_k  (zero where o_k = 0);
 * total requirements  x = (I - A)^-1 v, never materialized as a dense
@@ -82,9 +83,9 @@ class MrioPeriod:
     energy_consumption : mapping carrier -> length-M vector
         c[h]: technical energy consumption (TJ) of pair h, per carrier.
         Carrier names must belong to the seven known carriers.
-    final_demand : mapping (sector j, economy a, economy b) -> value
-        Final demand of sector j's goods traded from economy a to economy b,
-        0-based indices, strictly positive values.
+    final_demand : sparse or dense M x L matrix
+        y[a*N + j, b]: final demand of economy b for the goods of sector j
+        from economy a (0-based), the MRIO final-demand block Y.
     """
 
     def __init__(
@@ -94,20 +95,13 @@ class MrioPeriod:
         intermediate_use,
         total_output,
         energy_consumption: Mapping[str, np.ndarray],
-        final_demand: Mapping[tuple[int, int, int], float],
+        final_demand,
     ):
         self.label = int(label)
         self.shape = shape.single_period()
         dim = shape.supra_dim
 
-        u = sparse.csr_array(intermediate_use, dtype=np.float64)
-        if u.shape != (dim, dim):
-            raise ValidationError(
-                f"period {label}: intermediate use shape {u.shape}, expected ({dim}, {dim})"
-            )
-        if u.nnz and (not np.all(np.isfinite(u.data)) or u.data.min() < 0):
-            raise ValidationError(f"period {label}: intermediate use must be finite and >= 0")
-        u.eliminate_zeros()
+        u = _account(label, "intermediate use", intermediate_use, (dim, dim))
 
         o = np.asarray(total_output, dtype=np.float64).reshape(-1)
         if o.shape != (dim,):
@@ -149,25 +143,10 @@ class MrioPeriod:
                 )
             consumption[carrier] = v
 
-        demand: dict[tuple[int, int, int], float] = {}
-        n, n_layers = shape.n_nodes, shape.n_layers
-        for (j, a, b), value in final_demand.items():
-            if not (0 <= j < n and 0 <= a < n_layers and 0 <= b < n_layers):
-                raise ValidationError(
-                    f"period {label}: final demand key ({j}, {a}, {b}) out of range"
-                )
-            value = float(value)
-            if not np.isfinite(value) or value < 0:
-                raise ValidationError(
-                    f"period {label}: final demand ({j}, {a}, {b}) must be finite and >= 0"
-                )
-            if value > 0:
-                demand[(j, a, b)] = value
-
         self.intermediate_use = u
         self.total_output = o
         self.energy_consumption = consumption
-        self.final_demand = demand
+        self.final_demand = _account(label, "final demand", final_demand, (dim, shape.n_layers))
 
     def consumption_for(self, source: SourceClass) -> np.ndarray:
         """Total consumption vector over the carriers of one source class,
@@ -182,6 +161,19 @@ class MrioPeriod:
     def __repr__(self) -> str:
         s = self.shape
         return f"MrioPeriod({self.label}, N={s.n_nodes}, L={s.n_layers})"
+
+
+def _account(label: int, what: str, matrix, shape: tuple[int, int]) -> sparse.csr_array:
+    """One monetary account as canonical CSR without stored zeros: ``shape``,
+    finite, >= 0."""
+    m = sparse.csr_array(matrix, dtype=np.float64)
+    if m.shape != shape:
+        raise ValidationError(f"period {label}: {what} shape {m.shape}, expected {shape}")
+    if m.nnz and (not np.all(np.isfinite(m.data)) or m.data.min() < 0):
+        raise ValidationError(f"period {label}: {what} must be finite and >= 0")
+    m.sum_duplicates()
+    m.eliminate_zeros()
+    return m
 
 
 @dataclass(frozen=True)
@@ -350,33 +342,18 @@ def embodied_flow_matrix(
     """Assemble the supra-adjacency of embodied energy flows for one period.
 
     The arc from (sector i, economy a) to (sector j, economy b) weighs
-    intensity(i -> (j, a)) * demand(j, a, b); zero products are not stored.
+    intensity(i -> (j, a)) * y[a*N + j, b]; zero products are not stored.
     """
     n = period.shape.n_nodes
-    shape = period.shape
-    intensity = embodied_intensity(period, source, tol=tol, max_iter=max_iter)
-    demand = period.final_demand
-    if not demand or not intensity.by_sector.any():
-        return SupraAdjacency.empty(shape)
-
-    bracket = intensity.by_sector
-    sectors = np.arange(n)
-    rows, cols, vals = [], [], []
-    for (j, a, b), value in demand.items():
-        q = bracket[:, a * n + j] * value
-        keep = q > 0
-        if not keep.any():
-            continue
-        rows.append(a * n + sectors[keep])
-        cols.append(np.full(int(keep.sum()), b * n + j))
-        vals.append(q[keep])
-    if not rows:
-        return SupraAdjacency.empty(shape)
-    m = sparse.coo_array(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(shape.supra_dim, shape.supra_dim),
-    )
-    return SupraAdjacency(shape, m)
+    by_sector = embodied_intensity(period, source, tol=tol, max_iter=max_iter).by_sector
+    y = period.final_demand.tocoo()
+    # Demand entry (r = a*N + j, b) reaches N arcs, one from each sector i of a.
+    rows = (y.row - y.row % n) + np.arange(n)[:, None]
+    cols = np.broadcast_to(y.col * n + y.row % n, rows.shape)
+    vals = by_sector[:, y.row] * y.data
+    dim = period.shape.supra_dim
+    m = sparse.coo_array((vals.ravel(), (rows.ravel(), cols.ravel())), shape=(dim, dim))
+    return SupraAdjacency(period.shape, m)
 
 
 def build_temporal_network(

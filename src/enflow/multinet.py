@@ -116,6 +116,7 @@ class SupraAdjacency:
             raise ValidationError("supra-adjacency weights must be finite")
         if m.nnz and m.data.min() < 0:
             raise ValidationError("supra-adjacency weights must be nonnegative")
+        m.sum_duplicates()
         m.eliminate_zeros()
         self.matrix = m
 
@@ -155,7 +156,8 @@ class SupraAdjacency:
         return float(self.matrix.sum())
 
     def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Return (rows, cols, weights) arrays of the stored arcs, 0-based."""
+        """Return (rows, cols, weights) arrays of the stored arcs, 0-based, in
+        (row, col) order."""
         coo = self.matrix.tocoo()
         return coo.row.copy(), coo.col.copy(), coo.data.copy()
 
@@ -230,6 +232,12 @@ class EntityCodes:
     @property
     def n_layers(self) -> int:
         return len(self.country_codes)
+
+    def supra_codes(self, supra) -> tuple[list[str], list[str]]:
+        """Country and sector codes of 0-based supra indices (sector fastest)."""
+        country, sector = np.divmod(np.asarray(supra, dtype=np.int64), self.n_nodes)
+        return (np.array(self.country_codes, dtype=object)[country].tolist(),
+                np.array(self.sector_codes, dtype=object)[sector].tolist())
 
     def check_shape(self, shape: NetworkShape) -> None:
         if shape.n_nodes != self.n_nodes or shape.n_layers != self.n_layers:

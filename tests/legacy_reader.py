@@ -184,7 +184,7 @@ def load_dataset(manifest: DatasetManifest) -> MrioDataset:
             if value > 0:
                 energy[year].setdefault(source, np.zeros(dim))[a * n + i] = value
 
-    demand: dict[int, dict[tuple[int, int, int], float]] = {y: {} for y in years}
+    demand: dict[int, dict[tuple[int, int], float]] = {y: {} for y in years}
     with _Parser(manifest.final_demand, "final_demand") as parser:
         seen_fd: set[tuple[int, int, int, int]] = set()
         for row in parser:
@@ -201,28 +201,30 @@ def load_dataset(manifest: DatasetManifest) -> MrioDataset:
                 parser.fail("duplicate final demand key")
             seen_fd.add((year, j, a, b))
             if value > 0:
-                demand[year][(j, a, b)] = value
+                demand[year][(a * n + j, b)] = value
 
     shape = NetworkShape(n, n_layers, 1)
     periods = []
     for year in years:
-        entries = use[year]
-        if entries:
-            rows_, cols_, vals_ = zip(*((h, k, v) for (h, k), v in entries.items()))
-            u = sparse.coo_array((vals_, (rows_, cols_)), shape=(dim, dim))
-        else:
-            u = sparse.csr_array((dim, dim))
         periods.append(
             MrioPeriod(
                 label=year,
                 shape=shape,
-                intermediate_use=u,
+                intermediate_use=_matrix(use[year], (dim, dim)),
                 total_output=outputs[year],
                 energy_consumption=energy[year],
-                final_demand=demand[year],
+                final_demand=_matrix(demand[year], (dim, n_layers)),
             )
         )
     return MrioDataset(periods=tuple(periods), codebook=codebook, units=dict(manifest.units))
+
+
+def _matrix(entries: dict[tuple[int, int], float], shape: tuple[int, int]):
+    """Sparse matrix of {(row, col): value} entries."""
+    if not entries:
+        return sparse.csr_array(shape)
+    rows_, cols_, vals_ = zip(*((h, k, v) for (h, k), v in entries.items()))
+    return sparse.coo_array((vals_, (rows_, cols_)), shape=shape)
 
 
 def load_network(

@@ -30,6 +30,7 @@ from enflow import (
 from enflow.cli import main as cli_main
 from enflow.dataio import SyntheticSpec
 
+from accounts import demand_dict
 from oracles import (
     NONRENEWABLE,
     RENEWABLE,
@@ -91,7 +92,7 @@ def test_acceptance_1_embodied_flow_oracle():
                 period.intermediate_use.toarray(),
                 period.total_output,
                 c,
-                period.final_demand,
+                demand_dict(period),
             )
             scale = max(want.max(initial=0.0), 1e-30)
             assert np.allclose(got, want, rtol=1e-9, atol=1e-12 * scale)

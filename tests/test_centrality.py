@@ -380,6 +380,9 @@ def test_md_hits_validation():
         md_hits(good, gamma=(0.0, 0.2, 0.2, 0.2, 0.2))
     with pytest.raises(ValidationError):
         md_hits(good, gamma=(1.1, 0.2, 0.2, 0.2, 0.2))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValidationError, match="every gamma entry must lie in"):
+            md_hits(good, gamma=(bad, 0.2, 0.2, 0.2, 0.2))
 
 
 # ---------------------------------------------------------------------------

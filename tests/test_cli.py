@@ -81,6 +81,7 @@ def test_build_arc_counts_match_recount_oracle(tmp_path):
 
     # independent recount: positive entries of the dense termwise evaluation
     from enflow import DatasetManifest, load_dataset
+    from accounts import demand_dict
     from oracles import class_consumption, dense_embodied_flows, NONRENEWABLE, RENEWABLE
 
     dataset = load_dataset(DatasetManifest.from_json(data / "manifest.json"))
@@ -89,7 +90,7 @@ def test_build_arc_counts_match_recount_oracle(tmp_path):
         c = class_consumption(period.energy_consumption, 4, RENEWABLE + NONRENEWABLE)
         dense = dense_embodied_flows(
             2, 2, period.intermediate_use.toarray(), period.total_output, c,
-            period.final_demand,
+            demand_dict(period),
         )
         expected[str(period.label)] = int((dense > 0).sum())
     with open(out / "network_all.csv", newline="") as fh:
@@ -196,7 +197,7 @@ def reducible_dataset(tmp_path):
         np.zeros((2, 2)),
         np.ones(2),
         {"coal": np.array([3.0, 0.0])},
-        {(0, 0, 0): 2.0},
+        np.array([[2.0], [0.0]]),
     )
     book = CodeBook(sectors=(("S1", "s"), ("S2", "s")), countries=(("C1", "c"),))
     dataset = MrioDataset(periods=(period,), codebook=book)
@@ -219,7 +220,7 @@ def test_numerical_exit_code_for_zero_baseline(tmp_path):
         np.zeros((2, 2)),
         np.ones(2),
         {"coal": np.array([3.0, 0.0])},
-        {(0, 0, 0): 2.0},
+        np.array([[2.0, 0.0], [0.0, 0.0]]),
     )
     book = CodeBook(sectors=(("S1", "s"),), countries=(("C1", "c"), ("C2", "c")))
     manifest = save_dataset(MrioDataset(periods=(period,), codebook=book), tmp_path / "d")
@@ -306,3 +307,36 @@ def test_negative_synthetic_seed_exits_2(tmp_path, capsys, source):
     err = capsys.readouterr().err
     assert "seed must be >= 0, got -1" in err and "Traceback" not in err
     assert not (tmp_path / "data").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["eig", "--max-iter", "-5"], "argument --max-iter: expected a finite int >= 1, got -5"),
+    (["eig", "--tol", "0"], "argument --tol: expected a finite float > 0, got 0"),
+    (["mdhits", "--tol", "-1"], "argument --tol: expected a finite float > 0, got -1"),
+    (["mdhits", "--max-iter", "0"], "argument --max-iter: expected a finite int >= 1, got 0"),
+    (["hits", "--tol", "nan"], "argument --tol: expected a finite float > 0, got nan"),
+    (["hits", "--tol", "inf"], "argument --tol: expected a finite float > 0, got inf"),
+    (["build", "--max-iter", "0", "--manifest", "{data}/manifest.json"],
+     "argument --max-iter: expected a finite int >= 1, got 0"),
+    (["build", "--min-weight", "-1", "--manifest", "{data}/manifest.json"],
+     "argument --min-weight: expected a finite float >= 0, got -1"),
+    (["build", "--min-weight", "nan", "--manifest", "{data}/manifest.json"],
+     "argument --min-weight: expected a finite float >= 0, got nan"),
+    (["consumption", "--top", "-2", "--manifest", "{data}/manifest.json"],
+     "argument --top: expected a finite int >= 1, got -2"),
+    (["criticality", "--top", "0"], "argument --top: expected a finite int >= 1, got 0"),
+    (["criticality", "--source", "all", "--mode", "sampled", "--pairs", "5", "--seed", "-1"],
+     "sampling seed must be >= 0, got -1"),
+    (["mdhits", "--gamma", "nan,0.2,0.2,0.2,0.2"],
+     "every gamma entry must lie in (0, 1], got [nan, 0.2, 0.2, 0.2, 0.2]"),
+])
+def test_out_of_range_flags_exit_2(workspace, capsys, argv, message):
+    data, out = workspace
+    capsys.readouterr()
+    try:
+        code = run(*(a.format(data=data) for a in argv), "--out", out)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err

@@ -7,6 +7,7 @@ import pytest
 from enflow import (
     DataFormatError,
     DatasetManifest,
+    MrioPeriod,
     NetworkShape,
     SourceClass,
     SyntheticSpec,
@@ -25,7 +26,9 @@ from enflow import (
     save_network,
     spectral_radius_estimate,
 )
-from enflow.dataio import load_code_list
+from enflow.dataio import CodeBook, MrioDataset, load_code_list
+
+from accounts import demand_dict
 
 
 def small_spec(**kw):
@@ -137,7 +140,7 @@ def test_load_values_survive(tmp_path):
             original.intermediate_use.toarray(), reread.intermediate_use.toarray()
         )
         assert np.array_equal(original.total_output, reread.total_output)
-        assert original.final_demand == reread.final_demand
+        assert demand_dict(original) == demand_dict(reread)
         assert set(original.energy_consumption) >= set(reread.energy_consumption)
         for carrier, vec in reread.energy_consumption.items():
             assert np.array_equal(vec, original.energy_consumption[carrier])
@@ -254,7 +257,7 @@ def test_consumption_single_renewable_entry():
         np.array([[0.0]]),
         np.array([1.0]),
         {"hydro": np.array([7.0])},
-        {},
+        np.zeros((1, 1)),
     )
     book = CodeBook(sectors=(("S", "Sector"),), countries=(("C", "Country"),))
     summary = consumption_summary(MrioDataset(periods=(period,), codebook=book))
@@ -273,7 +276,7 @@ def test_consumption_balanced_incidence():
         np.array([[0.0]]),
         np.array([1.0]),
         {"hydro": np.array([2.0]), "coal": np.array([2.0])},
-        {},
+        np.zeros((1, 1)),
     )
     book = CodeBook(sectors=(("S", "Sector"),), countries=(("C", "Country"),))
     summary = consumption_summary(MrioDataset(periods=(period,), codebook=book))
@@ -416,3 +419,48 @@ def test_load_network_missing(tmp_path):
     save_network(net, ds.codes, SourceClass.ALL, tmp_path)
     with pytest.raises(ValidationError, match="renewable"):
         load_network(tmp_path, SourceClass.RENEWABLE)
+
+
+def test_save_load_keeps_demand_arrays(tmp_path):
+    ds = generate_synthetic(small_spec(shape=NetworkShape(4, 3, 3), density=0.4))
+    loaded = load_dataset(DatasetManifest.from_json(save_dataset(ds, tmp_path)))
+    for original, reread in zip(ds.periods, loaded.periods):
+        y, z = original.final_demand, reread.final_demand
+        assert y.shape == z.shape == (12, 3) and y.nnz > 0
+        assert np.array_equal(y.indptr, z.indptr)
+        assert np.array_equal(y.indices, z.indices)
+        assert np.array_equal(y.data, z.data)
+
+
+def test_synthetic_demand_falls_back_to_one_entry():
+    period = generate_synthetic(small_spec(shape=NetworkShape(3, 4, 1), density=1e-9)).periods[0]
+    ((key, value),) = demand_dict(period).items()
+    assert key == (0, 0, 3) and 0.1 <= value < 2.0
+
+
+def test_save_dataset_row_orders(tmp_path):
+    # Code lists out of alphabetical order: energy rows follow the codes,
+    # the other tables the supra indices (h = country * N + sector).
+    codebook = CodeBook(sectors=(("S2", "two"), ("S1", "one")),
+                        countries=(("C2", "two"), ("C1", "one")))
+    use = np.zeros((4, 4))
+    use[3, 0], use[0, 2] = 0.5, 0.25
+    demand = np.zeros((4, 2))
+    demand[0 * 2 + 1, 1], demand[1 * 2 + 0, 0], demand[0 * 2 + 0, 1] = 7.0, 8.0, 9.0
+    period = MrioPeriod(2000, NetworkShape(2, 2), use, np.ones(4),
+                        {"hydro": np.array([0.0, 5.0, 0.0, 0.0]),
+                         "coal": np.array([1.0, 2.0, 3.0, 4.0])}, demand)
+    save_dataset(MrioDataset(periods=(period,), codebook=codebook), tmp_path)
+
+    def body(name):
+        return (tmp_path / name).read_text().splitlines()[1:]
+
+    assert body("transactions.csv") == ["2000,C2,S2,C1,S2,0.25", "2000,C1,S1,C2,S2,0.5"]
+    assert body("outputs.csv") == ["2000,C2,S2,1.0", "2000,C2,S1,1.0", "2000,C1,S2,1.0",
+                                   "2000,C1,S1,1.0"]
+    assert body("energy.csv") == ["2000,C1,S1,coal,4.0", "2000,C1,S2,coal,3.0",
+                                  "2000,C2,S1,coal,2.0", "2000,C2,S1,hydro,5.0",
+                                  "2000,C2,S2,coal,1.0"]
+    # (j, a, b) order: (0, 0, 1), (0, 1, 0), (1, 0, 1)
+    assert body("final_demand.csv") == ["2000,C2,S2,C1,9.0", "2000,C1,S2,C2,8.0",
+                                        "2000,C2,S1,C1,7.0"]

@@ -5,12 +5,14 @@ which shares one string-hash seed, so they cannot see set iteration order
 leaking into floating-point sums.
 """
 
+import hashlib
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import enflow
+from enflow.cli import main
 
 PIPELINE = """
 import sys
@@ -102,3 +104,30 @@ def test_hits_and_eig_bytes_do_not_follow_the_process(tmp_path):
             if p.name.startswith(("hits_", "eig_"))
         })
     assert len(outputs[0]) == 6 and outputs[0] == outputs[1]
+
+
+# sha256 of every file that ``synth --shape 4,3,2 --seed 7`` and ``build``
+# write. A change that keeps outputs unchanged keeps these hashes.
+GOLDEN = {
+    "data/countries.csv": "96fbdd0403b910d5eb8974425f20441ba666a220cd1b432dd0a72116aa54009a",
+    "data/energy.csv": "a5a3aa1116598a67bdb6a95a68200c6e4527161aba1df252d0c792cf8aaddc64",
+    "data/final_demand.csv": "fee4c4189ce9b33057f7c39d91d56d0738b15b5c2f53d26a2bc7027670cb1e16",
+    "data/manifest.json": "4281eef7fbe9ed01370e9bb4b27c9cad6f0aa51fe8c8f9200d09990776c29450",
+    "data/outputs.csv": "987d056956b906dc83cd52f856fbd3bfae91168f4633f08daf6136b95a363095",
+    "data/sectors.csv": "b1ffa7a94a896bd9816c457dc2dc10f83703d454c8699d828e8ef9b66ad7c6c8",
+    "data/transactions.csv": "21943a4f39defbd424051b5355733f1d7f9a40112a8a6e1d9bc25519b8e9f2e8",
+    "out/network_all.csv": "bced0b2286c77bc1736e82bdf9353be2304dbd87aadf757d4db9dbd3b71aee92",
+    "out/network_meta.json": "011b81436d5e7df406bd53263eb6bcf91222b9975fb258645971f6f28b28de9a",
+    "out/network_nonrenewable.csv":
+        "f7acc3fb62a3e5f3125460f45f297e2eab20df180f9357534d994253fc3d0c19",
+    "out/network_renewable.csv": "e45eed05134c2c572814e358138dd0a5c6e687afc20d1acb801ad36d6d5a5760",
+}
+
+
+def test_synth_and_build_write_the_golden_bytes(tmp_path):
+    data, out = tmp_path / "data", tmp_path / "out"
+    assert main(["synth", "--shape", "4,3,2", "--seed", "7", "--out", str(data)]) == 0
+    assert main(["build", "--manifest", str(data / "manifest.json"), "--out", str(out)]) == 0
+    written = {p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in sorted(tmp_path.rglob("*")) if p.is_file()}
+    assert written == GOLDEN

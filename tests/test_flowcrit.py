@@ -246,6 +246,11 @@ def test_mode_validation():
         arc_criticality(diamond(), "fast")
     with pytest.raises(ValidationError):
         arc_criticality(diamond(), "sampled", pairs=0)
+    # A negative seed fails in sampled mode whether or not pairs are drawn.
+    for pairs in (5, 2000):
+        with pytest.raises(ValidationError, match="sampling seed must be >= 0, got -1"):
+            arc_criticality(diamond(), "sampled", pairs=pairs, seed=-1)
+    assert arc_criticality(diamond(), "exact", seed=-1).mode == "exact"
 
 
 def test_exact_mode_bitwise_deterministic():

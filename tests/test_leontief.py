@@ -11,12 +11,14 @@ from enflow import (
     ValidationError,
     build_temporal_network,
     embodied_flow_matrix,
+    embodied_intensity,
     input_coefficients,
     leontief_apply,
     spectral_radius_estimate,
 )
 from enflow.dataio import SyntheticSpec, generate_synthetic
 
+from accounts import demand_dict
 from oracles import class_consumption, dense_embodied_flows, neumann_series
 
 
@@ -28,7 +30,7 @@ def scalar_period(u=2.0, o=4.0, c=3.0, d=5.0, label=2000):
         intermediate_use=np.array([[u]]),
         total_output=np.array([o]),
         energy_consumption={"coal": np.array([c])},
-        final_demand={(0, 0, 0): d},
+        final_demand=np.array([[d]]),
     )
 
 
@@ -52,7 +54,7 @@ def test_input_coefficients_columnwise_oracle():
         intermediate_use=u,
         total_output=o,
         energy_consumption={},
-        final_demand={},
+        final_demand=np.zeros((2, 1)),
     )
     a = input_coefficients(period).matrix.toarray()
     assert np.allclose(a, u / o[None, :], rtol=1e-15, atol=0)
@@ -60,16 +62,36 @@ def test_input_coefficients_columnwise_oracle():
 
 def test_mrio_period_invariants():
     shape = NetworkShape(1, 1)
+    no_demand = np.zeros((1, 1))
     with pytest.raises(ValidationError):  # column use exceeds output
-        MrioPeriod(2000, shape, np.array([[5.0]]), np.array([4.0]), {}, {})
+        MrioPeriod(2000, shape, np.array([[5.0]]), np.array([4.0]), {}, no_demand)
     with pytest.raises(ValidationError):  # zero output but positive use
-        MrioPeriod(2000, shape, np.array([[1.0]]), np.array([0.0]), {}, {})
+        MrioPeriod(2000, shape, np.array([[1.0]]), np.array([0.0]), {}, no_demand)
     with pytest.raises(ValidationError):  # unknown carrier
-        MrioPeriod(2000, shape, np.array([[0.0]]), np.array([1.0]), {"wood": np.array([1.0])}, {})
-    with pytest.raises(ValidationError):  # negative demand
-        MrioPeriod(2000, shape, np.array([[0.0]]), np.array([1.0]), {}, {(0, 0, 0): -1.0})
-    with pytest.raises(ValidationError):  # demand key out of range
-        MrioPeriod(2000, shape, np.array([[0.0]]), np.array([1.0]), {}, {(1, 0, 0): 1.0})
+        MrioPeriod(2000, shape, np.array([[0.0]]), np.array([1.0]), {"wood": np.array([1.0])},
+                   no_demand)
+
+
+@pytest.mark.parametrize("demand, message", [
+    (np.array([[1.0, 1.0]]), r"final demand shape \(1, 2\), expected \(1, 1\)"),
+    (np.ones((2, 1)), r"final demand shape \(2, 1\), expected \(1, 1\)"),
+    (np.array([[-1.0]]), "final demand must be finite and >= 0"),
+    (np.array([[np.nan]]), "final demand must be finite and >= 0"),
+    (sparse.csr_array(np.array([[np.inf]])), "final demand must be finite and >= 0"),
+])
+def test_mrio_period_rejects_bad_demand(demand, message):
+    with pytest.raises(ValidationError, match=message):
+        MrioPeriod(2000, NetworkShape(1, 1), np.array([[0.0]]), np.array([1.0]), {}, demand)
+
+
+def test_mrio_period_demand_layout():
+    # y[a*N + j, b], N = 2 sectors, L = 3 economies: economy 2 buys sector
+    # 0's goods from economy 1. The explicit zero at (0, 0) is not stored.
+    y = sparse.coo_array(([4.0, 0.0], ([1 * 2 + 0, 0], [2, 0])), shape=(6, 3))
+    period = MrioPeriod(2000, NetworkShape(2, 3), np.zeros((6, 6)), np.ones(6), {}, y)
+    assert isinstance(period.final_demand, sparse.csr_array)
+    assert period.final_demand.shape == (6, 3) and period.final_demand.nnz == 1
+    assert demand_dict(period) == {(0, 1, 2): 4.0}
 
 
 def test_leontief_apply_identity():
@@ -149,7 +171,7 @@ def test_embodied_flow_identity_requirements_two_layers():
     # A = 0 collapses the propagation: q_11^{ab} = c^a * d^{ab}
     shape = NetworkShape(1, 2)
     c = np.array([3.0, 7.0])
-    demand = {(0, 0, 0): 2.0, (0, 0, 1): 4.0, (0, 1, 0): 5.0, (0, 1, 1): 6.0}
+    demand = np.array([[2.0, 4.0], [5.0, 6.0]])
     period = MrioPeriod(
         label=2000,
         shape=shape,
@@ -159,7 +181,7 @@ def test_embodied_flow_identity_requirements_two_layers():
         final_demand=demand,
     )
     w = embodied_flow_matrix(period, SourceClass.ALL)
-    for (j, a, b), d in demand.items():
+    for (j, a, b), d in demand_dict(period).items():
         assert w.weight(a, b) == pytest.approx(c[a] * d, rel=1e-12)
 
 
@@ -184,7 +206,7 @@ def test_build_consumption_linearity_across_periods():
         np.array([[0.0]]),
         np.array([4.0]),
         {"coal": np.array([3.0])},
-        {(0, 0, 0): 5.0},
+        np.array([[5.0]]),
     )
     p2 = MrioPeriod(
         1991,
@@ -192,7 +214,7 @@ def test_build_consumption_linearity_across_periods():
         np.array([[0.0]]),
         np.array([4.0]),
         {"coal": np.array([6.0])},
-        {(0, 0, 0): 5.0},
+        np.array([[5.0]]),
     )
     net = build_temporal_network([p1, p2], SourceClass.ALL)
     assert np.allclose(
@@ -208,7 +230,7 @@ def test_build_shape_mismatch():
         np.zeros((2, 2)),
         np.ones(2),
         {},
-        {},
+        np.zeros((2, 2)),
     )
     with pytest.raises(ValidationError):
         build_temporal_network([p1, p2], SourceClass.ALL)
@@ -230,7 +252,7 @@ def _dense_oracle_for(period, source):
         period.intermediate_use.toarray(),
         period.total_output,
         c,
-        period.final_demand,
+        demand_dict(period),
     )
 
 
@@ -268,9 +290,8 @@ def test_homogeneity_in_consumption():
 def test_monotonicity_in_demand():
     spec = SyntheticSpec(shape=NetworkShape(2, 2, 1), density=0.8, seed=9)
     period = generate_synthetic(spec).periods[0]
-    bumped_demand = dict(period.final_demand)
-    key = next(iter(bumped_demand))
-    bumped_demand[key] = bumped_demand[key] + 1.5
+    bumped_demand = period.final_demand.copy()
+    bumped_demand.data[0] = bumped_demand.data[0] + 1.5
     bumped = MrioPeriod(
         period.label,
         period.shape,
@@ -301,3 +322,21 @@ def test_consumption_for_partition():
         SourceClass.NONRENEWABLE
     )
     assert np.allclose(total, split, rtol=1e-15)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_flow_assembly_matches_per_entry_loop(seed):
+    # The gather over Y's entries multiplies the same numbers as a loop over
+    # demand entries, so the arcs agree bit for bit.
+    spec = SyntheticSpec(shape=NetworkShape(4, 3, 1), density=0.5, seed=seed)
+    period = generate_synthetic(spec).periods[0]
+    n, dim = period.shape.n_nodes, period.shape.supra_dim
+    for source in SourceClass:
+        by_sector = embodied_intensity(period, source).by_sector
+        want = np.zeros((dim, dim))
+        for (j, a, b), value in demand_dict(period).items():
+            for i in range(n):
+                want[a * n + i, b * n + j] = by_sector[i, a * n + j] * value
+        got = embodied_flow_matrix(period, source)
+        assert np.array_equal(got.matrix.toarray(), want)
+        assert got.nnz == np.count_nonzero(want)

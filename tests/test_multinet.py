@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy import sparse
 
 from enflow import (
     NetworkShape,
@@ -201,3 +202,18 @@ def test_entity_codes():
     codes.check_shape(NetworkShape(2, 3))
     with pytest.raises(ValidationError):
         codes.check_shape(NetworkShape(3, 3))
+
+
+def test_entity_codes_of_supra_indices():
+    codes = EntityCodes(("A", "B"), ("X", "Y", "Z"))
+    assert codes.supra_codes(np.array([5, 0, 3, 3])) == (["Z", "X", "Y", "Y"], ["B", "A", "B", "B"])
+    assert codes.supra_codes(np.array([], dtype=np.int32)) == ([], [])
+
+
+def test_entries_in_row_col_order_from_unsorted_csr():
+    # Row 0 stores columns 3, 1: the matrix is kept canonical, so arcs come
+    # back sorted, as the network writer needs.
+    m = sparse.csr_array(([1.0, 2.0, 3.0], [3, 1, 0], [0, 2, 3, 3, 3]), shape=(4, 4))
+    rows, cols, vals = SupraAdjacency(NetworkShape(2, 2), m).entries()
+    assert rows.tolist() == [0, 0, 1] and cols.tolist() == [1, 3, 0]
+    assert vals.tolist() == [2.0, 1.0, 3.0]

@@ -79,7 +79,10 @@ def assert_same_dataset(a, b):
         assert p.energy_consumption.keys() == q.energy_consumption.keys()
         for carrier, vec in p.energy_consumption.items():
             assert np.array_equal(vec, q.energy_consumption[carrier])
-        assert list(p.final_demand.items()) == list(q.final_demand.items())
+        y, z = p.final_demand, q.final_demand
+        assert np.array_equal(y.indptr, z.indptr)
+        assert np.array_equal(y.indices, z.indices)
+        assert np.array_equal(y.data, z.data)
 
 
 def assert_same_network(a, b):
