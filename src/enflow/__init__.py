@@ -23,12 +23,8 @@ from .multinet import (
     SupraAdjacency,
     TemporalMultilayerNetwork,
     aggregate_to_layers,
-    block_view,
-    flat_index,
-    unflat_index,
 )
 from .leontief import (
-    EmbodiedIntensity,
     InputCoefficients,
     MrioPeriod,
     SourceClass,
@@ -51,10 +47,8 @@ from .centrality import (
     rank,
 )
 from .flowcrit import (
-    AllPairsFlow,
     ArcCriticalityReport,
     FlowNetwork,
-    all_pairs_total,
     arc_criticality,
     country_level_criticality,
     max_flow,
@@ -94,15 +88,11 @@ __all__ = [
     "SupraAdjacency",
     "TemporalMultilayerNetwork",
     "EntityCodes",
-    "flat_index",
-    "unflat_index",
-    "block_view",
     "aggregate_to_layers",
     # leontief
     "SourceClass",
     "MrioPeriod",
     "InputCoefficients",
-    "EmbodiedIntensity",
     "input_coefficients",
     "leontief_apply",
     "spectral_radius_estimate",
@@ -121,10 +111,8 @@ __all__ = [
     "rank",
     # flowcrit
     "FlowNetwork",
-    "AllPairsFlow",
     "ArcCriticalityReport",
     "max_flow",
-    "all_pairs_total",
     "arc_criticality",
     "country_level_criticality",
     # dataio

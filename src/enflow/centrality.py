@@ -35,7 +35,7 @@ from scipy.sparse import csgraph
 from scipy.sparse import linalg as splinalg
 
 from .errors import ConvergenceError, NumericalError, ReducibleNetworkError, ValidationError
-from .multinet import SupraAdjacency, TemporalMultilayerNetwork
+from .multinet import SupraAdjacency, TemporalMultilayerNetwork, _nonnegative_csr
 
 __all__ = [
     "EigScores",
@@ -116,12 +116,9 @@ class RankingTable:
 def _as_csr(matrix) -> sparse.csr_array:
     if isinstance(matrix, SupraAdjacency):
         return matrix.matrix
-    m = sparse.csr_array(matrix, dtype=np.float64)
+    m = _nonnegative_csr(matrix, "matrix")
     if m.shape[0] != m.shape[1]:
         raise ValidationError(f"matrix must be square, got shape {m.shape}")
-    if m.nnz and (not np.all(np.isfinite(m.data)) or m.data.min() < 0):
-        raise ValidationError("matrix entries must be finite and nonnegative")
-    m.eliminate_zeros()
     return m
 
 

@@ -52,7 +52,7 @@ from .dataio import (
 from .errors import EnflowError, NumericalError, ValidationError
 from .flowcrit import EXACT_MODE_NODE_LIMIT, country_level_criticality
 from .leontief import SourceClass, build_temporal_network
-from .multinet import NetworkShape, TemporalMultilayerNetwork
+from .multinet import NetworkShape
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -120,21 +120,13 @@ def _sources(arg: str | None) -> list[SourceClass]:
 
 
 def _load_input(args) -> MrioDataset:
-    if (args.manifest is None) == (args.synthetic_spec is None):
-        raise ValidationError("provide exactly one of --manifest or --synthetic-spec")
     years = _parse_years(args.years)
-    if args.manifest is not None:
-        manifest = DatasetManifest.from_json(args.manifest)
-        if years is not None:
-            manifest = dataclasses.replace(manifest, years=years)
-        return load_dataset(manifest)
-    dataset = generate_synthetic(SyntheticSpec.from_json(args.synthetic_spec))
+    if args.manifest is None:
+        raise ValidationError("--manifest is required")
+    manifest = DatasetManifest.from_json(args.manifest)
     if years is not None:
-        kept = tuple(p for p in dataset.periods if years[0] <= p.label <= years[1])
-        if not kept:
-            raise ValidationError(f"year filter {args.years} removed every period")
-        dataset = dataclasses.replace(dataset, periods=kept)
-    return dataset
+        manifest = dataclasses.replace(manifest, years=years)
+    return load_dataset(manifest)
 
 
 # ---------------------------------------------------------------------------
@@ -164,14 +156,6 @@ def cmd_build(args) -> int:
     out = Path(args.out)
     for source in _sources(args.source):
         net = build_temporal_network(dataset.periods, source, tol=args.tol, max_iter=args.max_iter)
-        if args.min_weight > 0 or args.drop_self_loops:
-            transformed = []
-            for label, matrix in net.periods:
-                if args.drop_self_loops:
-                    matrix = matrix.without_self_loops()
-                matrix = matrix.pruned(args.min_weight)
-                transformed.append((label, matrix))
-            net = TemporalMultilayerNetwork(transformed)
         path = save_network(net, dataset.codes, source, out, units=dataset.units)
         if net.total_weight == 0:
             print(f"warning: {source.value} network is empty", file=sys.stderr)
@@ -329,11 +313,6 @@ def cmd_consumption(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_input_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--manifest", help="dataset manifest (JSON) to load")
-    p.add_argument("--synthetic-spec", help="synthetic dataset spec (JSON) to generate")
-
-
 def _add_common(
     p: argparse.ArgumentParser, *, tol: float | None = None, max_iter: int | None = None
 ) -> None:
@@ -366,12 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("build", help="build embodied-flow networks")
-    _add_input_options(p)
+    p.add_argument("--manifest", help="dataset manifest (JSON) to load")
     _add_common(p, tol=1e-10, max_iter=10_000)
-    p.add_argument("--min-weight", type=_at_least(float, 0), default=0.0,
-                   help="prune arcs below this weight (default: keep all positive)")
-    p.add_argument("--drop-self-loops", action="store_true",
-                   help="drop same-sector same-economy arcs")
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("mdhits", help="five-vector scores of a built network")
@@ -400,8 +375,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_criticality)
 
     p = sub.add_parser("consumption", help="consumption aggregates and rankings")
-    _add_input_options(p)
-    _add_common(p)
+    p.add_argument("--manifest", help="dataset manifest (JSON) to load")
+    p.add_argument("--years", default=None, help="inclusive year range as FIRST:LAST")
+    p.add_argument("--out", default="enflow_out", help="workspace directory")
     p.add_argument("--top", type=_COUNT, default=10, help="rows per year in the top table")
     p.set_defaults(func=cmd_consumption)
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import dataclasses
+import io
 import itertools
 import json
 import mmap
@@ -182,20 +183,29 @@ class CodeBook:
 
 
 def load_code_list(path: Path) -> tuple[tuple[str, str], ...]:
-    """Read a code,name CSV; codes must be unique and nonempty."""
+    """Read a UTF-8 code,name CSV; codes must be unique and nonempty."""
+    raw = Path(path).read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise DataFormatError("invalid UTF-8", path=str(path), line=line) from None
+    reader = csv.reader(io.StringIO(text, newline=""))
     entries: list[tuple[str, str]] = []
     seen: set[str] = set()
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != _SCHEMAS["codes"]:
+    try:
+        header = next(reader, [])
+        if header != _SCHEMAS["codes"]:
             raise DataFormatError(
-                f"expected header {','.join(_SCHEMAS['codes'])}, got "
-                f"{','.join(reader.fieldnames or [])}",
+                f"expected header {','.join(_SCHEMAS['codes'])}, got {','.join(header)}",
                 path=str(path),
                 line=1,
             )
-        for row in reader:
-            code = (row["code"] or "").strip()
+        for row in filter(None, reader):
+            if len(row) != 2:
+                raise DataFormatError(f"expected 2 fields, got {len(row)}", path=str(path),
+                                      line=reader.line_num)
+            code = row[0].strip()
             if not code:
                 raise DataFormatError("empty code", path=str(path), line=reader.line_num)
             if code in seen:
@@ -203,7 +213,9 @@ def load_code_list(path: Path) -> tuple[tuple[str, str], ...]:
                     f"duplicate code {code!r}", path=str(path), line=reader.line_num
                 )
             seen.add(code)
-            entries.append((code, row["name"] or ""))
+            entries.append((code, row[1]))
+    except csv.Error as exc:
+        raise DataFormatError(str(exc), path=str(path), line=reader.line_num) from exc
     if not entries:
         raise DataFormatError("code list is empty", path=str(path))
     return tuple(entries)

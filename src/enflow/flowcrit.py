@@ -42,11 +42,9 @@ from .multinet import SupraAdjacency, aggregate_to_layers
 
 __all__ = [
     "FlowNetwork",
-    "AllPairsFlow",
     "ArcRemovalRow",
     "ArcCriticalityReport",
     "max_flow",
-    "all_pairs_total",
     "arc_criticality",
     "country_level_criticality",
     "EXACT_MODE_NODE_LIMIT",
@@ -278,13 +276,6 @@ def max_flow(net: FlowNetwork, source: int, target: int) -> float:
     return net.engine.solve(source, target)[0]
 
 
-@dataclass(frozen=True)
-class AllPairsFlow:
-    """Matrix of pairwise max-flow values, zero on the diagonal."""
-
-    matrix: np.ndarray
-
-
 def _pair_set(node_count: int, mode: str, pairs: int, seed: int) -> list[tuple[int, int]]:
     total = node_count * (node_count - 1)
     if total == 0:
@@ -299,22 +290,6 @@ def _pair_set(node_count: int, mode: str, pairs: int, seed: int) -> list[tuple[i
         s, r = divmod(int(idx), node_count - 1)
         out.append((s, r if r < s else r + 1))
     return out
-
-
-def all_pairs_total(net: FlowNetwork) -> tuple[AllPairsFlow, float]:
-    """Max flow for every ordered node pair, plus the grand total over pairs.
-
-    Disconnected pairs contribute zero; the diagonal is excluded (a
-    source-equals-target flow is undefined).
-    """
-    m = net.node_count
-    matrix = np.zeros((m, m))
-    engine = net.engine
-    for s in range(m):
-        for t in range(m):
-            if s != t:
-                matrix[s, t] = engine.solve(s, t)[0]
-    return AllPairsFlow(matrix=matrix), float(matrix.sum())
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import ConvergenceError, NonProductiveEconomyError, ValidationError
-from .multinet import NetworkShape, SupraAdjacency, TemporalMultilayerNetwork
+from .multinet import NetworkShape, SupraAdjacency, TemporalMultilayerNetwork, _nonnegative_csr
 
 __all__ = [
     "SourceClass",
@@ -36,7 +36,6 @@ __all__ = [
     "ENERGY_SOURCES",
     "MrioPeriod",
     "InputCoefficients",
-    "EmbodiedIntensity",
     "input_coefficients",
     "leontief_apply",
     "spectral_radius_estimate",
@@ -101,7 +100,7 @@ class MrioPeriod:
         self.shape = shape.single_period()
         dim = shape.supra_dim
 
-        u = _account(label, "intermediate use", intermediate_use, (dim, dim))
+        u = _nonnegative_csr(intermediate_use, f"period {label}: intermediate use", (dim, dim))
 
         o = np.asarray(total_output, dtype=np.float64).reshape(-1)
         if o.shape != (dim,):
@@ -146,7 +145,9 @@ class MrioPeriod:
         self.intermediate_use = u
         self.total_output = o
         self.energy_consumption = consumption
-        self.final_demand = _account(label, "final demand", final_demand, (dim, shape.n_layers))
+        self.final_demand = _nonnegative_csr(
+            final_demand, f"period {label}: final demand", (dim, shape.n_layers)
+        )
 
     def consumption_for(self, source: SourceClass) -> np.ndarray:
         """Total consumption vector over the carriers of one source class,
@@ -161,19 +162,6 @@ class MrioPeriod:
     def __repr__(self) -> str:
         s = self.shape
         return f"MrioPeriod({self.label}, N={s.n_nodes}, L={s.n_layers})"
-
-
-def _account(label: int, what: str, matrix, shape: tuple[int, int]) -> sparse.csr_array:
-    """One monetary account as canonical CSR without stored zeros: ``shape``,
-    finite, >= 0."""
-    m = sparse.csr_array(matrix, dtype=np.float64)
-    if m.shape != shape:
-        raise ValidationError(f"period {label}: {what} shape {m.shape}, expected {shape}")
-    if m.nnz and (not np.all(np.isfinite(m.data)) or m.data.min() < 0):
-        raise ValidationError(f"period {label}: {what} must be finite and >= 0")
-    m.sum_duplicates()
-    m.eliminate_zeros()
-    return m
 
 
 @dataclass(frozen=True)
@@ -293,43 +281,33 @@ def leontief_apply(
     )
 
 
-@dataclass(frozen=True)
-class EmbodiedIntensity:
-    """Energy embodied per unit of final output, for one source class.
-
-    ``by_sector[i, k]`` is the consumption of sector i (summed over all the
-    economies where i consumes) propagated into the final output of the
-    receiving pair k = (economy, sector).
-    """
-
-    by_sector: np.ndarray
-    source: SourceClass
-
-
 def embodied_intensity(
     period: MrioPeriod,
     source: SourceClass,
     *,
     tol: float = 1e-10,
     max_iter: int = 10_000,
-) -> EmbodiedIntensity:
-    """Propagate per-sector consumption through the total-requirements matrix.
+) -> np.ndarray:
+    """Energy embodied per unit of final output, for one source class: an
+    (N, M) array whose entry [i, k] is the consumption of sector i (summed
+    over all the economies where i consumes) propagated into the final output
+    of the receiving pair k = (economy, sector).
 
-    One multi-column transposed solve per source class: column i of the
-    right-hand side is the class consumption masked to sector i's positions,
-    so row i of the result keeps the sending sector resolved.
+    One multi-column transposed solve: column i of the right-hand side is the
+    class consumption masked to sector i's positions, so row i of the result
+    keeps the sending sector resolved.
     """
     n = period.shape.n_nodes
     dim = period.shape.supra_dim
     c = period.consumption_for(source)
     if not c.any():
-        return EmbodiedIntensity(by_sector=np.zeros((n, dim)), source=source)
+        return np.zeros((n, dim))
     coeffs = input_coefficients(period)
     rhs = np.zeros((dim, n))
     sector_of = np.arange(dim) % n
     rhs[np.arange(dim), sector_of] = c
     solved = leontief_apply(coeffs, rhs, transpose=True, tol=tol, max_iter=max_iter)
-    return EmbodiedIntensity(by_sector=np.ascontiguousarray(solved.T), source=source)
+    return np.ascontiguousarray(solved.T)
 
 
 def embodied_flow_matrix(
@@ -345,7 +323,7 @@ def embodied_flow_matrix(
     intensity(i -> (j, a)) * y[a*N + j, b]; zero products are not stored.
     """
     n = period.shape.n_nodes
-    by_sector = embodied_intensity(period, source, tol=tol, max_iter=max_iter).by_sector
+    by_sector = embodied_intensity(period, source, tol=tol, max_iter=max_iter)
     y = period.final_demand.tocoo()
     # Demand entry (r = a*N + j, b) reaches N arcs, one from each sector i of a.
     rows = (y.row - y.row % n) + np.arange(n)[:, None]

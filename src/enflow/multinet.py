@@ -6,16 +6,8 @@ blocks has intra-layer flows on the diagonal blocks and inter-layer flows off
 the diagonal. A temporal network is an ordered sequence of such matrices over
 a shared node/layer universe.
 
-Index conventions
------------------
-Array storage is 0-based throughout. The :func:`flat_index` /
-:func:`unflat_index` pair and the layer arguments of :func:`block_view` follow
-the conventional 1-based block-matrix numbering
-
-    h = N * (alpha - 1) + i,
-
-which is how positions are usually written in the input-output literature;
-subtract one when indexing into the stored arrays.
+Indices are 0-based throughout: sector i of economy a sits at supra position
+h = a*N + i.
 """
 
 from __future__ import annotations
@@ -33,9 +25,6 @@ __all__ = [
     "SupraAdjacency",
     "TemporalMultilayerNetwork",
     "EntityCodes",
-    "flat_index",
-    "unflat_index",
-    "block_view",
     "aggregate_to_layers",
 ]
 
@@ -71,54 +60,32 @@ class NetworkShape:
         return NetworkShape(self.n_nodes, self.n_layers, 1)
 
 
-def flat_index(alpha: int, i: int, n_nodes: int) -> int:
-    """Map a (layer, node) pair to its supra-matrix position, 1-based.
-
-    Returns h = N*(alpha-1) + i for 1 <= i <= N. The layer bound is not
-    checkable here and is enforced by the callers that know L.
-    """
-    if not 1 <= i <= n_nodes:
-        raise ValidationError(f"node index {i} out of range 1..{n_nodes}")
-    if alpha < 1:
-        raise ValidationError(f"layer index {alpha} out of range (must be >= 1)")
-    return n_nodes * (alpha - 1) + i
-
-
-def unflat_index(h: int, n_nodes: int, n_layers: int | None = None) -> tuple[int, int]:
-    """Invert :func:`flat_index`: return the 1-based (layer, node) pair for h.
-
-    When ``n_layers`` is given, h is range-checked against N*L.
-    """
-    if h < 1:
-        raise ValidationError(f"supra index {h} out of range (must be >= 1)")
-    if n_layers is not None and h > n_nodes * n_layers:
-        raise ValidationError(f"supra index {h} out of range 1..{n_nodes * n_layers}")
-    alpha = (h - 1) // n_nodes + 1
-    i = h - n_nodes * (alpha - 1)
-    return alpha, i
+def _nonnegative_csr(matrix, what: str, shape: tuple[int, int] | None = None) -> sparse.csr_array:
+    """``matrix`` as a float64, canonical CSR array without stored zeros; its
+    entries must be finite and >= 0, and its shape ``shape`` when given."""
+    try:
+        m = sparse.csr_array(matrix, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{what} is not a matrix: {exc}") from None
+    if m.ndim != 2 or (shape is not None and m.shape != shape):
+        raise ValidationError(f"{what} shape {m.shape}, expected {shape or 'two axes'}")
+    if m.nnz and (not np.all(np.isfinite(m.data)) or m.data.min() < 0):
+        raise ValidationError(f"{what} must be finite and >= 0")
+    m.sum_duplicates()
+    m.eliminate_zeros()
+    return m
 
 
 class SupraAdjacency:
     """Sparse nonnegative supra-adjacency matrix for one time instant.
 
     Stored entries are strictly positive; an absent entry means weight zero.
-    Instances are immutable: mutating helpers return new objects.
     """
 
     def __init__(self, shape: NetworkShape, matrix):
         self.shape = shape.single_period()
-        m = sparse.csr_array(matrix, dtype=np.float64)
-        if m.shape != (shape.supra_dim, shape.supra_dim):
-            raise ValidationError(
-                f"matrix shape {m.shape} does not match supra dimension {shape.supra_dim}"
-            )
-        if m.nnz and not np.all(np.isfinite(m.data)):
-            raise ValidationError("supra-adjacency weights must be finite")
-        if m.nnz and m.data.min() < 0:
-            raise ValidationError("supra-adjacency weights must be nonnegative")
-        m.sum_duplicates()
-        m.eliminate_zeros()
-        self.matrix = m
+        dim = shape.supra_dim
+        self.matrix = _nonnegative_csr(matrix, "supra-adjacency", (dim, dim))
 
     @classmethod
     def from_entries(cls, shape: NetworkShape, entries) -> "SupraAdjacency":
@@ -161,40 +128,9 @@ class SupraAdjacency:
         coo = self.matrix.tocoo()
         return coo.row.copy(), coo.col.copy(), coo.data.copy()
 
-    def pruned(self, min_weight: float) -> "SupraAdjacency":
-        """Copy with every arc of weight < ``min_weight`` removed."""
-        if min_weight < 0:
-            raise ValidationError("min_weight must be nonnegative")
-        if min_weight == 0:
-            return self
-        m = self.matrix.copy()
-        m.data[m.data < min_weight] = 0.0
-        return SupraAdjacency(self.shape, m)
-
-    def without_self_loops(self) -> "SupraAdjacency":
-        """Copy with intra-layer diagonal arcs (same sector, same economy) removed."""
-        m = self.matrix.tolil(copy=True)
-        m.setdiag(0.0)
-        return SupraAdjacency(self.shape, m)
-
     def __repr__(self) -> str:
         s = self.shape
         return f"SupraAdjacency(N={s.n_nodes}, L={s.n_layers}, nnz={self.nnz})"
-
-
-def block_view(w: SupraAdjacency, alpha: int, beta: int) -> sparse.csr_array:
-    """Return the (alpha, beta) block of the supra matrix as a sparse N-square array.
-
-    Layer indices are 1-based; ``block_view(w, a, a)`` is the intra-layer
-    adjacency matrix of layer a.
-    """
-    n, n_layers = w.shape.n_nodes, w.shape.n_layers
-    for name, value in (("alpha", alpha), ("beta", beta)):
-        if not 1 <= value <= n_layers:
-            raise ValidationError(f"layer index {name}={value} out of range 1..{n_layers}")
-    r0 = n * (alpha - 1)
-    c0 = n * (beta - 1)
-    return w.matrix[r0 : r0 + n, c0 : c0 + n]
 
 
 def aggregate_to_layers(w: SupraAdjacency) -> np.ndarray:

@@ -147,10 +147,8 @@ def test_years_filter(workspace):
 
 
 def test_validation_exit_codes(tmp_path):
-    # no input mode
+    # no manifest
     assert run("build", "--out", tmp_path) == 2
-    # both input modes
-    assert run("build", "--manifest", "m.json", "--synthetic-spec", "s.json") == 2
     # malformed years
     assert run("build", "--manifest", "m.json", "--years", "bogus") == 2
     # analysis before build
@@ -170,6 +168,20 @@ def test_argparse_usage_error_is_2(capsys):
 def test_solver_flags_rejected_where_nothing_iterates(command, flag, capsys):
     with pytest.raises(SystemExit) as exc:
         run(command, flag, "1e-3" if flag == "--tol" else "10")
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "--min-weight", "1"],
+    ["build", "--drop-self-loops"],
+    ["build", "--synthetic-spec", "s.json"],
+    ["consumption", "--synthetic-spec", "s.json"],
+    ["consumption", "--source", "renewable"],
+])
+def test_removed_flags_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(*argv, "--manifest", "m.json")
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
 
@@ -249,33 +261,15 @@ def test_empty_energy_warns_and_builds_empty(tmp_path, capsys):
     assert net.total_weight == 0.0
 
 
-def test_build_min_weight_and_self_loops(tmp_path):
-    data = tmp_path / "data"
-    out_all = tmp_path / "keep"
-    out_cut = tmp_path / "cut"
-    assert run(*synth_args(data, shape="2,2,1", density="1.0")) == 0
-    assert run("build", "--manifest", data / "manifest.json", "--out", out_all, "--source", "all") == 0
-    assert (
-        run(
-            "build", "--manifest", data / "manifest.json", "--out", out_cut,
-            "--source", "all", "--drop-self-loops", "--min-weight", "1e9",
-        )
-        == 0
-    )
-    full, _ = load_network(out_all, SourceClass.ALL)
-    cut, _ = load_network(out_cut, SourceClass.ALL)
-    assert full.total_weight > 0
-    assert cut.total_weight == 0.0
-
-
 def test_synth_spec_json_input(tmp_path):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps({
         "n_sectors": 2, "n_countries": 2, "n_periods": 2,
         "density": 0.8, "seed": 3, "rho_cap": 0.85, "start_year": 2001,
     }))
-    out = tmp_path / "out"
-    assert run("build", "--synthetic-spec", spec_path, "--out", out, "--source", "all") == 0
+    data, out = tmp_path / "data", tmp_path / "out"
+    assert run("synth", "--synthetic-spec", spec_path, "--out", data) == 0
+    assert run("build", "--manifest", data / "manifest.json", "--out", out, "--source", "all") == 0
     net, _ = load_network(out, SourceClass.ALL)
     assert net.labels == (2001, 2002)
 
@@ -318,10 +312,9 @@ def test_negative_synthetic_seed_exits_2(tmp_path, capsys, source):
     (["hits", "--tol", "inf"], "argument --tol: expected a finite float > 0, got inf"),
     (["build", "--max-iter", "0", "--manifest", "{data}/manifest.json"],
      "argument --max-iter: expected a finite int >= 1, got 0"),
-    (["build", "--min-weight", "-1", "--manifest", "{data}/manifest.json"],
-     "argument --min-weight: expected a finite float >= 0, got -1"),
-    (["build", "--min-weight", "nan", "--manifest", "{data}/manifest.json"],
-     "argument --min-weight: expected a finite float >= 0, got nan"),
+    (["build", "--tol", "-0.5", "--manifest", "{data}/manifest.json"],
+     "argument --tol: expected a finite float > 0, got -0.5"),
+    (["eig", "--max-iter", "1.5"], "argument --max-iter: invalid int value: '1.5'"),
     (["consumption", "--top", "-2", "--manifest", "{data}/manifest.json"],
      "argument --top: expected a finite int >= 1, got -2"),
     (["criticality", "--top", "0"], "argument --top: expected a finite int >= 1, got 0"),

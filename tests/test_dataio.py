@@ -65,6 +65,18 @@ def test_code_list_errors(tmp_path):
         load_code_list(bad)
 
 
+@pytest.mark.parametrize("raw, message", [
+    (b"code,name\nA\xff,x\n", r"codes\.csv:2: invalid UTF-8"),
+    (b"code,name\nAFG,x\nALB,y,extra\n", r"codes\.csv:3: expected 2 fields, got 3"),
+    (b"code,name\nAFG\n", r"codes\.csv:2: expected 2 fields, got 1"),
+    (b"code,name\n\n , x\n", r"codes\.csv:3: empty code"),
+])
+def test_code_list_format_errors(tmp_path, raw, message):
+    (tmp_path / "codes.csv").write_bytes(raw)
+    with pytest.raises(DataFormatError, match=message):
+        load_code_list(tmp_path / "codes.csv")
+
+
 # ---------------------------------------------------------------------------
 # synthetic generation
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from enflow import (
     ValidationError,
     ZeroBaselineError,
     aggregate_to_layers,
-    all_pairs_total,
     arc_criticality,
     country_level_criticality,
     max_flow,
@@ -150,36 +149,19 @@ def test_max_flow_capacity_bound_property(n, edges, data):
 
 
 # ---------------------------------------------------------------------------
-# all-pairs totals
+# exact-mode baseline total
 # ---------------------------------------------------------------------------
 
 
-def test_all_pairs_single_arc():
-    net = FlowNetwork(2, [(0, 1, 4.0)])
-    flows, total = all_pairs_total(net)
-    assert flows.matrix[0, 1] == 4.0
-    assert flows.matrix[1, 0] == 0.0
-    assert total == 4.0
-
-
-def test_all_pairs_symmetric_pair():
-    net = FlowNetwork(2, [(0, 1, 4.0), (1, 0, 4.0)])
-    _, total = all_pairs_total(net)
-    assert total == 8.0
-
-
-def test_all_pairs_matches_per_pair_oracle():
+def test_exact_baseline_matches_per_pair_oracle():
     net = diamond()
-    flows, total = all_pairs_total(net)
-    expected = 0.0
-    for s in range(4):
-        for t in range(4):
-            if s != t:
-                value = lp_max_flow(net.node_count, net.arcs, s, t)
-                assert flows.matrix[s, t] == pytest.approx(value, abs=1e-9)
-                expected += value
-    assert total == pytest.approx(expected, abs=1e-9)
-    assert np.all(np.diag(flows.matrix) == 0)
+    expected = sum(
+        lp_max_flow(net.node_count, net.arcs, s, t)
+        for s in range(4)
+        for t in range(4)
+        if s != t
+    )
+    assert arc_criticality(net, "exact").baseline_total == pytest.approx(expected, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -332,7 +332,7 @@ def test_flow_assembly_matches_per_entry_loop(seed):
     period = generate_synthetic(spec).periods[0]
     n, dim = period.shape.n_nodes, period.shape.supra_dim
     for source in SourceClass:
-        by_sector = embodied_intensity(period, source).by_sector
+        by_sector = embodied_intensity(period, source)
         want = np.zeros((dim, dim))
         for (j, a, b), value in demand_dict(period).items():
             for i in range(n):

@@ -1,70 +1,18 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 from scipy import sparse
 
 from enflow import (
+    MrioPeriod,
     NetworkShape,
     SupraAdjacency,
     TemporalMultilayerNetwork,
     EntityCodes,
     ValidationError,
     aggregate_to_layers,
-    block_view,
-    flat_index,
-    unflat_index,
+    eigenvector_centrality,
+    hits,
 )
-
-
-def test_flat_index_identity_corner():
-    assert flat_index(1, 1, 26) == 1
-
-
-def test_flat_index_direct_substitution():
-    assert flat_index(2, 3, 26) == 29
-
-
-def test_unflat_examples():
-    assert unflat_index(29, 26) == (2, 3)
-    assert unflat_index(26, 26) == (1, 26)
-    assert unflat_index(27, 26) == (2, 1)
-
-
-def test_flat_unflat_round_trip_grid():
-    n, n_layers = 3, 4
-    seen = set()
-    for alpha in range(1, n_layers + 1):
-        for i in range(1, n + 1):
-            h = flat_index(alpha, i, n)
-            assert 1 <= h <= n * n_layers
-            assert unflat_index(h, n, n_layers) == (alpha, i)
-            seen.add(h)
-    assert seen == set(range(1, n * n_layers + 1))  # bijection
-
-
-@given(
-    n=st.integers(1, 40),
-    n_layers=st.integers(1, 40),
-    data=st.data(),
-)
-def test_flat_unflat_inverse_property(n, n_layers, data):
-    alpha = data.draw(st.integers(1, n_layers))
-    i = data.draw(st.integers(1, n))
-    h = flat_index(alpha, i, n)
-    assert unflat_index(h, n, n_layers) == (alpha, i)
-
-
-def test_index_range_errors():
-    with pytest.raises(ValidationError):
-        flat_index(1, 0, 26)
-    with pytest.raises(ValidationError):
-        flat_index(0, 1, 26)
-    with pytest.raises(ValidationError):
-        flat_index(1, 27, 26)
-    with pytest.raises(ValidationError):
-        unflat_index(0, 26)
-    with pytest.raises(ValidationError):
-        unflat_index(53, 26, 2)
 
 
 def test_shape_validation():
@@ -83,47 +31,30 @@ def test_supra_rejects_negative_and_drops_zeros():
     assert w.weight(1, 2) == 3.0
 
 
+WEIGHT_MATRIX_TAKERS = {
+    "intermediate use": lambda m: MrioPeriod(2000, NetworkShape(1, 1), m, [1.0], {}, [[0.0]]),
+    "final demand": lambda m: MrioPeriod(2000, NetworkShape(1, 1), [[0.0]], [1.0], {}, m),
+    "supra-adjacency": lambda m: SupraAdjacency(NetworkShape(1, 1), m),
+    "hits": hits,
+    "eig": eigenvector_centrality,
+}
+
+
+@pytest.mark.parametrize("taker", WEIGHT_MATRIX_TAKERS)
+@pytest.mark.parametrize("matrix", [{}, {(0, 0, 1): 1.0}, None, "abc", [[1, 2], [3]], np.ones(2)],
+                         ids=["empty-dict", "key-dict", "none", "str", "ragged", "1d"])
+def test_non_matrix_weights_are_validation_errors(taker, matrix):
+    with pytest.raises(ValidationError):
+        WEIGHT_MATRIX_TAKERS[taker](matrix)
+
+
 def test_supra_entry_out_of_range():
     with pytest.raises(ValidationError):
         SupraAdjacency.from_entries(NetworkShape(2, 2), [(4, 0, 1.0)])
 
 
-def test_block_view_single_entry():
-    # 1-based supra position (29, 1) with N=26 lives in block (2, 1) at (3, 1).
-    shape = NetworkShape(26, 2)
-    w = SupraAdjacency.from_entries(shape, [(28, 0, 5.0)])
-    block = block_view(w, 2, 1)
-    assert block[2, 0] == 5.0
-    assert block.nnz == 1
-    for alpha in (1, 2):
-        for beta in (1, 2):
-            if (alpha, beta) != (2, 1):
-                assert block_view(w, alpha, beta).nnz == 0
-
-
-def test_block_view_empty_and_partition():
-    shape = NetworkShape(4, 3)
-    empty = SupraAdjacency.empty(shape)
-    assert all(
-        block_view(empty, a, b).nnz == 0 for a in range(1, 4) for b in range(1, 4)
-    )
-    rng = np.random.default_rng(1)
-    dense = rng.uniform(0, 1, (12, 12)) * (rng.random((12, 12)) < 0.4)
-    w = SupraAdjacency(shape, dense)
-    total = sum(block_view(w, a, b).nnz for a in range(1, 4) for b in range(1, 4))
-    assert total == w.nnz
-
-
-def test_block_view_bad_layer():
-    w = SupraAdjacency.empty(NetworkShape(2, 2))
-    with pytest.raises(ValidationError):
-        block_view(w, 0, 1)
-    with pytest.raises(ValidationError):
-        block_view(w, 1, 3)
-
-
 def test_aggregate_single_entry():
-    # weight 5.0 from (layer 2, node 3) to (layer 1, node 1), 1-based
+    # weight 5.0 from (layer 1, node 2) to (layer 0, node 0)
     shape = NetworkShape(4, 3)
     w = SupraAdjacency.from_entries(shape, [(4 * 1 + 2, 0, 5.0)])
     agg = aggregate_to_layers(w)
@@ -159,18 +90,6 @@ def test_aggregate_exact_on_integer_weights():
     dense = rng.integers(0, 50, (12, 12)).astype(float)
     w = SupraAdjacency(shape, dense)
     assert aggregate_to_layers(w).sum() == w.total_weight
-
-
-def test_pruned_and_self_loops():
-    shape = NetworkShape(2, 2)
-    w = SupraAdjacency.from_entries(shape, [(0, 0, 0.5), (0, 1, 2.0), (1, 0, 0.1)])
-    assert w.pruned(0.0) is w
-    pruned = w.pruned(0.5)
-    assert pruned.nnz == 2 and pruned.weight(1, 0) == 0.0
-    no_loops = w.without_self_loops()
-    assert no_loops.weight(0, 0) == 0.0 and no_loops.nnz == 2
-    with pytest.raises(ValidationError):
-        w.pruned(-1.0)
 
 
 def test_temporal_network_checks():
