@@ -103,9 +103,6 @@ class RankingTable:
 
     rows: tuple[RankingRow, ...]
 
-    def labels(self) -> tuple[str, ...]:
-        return tuple(r.label for r in self.rows)
-
     def __len__(self) -> int:
         return len(self.rows)
 

@@ -50,7 +50,7 @@ from .dataio import (
     _score_sections,
 )
 from .errors import EnflowError, NumericalError, ValidationError
-from .flowcrit import EXACT_MODE_NODE_LIMIT, country_level_criticality
+from .flowcrit import DEFAULT_SAMPLE_PAIRS, EXACT_MODE_NODE_LIMIT, country_level_criticality
 from .leontief import SourceClass, build_temporal_network
 from .multinet import NetworkShape
 
@@ -369,7 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--mode", choices=["exact", "sampled"], default=None,
                    help=f"default: exact up to {EXACT_MODE_NODE_LIMIT} nodes, sampled beyond")
-    p.add_argument("--pairs", type=int, default=2000, help="ordered pairs per sampled total")
+    p.add_argument("--pairs", type=_COUNT, default=DEFAULT_SAMPLE_PAIRS,
+                   help="ordered pairs per sampled total")
     p.add_argument("--seed", type=int, default=0, help="pair-sampling seed")
     p.add_argument("--top", type=_COUNT, default=10, help="top arcs per year in the summary table")
     p.set_defaults(func=cmd_criticality)

@@ -14,25 +14,32 @@ redundant for every pair.
 
 Max flows are computed with a blocking-flow (level graph) augmenting-path
 solver, which handles real-valued capacities exactly enough for the min-cut
-identity to be exact on integer inputs. In exact mode the pair set is all
-ordered pairs; in sampled mode it is a seeded fixed sample of ordered pairs
-reused for the baseline and for every arc removal, so sampled runs are
-reproducible given (seed, pair count).
+identity to be exact on integer inputs. It is C code (``_maxflow.c``) that
+the first solve in a process compiles, so a C compiler is needed then. In
+exact mode the pair set is all ordered pairs; in sampled mode it is a seeded
+fixed sample of ordered pairs reused for the baseline and for every arc
+removal, so sampled runs are reproducible given (seed, pair count).
 
 Removal totals are computed pair by pair, and both shortcuts are exact. Each
 pair is solved once. An arc that carries no flow in that certified max flow
 leaves the pair's value unchanged: the flow stays feasible without the arc,
 and deleting capacity cannot raise a max flow. Only the arcs that carry flow
 are re-solved, each warm-started from the pair's final residual (see
-``_BlockingFlowEngine.value_without``); the re-solve ends in a residual with
+``without`` in ``_maxflow.c``); the re-solve ends in a residual with
 no augmenting path, as a from-scratch solve does. Every solve, baseline or
 re-solve, is certified (capacity bounds and conservation).
 """
 
 from __future__ import annotations
 
-import math
+import ctypes
+import functools
+import shlex
+import subprocess
+import sysconfig
+import tempfile
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -111,168 +118,117 @@ class FlowNetwork:
         return f"FlowNetwork(nodes={self.node_count}, arcs={len(self.arcs)})"
 
 
+_CERTIFICATE_ERRORS = {
+    1: "flow on arc {} violates its capacity bound",
+    2: "flow conservation violated at node {}",
+}
+
+
+@functools.cache
+def _kernel() -> ctypes.CDLL:
+    """The compiled ``_maxflow.c``, built once per process with the C compiler
+    Python was built with. FMA contraction stays off so the arithmetic is
+    that of plain IEEE doubles, operation for operation."""
+    source = Path(__file__).with_name("_maxflow.c")
+    cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
+    with tempfile.TemporaryDirectory() as tmp:
+        lib = Path(tmp, "_maxflow.so")
+        cmd = [*cc, "-O2", "-std=c99", "-ffp-contract=off", "-shared", "-fPIC",
+               "-o", str(lib), str(source)]
+        try:
+            done = subprocess.run(cmd, capture_output=True, text=True)
+        except OSError as exc:
+            raise OSError(f"cannot compile {source.name} with {cc[0]}: {exc}") from None
+        if done.returncode:
+            raise OSError(f"cannot compile {source.name} with {cc[0]}: {done.stderr.strip()}")
+        kernel = ctypes.CDLL(str(lib))
+    i, d, p = ctypes.c_int, ctypes.c_double, ctypes.c_void_p
+    kernel.certify.argtypes = [i, i, p, p, p, d, i, i, d, p, p]
+    kernel.solve_pair.argtypes = [i, i, p, p, p, p, d, i, i, p, p, p, p]
+    kernel.certify.restype = kernel.solve_pair.restype = i
+    return kernel
+
+
 class _BlockingFlowEngine:
-    """Reusable residual-graph solver over one arc list.
+    """Reusable residual-graph solver over one arc list, run by the compiled
+    Dinic kernel in ``_maxflow.c``.
 
     Each arc a occupies residual slots 2a (forward) and 2a+1 (reverse). A
-    residual is a list of slot capacities. The reverse slot starts at 0 and
+    residual is an array of slot capacities. The reverse slot starts at 0 and
     holds the flow on its arc: unlike ``base_cap[2a] - cap[2a]``, it keeps a
     flow far below the arc's capacity. Every solve copies ``base_cap``, so one
     engine serves many queries.
     """
 
     def __init__(self, node_count: int, arcs: Sequence[tuple[int, int, float]]):
-        self.n = node_count
-        to: list[int] = []
-        base_cap: list[float] = []
-        adj: list[list[int]] = [[] for _ in range(node_count)]
-        for tail, head, capacity in arcs:
-            adj[tail].append(len(to))
-            to.append(head)
-            base_cap.append(capacity)
-            adj[head].append(len(to))
-            to.append(tail)
-            base_cap.append(0.0)
-        self.to = to
-        self.base_cap = base_cap
-        self.adj = adj
-        self.scale = max(1.0, max(base_cap, default=0.0))
-        self.arc_cap = np.array(base_cap[0::2], dtype=np.float64)
-        self.tails = np.array(to[1::2], dtype=np.intp)
-        self.heads = np.array(to[0::2], dtype=np.intp)
+        self._kernel = _kernel()
+        self.n, self.m = node_count, len(arcs)
+        ends = np.array([(t, h) for t, h, _ in arcs], dtype=np.intc).reshape(-1, 2)
+        owner = ends.ravel()  # slot 2a leaves the tail, slot 2a+1 the head
+        self.to = np.ascontiguousarray(ends[:, ::-1]).ravel()
+        # A stable sort keeps each node's slots in ascending order.
+        self.adj = np.argsort(owner, kind="stable").astype(np.intc)
+        self.start = np.zeros(node_count + 1, dtype=np.intc)
+        np.cumsum(np.bincount(owner, minlength=node_count), out=self.start[1:])
+        self.base_cap = np.zeros(owner.size)
+        self.base_cap[0::2] = [c for _, _, c in arcs]
+        self.scale = max(1.0, float(self.base_cap.max(initial=0.0)))
 
-    def solve(self, source: int, target: int) -> tuple[float, list[float]]:
-        """Certified max-flow value and the final residual."""
-        cap = self.base_cap.copy()
-        value = self._augment(cap, source, target)
-        self._certify(cap, source, target, value)
-        return value, cap
+    def solve(
+        self, source: int, target: int, drops: np.ndarray | None = None
+    ) -> tuple[float, np.ndarray]:
+        """Certified max-flow value and the final residual. With ``drops``,
+        also add to ``drops[a]``, for every arc a carrying flow, the fall in
+        the value when a is deleted (a certified warm re-solve each)."""
+        self._check_pair(source, target)
+        if drops is not None and not (
+            drops.dtype == np.float64 and drops.shape == (self.m,) and drops.flags.c_contiguous
+        ):
+            raise ValidationError("drops must be a contiguous float64 array with one entry per arc")
+        cap = np.empty_like(self.base_cap)
+        value, where = ctypes.c_double(), ctypes.c_int()
+        code = self._kernel.solve_pair(
+            self.n, self.m, self.to.ctypes.data, self.start.ctypes.data,
+            self.adj.ctypes.data, self.base_cap.ctypes.data, self.scale, source, target,
+            cap.ctypes.data, None if drops is None else drops.ctypes.data,
+            ctypes.byref(value), ctypes.byref(where),
+        )
+        _raise_for(code, where.value)
+        return value.value, cap
 
-    def value_without(
-        self, cap: Sequence[float], source: int, target: int, value: float, arc: int
-    ) -> float:
-        """Certified max-flow value after deleting ``arc``, warm-started from
-        ``cap``, a max-flow residual of value ``value`` for the same pair.
-
-        The arc's flow f is first rerouted from its tail u to its head v; the
-        part e that cannot be rerouted is cancelled by pushing e from u back to
-        the source and from the target to v. The residual then holds a valid
-        flow of value ``value - e`` without the arc, and augmenting it to
-        optimality gives the exact new max flow.
-        """
-        cap = list(cap)
-        u, v = self.to[2 * arc + 1], self.to[2 * arc]
-        f = cap[2 * arc + 1]
-        cap[2 * arc] = cap[2 * arc + 1] = 0.0
-        e = f - self._augment(cap, u, v, f)
-        if e > 0.0:
-            # With no u-v path left, the e units reach u only from the source
-            # and leave v only towards the target, so both pushes find e.
-            if u != source:
-                self._augment(cap, u, source, e)
-            if v != target:
-                self._augment(cap, target, v, e)
-        value = value - e + self._augment(cap, source, target)
-        self._certify(cap, source, target, value)
-        return value
-
-    def _augment(
-        self, cap: list[float], source: int, target: int, limit: float = math.inf
-    ) -> float:
-        """Push up to ``limit`` units from source to target by blocking flows
-        on level graphs (Dinic), updating the residual ``cap`` in place.
-        Returns the amount pushed, exactly ``limit`` when the limit binds."""
-        to = self.to
-        adj = self.adj
-        n = self.n
-        total = 0.0
-        while True:
-            level = [-1] * n
-            level[source] = 0
-            queue = [source]
-            qi = 0
-            target_level = -1
-            while qi < len(queue):
-                v = queue[qi]
-                qi += 1
-                next_level = level[v] + 1
-                if target_level >= 0 and next_level > target_level:
-                    break  # deeper nodes cannot lie on a shortest path
-                for e in adj[v]:
-                    if cap[e] > 0.0 and level[to[e]] < 0:
-                        level[to[e]] = next_level
-                        queue.append(to[e])
-                        if to[e] == target:
-                            target_level = next_level
-            if level[target] < 0:
-                return total
-            pointer = [0] * n
-            path: list[int] = []
-            v = source
-            while True:
-                if v == target:
-                    bottleneck = min(cap[e] for e in path)
-                    done = bottleneck >= limit - total
-                    if done:
-                        bottleneck = limit - total
-                    for e in path:
-                        cap[e] -= bottleneck
-                        cap[e ^ 1] += bottleneck
-                    if done:
-                        return limit
-                    total += bottleneck
-                    cut = 0
-                    while cut < len(path) and cap[path[cut]] > 0.0:
-                        cut += 1
-                    v = source if cut == 0 else to[path[cut - 1]]
-                    del path[cut:]
-                    continue
-                edges = adj[v]
-                i = pointer[v]
-                want_level = level[v] + 1
-                while i < len(edges):
-                    e = edges[i]
-                    if cap[e] > 0.0 and level[to[e]] == want_level:
-                        break
-                    i += 1
-                pointer[v] = i
-                if i < len(edges):
-                    e = edges[i]
-                    path.append(e)
-                    v = to[e]
-                else:
-                    level[v] = -2  # dead end in this phase
-                    if not path:
-                        break
-                    e = path.pop()
-                    v = to[e ^ 1]
-                    pointer[v] += 1
-
-    def _certify(self, cap: Sequence[float], source: int, target: int, value: float) -> None:
+    def _certify(self, cap, source: int, target: int, value: float) -> None:
         """Certify the residual as a flow of ``value``: capacity bounds plus
         conservation."""
-        flow = np.asarray(cap)[1::2]
-        tol = 1e-9 * self.scale
-        bad = (flow < -tol) | (flow > self.arc_cap + tol)
-        if bad.any():
-            raise FlowCertificateError(
-                f"flow on arc {int(bad.argmax())} violates its capacity bound"
-            )
-        net = np.bincount(self.heads, flow, self.n) - np.bincount(self.tails, flow, self.n)
-        net[source] += value
-        net[target] -= value
-        bad = np.abs(net) > 1e-6 * self.scale
-        if bad.any():
-            raise FlowCertificateError(f"flow conservation violated at node {int(bad.argmax())}")
+        self._check_pair(source, target)
+        cap = np.ascontiguousarray(cap, dtype=np.float64)
+        if cap.shape != self.base_cap.shape:
+            raise ValidationError(f"residual has shape {cap.shape}, expected {self.base_cap.shape}")
+        work, where = np.empty(2 * self.n), ctypes.c_int()
+        code = self._kernel.certify(
+            self.n, self.m, self.to.ctypes.data, self.base_cap.ctypes.data,
+            cap.ctypes.data, self.scale, source, target, value, work.ctypes.data,
+            ctypes.byref(where),
+        )
+        _raise_for(code, where.value)
+
+    def _check_pair(self, source: int, target: int) -> None:
+        # The kernel indexes node arrays by both ends and needs them distinct.
+        if source == target:
+            raise ValidationError("source and target must differ")
+        for name, v in (("source", source), ("target", target)):
+            if not 0 <= v < self.n:
+                raise ValidationError(f"{name} node {v} outside 0..{self.n - 1}")
+
+
+def _raise_for(code: int, where: int) -> None:
+    if code == 3:
+        raise MemoryError("max-flow kernel is out of memory")
+    if code:
+        raise FlowCertificateError(_CERTIFICATE_ERRORS[code].format(where))
 
 
 def max_flow(net: FlowNetwork, source: int, target: int) -> float:
     """Value of a maximum source-to-target flow (equals the min-cut capacity)."""
-    if source == target:
-        raise ValidationError("source and target must differ")
-    for name, v in (("source", source), ("target", target)):
-        if not 0 <= v < net.node_count:
-            raise ValidationError(f"{name} node {v} outside 0..{net.node_count - 1}")
     return net.engine.solve(source, target)[0]
 
 
@@ -350,16 +306,12 @@ def arc_criticality(
     # drops[a] sums, pair by pair in pair-list order, the fall in the pair's
     # max flow when arc a is deleted. Only arcs carrying flow in the pair's
     # certified max flow are re-solved: without any other arc that flow stays
-    # feasible, and deleting capacity cannot raise a max flow.
+    # feasible, and deleting capacity cannot raise a max flow. One kernel
+    # call per pair solves, re-solves and certifies.
     values = np.empty(len(pair_list))
     drops = np.zeros(len(net.arcs))
     for i, (s, t) in enumerate(pair_list):
-        value, cap = engine.solve(s, t)
-        values[i] = value
-        carrying = np.flatnonzero(np.asarray(cap)[1::2] > 0.0)
-        drops[carrying] += [
-            value - engine.value_without(cap, s, t, value, int(a)) for a in carrying
-        ]
+        values[i] = engine.solve(s, t, drops)[0]
     baseline = float(values.sum())
     if baseline <= 0.0:
         raise ZeroBaselineError(

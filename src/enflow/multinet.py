@@ -62,7 +62,9 @@ class NetworkShape:
 
 def _nonnegative_csr(matrix, what: str, shape: tuple[int, int] | None = None) -> sparse.csr_array:
     """``matrix`` as a float64, canonical CSR array without stored zeros; its
-    entries must be finite and >= 0, and its shape ``shape`` when given."""
+    entries must be finite and >= 0, and its shape ``shape`` when given. A
+    float64 CSR input may share its buffers with the result, so it is copied
+    before anything is summed or dropped, and is never changed."""
     try:
         m = sparse.csr_array(matrix, dtype=np.float64)
     except (TypeError, ValueError) as exc:
@@ -71,8 +73,10 @@ def _nonnegative_csr(matrix, what: str, shape: tuple[int, int] | None = None) ->
         raise ValidationError(f"{what} shape {m.shape}, expected {shape or 'two axes'}")
     if m.nnz and (not np.all(np.isfinite(m.data)) or m.data.min() < 0):
         raise ValidationError(f"{what} must be finite and >= 0")
-    m.sum_duplicates()
-    m.eliminate_zeros()
+    if not m.has_canonical_format or not m.data.all():
+        m = m.copy()
+        m.sum_duplicates()
+        m.eliminate_zeros()
     return m
 
 
@@ -106,13 +110,6 @@ class SupraAdjacency:
     def empty(cls, shape: NetworkShape) -> "SupraAdjacency":
         dim = shape.supra_dim
         return cls(shape, sparse.csr_array((dim, dim), dtype=np.float64))
-
-    def weight(self, h: int, k: int) -> float:
-        """Weight of the arc at 0-based supra position (h, k); 0 when absent."""
-        dim = self.shape.supra_dim
-        if not (0 <= h < dim and 0 <= k < dim):
-            raise ValidationError(f"supra position ({h}, {k}) outside dimension {dim}")
-        return float(self.matrix[h, k])
 
     @property
     def nnz(self) -> int:
@@ -213,12 +210,6 @@ class TemporalMultilayerNetwork:
     @property
     def matrices(self) -> tuple[SupraAdjacency, ...]:
         return tuple(matrix for _, matrix in self.periods)
-
-    def period(self, label: int) -> SupraAdjacency:
-        for plabel, matrix in self.periods:
-            if plabel == label:
-                return matrix
-        raise ValidationError(f"no period labelled {label}")
 
     def tensor_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Concatenate all stored arcs as (t, row, col, weight) arrays.

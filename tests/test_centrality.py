@@ -392,13 +392,13 @@ def test_md_hits_validation():
 
 def test_rank_basic():
     table = rank([0.2, 0.5, 0.3], ["A", "B", "C"])
-    assert table.labels() == ("B", "C", "A")
+    assert [r.label for r in table] == ["B", "C", "A"]
     assert [r.rank for r in table] == [1, 2, 3]
 
 
 def test_rank_ties_alphabetical():
     table = rank([0.5, 0.5, 0.5], ["C", "A", "B"])
-    assert table.labels() == ("A", "B", "C")
+    assert [r.label for r in table] == ["A", "B", "C"]
     assert [r.rank for r in table] == [1, 1, 1]
 
 
@@ -408,7 +408,7 @@ def test_rank_matches_sort_oracle():
     labels = [f"N{i}" for i in range(10)]
     table = rank(scores, labels)
     expected = [labels[i] for i in sorted(range(10), key=lambda i: (-scores[i], labels[i]))]
-    assert list(table.labels()) == expected
+    assert [r.label for r in table] == expected
 
 
 def test_rank_length_mismatch():
@@ -424,7 +424,7 @@ def test_rank_length_mismatch():
 def test_rank_is_sorted_permutation(scores):
     labels = [f"L{i:02d}" for i in range(len(scores))]
     table = rank(scores, labels)
-    assert sorted(table.labels()) == labels
+    assert sorted([r.label for r in table]) == labels
     values = [r.score for r in table]
     assert values == sorted(values, reverse=True)
     assert all(r.rank >= 1 for r in table)

@@ -1,12 +1,14 @@
 import csv
 import json
-import math
+import shlex
+import subprocess
+import sysconfig
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from enflow import MrioPeriod, NetworkShape, SourceClass, load_network
+from enflow import MrioPeriod, NetworkShape, SourceClass, flowcrit, load_network
 from enflow.cli import main
 from enflow.dataio import CodeBook, MrioDataset, save_dataset
 from enflow.flowcrit import _BlockingFlowEngine
@@ -188,16 +190,34 @@ def test_removed_flags_are_rejected(argv, capsys):
 
 def test_flow_certificate_failure_exits_3(workspace, monkeypatch, capsys):
     _, out = workspace
-    augment = _BlockingFlowEngine._augment
+    init = _BlockingFlowEngine.__init__
 
-    def corrupted(self, cap, source, target, limit=math.inf):
-        pushed = augment(self, cap, source, target, limit)
-        cap[1] += 1.0  # phantom flow on arc 0, unbalanced at both ends
-        return pushed
+    def corrupted(self, node_count, arcs):
+        init(self, node_count, arcs)
+        self.base_cap[1] = 1.0  # phantom flow on arc 0, unbalanced at both ends
 
-    monkeypatch.setattr(_BlockingFlowEngine, "_augment", corrupted)
+    monkeypatch.setattr(_BlockingFlowEngine, "__init__", corrupted)
     assert run("criticality", "--out", out, "--source", "all") == 3
     assert "numerical error: flow" in capsys.readouterr().err
+
+
+def test_missing_compiler_exits_4(workspace, monkeypatch, capsys):
+    _, out = workspace
+    monkeypatch.setitem(sysconfig.get_config_vars(), "CC", "/nonexistent/enflow-cc")
+    flowcrit._kernel.cache_clear()  # a failed build is not cached either
+    assert run("criticality", "--out", out, "--source", "all") == 4
+    err = capsys.readouterr().err
+    assert "i/o error: cannot compile _maxflow.c with /nonexistent/enflow-cc" in err
+    assert "Traceback" not in err
+
+
+def test_kernel_source_compiles_without_warnings(tmp_path):
+    source = Path(flowcrit.__file__).with_name("_maxflow.c")
+    cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
+    cmd = [*cc, "-std=c99", "-Wall", "-Wextra", "-Werror", "-pedantic",
+           "-c", "-o", tmp_path / "k.o", source]
+    done = subprocess.run(cmd, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def reducible_dataset(tmp_path):
@@ -322,6 +342,12 @@ def test_negative_synthetic_seed_exits_2(tmp_path, capsys, source):
      "sampling seed must be >= 0, got -1"),
     (["mdhits", "--gamma", "nan,0.2,0.2,0.2,0.2"],
      "every gamma entry must lie in (0, 1], got [nan, 0.2, 0.2, 0.2, 0.2]"),
+    (["criticality", "--pairs", "0", "--source", "all"],
+     "argument --pairs: expected a finite int >= 1, got 0"),
+    (["criticality", "--pairs", "-3", "--mode", "sampled"],
+     "argument --pairs: expected a finite int >= 1, got -3"),
+    (["criticality", "--pairs", "-3", "--mode", "exact"],
+     "argument --pairs: expected a finite int >= 1, got -3"),
 ])
 def test_out_of_range_flags_exit_2(workspace, capsys, argv, message):
     data, out = workspace

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from enflow import (
     FlowCertificateError,
@@ -16,9 +16,10 @@ from enflow import (
     country_level_criticality,
     max_flow,
 )
-from enflow.flowcrit import _BlockingFlowEngine, _pair_set
+from enflow.flowcrit import _pair_set
 
 from oracles import lp_max_flow, min_cut_value
+from reference_flow import ReferenceEngine
 
 
 def diamond():
@@ -385,18 +386,63 @@ def test_removed_totals_match_min_cut_oracle(n, edges):
         assert row.removed_total == sum(min_cut_value(n, remaining, s, t) for s, t in pair_list)
 
 
+# ---------------------------------------------------------------------------
+# the compiled kernel against the reference engine
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def flow_networks(draw):
+    """Networks with real and integer capacities, zero-capacity arcs and
+    flows far below their arc's capacity."""
+    n = draw(st.integers(2, 6))
+    capacity = st.one_of(
+        st.integers(0, 9).map(float),
+        st.floats(0.0, 100.0, allow_nan=False, allow_infinity=False),
+        st.sampled_from([0.0, 1e-70, 1.0]),
+    )
+    node = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(node, node, capacity), max_size=20))
+    return FlowNetwork(n, [(a, b, c) for a, b, c in edges if a != b])
+
+
+@settings(max_examples=150, deadline=None)
+@given(net=flow_networks())
+@example(net=FlowNetwork(3, [(0, 1, 1e-70), (1, 2, 1.0)]))
+@example(net=FlowNetwork(3, [(0, 1, 3.0), (1, 2, 2.0), (0, 2, 0.0)]))
+# Deleting (1, 2) for the pair (0, 4) reroutes one unit and cancels the other.
+@example(net=FlowNetwork(5, [(0, 1, 2.0), (1, 2, 2.0), (1, 3, 1.0), (3, 2, 1.0), (2, 4, 2.0)]))
+# Deleting (1, 2) for the pair (0, 5): the first detour 1->3->2 meets the
+# reroute limit exactly while a second one, 1->4->2, is still open.
+@example(net=FlowNetwork(6, [(0, 1, 1.0), (1, 2, 1.0), (2, 5, 1.0), (1, 3, 1.0), (3, 2, 1.0),
+                             (1, 4, 1.0), (4, 2, 1.0)]))
+def test_kernel_matches_reference_engine_exactly(net):
+    reference = ReferenceEngine(net.node_count, net.arcs)
+    for s in range(net.node_count):
+        for t in range(net.node_count):
+            if s == t:
+                continue
+            want_value, want_cap = reference.solve(s, t)
+            drops = np.zeros(len(net.arcs))
+            value, cap = net.engine.solve(s, t, drops)
+            assert value == want_value
+            assert cap.tolist() == want_cap
+            assert drops.tolist() == reference.drops(s, t).tolist()
+
+
 def warm_start_trace(monkeypatch, net, source, target, arc):
-    """Value after deleting ``arc`` and the (from, to, limit) of every push."""
-    engine = net.engine
+    """Value after deleting ``arc`` and the (from, to, limit) of every push,
+    traced on the reference engine, whose push sequence the kernel follows."""
+    engine = ReferenceEngine(net.node_count, net.arcs)
     value, cap = engine.solve(source, target)
     calls = []
-    augment = _BlockingFlowEngine._augment
+    augment = ReferenceEngine._augment
 
     def traced(self, cap, s, t, limit=math.inf):
         calls.append((s, t, limit))
         return augment(self, cap, s, t, limit)
 
-    monkeypatch.setattr(_BlockingFlowEngine, "_augment", traced)
+    monkeypatch.setattr(ReferenceEngine, "_augment", traced)
     arc_id = next(i for i, (a, b, _) in enumerate(net.arcs) if (a, b) == arc)
     return engine.value_without(cap, source, target, value, arc_id), calls
 

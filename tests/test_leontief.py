@@ -163,7 +163,7 @@ def test_embodied_flow_zero_consumption():
 def test_embodied_flow_scalar_instance():
     # requirements = 2, consumption 3, demand 5 -> weight 3*2*5 = 30
     w = embodied_flow_matrix(scalar_period(), SourceClass.ALL, tol=1e-14)
-    assert w.weight(0, 0) == pytest.approx(30.0, rel=1e-12)
+    assert w.matrix[0, 0] == pytest.approx(30.0, rel=1e-12)
     assert w.nnz == 1
 
 
@@ -182,7 +182,7 @@ def test_embodied_flow_identity_requirements_two_layers():
     )
     w = embodied_flow_matrix(period, SourceClass.ALL)
     for (j, a, b), d in demand_dict(period).items():
-        assert w.weight(a, b) == pytest.approx(c[a] * d, rel=1e-12)
+        assert w.matrix[a, b] == pytest.approx(c[a] * d, rel=1e-12)
 
 
 def test_build_single_period():

@@ -27,8 +27,8 @@ def test_supra_rejects_negative_and_drops_zeros():
         SupraAdjacency.from_entries(shape, [(0, 1, -1.0)])
     w = SupraAdjacency.from_entries(shape, [(0, 1, 0.0), (1, 2, 3.0)])
     assert w.nnz == 1
-    assert w.weight(0, 1) == 0.0
-    assert w.weight(1, 2) == 3.0
+    assert w.matrix[0, 1] == 0.0
+    assert w.matrix[1, 2] == 3.0
 
 
 WEIGHT_MATRIX_TAKERS = {
@@ -46,6 +46,38 @@ WEIGHT_MATRIX_TAKERS = {
 def test_non_matrix_weights_are_validation_errors(taker, matrix):
     with pytest.raises(ValidationError):
         WEIGHT_MATRIX_TAKERS[taker](matrix)
+
+
+def tangled_csr():
+    """[[0, 2], [1, 0]] as a CSR with unsorted indices and a stored zero."""
+    return sparse.csr_array(
+        (np.array([2.0, 0.0, 1.0]), np.array([1, 0, 0]), np.array([0, 2, 3])), shape=(2, 2)
+    )
+
+
+TWO_LAYERS = NetworkShape(1, 2)
+TWO_BY_TWO_TAKERS = {
+    "intermediate use": lambda m: MrioPeriod(2000, TWO_LAYERS, m, [9.0, 9.0], {}, np.zeros((2, 2))),
+    "final demand": lambda m: MrioPeriod(2000, TWO_LAYERS, np.zeros((2, 2)), [1.0, 1.0], {}, m),
+    "supra-adjacency": lambda m: SupraAdjacency(TWO_LAYERS, m),
+    "hits": hits,
+}
+
+
+@pytest.mark.parametrize("taker", TWO_BY_TWO_TAKERS)
+def test_weight_matrix_input_is_left_unchanged(taker):
+    m = tangled_csr()
+    TWO_BY_TWO_TAKERS[taker](m)
+    assert m.data.tolist() == [2.0, 0.0, 1.0]
+    assert m.indices.tolist() == [1, 0, 0]
+    assert m.indptr.tolist() == [0, 2, 3]
+
+
+def test_weight_matrix_is_canonical_and_canonical_input_is_not_copied():
+    w = SupraAdjacency(TWO_LAYERS, tangled_csr()).matrix
+    assert w.has_canonical_format and w.data.tolist() == [2.0, 1.0]
+    assert w.toarray().tolist() == [[0.0, 2.0], [1.0, 0.0]]
+    assert np.shares_memory(SupraAdjacency(TWO_LAYERS, w).matrix.data, w.data)
 
 
 def test_supra_entry_out_of_range():
@@ -107,7 +139,7 @@ def test_temporal_network_checks():
     net = TemporalMultilayerNetwork([(1990, a), (1995, a)])
     assert net.shape.n_periods == 2
     assert net.labels == (1990, 1995)
-    assert net.period(1995) is a
+    assert net.matrices == (a, a)
     ts, rows, cols, vals = net.tensor_entries()
     assert ts.tolist() == [0, 1]
     assert rows.tolist() == [0, 0] and cols.tolist() == [1, 1]

@@ -358,7 +358,7 @@ def test_years_window_is_applied_while_loading(tmp_path):
     part, _ = load_network(tmp_path / "net", SourceClass.ALL, (1991, 1992))
     assert part.labels == (1991, 1992)
     for label, matrix in part.periods:
-        assert np.array_equal(matrix.matrix.toarray(), full.period(label).matrix.toarray())
+        assert np.array_equal(matrix.matrix.toarray(), dict(full.periods)[label].matrix.toarray())
     # A row outside the window is dropped before its codes are checked.
     path = tmp_path / "net" / "network_all.csv"
     rows = read_rows(path)
@@ -400,7 +400,7 @@ def test_from_entries_takes_an_array_and_sums_duplicates():
     shape = NetworkShape(2, 2)
     entries = np.array([[0, 1, 1.0], [3, 2, 2.0], [0, 1, 0.5]])
     w = SupraAdjacency.from_entries(shape, entries)
-    assert w.weight(0, 1) == 1.5 and w.weight(3, 2) == 2.0 and w.nnz == 2
+    assert w.matrix[0, 1] == 1.5 and w.matrix[3, 2] == 2.0 and w.nnz == 2
     assert SupraAdjacency.from_entries(shape, np.empty((0, 3))).nnz == 0
     with pytest.raises(ValidationError, match=r"entry \(0, 4\) outside supra dimension 4"):
         SupraAdjacency.from_entries(shape, np.array([[0, 1, 1.0], [0, 4, 1.0]]))
