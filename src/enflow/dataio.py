@@ -15,10 +15,15 @@ files, an optional inclusive year range, the code lists and the units.
 
 Loading is strict: wrong field counts, unknown codes, duplicate keys,
 negative or non-finite values and column use exceeding output are reported
-with file and line. Every table, network arc lists included, goes through
-one columnar reader keyed on ``_SCHEMAS``. Saving writes canonical files
-(sorted rows, shortest round-trip float formatting), so load -> save is
-byte-stable on canonical data.
+with file and line. Every dataset table goes through one columnar reader
+keyed on ``_SCHEMAS``. Saving writes canonical files (sorted rows, shortest
+round-trip float formatting), so load -> save is byte-stable on canonical
+data.
+
+A built network is a binary arc list, ``network_<source>.npy`` (one
+``_ARC_DTYPE`` record per stored arc), plus the shared ``network_meta.json``.
+``network_<source>.csv`` holds the same arcs as text for other tools; no
+reader here uses it.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ import io
 import itertools
 import json
 import mmap
+import tokenize
 import typing
 import warnings
 from collections.abc import Mapping
@@ -88,6 +94,10 @@ _SCHEMAS = {
     "network": ["year", "src_country", "src_sector", "dst_country", "dst_sector", "weight"],
     "codes": ["code", "name"],
 }
+
+# One record of a network arc list: 0-based supra row and column, little-endian.
+_ARC_DTYPE = np.dtype([("year", "<i8"), ("row", "<i4"), ("col", "<i4"), ("weight", "<f8")])
+_INT64 = range(-(2**63), 2**63)
 
 
 def _read_json_object(path: Path) -> dict:
@@ -316,8 +326,7 @@ class MrioDataset:
         return tuple(p.label for p in self.periods)
 
 
-# What ``str.strip()`` removes from an ASCII field: the dataset readers strip
-# code fields, the network reader matches them exactly.
+# What ``str.strip()`` removes from an ASCII field: the readers strip code fields.
 _WHITESPACE = " \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f"
 
 # Whitespace a stripped code field may carry beyond the longest code's width.
@@ -379,16 +388,16 @@ def _lookup(table: Sequence[str], fields: np.ndarray) -> tuple[np.ndarray, np.nd
 
 
 def _parse(
-    path: Path, columns: list[str], widths: list[int], strip: bool
+    path: Path, columns: list[str], widths: list[int]
 ) -> tuple[np.ndarray, list[np.ndarray], np.ndarray, dict[str, np.ndarray]]:
     """Year, code and value columns of one table, read by numpy's text reader.
 
-    Code fields are fixed-width bytes of the raw UTF-8 text, stripped when
-    ``strip``. A stripped field that fills its width with whitespace at an
-    edge may have been cut short: the table is read once more with room for
-    ``_PADDING`` bytes, and a field still cut short reads as no code. When a
-    record does not parse (field count, year or value), the records before it
-    are read and it is appended; ``bad`` masks what failed in it.
+    Code fields are fixed-width bytes of the raw UTF-8 text, stripped. A field
+    that fills its width with whitespace at an edge may have been cut short:
+    the table is read once more with room for ``_PADDING`` bytes, and a field
+    still cut short reads as no code. When a record does not parse (field
+    count, year or value), the records before it are read and it is appended;
+    ``bad`` masks what failed in it.
     """
     code_columns = columns[1:-1]
     with open(path, "rb") as fh:
@@ -419,8 +428,7 @@ def _parse(
                     warnings.simplefilter("ignore", UserWarning)  # a table with no records
                     data = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, quotechar='"',
                                       encoding="latin1", ndmin=1, max_rows=max_rows)
-                if not strip or not any(_cut(data[c], w + pad).any()
-                                        for c, w in zip(code_columns, widths)):
+                if not any(_cut(data[c], w + pad).any() for c, w in zip(code_columns, widths)):
                     break
             return data
 
@@ -454,9 +462,8 @@ def _parse(
         value = np.append(value, np.nan if parsed_value is None else parsed_value)
         codes = [np.append(f, np.array(text.encode()[: f.dtype.itemsize], dtype=f.dtype))
                  for f, text in zip(codes, row[1:-1])]
-    if strip:
-        codes = [np.where(_cut(f, f.dtype.itemsize), b"", np.char.strip(f, _WHITESPACE.encode()))
-                 for f in codes]
+    codes = [np.where(_cut(f, f.dtype.itemsize), b"", np.char.strip(f, _WHITESPACE.encode()))
+             for f in codes]
     return year, codes, value, bad
 
 
@@ -491,22 +498,17 @@ def _read_table(
     """
     columns = _SCHEMAS[kind]
     code_columns = columns[1:-1]
-    strip = kind != "network"
     code_tables = [tables[column.split("_")[-1]] for column in code_columns]
     # One byte more than the longest code, so a longer field cannot truncate
     # into a known code.
     widths = [max(len(code.encode()) for code in table) + 1 for table in code_tables]
-    year, codes, value, bad = _parse(path, columns, widths, strip)
+    year, codes, value, bad = _parse(path, columns, widths)
 
     live = np.ones(year.shape, dtype=bool)
     if window is not None:
         live = (window[0] <= year) & (year <= window[1])
     if bad:
         live &= ~bad["year"]
-
-    def field(row: list[str], column: str) -> str:
-        text = row[columns.index(column)]
-        return text.strip(_WHITESPACE) if strip else text
 
     # (violating records, message from the record's raw fields), in check order.
     checks = []
@@ -521,7 +523,7 @@ def _read_table(
         indices.append(idx)
         template = _UNKNOWN_CODE.get(column, "unknown {what} code {code!r} in column {column!r}")
         checks.append((live & ~hit, lambda row, c=column, t=template: t.format(
-            what=c.split("_")[-1], code=field(row, c), column=c)))
+            what=c.split("_")[-1], code=row[columns.index(c)].strip(_WHITESPACE), column=c)))
     name = columns[-1]
     if bad:  # every record's value must parse, as its field count must match
         checks.append((bad["value"], lambda row: f"invalid number {row[-1]!r} in column {name!r}"))
@@ -730,6 +732,12 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
+        last_year = self.start_year + self.shape.n_periods - 1
+        if self.start_year not in _INT64 or last_year not in _INT64:
+            raise ValidationError(
+                f"start_year must keep every period label in the int64 range, "
+                f"got {self.start_year} for {self.shape.n_periods} periods"
+            )
         if not 0 < self.density <= 1:
             raise ValidationError(f"density must be in (0, 1], got {self.density}")
         if not 0 < self.rho_cap < 1:
@@ -964,17 +972,24 @@ def save_network(
     directory: Path | str,
     units: Mapping[str, str] | None = None,
 ) -> Path:
-    """Persist a built network as an arc-list CSV plus a shared meta file."""
+    """Persist a built network as a binary arc list, its CSV export and a
+    shared meta file; returns the CSV path."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     codes.check_shape(net.shape)
-    rows = []
+    if net.shape.supra_dim > np.iinfo(np.int32).max:
+        raise ValidationError(f"supra dimension {net.shape.supra_dim} exceeds the int32 arc index")
+    rows, arcs = [], []
     for label, matrix in net.periods:
         h, k, w = matrix.entries()
         rows += zip(itertools.repeat(label), *codes.supra_codes(h), *codes.supra_codes(k),
                     w.tolist())
+        period = np.empty(h.size, dtype=_ARC_DTYPE)
+        period["year"], period["row"], period["col"], period["weight"] = label, h, k, w
+        arcs.append(period)
     path = directory / f"network_{source.value}.csv"
     write_csv(path, _SCHEMAS["network"], rows)
+    np.save(directory / f"network_{source.value}.npy", np.concatenate(arcs), allow_pickle=False)
 
     meta_path = directory / "network_meta.json"
     fields = {
@@ -997,29 +1012,67 @@ def save_network(
     return path
 
 
+def _read_arcs(path: Path) -> np.ndarray:
+    """The records of a ``.npy`` arc list. Its header must hold exactly
+    ``_ARC_DTYPE``, C order, one axis and the record count the file size gives;
+    all of it is checked before the records are read."""
+    with open(path, "rb") as fh, warnings.catch_warnings():
+        # numpy warns, then reads a header that only parses as Python 2 text.
+        warnings.simplefilter("error", UserWarning)
+        try:
+            version = np.lib.format.read_magic(fh)
+            if version != (1, 0):
+                raise ValueError(f"unsupported .npy version {version[0]}.{version[1]}")
+            shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
+        # What numpy's parse of an untrusted header text may raise.
+        except (ValueError, TypeError, SyntaxError, RecursionError, tokenize.TokenError,
+                UserWarning) as exc:
+            raise DataFormatError(f"invalid .npy header: {exc}", path=str(path)) from None
+        if dtype != _ARC_DTYPE:
+            raise DataFormatError(f"records must have dtype {_ARC_DTYPE.descr}, got {dtype.descr}",
+                                  path=str(path))
+        if fortran_order or len(shape) != 1:
+            raise DataFormatError(f"expected a 1-D array in C order, got shape {shape}"
+                                  f"{' in Fortran order' if fortran_order else ''}", path=str(path))
+        count, size = shape[0], path.stat().st_size - fh.tell()
+        if count * _ARC_DTYPE.itemsize != size:
+            raise DataFormatError(f"header gives {count} records of {_ARC_DTYPE.itemsize} bytes, "
+                                  f"but {size} bytes follow it", path=str(path))
+        return np.fromfile(fh, dtype=_ARC_DTYPE, count=count)
+
+
 def load_network(
     directory: Path | str, source: SourceClass, years: tuple[int, int] | None = None
 ) -> tuple[TemporalMultilayerNetwork, EntityCodes]:
-    """Read back a network artifact written by :func:`save_network`.
+    """Read back the binary arc list written by :func:`save_network`.
 
-    ``years`` is an inclusive (first, last) window: rows outside it are
-    dropped once their year parses, before any matrix is built. The arc list
-    is read as strictly as the dataset files, with file:line errors.
+    Every record is checked, inside ``years`` or not: its year must be listed
+    in the meta file, its row and column must lie in [0, N*L) and its weight
+    must be finite and >= 0. ``years`` is an inclusive (first, last) window
+    applied after the checks.
     """
     directory = Path(directory)
     meta_path = directory / "network_meta.json"
     if not meta_path.exists():
         raise ValidationError(f"no network artifacts found in {directory} (missing meta file)")
     meta = _read_json_object(meta_path)
-    for key, kind in (("sectors", str), ("countries", str), ("periods", int)):
+    for key, kind in (("sectors", str), ("countries", str), ("periods", int), ("sources", str)):
         value = meta.get(key)
         if not isinstance(value, list) or not all(type(v) is kind for v in value):
             raise DataFormatError(
                 f"{key!r} must be a list of {kind.__name__}", path=str(meta_path)
             )
+    outside = next((p for p in meta["periods"] if p not in _INT64), None)
+    if outside is not None:
+        raise DataFormatError(f"period {outside} is out of the int64 range", path=str(meta_path))
+    path = directory / f"network_{source.value}.npy"
+    if source.value not in meta["sources"] or not path.exists():
+        raise ValidationError(
+            f"network artifact for source {source.value!r} not found: {path} is missing or "
+            f"not listed in {meta_path.name}; run the build step first"
+        )
     codes = EntityCodes(tuple(meta["sectors"]), tuple(meta["countries"]))
-    n, n_layers = codes.n_nodes, codes.n_layers
-    shape = NetworkShape(n, n_layers, 1)
+    shape = NetworkShape(codes.n_nodes, codes.n_layers, 1)
     periods = np.unique(np.array(meta["periods"], dtype=np.int64))
     labels = periods
     if years is not None:
@@ -1027,20 +1080,25 @@ def load_network(
         if not labels.size:
             raise ValidationError("period restriction removed every period")
 
-    path = directory / f"network_{source.value}.csv"
-    if not path.exists():
-        raise ValidationError(
-            f"network artifact for source {source.value!r} not found: {path}; "
-            "run the build step first"
-        )
-    arcs = _read_table(
-        path, "network", {"country": codes.country_codes, "sector": codes.sector_codes},
-        window=years, periods=periods, orphan="year {year} not listed in network meta",
-    )
-    src_country, src_sector, dst_country, dst_sector = arcs.codes
-    entries = np.column_stack((src_country * n + src_sector, dst_country * n + dst_sector,
-                               arcs.value))
-    t = np.searchsorted(labels, arcs.year)
+    arcs = _read_arcs(path)
+    year, row, col, weight = arcs["year"], arcs["row"], arcs["col"], arcs["weight"]
+    dim = shape.supra_dim
+    checks = [
+        (~np.isin(year, periods), lambda k: f"year {year[k]} not listed in {meta_path.name}"),
+        ((row < 0) | (row >= dim), lambda k: f"row {row[k]} outside [0, {dim})"),
+        ((col < 0) | (col >= dim), lambda k: f"col {col[k]} outside [0, {dim})"),
+        (~np.isfinite(weight), lambda k: f"non-finite weight {weight[k]}"),
+        (weight < 0, lambda k: f"negative weight {weight[k]}"),
+    ]
+    bad = np.logical_or.reduce([mask for mask, _ in checks])
+    if bad.any():
+        k = int(np.argmax(bad))
+        message = next(text for mask, text in checks if mask[k])
+        raise DataFormatError(f"record {k}: {message(k)}", path=str(path))
+    if years is not None:
+        arcs = arcs[(years[0] <= year) & (year <= years[1])]
+    entries = np.column_stack((arcs["row"], arcs["col"], arcs["weight"]))
+    t = np.searchsorted(labels, arcs["year"])
     return TemporalMultilayerNetwork([
         (int(label), SupraAdjacency.from_entries(shape, entries[rows]))
         for label, rows in zip(labels, _by_period(t, labels.size))

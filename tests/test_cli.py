@@ -1,6 +1,7 @@
 import csv
 import json
 import shlex
+import shutil
 import subprocess
 import sysconfig
 from pathlib import Path
@@ -36,6 +37,28 @@ def workspace(tmp_path):
     assert run(*synth_args(data)) == 0
     assert run("build", "--manifest", data / "manifest.json", "--out", out) == 0
     return data, out
+
+
+def test_analysis_commands_do_not_read_the_csv_export(workspace, tmp_path, capsys):
+    _, out = workspace
+    bare = tmp_path / "bare"
+    shutil.copytree(out, bare)
+    exports = sorted(bare.glob("network_*.csv"))
+    assert len(exports) == 3
+    for path in exports:
+        path.unlink()
+    printed = {}
+    for directory in (out, bare):
+        capsys.readouterr()
+        assert run("mdhits", "--out", directory, "--per-year") == 0
+        assert run("hits", "--out", directory) == 0
+        assert run("eig", "--out", directory, "--largest-scc") == 0
+        assert run("criticality", "--out", directory, "--top", 5) == 0
+        printed[directory] = capsys.readouterr().out.replace(str(directory), "OUT")
+    assert printed[out] == printed[bare]
+    results = {name: data for name, data in all_csv_bytes(out).items()
+               if not name.startswith("network_")}
+    assert len(results) > 10 and results == all_csv_bytes(bare)
 
 
 def test_full_pipeline(workspace, capsys):

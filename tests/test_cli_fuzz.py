@@ -1,4 +1,5 @@
-"""Seeded byte mutations of every CLI input file: each run must end in a
+"""Seeded byte mutations of every CLI input file (the dataset files, and the
+binary arc list and meta file that ``hits`` reads): each run must end in a
 documented exit code (0, 2, 3 or 4), never in an exception out of ``main``."""
 
 import shutil
@@ -11,7 +12,7 @@ from enflow.cli import main
 BYTES = b'\x00\xff\xc3",\r\n-0123456789'
 DATASET_FILES = ("manifest.json", "sectors.csv", "countries.csv", "transactions.csv",
                  "outputs.csv", "energy.csv", "final_demand.csv")
-NETWORK_FILES = ("network_all.csv", "network_meta.json")
+NETWORK_FILES = ("network_all.npy", "network_meta.json")
 FILES = DATASET_FILES + NETWORK_FILES
 CASES_PER_FILE = 20
 

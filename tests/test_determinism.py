@@ -117,10 +117,14 @@ GOLDEN = {
     "data/sectors.csv": "b1ffa7a94a896bd9816c457dc2dc10f83703d454c8699d828e8ef9b66ad7c6c8",
     "data/transactions.csv": "21943a4f39defbd424051b5355733f1d7f9a40112a8a6e1d9bc25519b8e9f2e8",
     "out/network_all.csv": "bced0b2286c77bc1736e82bdf9353be2304dbd87aadf757d4db9dbd3b71aee92",
+    "out/network_all.npy": "89a7ced7d1631e7e8cbfe4bdc2e3a77df5c440218d8d22efcf9afab168e866db",
     "out/network_meta.json": "011b81436d5e7df406bd53263eb6bcf91222b9975fb258645971f6f28b28de9a",
     "out/network_nonrenewable.csv":
         "f7acc3fb62a3e5f3125460f45f297e2eab20df180f9357534d994253fc3d0c19",
+    "out/network_nonrenewable.npy":
+        "652e23e97c791926f113a88ecfebbbd2cf5304172fcb794896b8131ac5f30ba3",
     "out/network_renewable.csv": "e45eed05134c2c572814e358138dd0a5c6e687afc20d1acb801ad36d6d5a5760",
+    "out/network_renewable.npy": "7ebc5d515ed3b4c3b5cc7ae80c78b2a330094b77d873d3dca7f51bf879b99ada",
 }
 
 

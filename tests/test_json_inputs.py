@@ -64,3 +64,37 @@ def test_corrupt_network_meta_exits_2_naming_the_file(tmp_path, capsys, corrupt,
     assert run("build", "--manifest", data / "manifest.json", "--out", out) == 2
     err = capsys.readouterr().err
     assert f"network_meta.json: {message}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--shape", "2,2,2", "--start-year", "99999999999999999999"],
+    ["--shape", "2,2,2", "--start-year", str(2**63 - 1)],
+    ["--shape", "2,2,2", "--start-year", str(-(2**63) - 1)],
+    ["--synthetic-spec", "{spec}"],
+])
+def test_synth_start_year_keeps_every_period_label_in_int64(tmp_path, capsys, argv):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"n_periods": 3, "start_year": 2**63 - 2}))
+    assert run("synth", *(a.format(spec=spec) for a in argv), "--out", tmp_path / "d") == 2
+    err = capsys.readouterr().err
+    assert "start_year must keep every period label in the int64 range" in err
+    assert "Traceback" not in err and not (tmp_path / "d").exists()
+    # The last representable label is fine, and build reads it back.
+    assert run("synth", "--shape", "2,2,1", "--start-year", 2**63 - 1, "--out", tmp_path / "d") == 0
+    assert run("build", "--manifest", tmp_path / "d" / "manifest.json",
+               "--out", tmp_path / "out") == 0
+
+
+def test_network_meta_period_beyond_int64_exits_2(tmp_path, capsys):
+    data, out = tmp_path / "data", tmp_path / "out"
+    assert run("synth", "--shape", "2,2,2", "--out", data) == 0
+    assert run("build", "--manifest", data / "manifest.json", "--out", out) == 0
+    meta_path = out / "network_meta.json"
+    meta = json.loads(meta_path.read_text())
+    meta["periods"][0] = 99999999999999999999
+    meta_path.write_text(json.dumps(meta))
+    capsys.readouterr()
+    assert run("hits", "--out", out) == 2
+    err = capsys.readouterr().err
+    assert (f"{meta_path}: period 99999999999999999999 is out of the int64 range" in err
+            and "Traceback" not in err)

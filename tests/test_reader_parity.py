@@ -1,15 +1,17 @@
 """The columnar CSV reader against the row-by-row reference in legacy_reader.
 
-Clean workspaces must load to identical arrays and matrices. A single
-injected fault must raise the same exception class with the same message and
-file:line. Field-count errors and the network reader's new checks have no
-reference counterpart and are asserted directly.
+Clean workspaces must load to identical arrays and matrices; for networks the
+reference reads the CSV export and ``load_network`` the binary arc list. A
+single injected fault must raise the same exception class with the same
+message and file:line. Field-count errors and the checks of the binary arc
+list have no reference counterpart and are asserted directly.
 """
 
 import csv
 import dataclasses
 import io
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -283,46 +285,99 @@ def test_field_count_is_checked_before_an_earlier_records_later_check(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def network_error(tmp_path, r, edit, source=SourceClass.ALL) -> str:
-    make_workspace(tmp_path, density=0.6)
-    path = tmp_path / "net" / f"network_{source.value}.csv"
-    rows = read_rows(path)
-    rows[r] = edit(list(rows[r]))
-    write_rows(path, rows)
-    with pytest.raises(DataFormatError) as info:
-        load_network(tmp_path / "net", source)
-    return str(info.value)
-
-
-@pytest.mark.parametrize("edit, message", [
-    (lambda row: row[:1] + ["ZZZ"] + row[2:],
-     "unknown country code 'ZZZ' in column 'src_country'"),
-    (lambda row: row[:4] + ["ZZ"] + row[5:], "unknown sector code 'ZZ' in column 'dst_sector'"),
-    (lambda row: row[:1] + [" " + row[1]] + row[2:], "unknown country code "),
-    (lambda row: row[:-1] + ["heavy"], "invalid number 'heavy' in column 'weight'"),
-    (lambda row: row[:-1] + ["-2.0"], "negative value -2.0 in column 'weight'"),
-    (lambda row: row[:-1] + ["inf"], "non-finite value in column 'weight'"),
-    (lambda row: ["1800"] + row[1:], "year 1800 not listed in network meta"),
-    (lambda row: ["x"] + row[1:], "invalid year 'x'"),
-    (lambda row: row[:-1], "expected 6 fields, got 5"),
-    (lambda row: row + ["1.0"], "expected 6 fields, got 7"),
-])
-def test_network_reader_reports_file_and_line(tmp_path, edit, message):
-    text = network_error(tmp_path, 4, edit)
-    assert text.startswith(f"{tmp_path / 'net' / 'network_all.csv'}:5: {message}")
-
-
 def test_nul_byte_is_reported(tmp_path):
     # A fixed-width byte field would read "AFG\0" as "AFG".
-    text = network_error(tmp_path, 4, lambda row: row[:1] + [row[1] + "\0"] + row[2:])
-    assert text == f"{tmp_path / 'net' / 'network_all.csv'}:5: NUL byte"
+    manifest_path = make_workspace(tmp_path)
+    path = manifest_path.parent / "outputs.csv"
+    rows = read_rows(path)
+    rows[4][1] += "\0"
+    write_rows(path, rows)
+    with pytest.raises(DataFormatError) as info:
+        load_dataset(DatasetManifest.from_json(manifest_path))
+    assert str(info.value) == f"{path}:5: NUL byte"
 
 
-def test_network_header_is_checked(tmp_path):
-    text = network_error(tmp_path, 0, lambda row: row[:-1] + ["value"])
-    assert text.endswith(":1: expected header year,src_country,src_sector,dst_country,"
-                         "dst_sector,weight, got year,src_country,src_sector,dst_country,"
-                         "dst_sector,value")
+def write_npy(path: Path, arcs: np.ndarray, **header) -> None:
+    """``arcs`` as a version 1.0 ``.npy`` file, with header fields overridden."""
+    fields = {**np.lib.format.header_data_from_array_1_0(arcs), **header}
+    with open(path, "wb") as fh:
+        np.lib.format.write_array_header_1_0(fh, fields)
+        fh.write(arcs.tobytes())
+
+
+def set_field(name, k, value):
+    def edit(path):
+        arcs = np.load(path, allow_pickle=False)
+        arcs[name][k] = value
+        np.save(path, arcs, allow_pickle=False)
+    return edit
+
+
+def resave(transform):
+    return lambda path: np.save(path, transform(np.load(path, allow_pickle=False)))
+
+
+WIDE = [("year", "<i8"), ("row", "<i8"), ("col", "<i8"), ("weight", "<f8")]
+NPY_FAULTS = {
+    "dtype": (resave(lambda arcs: arcs.astype(WIDE)),
+              "records must have dtype [('year', '<i8'), ('row', '<i4'), ('col', '<i4'), "
+              "('weight', '<f8')], got [('year', '<i8'), ('row', '<i8'), ('col', '<i8'), "
+              "('weight', '<f8')]"),
+    "big_endian": (resave(lambda arcs: arcs.astype(arcs.dtype.newbyteorder(">"))),
+                   "records must have dtype "),
+    "fortran_order": (lambda path: write_npy(path, np.load(path), fortran_order=True),
+                      "expected a 1-D array in C order, got shape "),
+    "two_axes": (resave(lambda arcs: arcs.reshape(-1, 1)),
+                 "expected a 1-D array in C order, got shape ("),
+    "count_above_size": (lambda path: write_npy(path, np.load(path),
+                                                shape=(np.load(path).size + 1,)),
+                         "header gives "),
+    "truncated": (lambda path: path.write_bytes(path.read_bytes()[:-5]), "header gives "),
+    "bad_magic": (lambda path: path.write_bytes(b"year,row" + path.read_bytes()[8:]),
+                  "invalid .npy header: "),
+    "unlisted_year": (set_field("year", 3, 1800), "record 3: year 1800 not listed in "
+                                                  "network_meta.json"),
+    "negative_index": (set_field("row", 3, -1), "record 3: row -1 outside [0, 9)"),
+    "row_out_of_range": (set_field("row", 3, 9), "record 3: row 9 outside [0, 9)"),
+    "col_out_of_range": (set_field("col", 3, 9), "record 3: col 9 outside [0, 9)"),
+    "nan_weight": (set_field("weight", 3, np.nan), "record 3: non-finite weight nan"),
+    "negative_weight": (set_field("weight", 3, -2.0), "record 3: negative weight -2.0"),
+}
+
+
+@pytest.mark.parametrize("fault", NPY_FAULTS)
+def test_bad_arc_list_exits_2_naming_the_file(tmp_path, capsys, fault):
+    make_workspace(tmp_path)
+    path = tmp_path / "net" / "network_all.npy"
+    edit, message = NPY_FAULTS[fault]
+    edit(path)
+    with pytest.raises(DataFormatError, match="^" + re.escape(f"{path}: {message}")):
+        load_network(tmp_path / "net", SourceClass.ALL)
+    capsys.readouterr()
+    assert main(["hits", "--out", str(tmp_path / "net"), "--source", "all"]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: {message}" in err and "Traceback" not in err
+
+
+def test_first_bad_record_is_reported_with_its_first_failing_check(tmp_path):
+    make_workspace(tmp_path)
+    path = tmp_path / "net" / "network_all.npy"
+    arcs = np.load(path)
+    arcs["weight"][5] = -1.0
+    arcs["year"][2], arcs["col"][2], arcs["weight"][2] = 1800, 99, np.inf
+    np.save(path, arcs)
+    with pytest.raises(DataFormatError, match=r"network_all\.npy: record 2: year 1800 "):
+        load_network(tmp_path / "net", SourceClass.ALL)
+
+
+def test_arc_list_holds_the_csv_export_in_file_order(tmp_path):
+    make_workspace(tmp_path, odd_codes=True)
+    arcs = np.load(tmp_path / "net" / "network_all.npy", allow_pickle=False)
+    rows = read_rows(tmp_path / "net" / "network_all.csv")[1:]
+    meta = json.loads((tmp_path / "net" / "network_meta.json").read_text())
+    n, countries, sectors = len(meta["sectors"]), meta["countries"], meta["sectors"]
+    assert [[str(y), countries[h // n], sectors[h % n], countries[k // n], sectors[k % n], repr(w)]
+            for y, h, k, w in arcs.tolist()] == rows
 
 
 @pytest.mark.parametrize("meta, message", [
@@ -344,12 +399,27 @@ def test_network_meta_errors(tmp_path, meta, message):
 
 def test_cli_exits_2_on_a_bad_network_artifact(tmp_path, capsys):
     make_workspace(tmp_path)
-    path = tmp_path / "net" / "network_all.csv"
-    rows = read_rows(path)
-    rows[2][1] = "ZZZ"
-    write_rows(path, rows)
+    set_field("row", 2, 99)(tmp_path / "net" / "network_all.npy")
     assert main(["hits", "--out", str(tmp_path / "net"), "--source", "all"]) == 2
-    assert "network_all.csv:3: unknown country code 'ZZZ'" in capsys.readouterr().err
+    assert "network_all.npy: record 2: row 99 outside [0, 9)" in capsys.readouterr().err
+
+
+def test_sources_missing_from_the_meta_file_are_not_loaded(tmp_path, capsys):
+    # A build over fewer years, then a build of one source: the meta file now
+    # lists only that source, and the other sources' arc lists are stale.
+    data, net = tmp_path / "data", tmp_path / "net"
+    assert main(["synth", "--shape", "4,3,3", "--out", str(data)]) == 0
+    manifest = str(data / "manifest.json")
+    assert main(["build", "--manifest", manifest, "--years", "1990:1991", "--out", str(net)]) == 0
+    assert main(["build", "--manifest", manifest, "--source", "all", "--out", str(net)]) == 0
+    assert json.loads((net / "network_meta.json").read_text())["sources"] == ["all"]
+    capsys.readouterr()
+    for source in ("renewable", "nonrenewable"):
+        assert main(["hits", "--source", source, "--out", str(net)]) == 2
+        err = capsys.readouterr().err
+        assert f"network artifact for source '{source}' not found" in err
+        assert err.rstrip().endswith("run the build step first") and "Traceback" not in err
+    assert main(["hits", "--source", "all", "--out", str(net)]) == 0
 
 
 def test_years_window_is_applied_while_loading(tmp_path):
@@ -359,14 +429,12 @@ def test_years_window_is_applied_while_loading(tmp_path):
     assert part.labels == (1991, 1992)
     for label, matrix in part.periods:
         assert np.array_equal(matrix.matrix.toarray(), dict(full.periods)[label].matrix.toarray())
-    # A row outside the window is dropped before its codes are checked.
-    path = tmp_path / "net" / "network_all.csv"
-    rows = read_rows(path)
-    first = next(i for i, row in enumerate(rows) if row[0] == "1990")
-    rows[first][1] = "ZZZ"
-    write_rows(path, rows)
-    again, _ = load_network(tmp_path / "net", SourceClass.ALL, (1991, 1992))
-    assert again.labels == part.labels
+    # A record outside the window is checked all the same.
+    path = tmp_path / "net" / "network_all.npy"
+    first = int(np.flatnonzero(np.load(path)["year"] == 1990)[0])
+    set_field("row", first, -1)(path)
+    with pytest.raises(DataFormatError, match=rf"record {first}: row -1 outside"):
+        load_network(tmp_path / "net", SourceClass.ALL, (1991, 1992))
     with pytest.raises(ValidationError, match="period restriction removed every period"):
         load_network(tmp_path / "net", SourceClass.ALL, (2050, 2060))
 
@@ -416,7 +484,7 @@ def test_mutated_tables_fail_only_with_package_errors(table, edit, data):
     with tempfile.TemporaryDirectory() as tmp:
         manifest_path = make_workspace(Path(tmp), odd_codes=data.draw(st.booleans()))
         folder = Path(tmp) / ("net" if table == "network_all" else "data")
-        path = folder / f"{table}.csv"
+        path = folder / (f"{table}.npy" if table == "network_all" else f"{table}.csv")
         raw = path.read_bytes()
         at = data.draw(st.integers(0, len(raw) - 1), label="offset")
         byte = bytes([data.draw(st.sampled_from(b'\x00\n\r,"-. 0a\xc3\xff'), label="byte")])
@@ -433,13 +501,13 @@ def test_mutated_tables_fail_only_with_package_errors(table, edit, data):
 
 
 def test_a_lone_carriage_return_is_a_format_error(tmp_path):
-    make_workspace(tmp_path)
-    path = tmp_path / "net" / "network_all.csv"
+    manifest_path = make_workspace(tmp_path)
+    path = manifest_path.parent / "outputs.csv"
     raw = path.read_bytes()
     path.write_bytes(raw.replace(b"\n", b"\r", 3).replace(b"\r", b"\n", 1))
     # csv reads a lone CR as a line end, numpy's reader rejects it: no line to name.
-    with pytest.raises(DataFormatError, match=r"network_all\.csv: unreadable table: .*newline"):
-        load_network(tmp_path / "net", SourceClass.ALL)
+    with pytest.raises(DataFormatError, match=r"outputs\.csv: unreadable table: .*newline"):
+        load_dataset(DatasetManifest.from_json(manifest_path))
     path.write_bytes(raw.replace(b"\n", b"\r", 1))
-    with pytest.raises(DataFormatError, match=r"network_all\.csv:1: expected header"):
-        load_network(tmp_path / "net", SourceClass.ALL)
+    with pytest.raises(DataFormatError, match=r"outputs\.csv:1: expected header"):
+        load_dataset(DatasetManifest.from_json(manifest_path))
