@@ -2,19 +2,21 @@
 
 Three families:
 
-* eigenvector centrality of a nonnegative matrix (a power iteration from an
-  Arnoldi start vector; requires strong connectivity for a positive score
-  vector);
-* hub/authority scores from the alternating mutually-reinforcing recursion
+* eigenvector centrality of a nonnegative matrix (requires strong
+  connectivity for a positive score vector);
+* hub/authority scores of the alternating mutually-reinforcing recursion
   y <- W^T x, x <- W y (hubs point to good authorities, authorities are
   pointed at by good hubs); at the fixed point the hub vector is the dominant
-  eigenvector of W W^T and the authority vector that of W^T W;
+  eigenvector of W W^T and the authority vector W^T times it;
 * a five-vector extension over a temporal multilayer weight tensor that
   scores nodes (hub x, authority y), layers (broadcast b, receive z) and
   time instants (u) through one mutually reinforcing fixed point. Each score
   update sums, over the stored arcs incident to the entity, the product of
   the arc weight with the current scores of the other four dimensions,
   raised elementwise to an exponent gamma_k in (0, 1].
+
+The first two share one power iteration, started from an ARPACK estimate of
+its limit and certified by ||M x - lam x||_1 <= tol * lam.
 
 All returned vectors are normalized to unit 1-norm, so scores read as
 shares. The five-vector sweep updates x, y, b, z, u in that order using the
@@ -26,6 +28,7 @@ tensor keep score zero.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -133,11 +136,9 @@ def eigenvector_centrality(
     restricted to its largest strongly connected component; entries outside
     the component get score zero.
 
-    The start vector is ARPACK's eigenvector for the eigenvalue of largest
-    real part, which on an irreducible nonnegative matrix is the Perron root
-    (uniform start for dim <= 2 or when ARPACK fails). A power iteration on
-    W + sI (s = the max column sum, so periodic structures still converge;
-    the shift moves the eigenvalue, not the eigenvector) then runs from it
+    A power iteration on W + sI (s = the max column sum, so periodic
+    structures still converge; the shift moves the eigenvalue, not the
+    eigenvector) runs from the ARPACK Perron vector (see ``_perron_start``)
     for at most ``max_iter`` iterations, and succeeds only when
     ||W x - rho x||_1 <= tol * rho.
 
@@ -166,42 +167,55 @@ def eigenvector_centrality(
         return EigScores(centrality=full, spectral_radius=inner.spectral_radius)
 
     shift = float(np.abs(w).sum(axis=0).max())
-    x = _perron_start(w)
-    residuals: list[float] = []
+    start = _perron_start(w, symmetric=False)
+    return EigScores(*_dominant(w, start, shift, tol, max_iter, "eigenvector power iteration"))
+
+
+def _dominant(m, x, shift, tol, max_iter, what):
+    """Dominant eigenpair (x, lam) of ``m`` by power iteration on m + shift*I
+    from the unit 1-norm ``x``; certified by ||m x - lam x||_1 <= tol * lam."""
+    residuals: deque[float] = deque(maxlen=10)
     for _ in range(max_iter):
-        wx = w @ x
-        y = wx + shift * x
+        mx = m @ x
+        y = mx + shift * x
         norm = y.sum()
-        rho = norm - shift
-        residual = float(np.abs(wx - rho * x).sum())
-        residuals.append(residual / rho if rho > 0 else np.inf)
-        if rho > 0 and residual <= tol * rho:
-            return EigScores(centrality=x, spectral_radius=float(rho))
+        lam = norm - shift
+        residual = float(np.abs(mx - lam * x).sum())
+        residuals.append(residual / lam if lam > 0 else np.inf)
+        if lam > 0 and residual <= tol * lam:
+            return x, float(lam)
         x = y / norm
-    last = f"{residuals[-1]:.3e}" if residuals else "n/a"
-    raise ConvergenceError(
-        f"power iteration did not converge to tolerance {tol} in {max_iter} "
-        f"iterations (last residual {last})",
-        residuals=residuals[-10:],
-    )
+    raise ConvergenceError(what, tol, max_iter, "iterations", residuals)
 
 
-def _perron_start(w: sparse.csr_array) -> np.ndarray:
-    """Unit 1-norm start vector for the power iteration on irreducible ``w``:
-    |Re v| of ARPACK's eigenvector for the eigenvalue of largest real part,
-    or uniform when dim <= 2 (ARPACK needs k < dim - 1) or ARPACK fails.
-
-    ``v0`` and ``rng`` are fixed, so the start (and the scores) do not depend
-    on earlier calls or on the process."""
-    dim = w.shape[0]
+def _perron_start(m, *, symmetric: bool) -> np.ndarray:
+    """Unit 1-norm power-iteration start for ``m`` from ARPACK, whose fixed
+    ``v0`` and ``rng`` keep it independent of earlier calls and the process.
+    Irreducible nonnegative ``m``: |Re v| for the eigenvalue of largest real
+    part, the Perron root. Symmetric positive semidefinite ``m``: the power
+    iteration from the uniform vector converges to its projection onto the
+    dominant eigenspace (Farahat, Lofaro, Miller, Rae & Ward, SIAM J. Sci.
+    Comput. 27(4), 2006); the start is that projection, onto those of the
+    k = min(4, dim - 1) top eigenvectors whose eigenvalue is within a relative
+    1e-9 of the largest. Uniform when dim <= 2, when ARPACK fails or when all
+    k eigenvalues tie (the multiplicity may then exceed k)."""
+    dim = m.shape[0]
     uniform = np.full(dim, 1.0 / dim)
     if dim <= 2:
         return uniform
     try:
-        _, vectors = splinalg.eigs(w, k=1, which="LR", v0=np.ones(dim), rng=0)
+        if symmetric:
+            values, vectors = splinalg.eigsh(m, min(4, dim - 1), which="LA", v0=np.ones(dim), rng=0)
+        else:
+            values, vectors = splinalg.eigs(m, k=1, which="LR", v0=np.ones(dim), rng=0)
     except (splinalg.ArpackNoConvergence, splinalg.ArpackError):
         return uniform
-    x = np.abs(vectors[:, 0].real)
+    top = values.real >= (1.0 - 1e-9) * values.real.max()
+    if top.size > 1 and top.all():
+        return uniform
+    basis = vectors[:, top].real
+    # One vector is its own projection, up to sign and scale.
+    x = np.abs(basis[:, 0] if basis.shape[1] == 1 else basis @ (basis.T @ uniform))
     total = x.sum()
     if not np.isfinite(total) or total <= 0:
         return uniform
@@ -209,41 +223,22 @@ def _perron_start(w: sparse.csr_array) -> np.ndarray:
 
 
 def hits(matrix, tol: float = 1e-12, max_iter: int = 10_000) -> HitsScores:
-    """Hub/authority scores by the alternating recursion with 1-norm scaling.
-
-    Converged when both score vectors move by less than ``tol`` in 1-norm
-    over a full iteration.
-    """
+    """Hub/authority scores of unit 1-norm: the hub vector is the limit of the
+    recursion y <- W^T x, x <- W y from the uniform vector, a dominant
+    eigenvector of W W^T, and the authority vector is W^T hub. The power
+    iteration on W W^T starts from that limit (see ``_perron_start``) and
+    must reach ||W W^T x - lam x||_1 <= tol * lam within ``max_iter``
+    iterations; ConvergenceError otherwise, with the last residuals / lam."""
     w = _as_csr(matrix)
     if w.nnz == 0:
         raise NumericalError("hub/authority scores are undefined for an all-zero matrix")
     wt = w.T.tocsr()
-    dim = w.shape[0]
-    x = np.full(dim, 1.0 / dim)
-    y = np.zeros(dim)
-    residuals: list[float] = []
-    for _ in range(max_iter):
-        y_new = wt @ x
-        norm_y = y_new.sum()
-        if norm_y <= 0:
-            raise NumericalError("authority update collapsed to zero")
-        y_new /= norm_y
-        x_new = w @ y_new
-        norm_x = x_new.sum()
-        if norm_x <= 0:
-            raise NumericalError("hub update collapsed to zero")
-        x_new /= norm_x
-        residual = max(np.abs(x_new - x).sum(), np.abs(y_new - y).sum())
-        residuals.append(float(residual))
-        x, y = x_new, y_new
-        if residual <= tol:
-            return HitsScores(hub=x, authority=y)
-    last = f"{residuals[-1]:.3e}" if residuals else "n/a"
-    raise ConvergenceError(
-        f"hub/authority iteration did not reach tolerance {tol} in {max_iter} "
-        f"iterations (last residual {last})",
-        residuals=residuals[-10:],
-    )
+    m = splinalg.LinearOperator(w.shape, matvec=lambda x: w @ (wt @ x), dtype=np.float64)
+    # One power step from the start gives rows of W without arcs an exact zero.
+    start = m @ _perron_start(m, symmetric=True)
+    hub, _ = _dominant(m, start / start.sum(), 0.0, tol, max_iter, "hub/authority iteration")
+    authority = wt @ hub
+    return HitsScores(hub=hub, authority=authority / authority.sum())
 
 
 def _check_gamma(gamma) -> np.ndarray:
@@ -301,7 +296,7 @@ def md_hits(
             raise NumericalError("score update collapsed to zero; weights degenerate")
         return new / total
 
-    residuals: list[float] = []
+    residuals: deque[float] = deque(maxlen=10)
     for sweep in range(1, max_iter + 1):
         layer_time = b[src_layer] * z[dst_layer] * u[t_idx]
         x_new = contract(weights * y[dst_sector] * layer_time, src_sector, n, g[0])
@@ -329,12 +324,7 @@ def md_hits(
                 gamma=tuple(g.tolist()),
                 iterations=sweep,
             )
-    last = f"{residuals[-1]:.3e}" if residuals else "n/a"
-    raise ConvergenceError(
-        f"five-vector iteration did not reach tolerance {tol} in {max_iter} sweeps "
-        f"(last residual {last})",
-        residuals=residuals[-10:],
-    )
+    raise ConvergenceError("five-vector iteration", tol, max_iter, "sweeps", residuals)
 
 
 def md_hits_single_period(

@@ -14,6 +14,8 @@ Subcommands:
 there and the analysis commands read them back from the same directory.
 
 Exit codes: 0 success, 2 validation error, 3 numerical error, 4 I/O error.
+Stdout carries only progress lines. If its reader closes early, a command
+drops the rest, still writes every result file and exits 0.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import argparse
 import dataclasses
 import itertools
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -58,6 +61,16 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
+
+
+def _progress(line: str) -> None:
+    """Print a progress line; once stdout's reader has gone, drop the rest."""
+    try:
+        print(line, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)  # for later lines and the exit flush
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _at_least(kind: type, low: float, *, strict: bool = False):
@@ -147,7 +160,7 @@ def cmd_synth(args) -> int:
         )
     dataset = generate_synthetic(spec)
     manifest_path = save_dataset(dataset, args.out)
-    print(f"wrote synthetic dataset ({dataset.shape.n_periods} periods) to {manifest_path}")
+    _progress(f"wrote synthetic dataset ({dataset.shape.n_periods} periods) to {manifest_path}")
     return EXIT_OK
 
 
@@ -160,11 +173,9 @@ def cmd_build(args) -> int:
         if net.total_weight == 0:
             print(f"warning: {source.value} network is empty", file=sys.stderr)
         for label, matrix in net.periods:
-            print(
-                f"{source.value} {label}: arcs={matrix.nnz} "
-                f"total_weight={matrix.total_weight:.6g}"
-            )
-        print(f"wrote {path}")
+            _progress(f"{source.value} {label}: arcs={matrix.nnz} "
+                      f"total_weight={matrix.total_weight:.6g}")
+        _progress(f"wrote {path}")
     return EXIT_OK
 
 
@@ -177,7 +188,7 @@ def cmd_mdhits(args) -> int:
         scores = md_hits(net, gamma=gamma, tol=args.tol, max_iter=args.max_iter)
         path = out / f"mdhits_{source.value}.csv"
         export_results(scores, path, "csv", codes=codes, period_labels=net.labels)
-        print(f"wrote {path} (converged in {scores.iterations} sweeps)")
+        _progress(f"wrote {path} (converged in {scores.iterations} sweeps)")
         if args.per_year:
             rows = []
             for label, matrix in net.periods:
@@ -190,7 +201,7 @@ def cmd_mdhits(args) -> int:
                     )
             per_path = out / f"mdhits_{source.value}_by_year.csv"
             write_csv(per_path, ["component", "label", "year", "score", "rank"], rows)
-            print(f"wrote {per_path}")
+            _progress(f"wrote {per_path}")
     return EXIT_OK
 
 
@@ -208,7 +219,7 @@ def _entity_scores(args, name: str, header: list[str], score) -> int:
             rows += zip(itertools.repeat(label), countries, sectors, *vectors)
         path = out / f"{name}_{source.value}.csv"
         write_csv(path, ["year", "country", "sector", *header], rows)
-        print(f"wrote {path}")
+        _progress(f"wrote {path}")
     return EXIT_OK
 
 
@@ -225,7 +236,7 @@ def cmd_eig(args) -> int:
         scores = eigenvector_centrality(
             matrix.matrix, tol=args.tol, max_iter=args.max_iter, largest_scc=args.largest_scc
         )
-        print(f"{source.value} {label}: spectral radius {scores.spectral_radius:.6g}")
+        _progress(f"{source.value} {label}: spectral radius {scores.spectral_radius:.6g}")
         return (scores.centrality,)
 
     return _entity_scores(args, "eig", ["score"], score)
@@ -244,10 +255,8 @@ def cmd_criticality(args) -> int:
             report = country_level_criticality(matrix, mode, pairs=args.pairs, seed=args.seed)
             path = out / f"criticality_{source.value}_{label}.csv"
             export_results(report, path, "csv", node_labels=codes.country_codes)
-            print(
-                f"{source.value} {label}: baseline={report.baseline_total:.6g} "
-                f"arcs={len(report.rows)} mode={report.mode}"
-            )
+            _progress(f"{source.value} {label}: baseline={report.baseline_total:.6g} "
+                      f"arcs={len(report.rows)} mode={report.mode}")
             reports.append((label, report))
         # Every year's rows for the arcs that make any year's top list.
         top_arcs = {(row.tail, row.head) for _, report in reports for row in report.top(args.top)}
@@ -259,7 +268,7 @@ def cmd_criticality(args) -> int:
         ]
         path = out / f"criticality_{source.value}_top.csv"
         write_csv(path, ["year", "tail_code", "head_code", "index", "rank"], top_rows)
-        print(f"wrote {path}")
+        _progress(f"wrote {path}")
     return EXIT_OK
 
 
@@ -304,7 +313,7 @@ def cmd_consumption(args) -> int:
     ]
     write_csv(out / "consumption_top_countries.csv", ["year", "source_class", "rank", "country", "value"], top_rows)
 
-    print(f"wrote consumption tables to {out}")
+    _progress(f"wrote consumption tables to {out}")
     return EXIT_OK
 
 

@@ -9,6 +9,8 @@ baselines). The CLI maps the families onto distinct exit codes.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 
 class EnflowError(Exception):
     """Base class for all errors raised by this package."""
@@ -46,11 +48,13 @@ class NonProductiveEconomyError(NumericalError):
 
 
 class ConvergenceError(NumericalError):
-    """An iteration hit its step cap before reaching tolerance."""
+    """The iteration named ``what`` ran its cap of ``steps`` ``unit`` without
+    reaching ``tol``. Keeps the trailing ten ``residuals``."""
 
-    def __init__(self, message: str, residuals: list[float] | None = None):
-        self.residuals = residuals or []
-        super().__init__(message)
+    def __init__(self, what: str, tol: float, steps: int, unit: str, residuals: Iterable[float] = ()):
+        self.residuals = list(residuals)[-10:]
+        last = f"{self.residuals[-1]:.3e}" if self.residuals else "n/a"
+        super().__init__(f"{what} did not reach tolerance {tol} in {steps} {unit} (last residual {last})")
 
 
 class ReducibleNetworkError(NumericalError):

@@ -20,6 +20,7 @@ Arc weights are stored only when strictly positive.
 from __future__ import annotations
 
 import enum
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -252,7 +253,7 @@ def leontief_apply(
     threshold = tol * (1.0 + v_norm)
     x = v.copy()
     ax = a @ x
-    residuals: list[float] = []
+    residuals: deque[float] = deque(maxlen=10)
     for _ in range(max_iter):
         x_new = v + ax
         ax_new = a @ x_new
@@ -273,12 +274,7 @@ def leontief_apply(
             "the economy is not productive",
             period=coeffs.period_label,
         )
-    last = f"{residuals[-1]:.3e}" if residuals else "n/a"
-    raise ConvergenceError(
-        f"total-requirements solve{where} did not reach tolerance {tol} in "
-        f"{max_iter} iterations (last residual {last})",
-        residuals=residuals[-10:],
-    )
+    raise ConvergenceError(f"total-requirements solve{where}", tol, max_iter, "iterations", residuals)
 
 
 def embodied_intensity(

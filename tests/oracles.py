@@ -74,6 +74,21 @@ def dense_hits(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return dominant(w @ w.T), dominant(w.T @ w)
 
 
+def dense_hits_projection(w: np.ndarray, rel: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
+    """Limit of the alternating recursion from the uniform hub vector, via a
+    dense symmetric eigensolver. The hub vector is the orthogonal projection
+    of the uniform vector onto the dominant eigenspace of W W^T (the
+    eigenvectors whose eigenvalue lies within a relative ``rel`` of the
+    largest), the authority vector W^T times it; both 1-norm normalized.
+    Unlike ``dense_hits`` it holds when the top eigenvalue is repeated."""
+    vals, vecs = np.linalg.eigh(w @ w.T)
+    top = vecs[:, vals >= (1.0 - rel) * vals[-1]]
+    uniform = np.full(w.shape[0], 1.0 / w.shape[0])
+    hub = top @ (top.T @ uniform)
+    authority = w.T @ hub
+    return hub / hub.sum(), authority / authority.sum()
+
+
 def naive_md_hits(
     n: int,
     n_layers: int,

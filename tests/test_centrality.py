@@ -21,7 +21,7 @@ from enflow import (
     rank,
 )
 
-from oracles import dense_hits, naive_md_hits
+from oracles import dense_hits, dense_hits_projection, naive_md_hits
 
 
 def net_from_dense(stack, n, n_layers, labels=None):
@@ -139,15 +139,22 @@ def test_eigenvector_matches_dense_eig_on_sparse_irreducible(w):
     assert residual.sum() <= 1e-11 * scores.spectral_radius
 
 
-@pytest.mark.parametrize("outcome", [
+ARPACK_FAILURES = pytest.mark.parametrize("outcome", [
     splinalg.ArpackNoConvergence("no convergence", np.array([]), np.zeros((0, 0))),
     splinalg.ArpackError(-9999),
     0.0,
     np.nan,
 ], ids=["no-convergence", "error", "zero-vector", "nan-vector"])
-def test_eigenvector_uniform_start_when_arpack_fails(monkeypatch, outcome):
+
+
+def sparse_cycle_with_chords():
     rng = np.random.default_rng(3)
-    w = rng.uniform(0.1, 1.0, (9, 9)) * (rng.random((9, 9)) < 0.3) + np.roll(np.eye(9), 1, axis=1)
+    return rng.uniform(0.1, 1.0, (9, 9)) * (rng.random((9, 9)) < 0.3) + np.roll(np.eye(9), 1, axis=1)
+
+
+@ARPACK_FAILURES
+def test_eigenvector_uniform_start_when_arpack_fails(monkeypatch, outcome):
+    w = sparse_cycle_with_chords()
     expected = eigenvector_centrality(w)
     calls = []
 
@@ -240,6 +247,86 @@ def test_hits_max_iter_error_carries_residual():
     with pytest.raises(ConvergenceError) as err:
         hits(w, tol=1e-16, max_iter=2)
     assert err.value.residuals
+
+
+def test_hits_small_spectral_gap_matches_dense_eigensolver():
+    # Two copies of one 3-node block, the second scaled so that
+    # (sigma2/sigma1)^2 is about 0.999, joined by one weak arc. From the
+    # uniform vector the alternating recursion needs about 28,000 steps.
+    block = np.array([[0.0, 2.0, 1.0], [1.0, 0.0, 3.0], [2.0, 1.0, 0.0]])
+    w = np.zeros((6, 6))
+    w[:3, :3] = block
+    w[3:, 3:] = math.sqrt(0.999) * block
+    w[2, 3] = 1e-3
+    sigma = np.linalg.svd(w, compute_uv=False)
+    assert (sigma[1] / sigma[0]) ** 2 == pytest.approx(0.999, abs=1e-5)
+    scores = hits(w)
+    hub, authority = dense_hits(w)
+    assert np.abs(scores.hub - hub).max() <= 1e-10
+    assert np.abs(scores.authority - authority).max() <= 1e-10
+
+
+@st.composite
+def repeated_top_singular_value(draw):
+    """Equal-weight copies of one positive block, so its top singular value
+    repeats once per copy (up to more copies than the four eigenpairs the
+    start asks ARPACK for), beside an optional block with at most half that
+    singular value, under a random node order."""
+    size = draw(st.integers(1, 4))
+    block = np.array(draw(st.lists(st.floats(1.0, 10.0), min_size=size * size,
+                                   max_size=size * size))).reshape(size, size)
+    copies = draw(st.integers(2, 7))
+    w = np.kron(np.eye(copies), block)
+    extra = draw(st.integers(0, 2))
+    if extra:
+        weak = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=extra * extra,
+                                      max_size=extra * extra))).reshape(extra, extra)
+        scale = 0.5 * np.linalg.norm(block, 2) / max(np.linalg.norm(weak, 2), 1.0)
+        w = np.block([[w, np.zeros((len(w), extra))], [np.zeros((extra, len(w))), scale * weak]])
+    order = np.array(draw(st.permutations(range(len(w)))))
+    return w[np.ix_(order, order)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(w=repeated_top_singular_value())
+def test_hits_repeated_top_singular_value_is_the_projection_of_uniform(w):
+    scores = hits(sparse.csr_array(w))
+    hub, authority = dense_hits_projection(w)
+    assert np.abs(scores.hub - hub).max() <= 1e-10
+    assert np.abs(scores.authority - authority).max() <= 1e-10
+
+
+@ARPACK_FAILURES
+def test_hits_uniform_start_when_arpack_fails(monkeypatch, outcome):
+    w = sparse_cycle_with_chords()
+    expected = hits(w)
+    calls = []
+
+    def eigsh(matrix, k, **kwargs):
+        calls.append(k)
+        if isinstance(outcome, Exception):
+            raise outcome
+        return np.arange(k, 0.0, -1.0), np.full((matrix.shape[0], k), outcome)
+
+    monkeypatch.setattr(splinalg, "eigsh", eigsh)
+    # lambda2/lambda1 of W W^T is 0.43 here, so the unshifted iteration from
+    # the uniform start stops after 33 steps; a shift would slow it down.
+    fallback = hits(w, max_iter=40)
+    assert calls == [4]
+    assert np.abs(fallback.hub - expected.hub).max() <= 1e-10
+    assert np.abs(fallback.authority - expected.authority).max() <= 1e-10
+
+
+def test_hits_rows_without_arcs_have_zero_hub():
+    # On this matrix ARPACK's top eigenvector carries rounding noise (about
+    # 1e-17) in the rows without arcs; the hub must still be exactly zero.
+    rng = np.random.default_rng(35)
+    dim = int(rng.integers(3, 40))
+    w = rng.uniform(0, 1, (dim, dim)) * (rng.random((dim, dim)) < rng.uniform(0.05, 0.5))
+    w[rng.random(dim) < 0.3, :] = 0
+    empty = ~w.any(axis=1)
+    assert empty.any() and not empty.all()
+    assert np.all(hits(w).hub[empty] == 0.0)
 
 
 # ---------------------------------------------------------------------------

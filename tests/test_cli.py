@@ -1,14 +1,17 @@
 import csv
 import json
+import os
 import shlex
 import shutil
 import subprocess
+import sys
 import sysconfig
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import enflow
 from enflow import MrioPeriod, NetworkShape, SourceClass, flowcrit, load_network
 from enflow.cli import main
 from enflow.dataio import CodeBook, MrioDataset, save_dataset
@@ -291,6 +294,62 @@ def test_io_exit_code(tmp_path):
     blocker.write_text("not a directory")
     code = run("build", "--manifest", data / "manifest.json", "--out", blocker / "sub")
     assert code == 4
+
+
+def run_with_stdout_closed(*argv, unbuffered):
+    """Run the CLI in a child process whose standard output is a pipe that
+    nobody reads, as in ``enflow ... | head -1`` once ``head`` has exited."""
+    src = str(Path(enflow.__file__).resolve().parents[1])
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "enflow.cli", *map(str, argv)],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=300,
+        )
+    finally:
+        os.close(write_end)
+
+
+def all_file_bytes(directory):
+    return {p.relative_to(directory).as_posix(): p.read_bytes()
+            for p in sorted(Path(directory).rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "--manifest", "{data}/manifest.json"],
+    ["mdhits", "--per-year"],
+    ["hits"],
+    ["eig", "--largest-scc"],
+    ["criticality", "--mode", "exact"],
+], ids=lambda argv: argv[0])
+def test_a_closed_stdout_drops_progress_but_writes_every_file(workspace, tmp_path, argv):
+    data, out = workspace
+    argv = [arg.format(data=data) for arg in argv]
+    expected = tmp_path / "expected"
+    if argv[0] != "build":
+        shutil.copytree(out, expected)
+    assert run(*argv, "--out", expected) == 0
+    for unbuffered in (False, True):
+        piped = tmp_path / f"piped-{unbuffered}"
+        if argv[0] != "build":
+            shutil.copytree(out, piped)
+        done = run_with_stdout_closed(*argv, "--out", piped, unbuffered=unbuffered)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert all_file_bytes(piped) == all_file_bytes(expected)
+
+
+def test_hits_converges_on_the_small_gap_renewable_periods(tmp_path):
+    # Seed 3, renewable, 1996: (sigma2/sigma1)^2 of the period is 0.9987.
+    data, out = tmp_path / "data", tmp_path / "out"
+    assert run(*synth_args(data, shape="26,12,27", seed=3, density="0.05")) == 0
+    assert run("build", "--manifest", data / "manifest.json", "--out", out,
+               "--source", "renewable") == 0
+    assert run("hits", "--out", out, "--source", "renewable") == 0
 
 
 def test_empty_energy_warns_and_builds_empty(tmp_path, capsys):
