@@ -13,7 +13,8 @@ Subcommands:
 ``--out DIR`` is the shared workspace: ``build`` writes network artifacts
 there and the analysis commands read them back from the same directory.
 
-Exit codes: 0 success, 2 validation error, 3 numerical error, 4 I/O error.
+Exit codes: 0 success, 2 validation error, 3 numerical error, 4 I/O or
+environment: files, compiler, memory.
 Stdout carries only progress lines. If its reader closes early, a command
 drops the rest, still writes every result file and exits 0.
 """
@@ -409,6 +410,9 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_IO
 
 

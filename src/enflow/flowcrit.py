@@ -40,7 +40,7 @@ import sysconfig
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -65,36 +65,44 @@ DEFAULT_SAMPLE_PAIRS = 2000
 
 
 class FlowNetwork:
-    """Immutable capacitated digraph.
+    """Immutable capacitated digraph and its residual graph for the compiled
+    Dinic kernel in ``_maxflow.c``.
 
-    Parallel arcs are merged by adding capacities; self-loops are rejected
-    (they can never carry flow between distinct endpoints). Arcs are kept in
-    sorted (tail, head) order, which fixes the iteration order everywhere.
+    ``arcs`` is an iterable of (tail, head, capacity) triples or an (m, 3)
+    array. Parallel arcs are merged by adding capacities in input order;
+    self-loops are rejected (they can never carry flow between distinct
+    endpoints). Arcs are kept in sorted (tail, head) order, which fixes the
+    iteration order everywhere.
+
+    Arc a occupies residual slots 2a (forward) and 2a+1 (reverse). A residual
+    is an array of slot capacities. The reverse slot starts at 0 and holds the
+    flow on its arc: unlike ``base_cap[2a] - cap[2a]``, it keeps a flow far
+    below the arc's capacity. Every solve copies ``base_cap``, so one network
+    serves many queries.
     """
 
-    def __init__(self, node_count: int, arcs: Iterable[tuple[int, int, float]]):
-        if node_count < 1:
-            raise ValidationError("node_count must be >= 1")
-        merged: dict[tuple[int, int], float] = {}
-        for tail, head, capacity in arcs:
-            tail, head = int(tail), int(head)
-            if not (0 <= tail < node_count and 0 <= head < node_count):
-                raise ValidationError(
-                    f"arc ({tail}, {head}) outside node range 0..{node_count - 1}"
-                )
-            if tail == head:
-                raise ValidationError(f"self-loop arc at node {tail} is not allowed")
-            capacity = float(capacity)
-            if not np.isfinite(capacity) or capacity < 0:
-                raise ValidationError(
-                    f"arc ({tail}, {head}) capacity must be finite and >= 0, got {capacity}"
-                )
-            merged[(tail, head)] = merged.get((tail, head), 0.0) + capacity
-        self.node_count = int(node_count)
+    def __init__(self, node_count: int, arcs: Iterable[tuple[int, int, float]] | np.ndarray):
+        if not isinstance(node_count, (int, np.integer)) or node_count < 1:
+            raise ValidationError(f"node_count must be an int >= 1, got {node_count!r}")
+        n = self.node_count = int(node_count)
+        tails, heads, capacity = _checked_arcs(n, arcs)
+        # bincount adds each key's capacities in input order, starting from 0.0
+        keys, slot = np.unique(tails * n + heads, return_inverse=True)
+        merged = np.bincount(slot, weights=capacity, minlength=keys.size)
+        tails, heads = np.divmod(keys, n)
         self.arcs: tuple[tuple[int, int, float], ...] = tuple(
-            (t, h, c) for (t, h), c in sorted(merged.items())
+            zip(tails.tolist(), heads.tolist(), merged.tolist())
         )
-        self._engine: _BlockingFlowEngine | None = None
+        ends = np.column_stack((tails, heads)).astype(np.intc)
+        owner = ends.ravel()  # slot 2a leaves the tail, slot 2a+1 the head
+        self.to = np.ascontiguousarray(ends[:, ::-1]).ravel()
+        # A stable sort keeps each node's slots in ascending order.
+        self.adj = np.argsort(owner, kind="stable").astype(np.intc)
+        self.start = np.zeros(n + 1, dtype=np.intc)
+        np.cumsum(np.bincount(owner, minlength=n), out=self.start[1:])
+        self.base_cap = np.zeros(owner.size)
+        self.base_cap[0::2] = merged
+        self.scale = max(1.0, float(self.base_cap.max(initial=0.0)))
 
     @classmethod
     def from_matrix(cls, matrix) -> "FlowNetwork":
@@ -103,19 +111,104 @@ class FlowNetwork:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValidationError(f"capacity matrix must be square, got shape {m.shape}")
         rows, cols = np.nonzero(m)
-        arcs = [
-            (int(r), int(c), float(m[r, c])) for r, c in zip(rows, cols) if r != c
-        ]
-        return cls(m.shape[0], arcs)
+        off = rows != cols
+        rows, cols = rows[off], cols[off]
+        return cls(m.shape[0], np.column_stack((rows, cols, m[rows, cols])))
 
-    @property
-    def engine(self) -> "_BlockingFlowEngine":
-        if self._engine is None:
-            self._engine = _BlockingFlowEngine(self.node_count, self.arcs)
-        return self._engine
+    def solve(
+        self, source: int, target: int, drops: np.ndarray | None = None
+    ) -> tuple[float, np.ndarray]:
+        """Certified max-flow value and the final residual. With ``drops``,
+        also add to ``drops[a]``, for every arc a carrying flow, the fall in
+        the value when a is deleted (a certified warm re-solve each)."""
+        self._check_pair(source, target)
+        m = len(self.arcs)
+        if drops is not None and not (
+            drops.dtype == np.float64 and drops.shape == (m,) and drops.flags.c_contiguous
+        ):
+            raise ValidationError("drops must be a contiguous float64 array with one entry per arc")
+        cap = np.empty_like(self.base_cap)
+        value, where = ctypes.c_double(), ctypes.c_int()
+        code = _kernel().solve_pair(
+            self.node_count, m, self.to.ctypes.data, self.start.ctypes.data,
+            self.adj.ctypes.data, self.base_cap.ctypes.data, self.scale, source, target,
+            cap.ctypes.data, None if drops is None else drops.ctypes.data,
+            ctypes.byref(value), ctypes.byref(where),
+        )
+        _raise_for(code, where.value)
+        return value.value, cap
+
+    def _certify(self, cap, source: int, target: int, value: float) -> None:
+        """Certify the residual as a flow of ``value``: capacity bounds plus
+        conservation."""
+        self._check_pair(source, target)
+        cap = np.ascontiguousarray(cap, dtype=np.float64)
+        if cap.shape != self.base_cap.shape:
+            raise ValidationError(f"residual has shape {cap.shape}, expected {self.base_cap.shape}")
+        work, where = np.empty(2 * self.node_count), ctypes.c_int()
+        code = _kernel().certify(
+            self.node_count, len(self.arcs), self.to.ctypes.data, self.base_cap.ctypes.data,
+            cap.ctypes.data, self.scale, source, target, value, work.ctypes.data,
+            ctypes.byref(where),
+        )
+        _raise_for(code, where.value)
+
+    def _check_pair(self, source: int, target: int) -> None:
+        # The kernel indexes node arrays by both ends and needs them distinct.
+        if source == target:
+            raise ValidationError("source and target must differ")
+        for name, v in (("source", source), ("target", target)):
+            if not 0 <= v < self.node_count:
+                raise ValidationError(f"{name} node {v} outside 0..{self.node_count - 1}")
 
     def __repr__(self) -> str:
         return f"FlowNetwork(nodes={self.node_count}, arcs={len(self.arcs)})"
+
+
+def _checked_arcs(n: int, arcs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Tails, heads (int64) and capacities (float64) of ``arcs``. The first
+    arc that is not three numbers, or that fails a check (integral endpoints,
+    range, self-loop, capacity, in that order), raises ValidationError."""
+    if not isinstance(arcs, np.ndarray):
+        arcs = list(arcs)
+    try:
+        table = np.asarray(arcs, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        table = None
+    if table is not None and table.shape == (0,):
+        table = table.reshape(0, 3)
+    if table is None or table.ndim != 2 or table.shape[1] != 3:
+        for i, arc in enumerate(arcs):
+            try:
+                triple = np.shape(np.asarray(arc, dtype=np.float64)) == (3,)
+            except (TypeError, ValueError, OverflowError):
+                triple = False
+            if not triple:
+                raise ValidationError(f"arc {i} is not a (tail, head, capacity) triple: {arc!r}")
+        raise ValidationError(f"arcs must form an (m, 3) array, got shape {np.shape(table)}")
+    ends, capacity = table[:, :2], table[:, 2]
+    checks = (
+        ~(np.isfinite(ends) & (ends == np.floor(ends))).all(axis=1),
+        ((ends < 0) | (ends >= n)).any(axis=1),
+        ends[:, 0] == ends[:, 1],
+        ~(np.isfinite(capacity) & (capacity >= 0)),
+    )
+    failed = np.logical_or.reduce(checks)
+    if failed.any():
+        i = int(np.argmax(failed))
+        if checks[0][i]:
+            tail, head = ends[i]
+            raise ValidationError(f"arc {i} endpoints ({tail}, {head}) are not integers")
+        tail, head = (int(v) for v in ends[i])
+        if checks[1][i]:
+            raise ValidationError(f"arc ({tail}, {head}) outside node range 0..{n - 1}")
+        if checks[2][i]:
+            raise ValidationError(f"self-loop arc at node {tail} is not allowed")
+        raise ValidationError(
+            f"arc ({tail}, {head}) capacity must be finite and >= 0, got {float(capacity[i])}"
+        )
+    tails, heads = ends.astype(np.int64).T
+    return tails, heads, capacity
 
 
 _CERTIFICATE_ERRORS = {
@@ -149,77 +242,6 @@ def _kernel() -> ctypes.CDLL:
     return kernel
 
 
-class _BlockingFlowEngine:
-    """Reusable residual-graph solver over one arc list, run by the compiled
-    Dinic kernel in ``_maxflow.c``.
-
-    Each arc a occupies residual slots 2a (forward) and 2a+1 (reverse). A
-    residual is an array of slot capacities. The reverse slot starts at 0 and
-    holds the flow on its arc: unlike ``base_cap[2a] - cap[2a]``, it keeps a
-    flow far below the arc's capacity. Every solve copies ``base_cap``, so one
-    engine serves many queries.
-    """
-
-    def __init__(self, node_count: int, arcs: Sequence[tuple[int, int, float]]):
-        self._kernel = _kernel()
-        self.n, self.m = node_count, len(arcs)
-        ends = np.array([(t, h) for t, h, _ in arcs], dtype=np.intc).reshape(-1, 2)
-        owner = ends.ravel()  # slot 2a leaves the tail, slot 2a+1 the head
-        self.to = np.ascontiguousarray(ends[:, ::-1]).ravel()
-        # A stable sort keeps each node's slots in ascending order.
-        self.adj = np.argsort(owner, kind="stable").astype(np.intc)
-        self.start = np.zeros(node_count + 1, dtype=np.intc)
-        np.cumsum(np.bincount(owner, minlength=node_count), out=self.start[1:])
-        self.base_cap = np.zeros(owner.size)
-        self.base_cap[0::2] = [c for _, _, c in arcs]
-        self.scale = max(1.0, float(self.base_cap.max(initial=0.0)))
-
-    def solve(
-        self, source: int, target: int, drops: np.ndarray | None = None
-    ) -> tuple[float, np.ndarray]:
-        """Certified max-flow value and the final residual. With ``drops``,
-        also add to ``drops[a]``, for every arc a carrying flow, the fall in
-        the value when a is deleted (a certified warm re-solve each)."""
-        self._check_pair(source, target)
-        if drops is not None and not (
-            drops.dtype == np.float64 and drops.shape == (self.m,) and drops.flags.c_contiguous
-        ):
-            raise ValidationError("drops must be a contiguous float64 array with one entry per arc")
-        cap = np.empty_like(self.base_cap)
-        value, where = ctypes.c_double(), ctypes.c_int()
-        code = self._kernel.solve_pair(
-            self.n, self.m, self.to.ctypes.data, self.start.ctypes.data,
-            self.adj.ctypes.data, self.base_cap.ctypes.data, self.scale, source, target,
-            cap.ctypes.data, None if drops is None else drops.ctypes.data,
-            ctypes.byref(value), ctypes.byref(where),
-        )
-        _raise_for(code, where.value)
-        return value.value, cap
-
-    def _certify(self, cap, source: int, target: int, value: float) -> None:
-        """Certify the residual as a flow of ``value``: capacity bounds plus
-        conservation."""
-        self._check_pair(source, target)
-        cap = np.ascontiguousarray(cap, dtype=np.float64)
-        if cap.shape != self.base_cap.shape:
-            raise ValidationError(f"residual has shape {cap.shape}, expected {self.base_cap.shape}")
-        work, where = np.empty(2 * self.n), ctypes.c_int()
-        code = self._kernel.certify(
-            self.n, self.m, self.to.ctypes.data, self.base_cap.ctypes.data,
-            cap.ctypes.data, self.scale, source, target, value, work.ctypes.data,
-            ctypes.byref(where),
-        )
-        _raise_for(code, where.value)
-
-    def _check_pair(self, source: int, target: int) -> None:
-        # The kernel indexes node arrays by both ends and needs them distinct.
-        if source == target:
-            raise ValidationError("source and target must differ")
-        for name, v in (("source", source), ("target", target)):
-            if not 0 <= v < self.n:
-                raise ValidationError(f"{name} node {v} outside 0..{self.n - 1}")
-
-
 def _raise_for(code: int, where: int) -> None:
     if code == 3:
         raise MemoryError("max-flow kernel is out of memory")
@@ -229,7 +251,7 @@ def _raise_for(code: int, where: int) -> None:
 
 def max_flow(net: FlowNetwork, source: int, target: int) -> float:
     """Value of a maximum source-to-target flow (equals the min-cut capacity)."""
-    return net.engine.solve(source, target)[0]
+    return net.solve(source, target)[0]
 
 
 def _pair_set(node_count: int, mode: str, pairs: int, seed: int) -> list[tuple[int, int]]:
@@ -302,7 +324,6 @@ def arc_criticality(
     if mode == "sampled" and seed < 0:
         raise ValidationError(f"sampling seed must be >= 0, got {seed}")
     pair_list = _pair_set(net.node_count, mode, pairs, seed)
-    engine = net.engine
     # drops[a] sums, pair by pair in pair-list order, the fall in the pair's
     # max flow when arc a is deleted. Only arcs carrying flow in the pair's
     # certified max flow are re-solved: without any other arc that flow stays
@@ -311,7 +332,7 @@ def arc_criticality(
     values = np.empty(len(pair_list))
     drops = np.zeros(len(net.arcs))
     for i, (s, t) in enumerate(pair_list):
-        values[i] = engine.solve(s, t, drops)[0]
+        values[i] = net.solve(s, t, drops)[0]
     baseline = float(values.sum())
     if baseline <= 0.0:
         raise ZeroBaselineError(

@@ -136,10 +136,9 @@ def aggregate_to_layers(w: SupraAdjacency) -> np.ndarray:
     preserved exactly up to float addition order.
     """
     n, n_layers = w.shape.n_nodes, w.shape.n_layers
-    out = np.zeros((n_layers, n_layers))
-    rows, cols, vals = w.entries()
-    np.add.at(out, (rows // n, cols // n), vals)
-    return out
+    coo = w.matrix.tocoo()
+    pair = np.ravel_multi_index((coo.row // n, coo.col // n), (n_layers, n_layers))
+    return np.bincount(pair, coo.data, n_layers * n_layers).reshape(n_layers, n_layers)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ import enflow
 
 MODULES = ["enflow"] + [f"enflow.{m.name}" for m in pkgutil.iter_modules(enflow.__path__)]
 DELETED = ("flat_index", "unflat_index", "block_view", "EmbodiedIntensity", "AllPairsFlow",
-           "all_pairs_total")
+           "all_pairs_total", "_BlockingFlowEngine")
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -15,7 +15,6 @@ import enflow
 from enflow import MrioPeriod, NetworkShape, SourceClass, flowcrit, load_network
 from enflow.cli import main
 from enflow.dataio import CodeBook, MrioDataset, save_dataset
-from enflow.flowcrit import _BlockingFlowEngine
 
 
 def run(*argv) -> int:
@@ -216,15 +215,33 @@ def test_removed_flags_are_rejected(argv, capsys):
 
 def test_flow_certificate_failure_exits_3(workspace, monkeypatch, capsys):
     _, out = workspace
-    init = _BlockingFlowEngine.__init__
+    init = flowcrit.FlowNetwork.__init__
 
     def corrupted(self, node_count, arcs):
         init(self, node_count, arcs)
         self.base_cap[1] = 1.0  # phantom flow on arc 0, unbalanced at both ends
 
-    monkeypatch.setattr(_BlockingFlowEngine, "__init__", corrupted)
+    monkeypatch.setattr(flowcrit.FlowNetwork, "__init__", corrupted)
     assert run("criticality", "--out", out, "--source", "all") == 3
     assert "numerical error: flow" in capsys.readouterr().err
+
+
+def test_out_of_memory_exits_4(tmp_path, capsys):
+    # numpy refuses the 728 TiB transaction matrix at once: nothing is allocated.
+    assert run("synth", "--shape", "100000,100,1", "--out", tmp_path / "data") == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+
+
+def test_kernel_out_of_memory_exits_4(workspace, monkeypatch, capsys):
+    _, out = workspace
+
+    def no_memory(self, source, target, drops=None):
+        flowcrit._raise_for(3, 0)  # the kernel's code when its malloc fails
+
+    monkeypatch.setattr(flowcrit.FlowNetwork, "solve", no_memory)
+    assert run("criticality", "--out", out, "--source", "all") == 4
+    assert capsys.readouterr().err == "error: out of memory: max-flow kernel is out of memory\n"
 
 
 def test_missing_compiler_exits_4(workspace, monkeypatch, capsys):

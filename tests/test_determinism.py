@@ -106,8 +106,8 @@ def test_hits_and_eig_bytes_do_not_follow_the_process(tmp_path):
     assert len(outputs[0]) == 6 and outputs[0] == outputs[1]
 
 
-# sha256 of every file that ``synth --shape 4,3,2 --seed 7`` and ``build``
-# write. A change that keeps outputs unchanged keeps these hashes.
+# sha256 of every file that ``synth --shape 4,3,2 --seed 7``, ``build`` and
+# ``criticality`` write. A change that keeps outputs unchanged keeps these hashes.
 GOLDEN = {
     "data/countries.csv": "96fbdd0403b910d5eb8974425f20441ba666a220cd1b432dd0a72116aa54009a",
     "data/energy.csv": "a5a3aa1116598a67bdb6a95a68200c6e4527161aba1df252d0c792cf8aaddc64",
@@ -116,6 +116,24 @@ GOLDEN = {
     "data/outputs.csv": "987d056956b906dc83cd52f856fbd3bfae91168f4633f08daf6136b95a363095",
     "data/sectors.csv": "b1ffa7a94a896bd9816c457dc2dc10f83703d454c8699d828e8ef9b66ad7c6c8",
     "data/transactions.csv": "21943a4f39defbd424051b5355733f1d7f9a40112a8a6e1d9bc25519b8e9f2e8",
+    "out/criticality_all_1990.csv":
+        "4531978ea10404dab519dc9b3a5f310e6ec8137e087ff0e123c69a92975abf66",
+    "out/criticality_all_1991.csv":
+        "a086c3622eb3871023d560a2491db1901eed491699f9f91e9afac17df64a1945",
+    "out/criticality_all_top.csv":
+        "ba00a6dfb27b81057c9fe958d55fdc3aa6b1b512c1f35f59cda32c72225e5c37",
+    "out/criticality_nonrenewable_1990.csv":
+        "d6bdd62a2e35bb85e440a61f5650769df847163d5b2dd2dab1b2e8d63d715d62",
+    "out/criticality_nonrenewable_1991.csv":
+        "65cb4790cc63c86f1f2890f61dd1a6aad4a5a7d73e163f5962ecc6a8abea9180",
+    "out/criticality_nonrenewable_top.csv":
+        "f1711fe7d7253f4e7b959c7511bea0d72022d31fc423f4ba030c6d727dbc8558",
+    "out/criticality_renewable_1990.csv":
+        "6a2d7d4080283e3ba2b9d110d03c9b57217a845bac5e832305cbe5127c89a86f",
+    "out/criticality_renewable_1991.csv":
+        "2d820a408b3de93210a68a22fff1c6b41439a809e6aeb6ac00b70dd445e86bed",
+    "out/criticality_renewable_top.csv":
+        "0085ccd6fb310f9429c9e93526252f119532dcf88b69a62e4b97f5f3cca9202d",
     "out/network_all.csv": "bced0b2286c77bc1736e82bdf9353be2304dbd87aadf757d4db9dbd3b71aee92",
     "out/network_all.npy": "89a7ced7d1631e7e8cbfe4bdc2e3a77df5c440218d8d22efcf9afab168e866db",
     "out/network_meta.json": "011b81436d5e7df406bd53263eb6bcf91222b9975fb258645971f6f28b28de9a",
@@ -132,6 +150,7 @@ def test_synth_and_build_write_the_golden_bytes(tmp_path):
     data, out = tmp_path / "data", tmp_path / "out"
     assert main(["synth", "--shape", "4,3,2", "--seed", "7", "--out", str(data)]) == 0
     assert main(["build", "--manifest", str(data / "manifest.json"), "--out", str(out)]) == 0
+    assert main(["criticality", "--out", str(out)]) == 0
     written = {p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
                for p in sorted(tmp_path.rglob("*")) if p.is_file()}
     assert written == GOLDEN

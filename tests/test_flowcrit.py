@@ -45,6 +45,12 @@ def random_network(rng, max_nodes=8, max_cap=10):
 def test_parallel_arcs_merge():
     net = FlowNetwork(2, [(0, 1, 2.0), (0, 1, 3.5)])
     assert net.arcs == ((0, 1, 5.5),)
+    # capacities add in input order, starting from 0.0
+    forward = FlowNetwork(2, [(0, 1, 0.1), (1, 0, 1.0), (0, 1, 0.2), (0, 1, 0.3)])
+    backward = FlowNetwork(2, [(0, 1, 0.3), (0, 1, 0.2), (0, 1, 0.1)])
+    assert forward.arcs == ((0, 1, 0.0 + 0.1 + 0.2 + 0.3), (1, 0, 1.0))
+    assert backward.arcs == ((0, 1, 0.0 + 0.3 + 0.2 + 0.1),)
+    assert forward.arcs[0][2] != backward.arcs[0][2]
 
 
 def test_self_loop_rejected():
@@ -52,13 +58,43 @@ def test_self_loop_rejected():
         FlowNetwork(2, [(0, 0, 1.0)])
 
 
+BAD_ARCS = [  # node_count, arcs, the message naming the first offending arc
+    (2, [(0, 2, 1.0)], "arc (0, 2) outside node range 0..1"),
+    (2, [(0, 1, -1.0)], "arc (0, 1) capacity must be finite and >= 0, got -1.0"),
+    (2, [(0, 1, float("inf"))], "arc (0, 1) capacity must be finite and >= 0, got inf"),
+    (2, [(0, 1, float("nan"))], "arc (0, 1) capacity must be finite and >= 0, got nan"),
+    (2, [(float("nan"), 1, 1.0)], "arc 0 endpoints (nan, 1.0) are not integers"),
+    (2, [(0, 1, 1.0), (0.7, 1, 1.0)], "arc 1 endpoints (0.7, 1.0) are not integers"),
+    (2, [(0, float("inf"), 1.0)], "arc 0 endpoints (0.0, inf) are not integers"),
+    (2, [(0, 1, 1.0), (0, 1, "x")], "arc 1 is not a (tail, head, capacity) triple: (0, 1, 'x')"),
+    (2, [(0, 1)], "arc 0 is not a (tail, head, capacity) triple: (0, 1)"),
+    (2, [(0, 1, 1.0), (1, 0, 1.0, 2.0)],
+     "arc 1 is not a (tail, head, capacity) triple: (1, 0, 1.0, 2.0)"),
+    (2, np.zeros((2, 2)), "arc 0 is not a (tail, head, capacity) triple: array([0., 0.])"),
+    (2, [(0, 1, 1.0), (1, 0, -1.0), (0, 5, 1.0)],
+     "arc (1, 0) capacity must be finite and >= 0, got -1.0"),
+    # one arc failing several checks reports the first: range, self-loop, capacity
+    (2, [(2, 2, -1.0)], "arc (2, 2) outside node range 0..1"),
+    (2, [(1, 1, -1.0)], "self-loop arc at node 1 is not allowed"),
+    (0, [], "node_count must be an int >= 1, got 0"),
+    (2.0, [(0, 1, 1.0)], "node_count must be an int >= 1, got 2.0"),
+    ("2", [(0, 1, 1.0)], "node_count must be an int >= 1, got '2'"),
+]
+
+
 def test_bad_arcs_rejected():
-    with pytest.raises(ValidationError):
-        FlowNetwork(2, [(0, 2, 1.0)])
-    with pytest.raises(ValidationError):
-        FlowNetwork(2, [(0, 1, -1.0)])
-    with pytest.raises(ValidationError):
-        FlowNetwork(2, [(0, 1, float("inf"))])
+    for node_count, arcs, message in BAD_ARCS:
+        with pytest.raises(ValidationError) as caught:
+            FlowNetwork(node_count, arcs)
+        assert str(caught.value) == message
+
+
+def test_arcs_from_arrays_and_iterators():
+    want = ((0, 1, 1.5), (1, 0, 2.0))
+    assert FlowNetwork(2, np.array([[1, 0, 2.0], [0, 1, 1.5]])).arcs == want
+    assert FlowNetwork(2, iter([(np.int64(1), 0, 2), (0, 1, 1.5)])).arcs == want
+    assert FlowNetwork(np.int64(2), []).arcs == ()
+    assert FlowNetwork(3, np.empty((0, 3))).arcs == ()
 
 
 def test_from_matrix_drops_diagonal():
@@ -424,7 +460,7 @@ def test_kernel_matches_reference_engine_exactly(net):
                 continue
             want_value, want_cap = reference.solve(s, t)
             drops = np.zeros(len(net.arcs))
-            value, cap = net.engine.solve(s, t, drops)
+            value, cap = net.solve(s, t, drops)
             assert value == want_value
             assert cap.tolist() == want_cap
             assert drops.tolist() == reference.drops(s, t).tolist()
@@ -479,19 +515,19 @@ def test_warm_start_arc_entering_target(monkeypatch):
 
 
 def test_certificate_rejects_corrupted_residual():
-    engine = diamond().engine
-    value, cap = engine.solve(0, 3)
-    engine._certify(cap, 0, 3, value)
+    net = diamond()
+    value, cap = net.solve(0, 3)
+    net._certify(cap, 0, 3, value)
     with pytest.raises(FlowCertificateError, match="conservation"):
-        engine._certify(cap, 0, 3, value + 0.5)
+        net._certify(cap, 0, 3, value + 0.5)
     unbalanced = list(cap)
     unbalanced[1] -= 0.5  # half a unit less on arc (0, 1), none less beyond it
     with pytest.raises(FlowCertificateError, match="conservation violated at node 0"):
-        engine._certify(unbalanced, 0, 3, value)
+        net._certify(unbalanced, 0, 3, value)
     over = list(cap)
     over[1] = 4.0  # arc (0, 1) carries 4 > 3
     with pytest.raises(FlowCertificateError, match="arc 0 violates its capacity"):
-        engine._certify(over, 0, 3, value)
+        net._certify(over, 0, 3, value)
 
 
 # ---------------------------------------------------------------------------
