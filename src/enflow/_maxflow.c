@@ -8,10 +8,34 @@
    so the results are bit-identical to it when compiled without FMA
    contraction (-ffp-contract=off) and without -ffast-math.
 
+   Arc removal drops. A carrying arc a = (u, v) with flow f is settled by the
+   first of three means that applies; all give the bits of the re-solve:
+   - Cut screen. Let S be the source side: the nodes that the baseline's last
+     BFS reached. That BFS ran to completion, as it did not reach t, so no
+     slot with cap > 0.0 leaves S. When u is in S and v is not, deleting a
+     keeps S closed, so the reroute from u to v returns 0.0 and the part e
+     of f that `without` cannot reroute is f itself. The
+     push-backs move flow only inside S (from u to s) or only outside it
+     (from t to v), so no slot leaving S gains capacity and the final augment
+     returns 0.0 too: the re-solve returns (value - f) + 0.0.
+   - Two-hop screen. Let R[x][y] be the sum of the slot capacities from x to
+     y. When the sum over w != u, v of min(R[u][w], R[w][v]) is at least
+     f * (1 + 1e-9), the reroute of f from u to v cannot stop short: any
+     cut between u and v holds at least that sum, and the 1e-9 margin is far
+     above the rounding of the reroute's pushes. So the reroute returns
+     exactly f, e = 0.0 and nothing is pushed back. A carrying arc never
+     enters S (its reverse slot would leave S), so outside the cut screen u
+     and v lie on one side of S, and so does every reroute path: S stays
+     closed, the final augment returns 0.0 and the drop is exactly 0.0.
+   - Otherwise the certified warm re-solve in `without`.
+   Arcs settled by a screen are proven, not solved, so they have no residual
+   to certify.
+
    Certificate codes: 0 passed, 1 capacity bound broken on arc *where,
    2 conservation broken at node *where, 3 out of memory. */
 
 #include <math.h>
+#include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
 
@@ -142,29 +166,78 @@ static double without(const graph *g, const double *cap0, double *cap, int m,
     return value - e + augment(g, cap, s, t, HUGE_VAL);
 }
 
+/* Sum over w != u of min(row[w], R[w][v]): row holds R[u][.], col is all
+   zeros on entry and on return. The slots leaving v are those entering it,
+   reversed. */
+static double two_hop(const graph *g, const double *cap, const double *row, double *col,
+                      int u, int v)
+{
+    double sum = 0.0;
+    int k;
+    for (k = g->start[v]; k < g->start[v + 1]; k++)
+        col[g->to[g->adj[k]]] += cap[g->adj[k] ^ 1];
+    for (k = g->start[v]; k < g->start[v + 1]; k++) {
+        int w = g->to[g->adj[k]];
+        if (w != u) sum += row[w] < col[w] ? row[w] : col[w];
+        col[w] = 0.0; /* a second slot to w adds min(row[w], 0.0) = 0.0 */
+    }
+    return sum;
+}
+
 /* Certified max flow from s to t: cap receives the residual (a copy of base
    augmented to optimality) and *value its value. When drops is not NULL,
-   each arc a that carries flow, in arc order, is re-solved warm and
-   value - value_without_a is added to drops[a]; every re-solve is
-   certified too. Returns a certificate code. */
+   each arc a that carries flow, in arc order, adds value - value_without_a
+   to drops[a], settled by a screen or by a certified warm re-solve (see the
+   header). When counts is not NULL as well, counts[0], counts[1] and
+   counts[2] grow by the arcs settled by the cut screen, by the two-hop
+   screen and by a re-solve. Returns a certificate code. */
 int solve_pair(int n, int m, const int *to, const int *start, const int *adj,
                const double *base, double scale, int s, int t, double *cap,
-               double *drops, double *value, int *where)
+               double *drops, int64_t *counts, double *value, int *where)
 {
-    size_t doubles = 2 * (size_t)n + (drops ? 2 * (size_t)m : 0);
-    double *work = malloc(doubles * sizeof(double) + 4 * (size_t)n * sizeof(int));
+    size_t doubles = 2 * (size_t)n + (drops ? 2 * (size_t)m + 2 * (size_t)n : 0);
+    double *work = malloc(doubles * sizeof(double) + 5 * (size_t)n * sizeof(int));
     if (!work) return 3;
-    int *iwork = (int *)(work + doubles), a, code;
+    int *iwork = (int *)(work + doubles), a, v, code, tail = -1;
     graph g = {n, to, start, adj, iwork, iwork + n, iwork + 2 * n, iwork + 3 * n};
     memcpy(cap, base, 2 * (size_t)m * sizeof *cap);
     *value = augment(&g, cap, s, t, HUGE_VAL);
     code = certify(n, m, to, base, cap, scale, s, t, *value, work, where);
-    for (a = 0; drops && code == 0 && a < m; a++) {
-        if (cap[2 * a + 1] > 0.0) {
-            double *warm = work + 2 * n, rest = without(&g, cap, warm, m, s, t, *value, a);
-            code = certify(n, m, to, base, warm, scale, s, t, rest, work, where);
-            drops[a] += *value - rest;
+    if (!drops || code) {
+        free(work);
+        return code;
+    }
+    double *warm = work + 2 * n, *row = warm + 2 * (size_t)m, *col = row + n;
+    int *side = iwork + 4 * n;
+    /* Only a BFS that missed t ran to completion; with finite capacities the
+       baseline always ends with one. */
+    int screens = g.level[t] < 0;
+    memcpy(side, g.level, (size_t)n * sizeof *side);
+    for (v = 0; v < n; v++) row[v] = col[v] = 0.0;
+    for (a = 0; code == 0 && a < m; a++) {
+        int u = to[2 * a + 1], head = to[2 * a], how, k;
+        double f = cap[2 * a + 1], drop;
+        if (!(f > 0.0)) continue;
+        if (u != tail) { /* arcs come in tail order: row holds R[u][.] */
+            if (tail >= 0)
+                for (k = start[tail]; k < start[tail + 1]; k++) row[to[adj[k]]] = 0.0;
+            for (k = start[u]; k < start[u + 1]; k++) row[to[adj[k]]] += cap[adj[k]];
+            tail = u;
         }
+        if (screens && side[u] >= 0 && side[head] < 0) {
+            drop = *value - ((*value - f) + 0.0);
+            how = 0;
+        } else if (screens && two_hop(&g, cap, row, col, u, head) >= f * (1.0 + 1e-9)) {
+            drop = 0.0;
+            how = 1;
+        } else {
+            double rest = without(&g, cap, warm, m, s, t, *value, a);
+            code = certify(n, m, to, base, warm, scale, s, t, rest, work, where);
+            drop = *value - rest;
+            how = 2;
+        }
+        drops[a] += drop;
+        if (counts) counts[how]++;
     }
     free(work);
     return code;

@@ -257,7 +257,9 @@ def cmd_criticality(args) -> int:
             path = out / f"criticality_{source.value}_{label}.csv"
             export_results(report, path, "csv", node_labels=codes.country_codes)
             _progress(f"{source.value} {label}: baseline={report.baseline_total:.6g} "
-                      f"arcs={len(report.rows)} mode={report.mode}")
+                      f"arcs={len(report.rows)} mode={report.mode} "
+                      f"settled_by_cut={report.settled_by_cut} "
+                      f"settled_by_two_hop={report.settled_by_two_hop} resolved={report.resolved}")
             reports.append((label, report))
         # Every year's rows for the arcs that make any year's top list.
         top_arcs = {(row.tail, row.head) for _, report in reports for row in report.top(args.top)}

@@ -20,14 +20,25 @@ exact mode the pair set is all ordered pairs; in sampled mode it is a seeded
 fixed sample of ordered pairs reused for the baseline and for every arc
 removal, so sampled runs are reproducible given (seed, pair count).
 
-Removal totals are computed pair by pair, and both shortcuts are exact. Each
-pair is solved once. An arc that carries no flow in that certified max flow
-leaves the pair's value unchanged: the flow stays feasible without the arc,
-and deleting capacity cannot raise a max flow. Only the arcs that carry flow
-are re-solved, each warm-started from the pair's final residual (see
-``without`` in ``_maxflow.c``); the re-solve ends in a residual with
-no augmenting path, as a from-scratch solve does. Every solve, baseline or
-re-solve, is certified (capacity bounds and conservation).
+Removal totals are computed pair by pair, and every shortcut is exact. Each
+pair is solved once, and the solve is certified (capacity bounds and
+conservation). An arc that carries no flow in that max flow leaves the
+pair's value unchanged: the flow stays feasible without the arc, and
+deleting capacity cannot raise a max flow. An arc that carries flow is
+settled by the first of three means that applies, each giving the bits of
+the warm re-solve (the header of ``_maxflow.c`` has the proofs):
+
+- the cut screen: the arc leaves the source side S of the max flow's
+  minimum cut (the nodes its residual reaches from the source), so deleting
+  it lowers the value by exactly its flow;
+- the two-hop screen: the residual's two-hop paths around the arc hold at
+  least its flow f times (1 + 1e-9), so the flow is rerouted in full on one
+  side of S and the value does not fall;
+- otherwise a certified re-solve, warm-started from the pair's final
+  residual (see ``without`` in ``_maxflow.c``), which ends in a residual
+  with no augmenting path, as a from-scratch solve does.
+
+The report counts the arcs that each means settled.
 """
 
 from __future__ import annotations
@@ -45,7 +56,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import FlowCertificateError, ValidationError, ZeroBaselineError
-from .multinet import SupraAdjacency, aggregate_to_layers
+from .multinet import SupraAdjacency, aggregate_to_layers, checked_triples
 
 __all__ = [
     "FlowNetwork",
@@ -85,7 +96,9 @@ class FlowNetwork:
         if not isinstance(node_count, (int, np.integer)) or node_count < 1:
             raise ValidationError(f"node_count must be an int >= 1, got {node_count!r}")
         n = self.node_count = int(node_count)
-        tails, heads, capacity = _checked_arcs(n, arcs)
+        tails, heads, capacity = checked_triples(
+            arcs, n, "arc", ("tail", "head", "capacity"), f"node range 0..{n - 1}", loops=False
+        )
         # bincount adds each key's capacities in input order, starting from 0.0
         keys, slot = np.unique(tails * n + heads, return_inverse=True)
         merged = np.bincount(slot, weights=capacity, minlength=keys.size)
@@ -116,23 +129,38 @@ class FlowNetwork:
         return cls(m.shape[0], np.column_stack((rows, cols, m[rows, cols])))
 
     def solve(
-        self, source: int, target: int, drops: np.ndarray | None = None
+        self,
+        source: int,
+        target: int,
+        drops: np.ndarray | None = None,
+        counts: np.ndarray | None = None,
     ) -> tuple[float, np.ndarray]:
         """Certified max-flow value and the final residual. With ``drops``,
         also add to ``drops[a]``, for every arc a carrying flow, the fall in
-        the value when a is deleted (a certified warm re-solve each)."""
+        the value when a is deleted (settled by an exact screen or by a
+        certified warm re-solve). With ``counts`` too, add to its three
+        entries the number of those arcs settled by the cut screen, by the
+        two-hop screen and by a re-solve."""
         self._check_pair(source, target)
         m = len(self.arcs)
-        if drops is not None and not (
-            drops.dtype == np.float64 and drops.shape == (m,) and drops.flags.c_contiguous
+        for name, out, dtype, size in (
+            ("drops", drops, np.float64, m), ("counts", counts, np.int64, 3)
         ):
-            raise ValidationError("drops must be a contiguous float64 array with one entry per arc")
+            if out is not None and not (
+                out.dtype == dtype and out.shape == (size,) and out.flags.c_contiguous
+            ):
+                raise ValidationError(
+                    f"{name} must be a contiguous {dtype.__name__} array of {size} entries"
+                )
+        if counts is not None and drops is None:
+            raise ValidationError("counts are kept only with drops")
         cap = np.empty_like(self.base_cap)
         value, where = ctypes.c_double(), ctypes.c_int()
         code = _kernel().solve_pair(
             self.node_count, m, self.to.ctypes.data, self.start.ctypes.data,
             self.adj.ctypes.data, self.base_cap.ctypes.data, self.scale, source, target,
             cap.ctypes.data, None if drops is None else drops.ctypes.data,
+            None if counts is None else counts.ctypes.data,
             ctypes.byref(value), ctypes.byref(where),
         )
         _raise_for(code, where.value)
@@ -165,69 +193,26 @@ class FlowNetwork:
         return f"FlowNetwork(nodes={self.node_count}, arcs={len(self.arcs)})"
 
 
-def _checked_arcs(n: int, arcs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Tails, heads (int64) and capacities (float64) of ``arcs``. The first
-    arc that is not three numbers, or that fails a check (integral endpoints,
-    range, self-loop, capacity, in that order), raises ValidationError."""
-    if not isinstance(arcs, np.ndarray):
-        arcs = list(arcs)
-    try:
-        table = np.asarray(arcs, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError):
-        table = None
-    if table is not None and table.shape == (0,):
-        table = table.reshape(0, 3)
-    if table is None or table.ndim != 2 or table.shape[1] != 3:
-        for i, arc in enumerate(arcs):
-            try:
-                triple = np.shape(np.asarray(arc, dtype=np.float64)) == (3,)
-            except (TypeError, ValueError, OverflowError):
-                triple = False
-            if not triple:
-                raise ValidationError(f"arc {i} is not a (tail, head, capacity) triple: {arc!r}")
-        raise ValidationError(f"arcs must form an (m, 3) array, got shape {np.shape(table)}")
-    ends, capacity = table[:, :2], table[:, 2]
-    checks = (
-        ~(np.isfinite(ends) & (ends == np.floor(ends))).all(axis=1),
-        ((ends < 0) | (ends >= n)).any(axis=1),
-        ends[:, 0] == ends[:, 1],
-        ~(np.isfinite(capacity) & (capacity >= 0)),
-    )
-    failed = np.logical_or.reduce(checks)
-    if failed.any():
-        i = int(np.argmax(failed))
-        if checks[0][i]:
-            tail, head = ends[i]
-            raise ValidationError(f"arc {i} endpoints ({tail}, {head}) are not integers")
-        tail, head = (int(v) for v in ends[i])
-        if checks[1][i]:
-            raise ValidationError(f"arc ({tail}, {head}) outside node range 0..{n - 1}")
-        if checks[2][i]:
-            raise ValidationError(f"self-loop arc at node {tail} is not allowed")
-        raise ValidationError(
-            f"arc ({tail}, {head}) capacity must be finite and >= 0, got {float(capacity[i])}"
-        )
-    tails, heads = ends.astype(np.int64).T
-    return tails, heads, capacity
-
-
 _CERTIFICATE_ERRORS = {
     1: "flow on arc {} violates its capacity bound",
     2: "flow conservation violated at node {}",
 }
 
 
+# FMA contraction stays off so the kernel's arithmetic is that of plain IEEE
+# doubles, operation for operation.
+_CFLAGS = ("-O2", "-std=c99", "-ffp-contract=off", "-shared", "-fPIC")
+
+
 @functools.cache
 def _kernel() -> ctypes.CDLL:
     """The compiled ``_maxflow.c``, built once per process with the C compiler
-    Python was built with. FMA contraction stays off so the arithmetic is
-    that of plain IEEE doubles, operation for operation."""
+    Python was built with and ``_CFLAGS``."""
     source = Path(__file__).with_name("_maxflow.c")
     cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
     with tempfile.TemporaryDirectory() as tmp:
         lib = Path(tmp, "_maxflow.so")
-        cmd = [*cc, "-O2", "-std=c99", "-ffp-contract=off", "-shared", "-fPIC",
-               "-o", str(lib), str(source)]
+        cmd = [*cc, *_CFLAGS, "-o", str(lib), str(source)]
         try:
             done = subprocess.run(cmd, capture_output=True, text=True)
         except OSError as exc:
@@ -237,7 +222,7 @@ def _kernel() -> ctypes.CDLL:
         kernel = ctypes.CDLL(str(lib))
     i, d, p = ctypes.c_int, ctypes.c_double, ctypes.c_void_p
     kernel.certify.argtypes = [i, i, p, p, p, d, i, i, d, p, p]
-    kernel.solve_pair.argtypes = [i, i, p, p, p, p, d, i, i, p, p, p, p]
+    kernel.solve_pair.argtypes = [i, i, p, p, p, p, d, i, i, p, p, p, p, p]
     kernel.certify.restype = kernel.solve_pair.restype = i
     return kernel
 
@@ -283,7 +268,9 @@ class ArcCriticalityReport:
     """Criticality index per arc, sorted by descending index.
 
     ``mode`` is "exact" or "sampled"; sampled reports carry the pair count
-    and seed that reproduce them.
+    and seed that reproduce them. Summed over the pairs, ``settled_by_cut``,
+    ``settled_by_two_hop`` and ``resolved`` count the arcs carrying a pair's
+    flow that each means settled (see the module docstring).
     """
 
     baseline_total: float
@@ -291,6 +278,9 @@ class ArcCriticalityReport:
     mode: str
     pair_count: int | None = None
     seed: int | None = None
+    settled_by_cut: int = 0
+    settled_by_two_hop: int = 0
+    resolved: int = 0
 
     def top(self, k: int) -> tuple[ArcRemovalRow, ...]:
         return self.rows[:k]
@@ -308,9 +298,9 @@ def arc_criticality(
     In exact mode the total runs over all ordered node pairs; in sampled
     mode over a fixed seeded sample of ordered pairs shared by the baseline
     and every removal. Per pair, arcs without flow in the baseline max flow
-    keep the pair's value exactly and are not re-solved; arcs with flow are
-    re-solved warm-started from the baseline residual. Per-arc drops are
-    summed in pair-list order, so reruns are bit-identical.
+    keep the pair's value exactly; arcs with flow are settled by an exact
+    screen or re-solved warm-started from the baseline residual. Per-arc
+    drops are summed in pair-list order, so reruns are bit-identical.
 
     Raises
     ------
@@ -326,13 +316,14 @@ def arc_criticality(
     pair_list = _pair_set(net.node_count, mode, pairs, seed)
     # drops[a] sums, pair by pair in pair-list order, the fall in the pair's
     # max flow when arc a is deleted. Only arcs carrying flow in the pair's
-    # certified max flow are re-solved: without any other arc that flow stays
+    # certified max flow can lower it: without any other arc that flow stays
     # feasible, and deleting capacity cannot raise a max flow. One kernel
-    # call per pair solves, re-solves and certifies.
+    # call per pair solves, screens, re-solves and certifies.
     values = np.empty(len(pair_list))
     drops = np.zeros(len(net.arcs))
+    counts = np.zeros(3, dtype=np.int64)
     for i, (s, t) in enumerate(pair_list):
-        values[i] = net.solve(s, t, drops)[0]
+        values[i] = net.solve(s, t, drops, counts)[0]
     baseline = float(values.sum())
     if baseline <= 0.0:
         raise ZeroBaselineError(
@@ -355,6 +346,9 @@ def arc_criticality(
         mode=mode,
         pair_count=len(pair_list) if mode == "sampled" else None,
         seed=seed if mode == "sampled" else None,
+        settled_by_cut=int(counts[0]),
+        settled_by_two_hop=int(counts[1]),
+        resolved=int(counts[2]),
     )
 
 

@@ -80,6 +80,58 @@ def _nonnegative_csr(matrix, what: str, shape: tuple[int, int] | None = None) ->
     return m
 
 
+def checked_triples(
+    triples, n: int, noun: str, fields: tuple[str, str, str], span: str, loops: bool = True
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ends (int64) and values (float64) of ``triples``, an (m, 3) array-like
+    of (tail, head, value), whose ``fields`` name the three columns. The
+    first triple that is not three numbers, or that fails a check (integral
+    ends, ends in 0..n-1 (the ``span``), no self-loop unless ``loops``, a
+    finite value >= 0, in that order), raises ValidationError naming the
+    triple as a ``noun``."""
+    if not isinstance(triples, np.ndarray):
+        triples = list(triples)
+    try:
+        table = np.asarray(triples, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        table = None
+    if table is not None and table.shape == (0,):
+        table = table.reshape(0, 3)
+    if table is None or table.ndim != 2 or table.shape[1] != 3:
+        for i, triple in enumerate(triples):
+            try:
+                ok = np.shape(np.asarray(triple, dtype=np.float64)) == (3,)
+            except (TypeError, ValueError, OverflowError):
+                ok = False
+            if not ok:
+                raise ValidationError(
+                    f"{noun} {i} is not a ({', '.join(fields)}) triple: {triple!r}"
+                )
+        raise ValidationError(f"{noun} triples must form an (m, 3) array, got {np.shape(table)}")
+    tails, heads, values = table.T  # column by column: numpy is slow on rows of 2
+    checks = (
+        ~(np.isfinite(tails) & np.isfinite(heads)
+          & (tails == np.floor(tails)) & (heads == np.floor(heads))),
+        (tails < 0) | (tails >= n) | (heads < 0) | (heads >= n),
+        np.zeros(tails.size, dtype=bool) if loops else tails == heads,
+        ~(np.isfinite(values) & (values >= 0)),
+    )
+    failed = np.logical_or.reduce(checks)
+    if failed.any():
+        i = int(np.argmax(failed))
+        if checks[0][i]:
+            raise ValidationError(f"{noun} {i} endpoints ({tails[i]}, {heads[i]}) are not integers")
+        tail, head = int(tails[i]), int(heads[i])
+        if checks[1][i]:
+            raise ValidationError(f"{noun} ({tail}, {head}) outside {span}")
+        if checks[2][i]:
+            raise ValidationError(f"self-loop {noun} at node {tail} is not allowed")
+        raise ValidationError(
+            f"{noun} ({tail}, {head}) {fields[2]} must be finite and >= 0, got {float(values[i])}"
+        )
+    return tails.astype(np.int64), heads.astype(np.int64), values
+
+
 class SupraAdjacency:
     """Sparse nonnegative supra-adjacency matrix for one time instant.
 
@@ -94,16 +146,13 @@ class SupraAdjacency:
     @classmethod
     def from_entries(cls, shape: NetworkShape, entries) -> "SupraAdjacency":
         """Build from 0-based (row, col, weight) triplets, an (m, 3) array-like;
-        duplicates are summed."""
-        triplets = np.asarray(entries, dtype=np.float64).reshape(-1, 3)
-        rows = triplets[:, 0].astype(np.int64)
-        cols = triplets[:, 1].astype(np.int64)
+        duplicates are summed. The first malformed entry raises
+        ValidationError (see :func:`checked_triples`)."""
         dim = shape.supra_dim
-        outside = (rows < 0) | (rows >= dim) | (cols < 0) | (cols >= dim)
-        if outside.any():
-            e = int(np.argmax(outside))
-            raise ValidationError(f"entry ({rows[e]}, {cols[e]}) outside supra dimension {dim}")
-        m = sparse.coo_array((triplets[:, 2], (rows, cols)), shape=(dim, dim))
+        rows, cols, weights = checked_triples(
+            entries, dim, "entry", ("row", "col", "weight"), f"supra dimension {dim}"
+        )
+        m = sparse.coo_array((weights, (rows, cols)), shape=(dim, dim))
         return cls(shape, m)
 
     @classmethod

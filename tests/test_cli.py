@@ -86,6 +86,19 @@ def test_full_pipeline(workspace, capsys):
         assert (out / name).exists(), name
 
 
+def test_criticality_prints_how_each_carrying_arc_was_settled(workspace, capsys):
+    _, out = workspace
+    assert run("criticality", "--out", out, "--source", "all") == 0
+    lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("all ")]
+    net, _ = load_network(out, SourceClass.ALL)
+    assert len(lines) == len(net.periods)
+    for line, (label, matrix) in zip(lines, net.periods):
+        report = flowcrit.country_level_criticality(matrix)
+        assert line.startswith(f"all {label}: ")
+        assert line.endswith(f" settled_by_cut={report.settled_by_cut} settled_by_two_hop="
+                             f"{report.settled_by_two_hop} resolved={report.resolved}")
+
+
 def test_pipeline_deterministic(tmp_path):
     outputs = []
     for run_dir in ("one", "two"):
@@ -236,7 +249,7 @@ def test_out_of_memory_exits_4(tmp_path, capsys):
 def test_kernel_out_of_memory_exits_4(workspace, monkeypatch, capsys):
     _, out = workspace
 
-    def no_memory(self, source, target, drops=None):
+    def no_memory(self, source, target, drops=None, counts=None):
         flowcrit._raise_for(3, 0)  # the kernel's code when its malloc fails
 
     monkeypatch.setattr(flowcrit.FlowNetwork, "solve", no_memory)
@@ -255,10 +268,11 @@ def test_missing_compiler_exits_4(workspace, monkeypatch, capsys):
 
 
 def test_kernel_source_compiles_without_warnings(tmp_path):
+    # the kernel's own flags: -O2 turns on the flow analysis behind some warnings
     source = Path(flowcrit.__file__).with_name("_maxflow.c")
     cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
-    cmd = [*cc, "-std=c99", "-Wall", "-Wextra", "-Werror", "-pedantic",
-           "-c", "-o", tmp_path / "k.o", source]
+    cmd = [*cc, *flowcrit._CFLAGS, "-Wall", "-Wextra", "-pedantic", "-Werror",
+           "-o", tmp_path / "k.so", source]
     done = subprocess.run(cmd, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
 

@@ -466,6 +466,145 @@ def test_kernel_matches_reference_engine_exactly(net):
             assert drops.tolist() == reference.drops(s, t).tolist()
 
 
+# ---------------------------------------------------------------------------
+# the kernel's screens: settled arcs keep the reference engine's bits
+# ---------------------------------------------------------------------------
+
+
+def screen_counts(engine, cap, source, target):
+    """(cut, two-hop, re-solve): how the kernel must settle the arcs carrying
+    flow in the reference residual ``cap``, derived here from S (the nodes
+    the residual reaches from the source) and the dense two-hop sums."""
+    n, to = engine.n, engine.to
+    side, stack = {source}, [source]
+    while stack:
+        for e in engine.adj[stack.pop()]:
+            if cap[e] > 0.0 and to[e] not in side:
+                side.add(to[e])
+                stack.append(to[e])
+    residual = np.zeros((n, n))
+    for e, c in enumerate(cap):
+        residual[to[e ^ 1], to[e]] += c
+    counts = [0, 0, 0]
+    for a in range(len(cap) // 2):
+        u, v, f = to[2 * a + 1], to[2 * a], cap[2 * a + 1]
+        if not f > 0.0:
+            continue
+        two_hop = sum(min(residual[u, w], residual[w, v]) for w in range(n) if w not in (u, v))
+        if u in side and v not in side:
+            counts[0] += 1
+        elif two_hop >= f * (1 + 1e-9):
+            counts[1] += 1
+        else:
+            counts[2] += 1
+    return counts
+
+
+def check_screens(net, source, target):
+    """Solve one pair with drops and counts; the value, residual and drops
+    must equal the reference engine's bit for bit, and the counts
+    :func:`screen_counts`. Returns the drops and the counts."""
+    engine = ReferenceEngine(net.node_count, net.arcs)
+    want_value, want_cap = engine.solve(source, target)
+    drops, counts = np.zeros(len(net.arcs)), np.zeros(3, dtype=np.int64)
+    value, cap = net.solve(source, target, drops, counts)
+    assert value == want_value
+    assert cap.tolist() == want_cap
+    assert drops.tolist() == engine.drops(source, target).tolist()
+    assert counts.tolist() == screen_counts(engine, want_cap, source, target)
+    return drops, counts.tolist()
+
+
+def test_screens_tight_source_star():
+    # S = {0}: both out-arcs of the source are cut arcs. Their drop is the
+    # re-solve's value - ((value - f) + 0.0), which for f = 1/3 is not f.
+    net = FlowNetwork(4, [(0, 1, 1 / 3), (0, 2, 3.0), (1, 2, 9.0), (1, 3, 5.0), (2, 1, 9.0),
+                          (2, 3, 5.0)])
+    drops, counts = check_screens(net, 0, 3)
+    assert counts == [2, 2, 0]  # (1, 3) and (2, 3) reroute through each other
+    value = 1 / 3 + 3.0
+    assert drops[0] == value - (value - 1 / 3) != 1 / 3
+
+
+def test_screens_tight_target_star():
+    # S is every node but the target: both in-arcs of t are cut arcs, and
+    # the source's out-arcs reroute inside S.
+    net = FlowNetwork(4, [(0, 1, 3.0), (0, 2, 3.0), (1, 2, 3.0), (1, 3, 1.0), (2, 1, 3.0),
+                          (2, 3, 1.0)])
+    drops, counts = check_screens(net, 0, 3)
+    assert counts == [2, 2, 0]
+    assert drops.tolist() == [0.0, 0.0, 0.0, 1.0, 0.0, 1.0]
+
+
+def test_screens_cut_in_the_middle():
+    # Neither star is tight: S = {0, 1, 2} and the cut is {(1, 3), (2, 4)}.
+    # The arcs before and after the cut reroute on their own side.
+    arcs = [(0, 1, 5.0), (0, 2, 5.0), (1, 2, 5.0), (2, 1, 5.0), (1, 3, 1.0), (2, 4, 1.0),
+            (3, 4, 5.0), (4, 3, 5.0), (3, 5, 5.0), (4, 5, 5.0)]
+    drops, counts = check_screens(FlowNetwork(6, arcs), 0, 5)
+    assert counts == [2, 4, 0]
+    assert sorted(drops.tolist()) == [0.0] * 8 + [1.0, 1.0]
+
+
+@pytest.mark.parametrize("detour, counts", [(1 + 5e-10, [1, 0, 2]), (1 + 2e-9, [1, 1, 1])])
+def test_two_hop_screen_needs_its_margin(detour, counts):
+    # (1, 2) carries 1 and its only detour 1 -> 4 -> 2 holds `detour`: just
+    # below f * (1 + 1e-9) the arc is re-solved, just above it is screened.
+    net = FlowNetwork(5, [(0, 1, 1.0), (1, 2, 1.0), (1, 4, detour), (2, 3, 1.0), (4, 2, detour)])
+    drops, got = check_screens(net, 0, 3)
+    assert got == counts
+    assert drops.tolist() == [1.0, 0.0, 0.0, 1.0, 0.0]
+
+
+# Decimal capacities whose sums round: the drops of cut arcs then differ from
+# their flows, and two-hop sums sit near the flows they must cover.
+DECIMALS = st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.7, 1 / 3, 2 / 3, 1.1, 3.0, 1e-9, 1e9])
+
+
+@st.composite
+def decimal_networks(draw):
+    n = draw(st.integers(2, 12))
+    node = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(node, node, DECIMALS), min_size=2 * n, max_size=5 * n))
+    return FlowNetwork(n, [(a, b, c) for a, b, c in edges if a != b])
+
+
+@settings(max_examples=100, deadline=None)
+@given(net=decimal_networks(), data=st.data())
+def test_screens_match_reference_engine_on_decimal_capacities(net, data):
+    pairs = [(s, t) for s in range(net.node_count) for t in range(net.node_count) if s != t]
+    for s, t in data.draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=12)):
+        check_screens(net, s, t)
+
+
+def test_counts_need_drops_and_three_int64_entries():
+    net = diamond()
+    with pytest.raises(ValidationError, match="counts are kept only with drops"):
+        net.solve(0, 3, counts=np.zeros(3, dtype=np.int64))
+    with pytest.raises(ValidationError, match="counts must be a contiguous int64 array of 3"):
+        net.solve(0, 3, np.zeros(4), np.zeros(3))
+    counts = np.zeros(3, dtype=np.int64)
+    net.solve(0, 3, np.zeros(4), counts)
+    net.solve(0, 3, np.zeros(4), counts)
+    # per call: (0, 2) and (1, 3) cross the cut, (0, 1) and (2, 3) have no detour
+    assert counts.tolist() == [4, 0, 4]
+
+
+def test_report_counts_every_carrying_arc():
+    rng = np.random.default_rng(11)
+    for _ in range(5):
+        net = random_network(rng)
+        try:
+            report = arc_criticality(net)
+        except ZeroBaselineError:
+            continue
+        carrying = 0
+        for s, t in _pair_set(net.node_count, "exact", 0, 0):
+            cap = net.solve(s, t)[1]
+            carrying += int((cap[1::2] > 0.0).sum())
+        assert report.settled_by_cut + report.settled_by_two_hop + report.resolved == carrying
+
+
 def warm_start_trace(monkeypatch, net, source, target, arc):
     """Value after deleting ``arc`` and the (from, to, limit) of every push,
     traced on the reference engine, whose push sequence the kernel follows."""

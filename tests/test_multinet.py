@@ -85,6 +85,22 @@ def test_supra_entry_out_of_range():
         SupraAdjacency.from_entries(NetworkShape(2, 2), [(4, 0, 1.0)])
 
 
+@pytest.mark.parametrize("entries, message", [
+    ([(0.7, 1, 1.0)], r"^entry 0 endpoints \(0\.7, 1\.0\) are not integers$"),
+    ([(0, 1, 1.0), (float("nan"), 1, 1.0)], r"^entry 1 endpoints \(nan, 1\.0\) are not integers$"),
+    ([(0, 1)], r"^entry 0 is not a \(row, col, weight\) triple: \(0, 1\)$"),
+    ([(0, 1, 1.0), (1, 0, -2.0)], r"^entry \(1, 0\) weight must be finite and >= 0, got -2\.0$"),
+])
+def test_from_entries_names_the_malformed_entry(entries, message):
+    with np.errstate(all="raise"), pytest.raises(ValidationError, match=message):
+        SupraAdjacency.from_entries(NetworkShape(2, 1), entries)
+
+
+def test_from_entries_keeps_self_loops():
+    w = SupraAdjacency.from_entries(NetworkShape(2, 1), [(1, 1, 2.0)])
+    assert w.matrix[1, 1] == 2.0
+
+
 def test_aggregate_single_entry():
     # weight 5.0 from (layer 1, node 2) to (layer 0, node 0)
     shape = NetworkShape(4, 3)

@@ -32,6 +32,9 @@ REPORTS = st.builds(
     mode=st.sampled_from(["exact", "sampled"]),
     pair_count=st.none() | st.integers(1, 10**6),
     seed=st.none() | st.integers(0, 2**63 - 1),
+    settled_by_cut=st.integers(0, 2**63 - 1),
+    settled_by_two_hop=st.integers(0, 2**63 - 1),
+    resolved=st.integers(0, 2**63 - 1),
 )
 SCORES = st.builds(
     MdHitsScores,
@@ -66,12 +69,13 @@ def test_md_hits_scores_round_trip_exactly(scores, tmp_path_factory):
 
 
 def test_json_layout_is_kind_plus_fields(tmp_path):
-    report = ArcCriticalityReport(1.0, (ArcRemovalRow(0, 1, 0.5, 0.5),), "sampled", 4, 7)
+    report = ArcCriticalityReport(1.0, (ArcRemovalRow(0, 1, 0.5, 0.5),), "sampled", 4, 7, 3, 2, 1)
     path = export_results(report, tmp_path / "crit.json", "json", node_labels=["A", "B"])
     assert json.loads(path.read_text()) == {
         "kind": "arc_criticality", "baseline_total": 1.0,
         "rows": [{"tail": 0, "head": 1, "removed_total": 0.5, "index": 0.5}],
         "mode": "sampled", "pair_count": 4, "seed": 7,
+        "settled_by_cut": 3, "settled_by_two_hop": 2, "resolved": 1,
     }
 
 
@@ -96,7 +100,8 @@ RANKING = {"kind": "ranking", "rows": [{"rank": 1, "label": "A", "score": 0.5}]}
       "layer_receive": [], "time": [], "gamma": [], "iterations": 0},
      r"md_hits_scores\.node_hub\[1\] must be a number, got NoneType"),
     ({"kind": "arc_criticality", "baseline_total": 1.0, "rows": [], "mode": "exact",
-      "pair_count": "4", "seed": None}, r"arc_criticality\.pair_count must be an integer"),
+      "pair_count": "4", "seed": None, "settled_by_cut": 0, "settled_by_two_hop": 0, "resolved": 0},
+     r"arc_criticality\.pair_count must be an integer"),
 ])
 def test_malformed_result_files_are_format_errors(tmp_path, payload, message):
     path = tmp_path / "result.json"
