@@ -1,4 +1,4 @@
-"""Final demand in the oracles' form."""
+"""Final demand and energy use in the oracles' form."""
 
 
 def demand_dict(period) -> dict[tuple[int, int, int], float]:
@@ -8,3 +8,9 @@ def demand_dict(period) -> dict[tuple[int, int, int], float]:
     y = period.final_demand.tocoo()
     a, j = divmod(y.row, period.shape.n_nodes)
     return dict(zip(zip(j.tolist(), a.tolist(), y.col.tolist()), y.data.tolist()))
+
+
+def energy_dict(period) -> dict:
+    """Energy use as {carrier: length-M vector} over the carriers with any
+    use, the form of ``oracles.class_consumption``."""
+    return {carrier: vec for carrier, vec in period.energy_consumption.items() if vec.any()}

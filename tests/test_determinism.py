@@ -106,8 +106,9 @@ def test_hits_and_eig_bytes_do_not_follow_the_process(tmp_path):
     assert len(outputs[0]) == 6 and outputs[0] == outputs[1]
 
 
-# sha256 of every file that ``synth --shape 4,3,2 --seed 7``, ``build`` and
-# ``criticality`` write. A change that keeps outputs unchanged keeps these hashes.
+# sha256 of every file that ``synth --shape 4,3,2 --seed 7``, ``build``,
+# ``criticality`` and ``consumption`` write. A change that keeps outputs
+# unchanged keeps these hashes.
 GOLDEN = {
     "data/countries.csv": "96fbdd0403b910d5eb8974425f20441ba666a220cd1b432dd0a72116aa54009a",
     "data/energy.csv": "a5a3aa1116598a67bdb6a95a68200c6e4527161aba1df252d0c792cf8aaddc64",
@@ -116,6 +117,14 @@ GOLDEN = {
     "data/outputs.csv": "987d056956b906dc83cd52f856fbd3bfae91168f4633f08daf6136b95a363095",
     "data/sectors.csv": "b1ffa7a94a896bd9816c457dc2dc10f83703d454c8699d828e8ef9b66ad7c6c8",
     "data/transactions.csv": "21943a4f39defbd424051b5355733f1d7f9a40112a8a6e1d9bc25519b8e9f2e8",
+    "out/consumption_country.csv":
+        "b059d7640f76779f385405f232ffb71f0277ee1a568100bcd78a7d1042c05a7a",
+    "out/consumption_sector.csv":
+        "5005f327769e9cdc6459fcc5f6e5942209f625fb6f9ef034345a5a176aa86a25",
+    "out/consumption_top_countries.csv":
+        "d93949aec40158ba5866b8f4f3414cbd55be9f64d895c2f033e9fe942babe313",
+    "out/consumption_world.csv":
+        "a099471c2740589e8d07b6c3bb2a2105c683933f51e17117a0307d3b09820771",
     "out/criticality_all_1990.csv":
         "4531978ea10404dab519dc9b3a5f310e6ec8137e087ff0e123c69a92975abf66",
     "out/criticality_all_1991.csv":
@@ -134,6 +143,10 @@ GOLDEN = {
         "2d820a408b3de93210a68a22fff1c6b41439a809e6aeb6ac00b70dd445e86bed",
     "out/criticality_renewable_top.csv":
         "0085ccd6fb310f9429c9e93526252f119532dcf88b69a62e4b97f5f3cca9202d",
+    "out/incidence_country.csv":
+        "a3d13af686077af83a8332b12d0473999cca4989bc086095780089fe3ef9def2",
+    "out/incidence_sector.csv":
+        "7405d566d0a8caa7d1464b4de53860c678a32b365ec97aea00b0ec26dd498971",
     "out/network_all.csv": "bced0b2286c77bc1736e82bdf9353be2304dbd87aadf757d4db9dbd3b71aee92",
     "out/network_all.npy": "89a7ced7d1631e7e8cbfe4bdc2e3a77df5c440218d8d22efcf9afab168e866db",
     "out/network_meta.json": "011b81436d5e7df406bd53263eb6bcf91222b9975fb258645971f6f28b28de9a",
@@ -151,6 +164,7 @@ def test_synth_and_build_write_the_golden_bytes(tmp_path):
     assert main(["synth", "--shape", "4,3,2", "--seed", "7", "--out", str(data)]) == 0
     assert main(["build", "--manifest", str(data / "manifest.json"), "--out", str(out)]) == 0
     assert main(["criticality", "--out", str(out)]) == 0
+    assert main(["consumption", "--manifest", str(data / "manifest.json"), "--out", str(out)]) == 0
     written = {p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
                for p in sorted(tmp_path.rglob("*")) if p.is_file()}
     assert written == GOLDEN

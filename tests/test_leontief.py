@@ -16,10 +16,16 @@ from enflow import (
     leontief_apply,
     spectral_radius_estimate,
 )
-from enflow.dataio import SyntheticSpec, generate_synthetic
+from enflow.dataio import (
+    DatasetManifest,
+    SyntheticSpec,
+    generate_synthetic,
+    load_dataset,
+    save_dataset,
+)
 
-from accounts import demand_dict
-from oracles import class_consumption, dense_embodied_flows, neumann_series
+from accounts import demand_dict, energy_dict
+from oracles import NONRENEWABLE, RENEWABLE, class_consumption, dense_embodied_flows, neumann_series
 
 
 def scalar_period(u=2.0, o=4.0, c=3.0, d=5.0, label=2000):
@@ -322,6 +328,24 @@ def test_consumption_for_partition():
         SourceClass.NONRENEWABLE
     )
     assert np.allclose(total, split, rtol=1e-15)
+
+
+def test_consumption_for_absent_carriers_matches_the_oracle(tmp_path):
+    # Four of the seven carriers have no use at all; a class sum skips them
+    # exactly as the oracle does, bit for bit, before and after a file round trip.
+    spec = SyntheticSpec(shape=NetworkShape(3, 2, 1), density=0.6, seed=5,
+                         source_mix={"coal": 1.0, "hydro": 0.5, "other_renewable": 0.25})
+    drawn = generate_synthetic(spec)
+    loaded = load_dataset(DatasetManifest.from_json(save_dataset(drawn, tmp_path)))
+    for period in (drawn.periods[0], loaded.periods[0]):
+        energy = energy_dict(period)
+        assert sorted(energy) == ["coal", "hydro", "other_renewable"]
+        dim = period.shape.supra_dim
+        for source, carriers in ((SourceClass.ALL, RENEWABLE + NONRENEWABLE),
+                                 (SourceClass.RENEWABLE, RENEWABLE),
+                                 (SourceClass.NONRENEWABLE, NONRENEWABLE)):
+            want = class_consumption(energy, dim, sorted(carriers))
+            assert np.array_equal(period.consumption_for(source), want)
 
 
 @pytest.mark.parametrize("seed", range(4))
