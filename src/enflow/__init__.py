@@ -25,6 +25,7 @@ from .multinet import (
     aggregate_to_layers,
 )
 from .leontief import (
+    ENERGY_CARRIERS,
     InputCoefficients,
     MrioPeriod,
     SourceClass,
@@ -90,6 +91,7 @@ __all__ = [
     "EntityCodes",
     "aggregate_to_layers",
     # leontief
+    "ENERGY_CARRIERS",
     "SourceClass",
     "MrioPeriod",
     "InputCoefficients",

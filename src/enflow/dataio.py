@@ -50,7 +50,7 @@ from scipy import sparse
 from .centrality import MdHitsScores, RankingTable
 from .errors import DataFormatError, ValidationError
 from .flowcrit import ArcCriticalityReport
-from .leontief import ENERGY_SOURCES, MrioPeriod, SourceClass
+from .leontief import ENERGY_CARRIERS, MrioPeriod, SourceClass
 from .multinet import EntityCodes, NetworkShape, SupraAdjacency, TemporalMultilayerNetwork
 
 __all__ = [
@@ -333,7 +333,7 @@ _WHITESPACE = " \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f"
 _PADDING = 64
 
 _UNKNOWN_CODE = {
-    "source": "unknown energy source {code!r}; expected one of " + str(sorted(ENERGY_SOURCES)),
+    "source": "unknown energy source {code!r}; expected one of " + str(list(ENERGY_CARRIERS)),
 }
 
 
@@ -580,7 +580,7 @@ def load_dataset(manifest: DatasetManifest) -> MrioDataset:
     tables = {
         "country": codebook.country_codes,
         "sector": codebook.sector_codes,
-        "source": sorted(ENERGY_SOURCES),
+        "source": ENERGY_CARRIERS,
     }
     window = manifest.years
 
@@ -628,10 +628,9 @@ def load_dataset(manifest: DatasetManifest) -> MrioDataset:
         )
 
     en, t_en = read(manifest.energy, "energy", "energy rows", "duplicate energy key")
-    consumption = np.zeros((years.size, len(tables["source"]), dim))
+    consumption = np.zeros((years.size, len(ENERGY_CARRIERS), dim))
     keep = en.value > 0
     consumption[t_en[keep], en.codes[2][keep], (en.codes[0] * n + en.codes[1])[keep]] = en.value[keep]
-    present = consumption.any(axis=2)
 
     fd, t_fd = read(manifest.final_demand, "final_demand", "final demand",
                     "duplicate final demand key")
@@ -644,8 +643,7 @@ def load_dataset(manifest: DatasetManifest) -> MrioDataset:
             shape=shape,
             intermediate_use=sparse.coo_array((tx.value[u], (src[u], dst[u])), shape=(dim, dim)),
             total_output=outputs[t],
-            energy_consumption={source: consumption[t, s]
-                                for s, source in enumerate(tables["source"]) if present[t, s]},
+            energy_consumption=consumption[t],
             final_demand=sparse.coo_array((fd.value[y], (fd_row[y], fd.codes[2][y])),
                                           shape=(dim, n_layers)),
         )
@@ -671,6 +669,7 @@ def save_dataset(dataset: MrioDataset, directory: Path | str) -> Path:
     # Energy rows sort by (country code, sector code, source).
     countries, sectors = codes.supra_codes(np.arange(dim))
     by_code = np.array(sorted(range(dim), key=lambda h: (countries[h], sectors[h])))
+    carriers = np.array(ENERGY_CARRIERS, dtype=object)
     rows = {kind: [] for kind in ("transactions", "outputs", "energy", "final_demand")}
     for period in dataset.periods:
         year = itertools.repeat(period.label)
@@ -679,12 +678,10 @@ def save_dataset(dataset: MrioDataset, directory: Path | str) -> Path:
                                     u.data.tolist())
         h = np.flatnonzero(period.total_output)
         rows["outputs"] += zip(year, *codes.supra_codes(h), period.total_output[h].tolist())
-        sources = sorted(period.energy_consumption)
-        c = np.array([period.energy_consumption[s] for s in sources]).reshape(len(sources), dim)
-        pos, s = np.nonzero(c[:, by_code].T)
+        f = period.energy_consumption
+        pos, k = np.nonzero(f[:, by_code].T)
         h = by_code[pos]
-        rows["energy"] += zip(year, *codes.supra_codes(h), np.array(sources, dtype=object)[s],
-                              c[s, h].tolist())
+        rows["energy"] += zip(year, *codes.supra_codes(h), carriers[k], f[k, h].tolist())
         y = period.final_demand.tocoo()
         a, j = np.divmod(y.row, n)
         order = np.lexsort((y.col, a, j))
@@ -742,9 +739,9 @@ class SyntheticSpec:
             raise ValidationError(f"density must be in (0, 1], got {self.density}")
         if not 0 < self.rho_cap < 1:
             raise ValidationError(f"rho_cap must be in (0, 1), got {self.rho_cap}")
-        unknown = set(self.source_mix) - ENERGY_SOURCES
+        unknown = [c for c in self.source_mix if c not in ENERGY_CARRIERS]
         if unknown:
-            raise ValidationError(f"unknown energy sources in mix: {sorted(unknown)}")
+            raise ValidationError(f"unknown energy sources in mix: {unknown}")
         if any(w < 0 for w in self.source_mix.values()):
             raise ValidationError("source mix weights must be >= 0")
         for cls in (SourceClass.RENEWABLE, SourceClass.NONRENEWABLE):
@@ -787,7 +784,7 @@ def generate_synthetic(spec: SyntheticSpec) -> MrioDataset:
             countries=tuple((f"C{i:03d}", f"Country {i}") for i in range(n_layers)),
         )
 
-    mix = {c: w for c, w in spec.source_mix.items() if w > 0}
+    weight = np.array([spec.source_mix.get(c, 0.0) for c in ENERGY_CARRIERS], dtype=np.float64)
     periods = []
     for t in range(n_periods):
         u = rng.uniform(0.1, 1.0, (dim, dim)) * (rng.random((dim, dim)) < spec.density)
@@ -795,14 +792,14 @@ def generate_synthetic(spec: SyntheticSpec) -> MrioDataset:
         scale = spec.rho_cap * rng.uniform(0.3, 1.0, dim)
         output = np.where(col_use > 0, col_use / scale, rng.uniform(0.5, 2.0, dim))
 
-        consumption: dict[str, np.ndarray] = {}
-        for carrier in sorted(mix):
+        consumption = np.zeros((len(ENERGY_CARRIERS), dim))
+        for k in np.flatnonzero(weight > 0):
             keep = rng.random(dim) < max(spec.density, 0.25)
-            consumption[carrier] = mix[carrier] * rng.uniform(0.1, 1.0, dim) * keep
+            consumption[k] = weight[k] * rng.uniform(0.1, 1.0, dim) * keep
         for cls in (SourceClass.RENEWABLE, SourceClass.NONRENEWABLE):
-            carriers = sorted(c for c in cls.carriers if c in mix)
-            if not any(consumption[c].any() for c in carriers):
-                consumption[carriers[0]][int(rng.integers(dim))] = mix[carriers[0]] * 0.5
+            rows = [k for k, c in enumerate(ENERGY_CARRIERS) if c in cls.carriers and weight[k] > 0]
+            if not consumption[rows].any():
+                consumption[rows[0], int(rng.integers(dim))] = weight[rows[0]] * 0.5
 
         keep = rng.random((n, n_layers, n_layers)) < spec.density
         values = rng.uniform(0.1, 2.0, (n, n_layers, n_layers))

@@ -1,8 +1,8 @@
 """Embodied energy flows from multi-region input-output accounts.
 
 Per period, the raw accounts are the intermediate-use matrix U (monetary),
-the total-output vector o (monetary), technical energy consumption c by
-carrier (TJ), and the bilateral final-demand matrix Y (monetary). The
+the total-output vector o (monetary), the energy-use block F (TJ, one row
+per carrier), and the bilateral final-demand matrix Y (monetary). The
 derived objects:
 
 * input coefficients  a_hk = u_hk / o_k  (zero where o_k = 0);
@@ -22,7 +22,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -35,6 +35,7 @@ __all__ = [
     "RENEWABLE_SOURCES",
     "NONRENEWABLE_SOURCES",
     "ENERGY_SOURCES",
+    "ENERGY_CARRIERS",
     "MrioPeriod",
     "InputCoefficients",
     "input_coefficients",
@@ -47,7 +48,11 @@ __all__ = [
 
 RENEWABLE_SOURCES = frozenset({"biomass_waste", "hydro", "other_renewable"})
 NONRENEWABLE_SOURCES = frozenset({"coal", "natural_gas", "petroleum", "nuclear"})
-ENERGY_SOURCES = RENEWABLE_SOURCES | NONRENEWABLE_SOURCES
+# The rows of the energy block F, in this (sorted) order everywhere.
+ENERGY_CARRIERS = (
+    "biomass_waste", "coal", "hydro", "natural_gas", "nuclear", "other_renewable", "petroleum"
+)
+ENERGY_SOURCES = frozenset(ENERGY_CARRIERS)
 
 
 class SourceClass(enum.Enum):
@@ -80,9 +85,9 @@ class MrioPeriod:
         u[h, k]: monetary deliveries from pair h to pair k.
     total_output : length-M vector
         o[k]: total output of pair k.
-    energy_consumption : mapping carrier -> length-M vector
-        c[h]: technical energy consumption (TJ) of pair h, per carrier.
-        Carrier names must belong to the seven known carriers.
+    energy_consumption : (7, M) array
+        f[k, h]: technical energy consumption (TJ) of pair h from carrier
+        ``ENERGY_CARRIERS[k]``, the MRIO energy block F.
     final_demand : sparse or dense M x L matrix
         y[a*N + j, b]: final demand of economy b for the goods of sector j
         from economy a (0-based), the MRIO final-demand block Y.
@@ -94,7 +99,7 @@ class MrioPeriod:
         shape: NetworkShape,
         intermediate_use,
         total_output,
-        energy_consumption: Mapping[str, np.ndarray],
+        energy_consumption,
         final_demand,
     ):
         self.label = int(label)
@@ -124,40 +129,31 @@ class MrioPeriod:
                 f"period {label}: column {k} has zero output but positive intermediate use"
             )
 
-        consumption: dict[str, np.ndarray] = {}
-        for carrier, vec in energy_consumption.items():
-            if carrier not in ENERGY_SOURCES:
-                raise ValidationError(
-                    f"period {label}: unknown energy source {carrier!r}; "
-                    f"expected one of {sorted(ENERGY_SOURCES)}"
-                )
-            v = np.asarray(vec, dtype=np.float64).reshape(-1)
-            if v.shape != (dim,):
-                raise ValidationError(
-                    f"period {label}: consumption vector for {carrier!r} has length {v.size}, "
-                    f"expected {dim}"
-                )
-            if not np.all(np.isfinite(v)) or v.min(initial=0.0) < 0:
-                raise ValidationError(
-                    f"period {label}: consumption for {carrier!r} must be finite and >= 0"
-                )
-            consumption[carrier] = v
+        f_shape = (len(ENERGY_CARRIERS), dim)
+        try:
+            f = np.asarray(energy_consumption, dtype=np.float64)
+        except (TypeError, ValueError):
+            f = None
+        if f is None or f.shape != f_shape or not np.all(np.isfinite(f)) or f.min(initial=0.0) < 0:
+            raise ValidationError(
+                f"period {label}: energy consumption must be a finite array >= 0 of shape "
+                f"{f_shape}, one row per carrier of ENERGY_CARRIERS"
+            )
 
         self.intermediate_use = u
         self.total_output = o
-        self.energy_consumption = consumption
+        self.energy_consumption = f
         self.final_demand = _nonnegative_csr(
             final_demand, f"period {label}: final demand", (dim, shape.n_layers)
         )
 
     def consumption_for(self, source: SourceClass) -> np.ndarray:
-        """Total consumption vector over the carriers of one source class,
-        summed in sorted carrier order so the result does not follow the hash seed."""
+        """Total consumption vector of one source class: the class's rows of
+        the energy block added onto 0.0 in carrier order."""
         total = np.zeros(self.shape.supra_dim)
-        for carrier in sorted(source.carriers):
-            vec = self.energy_consumption.get(carrier)
-            if vec is not None:
-                total += vec
+        for carrier, row in zip(ENERGY_CARRIERS, self.energy_consumption):
+            if carrier in source.carriers:
+                total += row
         return total
 
     def __repr__(self) -> str:

@@ -1,5 +1,9 @@
 """Final demand and energy use in the oracles' form."""
 
+import numpy as np
+
+from enflow.leontief import ENERGY_CARRIERS
+
 
 def demand_dict(period) -> dict[tuple[int, int, int], float]:
     """Stored entries of ``period.final_demand`` as {(sector j, economy a, economy b): value},
@@ -10,7 +14,16 @@ def demand_dict(period) -> dict[tuple[int, int, int], float]:
     return dict(zip(zip(j.tolist(), a.tolist(), y.col.tolist()), y.data.tolist()))
 
 
-def energy_dict(period) -> dict:
+def energy_dict(period) -> dict[str, np.ndarray]:
     """Energy use as {carrier: length-M vector} over the carriers with any
     use, the form of ``oracles.class_consumption``."""
-    return {carrier: vec for carrier, vec in period.energy_consumption.items() if vec.any()}
+    return {carrier: row for carrier, row in zip(ENERGY_CARRIERS, period.energy_consumption)
+            if row.any()}
+
+
+def energy_array(dim: int, **use) -> np.ndarray:
+    """The (7, dim) energy block with the named carriers' rows, zero elsewhere."""
+    f = np.zeros((len(ENERGY_CARRIERS), dim))
+    for carrier, row in use.items():
+        f[ENERGY_CARRIERS.index(carrier)] = row
+    return f

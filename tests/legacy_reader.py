@@ -212,7 +212,8 @@ def load_dataset(manifest: DatasetManifest) -> MrioDataset:
                 shape=shape,
                 intermediate_use=_matrix(use[year], (dim, dim)),
                 total_output=outputs[year],
-                energy_consumption=energy[year],
+                energy_consumption=np.array([energy[year].get(c, np.zeros(dim))
+                                             for c in sorted(ENERGY_SOURCES)]),
                 final_demand=_matrix(demand[year], (dim, n_layers)),
             )
         )

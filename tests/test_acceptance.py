@@ -30,7 +30,7 @@ from enflow import (
 from enflow.cli import main as cli_main
 from enflow.dataio import SyntheticSpec
 
-from accounts import demand_dict
+from accounts import demand_dict, energy_dict
 from oracles import (
     NONRENEWABLE,
     RENEWABLE,
@@ -85,7 +85,7 @@ def test_acceptance_1_embodied_flow_oracle():
                 SourceClass.RENEWABLE: RENEWABLE,
                 SourceClass.NONRENEWABLE: NONRENEWABLE,
             }[source]
-            c = class_consumption(period.energy_consumption, period.shape.supra_dim, carriers)
+            c = class_consumption(energy_dict(period), period.shape.supra_dim, carriers)
             want = dense_embodied_flows(
                 n,
                 n_layers,

@@ -16,6 +16,8 @@ from enflow import MrioPeriod, NetworkShape, SourceClass, flowcrit, load_network
 from enflow.cli import main
 from enflow.dataio import CodeBook, MrioDataset, save_dataset
 
+from accounts import energy_array
+
 
 def run(*argv) -> int:
     return main([str(a) for a in argv])
@@ -121,13 +123,13 @@ def test_build_arc_counts_match_recount_oracle(tmp_path):
 
     # independent recount: positive entries of the dense termwise evaluation
     from enflow import DatasetManifest, load_dataset
-    from accounts import demand_dict
+    from accounts import demand_dict, energy_dict
     from oracles import class_consumption, dense_embodied_flows, NONRENEWABLE, RENEWABLE
 
     dataset = load_dataset(DatasetManifest.from_json(data / "manifest.json"))
     expected = {}
     for period in dataset.periods:
-        c = class_consumption(period.energy_consumption, 4, RENEWABLE + NONRENEWABLE)
+        c = class_consumption(energy_dict(period), 4, RENEWABLE + NONRENEWABLE)
         dense = dense_embodied_flows(
             2, 2, period.intermediate_use.toarray(), period.total_output, c,
             demand_dict(period),
@@ -285,7 +287,7 @@ def reducible_dataset(tmp_path):
         NetworkShape(2, 1),
         np.zeros((2, 2)),
         np.ones(2),
-        {"coal": np.array([3.0, 0.0])},
+        energy_array(2, coal=[3.0, 0.0]),
         np.array([[2.0], [0.0]]),
     )
     book = CodeBook(sectors=(("S1", "s"), ("S2", "s")), countries=(("C1", "c"),))
@@ -308,7 +310,7 @@ def test_numerical_exit_code_for_zero_baseline(tmp_path):
         NetworkShape(1, 2),
         np.zeros((2, 2)),
         np.ones(2),
-        {"coal": np.array([3.0, 0.0])},
+        energy_array(2, coal=[3.0, 0.0]),
         np.array([[2.0, 0.0], [0.0, 0.0]]),
     )
     book = CodeBook(sectors=(("S1", "s"),), countries=(("C1", "c"), ("C2", "c")))

@@ -28,7 +28,7 @@ from enflow import (
 )
 from enflow.dataio import CodeBook, MrioDataset, load_code_list
 
-from accounts import demand_dict
+from accounts import demand_dict, energy_array, energy_dict
 
 
 def small_spec(**kw):
@@ -153,9 +153,7 @@ def test_load_values_survive(tmp_path):
         )
         assert np.array_equal(original.total_output, reread.total_output)
         assert demand_dict(original) == demand_dict(reread)
-        assert set(original.energy_consumption) >= set(reread.energy_consumption)
-        for carrier, vec in reread.energy_consumption.items():
-            assert np.array_equal(vec, original.energy_consumption[carrier])
+        assert np.array_equal(original.energy_consumption, reread.energy_consumption)
 
 
 def test_empty_transactions_gives_zero_coefficients(tmp_path):
@@ -268,7 +266,7 @@ def test_consumption_single_renewable_entry():
         NetworkShape(1, 1),
         np.array([[0.0]]),
         np.array([1.0]),
-        {"hydro": np.array([7.0])},
+        energy_array(1, hydro=7.0),
         np.zeros((1, 1)),
     )
     book = CodeBook(sectors=(("S", "Sector"),), countries=(("C", "Country"),))
@@ -287,7 +285,7 @@ def test_consumption_balanced_incidence():
         NetworkShape(1, 1),
         np.array([[0.0]]),
         np.array([1.0]),
-        {"hydro": np.array([2.0]), "coal": np.array([2.0])},
+        energy_array(1, hydro=2.0, coal=2.0),
         np.zeros((1, 1)),
     )
     book = CodeBook(sectors=(("S", "Sector"),), countries=(("C", "Country"),))
@@ -303,7 +301,7 @@ def test_consumption_totals_match_brute_force():
     for t, period in enumerate(ds.periods):
         for cls in SourceClass:
             raw = np.zeros(n * n_layers)
-            for carrier, vec in period.energy_consumption.items():
+            for carrier, vec in energy_dict(period).items():
                 if carrier in cls.carriers:
                     raw += vec
             country = [raw[a * n : (a + 1) * n].sum() for a in range(n_layers)]
@@ -460,8 +458,8 @@ def test_save_dataset_row_orders(tmp_path):
     demand = np.zeros((4, 2))
     demand[0 * 2 + 1, 1], demand[1 * 2 + 0, 0], demand[0 * 2 + 0, 1] = 7.0, 8.0, 9.0
     period = MrioPeriod(2000, NetworkShape(2, 2), use, np.ones(4),
-                        {"hydro": np.array([0.0, 5.0, 0.0, 0.0]),
-                         "coal": np.array([1.0, 2.0, 3.0, 4.0])}, demand)
+                        energy_array(4, hydro=[0.0, 5.0, 0.0, 0.0], coal=[1.0, 2.0, 3.0, 4.0]),
+                        demand)
     save_dataset(MrioDataset(periods=(period,), codebook=codebook), tmp_path)
 
     def body(name):

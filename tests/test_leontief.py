@@ -3,6 +3,7 @@ import pytest
 from scipy import sparse
 
 from enflow import (
+    ENERGY_CARRIERS,
     ConvergenceError,
     MrioPeriod,
     NetworkShape,
@@ -24,7 +25,7 @@ from enflow.dataio import (
     save_dataset,
 )
 
-from accounts import demand_dict, energy_dict
+from accounts import demand_dict, energy_array, energy_dict
 from oracles import NONRENEWABLE, RENEWABLE, class_consumption, dense_embodied_flows, neumann_series
 
 
@@ -35,7 +36,7 @@ def scalar_period(u=2.0, o=4.0, c=3.0, d=5.0, label=2000):
         shape=shape,
         intermediate_use=np.array([[u]]),
         total_output=np.array([o]),
-        energy_consumption={"coal": np.array([c])},
+        energy_consumption=energy_array(1, coal=c),
         final_demand=np.array([[d]]),
     )
 
@@ -59,7 +60,7 @@ def test_input_coefficients_columnwise_oracle():
         shape=NetworkShape(2, 1),
         intermediate_use=u,
         total_output=o,
-        energy_consumption={},
+        energy_consumption=energy_array(2),
         final_demand=np.zeros((2, 1)),
     )
     a = input_coefficients(period).matrix.toarray()
@@ -70,12 +71,46 @@ def test_mrio_period_invariants():
     shape = NetworkShape(1, 1)
     no_demand = np.zeros((1, 1))
     with pytest.raises(ValidationError):  # column use exceeds output
-        MrioPeriod(2000, shape, np.array([[5.0]]), np.array([4.0]), {}, no_demand)
+        MrioPeriod(2000, shape, np.array([[5.0]]), np.array([4.0]), energy_array(1), no_demand)
     with pytest.raises(ValidationError):  # zero output but positive use
-        MrioPeriod(2000, shape, np.array([[1.0]]), np.array([0.0]), {}, no_demand)
-    with pytest.raises(ValidationError):  # unknown carrier
-        MrioPeriod(2000, shape, np.array([[0.0]]), np.array([1.0]), {"wood": np.array([1.0])},
-                   no_demand)
+        MrioPeriod(2000, shape, np.array([[1.0]]), np.array([0.0]), energy_array(1), no_demand)
+
+
+def test_energy_carriers_are_the_sorted_carrier_names():
+    assert ENERGY_CARRIERS == tuple(sorted(RENEWABLE + NONRENEWABLE))
+
+
+def test_mrio_period_holds_the_energy_block():
+    f = energy_array(2, coal=[1.0, 2.0], hydro=[0.0, 3.0])
+    period = MrioPeriod(2000, NetworkShape(2, 1), np.zeros((2, 2)), np.ones(2), f.tolist(),
+                        np.zeros((2, 1)))
+    assert period.energy_consumption.dtype == np.float64
+    assert np.array_equal(period.energy_consumption, f)
+
+
+def poisoned(value):
+    f = energy_array(2)
+    f[3, 1] = value
+    return f
+
+
+@pytest.mark.parametrize("energy", [
+    {"coal": np.array([1.0, 2.0])},
+    {},
+    np.zeros((6, 2)),
+    np.zeros((7, 3)),
+    np.zeros(14),
+    poisoned(np.nan),
+    poisoned(np.inf),
+    poisoned(-1.0),
+    "coal",
+    None,
+], ids=["mapping", "empty-mapping", "six-rows", "three-columns", "flat", "nan", "inf", "negative",
+        "str", "none"])
+def test_mrio_period_rejects_bad_energy(energy):
+    with pytest.raises(ValidationError, match=r"period 2000: energy .* shape \(7, 2\)"):
+        MrioPeriod(2000, NetworkShape(2, 1), np.zeros((2, 2)), np.ones(2), energy,
+                   np.zeros((2, 1)))
 
 
 @pytest.mark.parametrize("demand, message", [
@@ -87,14 +122,15 @@ def test_mrio_period_invariants():
 ])
 def test_mrio_period_rejects_bad_demand(demand, message):
     with pytest.raises(ValidationError, match=message):
-        MrioPeriod(2000, NetworkShape(1, 1), np.array([[0.0]]), np.array([1.0]), {}, demand)
+        MrioPeriod(2000, NetworkShape(1, 1), np.array([[0.0]]), np.array([1.0]), energy_array(1),
+                   demand)
 
 
 def test_mrio_period_demand_layout():
     # y[a*N + j, b], N = 2 sectors, L = 3 economies: economy 2 buys sector
     # 0's goods from economy 1. The explicit zero at (0, 0) is not stored.
     y = sparse.coo_array(([4.0, 0.0], ([1 * 2 + 0, 0], [2, 0])), shape=(6, 3))
-    period = MrioPeriod(2000, NetworkShape(2, 3), np.zeros((6, 6)), np.ones(6), {}, y)
+    period = MrioPeriod(2000, NetworkShape(2, 3), np.zeros((6, 6)), np.ones(6), energy_array(6), y)
     assert isinstance(period.final_demand, sparse.csr_array)
     assert period.final_demand.shape == (6, 3) and period.final_demand.nnz == 1
     assert demand_dict(period) == {(0, 1, 2): 4.0}
@@ -183,7 +219,7 @@ def test_embodied_flow_identity_requirements_two_layers():
         shape=shape,
         intermediate_use=np.zeros((2, 2)),
         total_output=np.array([1.0, 1.0]),
-        energy_consumption={"hydro": c},
+        energy_consumption=energy_array(2, hydro=c),
         final_demand=demand,
     )
     w = embodied_flow_matrix(period, SourceClass.ALL)
@@ -211,7 +247,7 @@ def test_build_consumption_linearity_across_periods():
         NetworkShape(1, 1),
         np.array([[0.0]]),
         np.array([4.0]),
-        {"coal": np.array([3.0])},
+        energy_array(1, coal=3.0),
         np.array([[5.0]]),
     )
     p2 = MrioPeriod(
@@ -219,7 +255,7 @@ def test_build_consumption_linearity_across_periods():
         NetworkShape(1, 1),
         np.array([[0.0]]),
         np.array([4.0]),
-        {"coal": np.array([6.0])},
+        energy_array(1, coal=6.0),
         np.array([[5.0]]),
     )
     net = build_temporal_network([p1, p2], SourceClass.ALL)
@@ -235,7 +271,7 @@ def test_build_shape_mismatch():
         NetworkShape(1, 2),
         np.zeros((2, 2)),
         np.ones(2),
-        {},
+        energy_array(2),
         np.zeros((2, 2)),
     )
     with pytest.raises(ValidationError):
@@ -245,13 +281,11 @@ def test_build_shape_mismatch():
 def _dense_oracle_for(period, source):
     dim = period.shape.supra_dim
     carriers = {
-        SourceClass.ALL: None,
-        SourceClass.RENEWABLE: ("biomass_waste", "hydro", "other_renewable"),
-        SourceClass.NONRENEWABLE: ("coal", "natural_gas", "petroleum", "nuclear"),
+        SourceClass.ALL: RENEWABLE + NONRENEWABLE,
+        SourceClass.RENEWABLE: RENEWABLE,
+        SourceClass.NONRENEWABLE: NONRENEWABLE,
     }[source]
-    if carriers is None:
-        carriers = tuple(period.energy_consumption)
-    c = class_consumption(period.energy_consumption, dim, carriers)
+    c = class_consumption(energy_dict(period), dim, carriers)
     return dense_embodied_flows(
         period.shape.n_nodes,
         period.shape.n_layers,
@@ -285,7 +319,7 @@ def test_homogeneity_in_consumption():
         period.shape,
         period.intermediate_use,
         period.total_output,
-        {k: 3.0 * v for k, v in period.energy_consumption.items()},
+        3.0 * period.energy_consumption,
         period.final_demand,
     )
     w = embodied_flow_matrix(period, SourceClass.ALL).matrix.toarray()

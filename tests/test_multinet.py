@@ -14,6 +14,8 @@ from enflow import (
     hits,
 )
 
+from accounts import energy_array
+
 
 def test_shape_validation():
     with pytest.raises(ValidationError):
@@ -31,9 +33,11 @@ def test_supra_rejects_negative_and_drops_zeros():
     assert w.matrix[1, 2] == 3.0
 
 
+NO_ENERGY = energy_array(1)
 WEIGHT_MATRIX_TAKERS = {
-    "intermediate use": lambda m: MrioPeriod(2000, NetworkShape(1, 1), m, [1.0], {}, [[0.0]]),
-    "final demand": lambda m: MrioPeriod(2000, NetworkShape(1, 1), [[0.0]], [1.0], {}, m),
+    "intermediate use":
+        lambda m: MrioPeriod(2000, NetworkShape(1, 1), m, [1.0], NO_ENERGY, [[0.0]]),
+    "final demand": lambda m: MrioPeriod(2000, NetworkShape(1, 1), [[0.0]], [1.0], NO_ENERGY, m),
     "supra-adjacency": lambda m: SupraAdjacency(NetworkShape(1, 1), m),
     "hits": hits,
     "eig": eigenvector_centrality,
@@ -57,8 +61,10 @@ def tangled_csr():
 
 TWO_LAYERS = NetworkShape(1, 2)
 TWO_BY_TWO_TAKERS = {
-    "intermediate use": lambda m: MrioPeriod(2000, TWO_LAYERS, m, [9.0, 9.0], {}, np.zeros((2, 2))),
-    "final demand": lambda m: MrioPeriod(2000, TWO_LAYERS, np.zeros((2, 2)), [1.0, 1.0], {}, m),
+    "intermediate use": lambda m: MrioPeriod(2000, TWO_LAYERS, m, [9.0, 9.0], energy_array(2),
+                                              np.zeros((2, 2))),
+    "final demand": lambda m: MrioPeriod(2000, TWO_LAYERS, np.zeros((2, 2)), [1.0, 1.0],
+                                          energy_array(2), m),
     "supra-adjacency": lambda m: SupraAdjacency(TWO_LAYERS, m),
     "hits": hits,
 }

@@ -78,9 +78,7 @@ def assert_same_dataset(a, b):
         assert np.array_equal(u.indices, v.indices)
         assert np.array_equal(u.data, v.data)
         assert np.array_equal(p.total_output, q.total_output)
-        assert p.energy_consumption.keys() == q.energy_consumption.keys()
-        for carrier, vec in p.energy_consumption.items():
-            assert np.array_equal(vec, q.energy_consumption[carrier])
+        assert np.array_equal(p.energy_consumption, q.energy_consumption)
         y, z = p.final_demand, q.final_demand
         assert np.array_equal(y.indptr, z.indptr)
         assert np.array_equal(y.indices, z.indices)
