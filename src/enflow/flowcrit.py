@@ -103,6 +103,11 @@ class FlowNetwork:
         keys, slot = np.unique(tails * n + heads, return_inverse=True)
         merged = np.bincount(slot, weights=capacity, minlength=keys.size)
         tails, heads = np.divmod(keys, n)
+        if not np.all(np.isfinite(merged)):
+            a = int(np.argmin(np.isfinite(merged)))
+            raise ValidationError(
+                f"parallel arcs ({tails[a]}, {heads[a]}) merge to a capacity that is not finite"
+            )
         self.arcs: tuple[tuple[int, int, float], ...] = tuple(
             zip(tails.tolist(), heads.tolist(), merged.tolist())
         )

@@ -53,6 +53,12 @@ def test_parallel_arcs_merge():
     assert forward.arcs[0][2] != backward.arcs[0][2]
 
 
+def test_parallel_arcs_that_sum_past_the_float_range_are_rejected():
+    with pytest.raises(ValidationError,
+                       match=r"parallel arcs \(0, 1\) merge to a capacity that is not finite"):
+        FlowNetwork(3, [(1, 2, 1.0), (0, 1, 1e308), (0, 1, 1e308)])
+
+
 def test_self_loop_rejected():
     with pytest.raises(ValidationError):
         FlowNetwork(2, [(0, 0, 1.0)])
