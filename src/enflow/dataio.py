@@ -611,11 +611,12 @@ def load_dataset(manifest: DatasetManifest) -> MrioDataset:
     src = tx.codes[0] * n + tx.codes[1]
     dst = tx.codes[2] * n + tx.codes[3]
     positive = tx.value > 0
-    # Column use must not exceed the declared output.
+    # Column use must not exceed the declared output, and any use needs output.
     col_use = np.bincount(
         t_tx[positive] * dim + dst[positive], weights=tx.value[positive], minlength=years.size * dim
     ).reshape(years.size, dim)
-    bad = np.flatnonzero(col_use > outputs * (1 + 1e-9) + 1e-12)
+    over = (col_use > outputs * (1 + 1e-9) + 1e-12) | ((outputs == 0) & (col_use > 0))
+    bad = np.flatnonzero(over)
     if bad.size:
         t, k = divmod(int(bad[0]), dim)
         r = int(output_record[t, k])

@@ -141,13 +141,13 @@ def load_dataset(manifest: DatasetManifest) -> MrioDataset:
             seen_tx.add(key)
             if value > 0:
                 use[year][key[1:]] = value
-        # Column use must not exceed the declared output.
+        # Column use must not exceed the declared output, and any use needs output.
         for year in years:
             col_use = np.zeros(dim)
             for (_, k), v in use[year].items():
                 col_use[k] += v
             o = outputs[year]
-            bad = np.flatnonzero(col_use > o * (1 + 1e-9) + 1e-12)
+            bad = np.flatnonzero((col_use > o * (1 + 1e-9) + 1e-12) | ((o == 0) & (col_use > 0)))
             if bad.size:
                 k = int(bad[0])
                 line = output_lines.get((year, k))

@@ -225,6 +225,24 @@ def test_column_use_exceeding_output_rejected(tmp_path):
         load_dataset(DatasetManifest.from_json(manifest_path))
 
 
+def test_tiny_use_of_zero_output_rejected_with_its_line(tmp_path):
+    # Use up to 1e-12 passes the slack of the column check, but not zero output.
+    period = MrioPeriod(2000, NetworkShape(1, 2), np.zeros((2, 2)), np.ones(2), energy_array(2),
+                        np.zeros((2, 2)))
+    book = CodeBook(sectors=(("S1", "s"),), countries=(("C1", "c"), ("C2", "c")))
+    manifest_path = save_dataset(MrioDataset(periods=(period,), codebook=book), tmp_path)
+    (tmp_path / "transactions.csv").write_text(
+        "year,src_country,src_sector,dst_country,dst_sector,value\n2000,C1,S1,C2,S1,1e-12\n"
+    )
+    outputs = tmp_path / "outputs.csv"
+    header, first, second = outputs.read_text().splitlines()
+    for body, where in (([first, "2000,C2,S1,0"], ":3"), ([first], "")):
+        outputs.write_text("\n".join([header, *body]) + "\n")
+        message = f"outputs.csv{where}: year 2000: column C2/S1 uses 1e-12 but output is 0.0"
+        with pytest.raises(DataFormatError, match=message):
+            load_dataset(DatasetManifest.from_json(manifest_path))
+
+
 def test_unknown_source_rejected(tmp_path):
     ds = generate_synthetic(small_spec())
     manifest_path = save_dataset(ds, tmp_path)
