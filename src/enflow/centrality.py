@@ -265,7 +265,7 @@ def md_hits(
 
     Raises
     ------
-    ValidationError
+    NumericalError
         Empty network (no arc in any period).
     ConvergenceError
         Sweep cap reached; carries the trailing residuals.
@@ -276,7 +276,7 @@ def md_hits(
     n_periods = net.shape.n_periods
     t_idx, rows, cols, weights = net.tensor_entries()
     if weights.size == 0:
-        raise ValidationError("cannot score an empty network (no arcs in any period)")
+        raise NumericalError("cannot score a network with no arcs")
 
     src_sector = rows % n
     dst_sector = cols % n

@@ -22,6 +22,7 @@ drops the rest, still writes every result file and exits 0.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import itertools
 import math
@@ -72,6 +73,16 @@ def _progress(line: str) -> None:
         devnull = os.open(os.devnull, os.O_WRONLY)  # for later lines and the exit flush
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
+
+
+@contextlib.contextmanager
+def _naming(where: str):
+    """Prefix ``where`` (a source class, and a year) to an error raised inside."""
+    try:
+        yield
+    except EnflowError as exc:
+        exc.args = (f"{where}: {exc}",)
+        raise
 
 
 def _at_least(kind: type, low: float, *, strict: bool = False):
@@ -171,9 +182,9 @@ def cmd_build(args) -> int:
     for source in _sources(args.source):
         net = build_temporal_network(dataset.periods, source, tol=args.tol, max_iter=args.max_iter)
         path = save_network(net, dataset.codes, source, out, units=dataset.units)
-        if net.total_weight == 0:
-            print(f"warning: {source.value} network is empty", file=sys.stderr)
         for label, matrix in net.periods:
+            if matrix.nnz == 0:
+                print(f"warning: {source.value} {label}: network is empty", file=sys.stderr)
             _progress(f"{source.value} {label}: arcs={matrix.nnz} "
                       f"total_weight={matrix.total_weight:.6g}")
         _progress(f"wrote {path}")
@@ -186,14 +197,17 @@ def cmd_mdhits(args) -> int:
     out = Path(args.out)
     for source in _sources(args.source):
         net, codes = load_network(out, source, years)
-        scores = md_hits(net, gamma=gamma, tol=args.tol, max_iter=args.max_iter)
+        with _naming(source.value):
+            scores = md_hits(net, gamma=gamma, tol=args.tol, max_iter=args.max_iter)
         path = out / f"mdhits_{source.value}.csv"
         export_results(scores, path, "csv", codes=codes, period_labels=net.labels)
         _progress(f"wrote {path} (converged in {scores.iterations} sweeps)")
         if args.per_year:
             rows = []
             for label, matrix in net.periods:
-                per = md_hits_single_period(matrix, gamma=gamma, tol=args.tol, max_iter=args.max_iter)
+                with _naming(f"{source.value} {label}"):
+                    per = md_hits_single_period(matrix, gamma=gamma, tol=args.tol,
+                                                max_iter=args.max_iter)
                 # One period has no time axis to rank: skip the last section.
                 for component, labels, vector in _score_sections(per, codes, None)[:-1]:
                     rows.extend(
@@ -216,7 +230,8 @@ def _entity_scores(args, name: str, header: list[str], score) -> int:
         countries, sectors = codes.supra_codes(np.arange(net.shape.supra_dim))
         rows = []
         for label, matrix in net.periods:
-            vectors = [vector.tolist() for vector in score(source, label, matrix)]
+            with _naming(f"{source.value} {label}"):
+                vectors = [vector.tolist() for vector in score(source, label, matrix)]
             rows += zip(itertools.repeat(label), countries, sectors, *vectors)
         path = out / f"{name}_{source.value}.csv"
         write_csv(path, ["year", "country", "sector", *header], rows)
@@ -253,7 +268,8 @@ def cmd_criticality(args) -> int:
             mode = "exact" if codes.n_layers <= EXACT_MODE_NODE_LIMIT else "sampled"
         reports = []
         for label, matrix in net.periods:
-            report = country_level_criticality(matrix, mode, pairs=args.pairs, seed=args.seed)
+            with _naming(f"{source.value} {label}"):
+                report = country_level_criticality(matrix, mode, pairs=args.pairs, seed=args.seed)
             path = out / f"criticality_{source.value}_{label}.csv"
             export_results(report, path, "csv", node_labels=codes.country_codes)
             _progress(f"{source.value} {label}: baseline={report.baseline_total:.6g} "

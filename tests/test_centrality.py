@@ -458,7 +458,7 @@ def test_md_hits_structural_zero_entity():
 
 def test_md_hits_validation():
     net = net_from_dense([np.zeros((2, 2))], 2, 1)
-    with pytest.raises(ValidationError):
+    with pytest.raises(NumericalError, match="cannot score a network with no arcs"):
         md_hits(net)
     good = net_from_dense([np.eye(2)], 2, 1)
     with pytest.raises(ValidationError):

@@ -238,7 +238,7 @@ def test_flow_certificate_failure_exits_3(workspace, monkeypatch, capsys):
 
     monkeypatch.setattr(flowcrit.FlowNetwork, "__init__", corrupted)
     assert run("criticality", "--out", out, "--source", "all") == 3
-    assert "numerical error: flow" in capsys.readouterr().err
+    assert "numerical error: all 1990: flow" in capsys.readouterr().err
 
 
 def test_out_of_memory_exits_4(tmp_path, capsys):
@@ -394,6 +394,24 @@ def test_empty_energy_warns_and_builds_empty(tmp_path, capsys):
     assert "empty" in capsys.readouterr().err
     net, _ = load_network(out, SourceClass.ALL)
     assert net.total_weight == 0.0
+
+
+def test_an_empty_period_is_named_by_build_and_every_scoring_command(tmp_path, capsys):
+    from oracles import RENEWABLE
+
+    data, out = tmp_path / "data", tmp_path / "out"
+    assert run(*synth_args(data, shape="4,3,2", seed=2)) == 0
+    energy = data / "energy.csv"
+    lines = energy.read_text().splitlines()
+    energy.write_text("".join(f"{line}\n" for line in lines
+                              if not (line.startswith("1991,") and line.split(",")[3] in RENEWABLE)))
+    capsys.readouterr()
+    assert run("build", "--manifest", data / "manifest.json", "--out", out) == 0
+    assert capsys.readouterr().err == "warning: renewable 1991: network is empty\n"
+    for argv in (["hits"], ["eig", "--largest-scc"], ["criticality"], ["mdhits", "--per-year"]):
+        assert run(*argv, "--out", out) == 3, argv
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error: renewable 1991: ") and err.count("\n") == 1, err
 
 
 def test_synth_spec_json_input(tmp_path):
