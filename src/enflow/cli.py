@@ -77,10 +77,10 @@ def _progress(line: str) -> None:
 
 @contextlib.contextmanager
 def _naming(where: str):
-    """Prefix ``where`` (a source class, and a year) to an error raised inside."""
+    """Prefix ``where`` (a source class, and a year) to a numerical error raised inside."""
     try:
         yield
-    except EnflowError as exc:
+    except NumericalError as exc:
         exc.args = (f"{where}: {exc}",)
         raise
 
