@@ -107,8 +107,9 @@ def test_hits_and_eig_bytes_do_not_follow_the_process(tmp_path):
 
 
 # sha256 of every file that ``synth --shape 4,3,2 --seed 7``, ``build``,
-# ``criticality`` and ``consumption`` write. A change that keeps outputs
-# unchanged keeps these hashes.
+# ``criticality``, ``consumption``, ``mdhits --per-year``, ``hits`` and
+# ``eig --largest-scc`` write. A change that keeps outputs unchanged keeps
+# these hashes.
 GOLDEN = {
     "data/countries.csv": "96fbdd0403b910d5eb8974425f20441ba666a220cd1b432dd0a72116aa54009a",
     "data/energy.csv": "a5a3aa1116598a67bdb6a95a68200c6e4527161aba1df252d0c792cf8aaddc64",
@@ -123,8 +124,7 @@ GOLDEN = {
         "5005f327769e9cdc6459fcc5f6e5942209f625fb6f9ef034345a5a176aa86a25",
     "out/consumption_top_countries.csv":
         "d93949aec40158ba5866b8f4f3414cbd55be9f64d895c2f033e9fe942babe313",
-    "out/consumption_world.csv":
-        "a099471c2740589e8d07b6c3bb2a2105c683933f51e17117a0307d3b09820771",
+    "out/consumption_world.csv": "a099471c2740589e8d07b6c3bb2a2105c683933f51e17117a0307d3b09820771",
     "out/criticality_all_1990.csv":
         "4531978ea10404dab519dc9b3a5f310e6ec8137e087ff0e123c69a92975abf66",
     "out/criticality_all_1991.csv":
@@ -143,10 +143,24 @@ GOLDEN = {
         "2d820a408b3de93210a68a22fff1c6b41439a809e6aeb6ac00b70dd445e86bed",
     "out/criticality_renewable_top.csv":
         "0085ccd6fb310f9429c9e93526252f119532dcf88b69a62e4b97f5f3cca9202d",
-    "out/incidence_country.csv":
-        "a3d13af686077af83a8332b12d0473999cca4989bc086095780089fe3ef9def2",
-    "out/incidence_sector.csv":
-        "7405d566d0a8caa7d1464b4de53860c678a32b365ec97aea00b0ec26dd498971",
+    "out/eig_all.csv": "80c7c63dd48fe27edfc5c60e8914f4431c332b6dde9809f78c086de88a418bd2",
+    "out/eig_nonrenewable.csv": "2f4e9844c74ea4f53202ffba84e1e4f69c109abb64102a36edf58135780b4f5a",
+    "out/eig_renewable.csv": "af298d378d433174230f335b034659d71fa725954f290034c1c9f502da6f3692",
+    "out/hits_all.csv": "2d0b37ce68b6716cf4e5baefc2e565fe561ecfb429240433228e87206d7a620e",
+    "out/hits_nonrenewable.csv": "8e3e6e8de31a5962f6aaedd8e9db7adcc03f089750ae74600a5b38aa83225f89",
+    "out/hits_renewable.csv": "0016b0e0fa55435c8c05ddca90ee065e6db50e4dfb429c7377a2d6d509781618",
+    "out/incidence_country.csv": "a3d13af686077af83a8332b12d0473999cca4989bc086095780089fe3ef9def2",
+    "out/incidence_sector.csv": "7405d566d0a8caa7d1464b4de53860c678a32b365ec97aea00b0ec26dd498971",
+    "out/mdhits_all.csv": "8a986e69e395c77e823667ff93e413f05693bec56cdbf94931275a3a9454ddec",
+    "out/mdhits_all_by_year.csv":
+        "5fa6f3fc4effd45d7d2d96d46b9244f8f4d5199c9b93d1fa45e5903f5c8b4522",
+    "out/mdhits_nonrenewable.csv":
+        "4d1a4df289552b728780ae457a6db469a33c977b9927aff439f1a3aa91646edf",
+    "out/mdhits_nonrenewable_by_year.csv":
+        "b5952a64c819fd08411aaf0ee71dc80bf47f5ac50a883750a37fe8ff31dd257e",
+    "out/mdhits_renewable.csv": "8245f4d5c0047d78c98d149dc21266dd676721183ab1a0af7fc3721138708e01",
+    "out/mdhits_renewable_by_year.csv":
+        "f72d45e8fb86d0ed6236f20469176cad32405ba1060402fed816d45392ce3513",
     "out/network_all.csv": "bced0b2286c77bc1736e82bdf9353be2304dbd87aadf757d4db9dbd3b71aee92",
     "out/network_all.npy": "89a7ced7d1631e7e8cbfe4bdc2e3a77df5c440218d8d22efcf9afab168e866db",
     "out/network_meta.json": "011b81436d5e7df406bd53263eb6bcf91222b9975fb258645971f6f28b28de9a",
@@ -165,6 +179,9 @@ def test_synth_and_build_write_the_golden_bytes(tmp_path):
     assert main(["build", "--manifest", str(data / "manifest.json"), "--out", str(out)]) == 0
     assert main(["criticality", "--out", str(out)]) == 0
     assert main(["consumption", "--manifest", str(data / "manifest.json"), "--out", str(out)]) == 0
+    assert main(["mdhits", "--per-year", "--out", str(out)]) == 0
+    assert main(["hits", "--out", str(out)]) == 0
+    assert main(["eig", "--largest-scc", "--out", str(out)]) == 0
     written = {p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
                for p in sorted(tmp_path.rglob("*")) if p.is_file()}
     assert written == GOLDEN
