@@ -34,8 +34,6 @@ from typing import Sequence
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse import csgraph
-from scipy.sparse import linalg as splinalg
 
 from .errors import ConvergenceError, NumericalError, ReducibleNetworkError, ValidationError
 from .multinet import SupraAdjacency, TemporalMultilayerNetwork, _nonnegative_csr
@@ -148,6 +146,8 @@ def eigenvector_centrality(
         Iteration cap reached; carries the trailing residuals
         ||W x - rho x||_1 / rho.
     """
+    from scipy.sparse import csgraph  # imported here: most commands never need it
+
     w = _as_csr(matrix)
     if w.nnz == 0:
         raise NumericalError("eigenvector centrality is undefined for an all-zero matrix")
@@ -199,6 +199,8 @@ def _perron_start(m, *, symmetric: bool) -> np.ndarray:
     k = min(4, dim - 1) top eigenvectors whose eigenvalue is within a relative
     1e-9 of the largest. Uniform when dim <= 2, when ARPACK fails or when all
     k eigenvalues tie (the multiplicity may then exceed k)."""
+    from scipy.sparse import linalg as splinalg
+
     dim = m.shape[0]
     uniform = np.full(dim, 1.0 / dim)
     if dim <= 2:
@@ -229,6 +231,8 @@ def hits(matrix, tol: float = 1e-12, max_iter: int = 10_000) -> HitsScores:
     iteration on W W^T starts from that limit (see ``_perron_start``) and
     must reach ||W W^T x - lam x||_1 <= tol * lam within ``max_iter``
     iterations; ConvergenceError otherwise, with the last residuals / lam."""
+    from scipy.sparse import linalg as splinalg
+
     w = _as_csr(matrix)
     if w.nnz == 0:
         raise NumericalError("hub/authority scores are undefined for an all-zero matrix")

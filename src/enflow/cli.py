@@ -14,7 +14,9 @@ Subcommands:
 there and the analysis commands read them back from the same directory.
 
 Exit codes: 0 success, 2 validation error, 3 numerical error, 4 I/O or
-environment: files, compiler, memory.
+environment: files, compiler, memory. A scoring command that fails on one
+source class still scores the later ones and exits with the first failure's
+code.
 Stdout carries only progress lines. If its reader closes early, a command
 drops the rest, still writes every result file and exits 0.
 """
@@ -24,7 +26,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import itertools
 import math
 import os
 import sys
@@ -52,6 +53,7 @@ from .dataio import (
     save_dataset,
     save_network,
     write_csv,
+    Labels,
     _score_sections,
 )
 from .errors import EnflowError, NumericalError, ValidationError
@@ -144,6 +146,20 @@ def _sources(arg: str | None) -> list[SourceClass]:
     return [SourceClass(arg)]
 
 
+def _each_source(arg: str | None, run) -> int:
+    """``run(source)`` for each source class. A class that fails does not
+    stop the later ones: each failure is reported as it happens, and the
+    exit code is the first failure's."""
+    code = EXIT_OK
+    for source in _sources(arg):
+        try:
+            run(source)
+        except (EnflowError, OSError) as exc:
+            failed = _report(exc)
+            code = code or failed
+    return code
+
+
 def _load_input(args) -> MrioDataset:
     years = _parse_years(args.years)
     if args.manifest is None:
@@ -195,7 +211,8 @@ def cmd_mdhits(args) -> int:
     gamma = _parse_gamma(args.gamma)
     years = _parse_years(args.years)
     out = Path(args.out)
-    for source in _sources(args.source):
+
+    def run(source):
         net, codes = load_network(out, source, years)
         with _naming(source.value):
             scores = md_hits(net, gamma=gamma, tol=args.tol, max_iter=args.max_iter)
@@ -203,21 +220,24 @@ def cmd_mdhits(args) -> int:
         export_results(scores, path, "csv", codes=codes, period_labels=net.labels)
         _progress(f"wrote {path} (converged in {scores.iterations} sweeps)")
         if args.per_year:
-            rows = []
+            rows = []  # (component, year, ranking row)
             for label, matrix in net.periods:
                 with _naming(f"{source.value} {label}"):
                     per = md_hits_single_period(matrix, gamma=gamma, tol=args.tol,
                                                 max_iter=args.max_iter)
                 # One period has no time axis to rank: skip the last section.
                 for component, labels, vector in _score_sections(per, codes, None)[:-1]:
-                    rows.extend(
-                        (component, row.label, label, row.score, row.rank)
-                        for row in rank(vector, labels)
-                    )
+                    rows.extend((component, label, row) for row in rank(vector, labels))
             per_path = out / f"mdhits_{source.value}_by_year.csv"
-            write_csv(per_path, ["component", "label", "year", "score", "rank"], rows)
+            write_csv(per_path, ["component", "label", "year", "score", "rank"], [
+                Labels.of(component for component, _, _ in rows),
+                Labels.of(row.label for _, _, row in rows),
+                Labels.of(label for _, label, _ in rows),
+                [row.score for _, _, row in rows], [row.rank for _, _, row in rows],
+            ])
             _progress(f"wrote {per_path}")
-    return EXIT_OK
+
+    return _each_source(args.source, run)
 
 
 def _entity_scores(args, name: str, header: list[str], score) -> int:
@@ -225,18 +245,23 @@ def _entity_scores(args, name: str, header: list[str], score) -> int:
     entity, holding the vectors that ``score(source, label, matrix)`` returns."""
     years = _parse_years(args.years)
     out = Path(args.out)
-    for source in _sources(args.source):
+
+    def run(source):
         net, codes = load_network(out, source, years)
-        countries, sectors = codes.supra_codes(np.arange(net.shape.supra_dim))
-        rows = []
+        vectors = []
         for label, matrix in net.periods:
             with _naming(f"{source.value} {label}"):
-                vectors = [vector.tolist() for vector in score(source, label, matrix)]
-            rows += zip(itertools.repeat(label), countries, sectors, *vectors)
+                vectors.append(score(source, label, matrix))
+        dim, periods = net.shape.supra_dim, len(vectors)
         path = out / f"{name}_{source.value}.csv"
-        write_csv(path, ["year", "country", "sector", *header], rows)
+        write_csv(path, ["year", "country", "sector", *header], [
+            Labels(Labels.quoted(net.labels), np.repeat(np.arange(periods), dim)),
+            Labels.entities(codes, np.tile(np.arange(dim), periods)),
+            *map(np.concatenate, zip(*vectors)),
+        ])
         _progress(f"wrote {path}")
-    return EXIT_OK
+
+    return _each_source(args.source, run)
 
 
 def cmd_hits(args) -> int:
@@ -261,7 +286,8 @@ def cmd_eig(args) -> int:
 def cmd_criticality(args) -> int:
     years = _parse_years(args.years)
     out = Path(args.out)
-    for source in _sources(args.source):
+
+    def run(source):
         net, codes = load_network(out, source, years)
         mode = args.mode
         if mode is None:
@@ -279,16 +305,23 @@ def cmd_criticality(args) -> int:
             reports.append((label, report))
         # Every year's rows for the arcs that make any year's top list.
         top_arcs = {(row.tail, row.head) for _, report in reports for row in report.top(args.top)}
-        top_rows = [
-            (label, codes.country_codes[row.tail], codes.country_codes[row.head], row.index, position)
+        rows = [
+            (label, position, row)
             for label, report in reports
             for position, row in enumerate(report.rows, start=1)
             if (row.tail, row.head) in top_arcs
         ]
+        country = Labels.quoted(codes.country_codes)
         path = out / f"criticality_{source.value}_top.csv"
-        write_csv(path, ["year", "tail_code", "head_code", "index", "rank"], top_rows)
+        write_csv(path, ["year", "tail_code", "head_code", "index", "rank"], [
+            Labels.of(label for label, _, _ in rows),
+            Labels(country, [row.tail for _, _, row in rows]),
+            Labels(country, [row.head for _, _, row in rows]),
+            [row.index for _, _, row in rows], [position for _, position, _ in rows],
+        ])
         _progress(f"wrote {path}")
-    return EXIT_OK
+
+    return _each_source(args.source, run)
 
 
 def cmd_consumption(args) -> int:
@@ -297,40 +330,44 @@ def cmd_consumption(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     codes = summary.codes
-    labels = summary.period_labels
     classes = [SourceClass.ALL, SourceClass.RENEWABLE, SourceClass.NONRENEWABLE]
+    year = Labels.quoted(summary.period_labels)
+    source_class = Labels.quoted(cls.value for cls in classes)
+    t, c = len(summary.period_labels), len(classes)
 
     for axis, axis_codes, totals_of in (
         ("country", codes.country_codes, summary.country_totals),
         ("sector", codes.sector_codes, summary.sector_totals),
     ):
-        rows = [
-            (year, code, cls.value, value)
-            for cls in classes
-            for year, values in zip(labels, totals_of(cls).tolist())
-            for code, value in zip(axis_codes, values)
-        ]
-        write_csv(out / f"consumption_{axis}.csv", ["year", axis, "source_class", "value"], rows)
-        rows = [
-            (year, code, value)
-            for year, values in zip(labels, summary.renewable_incidence(totals_of).tolist())
-            for code, value in zip(axis_codes, values)
-            if np.isfinite(value)
-        ]
-        write_csv(out / f"incidence_{axis}.csv", ["year", axis, "incidence"], rows)
-    world_rows = [
-        (year, cls.value, value)
-        for cls in classes
-        for year, value in zip(labels, summary.world_series(cls).tolist())
-    ]
-    write_csv(out / "consumption_world.csv", ["year", "source_class", "value"], world_rows)
-    top_rows = [
-        (year, cls.value, row.rank, row.label, row.score)
-        for cls in classes
-        for year, country in zip(labels, summary.country_totals(cls))
+        code, a = Labels.quoted(axis_codes), len(axis_codes)
+        # Rows by class, then year, then code.
+        write_csv(out / f"consumption_{axis}.csv", ["year", axis, "source_class", "value"], [
+            Labels(year, np.tile(np.repeat(np.arange(t), a), c)),
+            Labels(code, np.tile(np.arange(a), t * c)),
+            Labels(source_class, np.repeat(np.arange(c), t * a)),
+            np.concatenate([totals_of(cls).ravel() for cls in classes]),
+        ])
+        incidence = summary.renewable_incidence(totals_of).ravel()
+        keep = np.flatnonzero(np.isfinite(incidence))
+        write_csv(out / f"incidence_{axis}.csv", ["year", axis, "incidence"], [
+            Labels(year, keep // a), Labels(code, keep % a), incidence[keep],
+        ])
+    write_csv(out / "consumption_world.csv", ["year", "source_class", "value"], [
+        Labels(year, np.tile(np.arange(t), c)), Labels(source_class, np.repeat(np.arange(c), t)),
+        np.concatenate([summary.world_series(cls) for cls in classes]),
+    ])
+    rows = [  # (class, period, ranking row)
+        (k, p, row)
+        for k, cls in enumerate(classes)
+        for p, country in enumerate(summary.country_totals(cls))
         for row in rank(country, codes.country_codes).rows[: args.top]
     ]
-    write_csv(out / "consumption_top_countries.csv", ["year", "source_class", "rank", "country", "value"], top_rows)
+    write_csv(out / "consumption_top_countries.csv",
+              ["year", "source_class", "rank", "country", "value"], [
+                  Labels(year, [p for _, p, _ in rows]), Labels(source_class, [k for k, _, _ in rows]),
+                  [row.rank for _, _, row in rows], Labels.of(row.label for _, _, row in rows),
+                  [row.score for _, _, row in rows],
+              ])
 
     _progress(f"wrote consumption tables to {out}")
     return EXIT_OK
@@ -413,25 +450,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _report(exc: Exception) -> int:
+    """Print the one-line message of a failure and return its exit code."""
+    if isinstance(exc, NumericalError):
+        print(f"numerical error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    if isinstance(exc, OSError):
+        print(f"i/o error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    if isinstance(exc, MemoryError):
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_IO
+    print(f"error: {exc}", file=sys.stderr)
+    return EXIT_VALIDATION
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except NumericalError as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except EnflowError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except MemoryError as exc:
-        print(f"error: out of memory: {exc}", file=sys.stderr)
-        return EXIT_IO
+    except (EnflowError, OSError, MemoryError) as exc:
+        return _report(exc)
 
 
 if __name__ == "__main__":

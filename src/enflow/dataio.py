@@ -31,9 +31,11 @@ from __future__ import annotations
 import contextlib
 import csv
 import dataclasses
+import functools
 import io
 import itertools
 import json
+import math
 import mmap
 import tokenize
 import typing
@@ -70,6 +72,7 @@ __all__ = [
     "save_network",
     "load_network",
     "write_csv",
+    "Labels",
     "DEFAULT_UNITS",
     "DEFAULT_SOURCE_MIX",
 ]
@@ -150,13 +153,76 @@ def _decode(hint, value, what: str, path: Path):
     return value
 
 
-def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Write a header and rows. Floats must be Python floats: ``csv`` writes
-    them as ``str(float) == repr(float)``, the shortest round-trip form."""
+class Labels(NamedTuple):
+    """A column of labels for :func:`write_csv`: row r holds ``text[index[r]]``,
+    where ``text`` is the CSV text of each label (see :meth:`quoted`)."""
+
+    text: np.ndarray
+    index: Sequence[int]
+
+    @staticmethod
+    def quoted(labels: Iterable) -> np.ndarray:
+        """The CSV text of each label, as an object array. A label is one field
+        or a tuple of adjacent fields; ``csv`` itself quotes each field, so the
+        quoting rules are the ones its writer applies."""
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        texts = []
+        for label in labels:
+            buf.seek(0)
+            buf.truncate()
+            # A trailing empty field: csv quotes a record that is one empty field.
+            writer.writerow((*label, "") if isinstance(label, tuple) else (label, ""))
+            texts.append(buf.getvalue()[:-2])
+        return np.array(texts, dtype=object)
+
+    @classmethod
+    def of(cls, values: Iterable) -> "Labels":
+        """A column holding ``values``; each distinct value is quoted once
+        (values equal as dict keys, such as 1 and 1.0, share the first's text)."""
+        position: dict = {}
+        index = [position.setdefault(v, len(position)) for v in values]
+        return cls(cls.quoted(position), index)
+
+    @classmethod
+    def entities(cls, codes: EntityCodes, supra) -> "Labels":
+        """The ``country,sector`` fields of 0-based supra indices."""
+        return cls(_supra_text(codes), supra)
+
+
+@functools.lru_cache(maxsize=8)
+def _supra_text(codes: EntityCodes) -> np.ndarray:
+    """CSV text of every supra index's (country, sector), made once per code universe."""
+    return Labels.quoted(codes.supra_labels)
+
+
+# Rows formatted at a time: bounds the text held in memory.
+_CHUNK = 1 << 16
+
+
+def write_csv(path: Path, header: Sequence[str], columns: Sequence) -> None:
+    """Write ``header`` and the rows of ``columns``, byte for byte as
+    ``csv.writer(lineterminator="\\n")`` writes the same rows.
+
+    A column is :class:`Labels`, whose text may span several fields, or a
+    sequence of numbers, written as Python writes them (``repr``, the
+    shortest round-trip form of a float).
+    """
+    sizes = {len(c.index) if isinstance(c, Labels) else len(c) for c in columns}
+    if len(sizes) != 1:
+        raise ValueError(f"columns of unequal length: {sorted(sizes)}")
+    n_rows = sizes.pop()
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        for start in range(0, n_rows, _CHUNK):
+            part = slice(start, start + _CHUNK)
+            fields = [c.text[c.index[part]].tolist() if isinstance(c, Labels)
+                      else repr(np.asarray(c[part]).tolist())[1:-1].split(", ")
+                      for c in columns]
+            rows = map(",".join, zip(*fields))
+            if len(header) == 1:  # as csv, quote a record that is one empty field
+                rows = (row or '""' for row in rows)
+            fh.write("\n".join(rows) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -664,32 +730,36 @@ def save_dataset(dataset: MrioDataset, directory: Path | str) -> Path:
     codebook = dataset.codebook
     codes = codebook.entity_codes
     n, dim = codes.n_nodes, codes.n_nodes * codes.n_layers
-    write_csv(directory / "sectors.csv", _SCHEMAS["codes"], codebook.sectors)
-    write_csv(directory / "countries.csv", _SCHEMAS["codes"], codebook.countries)
+    for name, entries in (("sectors", codebook.sectors), ("countries", codebook.countries)):
+        write_csv(directory / f"{name}.csv", _SCHEMAS["codes"], [Labels.of(entries)])
 
     # Energy rows sort by (country code, sector code, source).
-    countries, sectors = codes.supra_codes(np.arange(dim))
-    by_code = np.array(sorted(range(dim), key=lambda h: (countries[h], sectors[h])))
-    carriers = np.array(ENERGY_CARRIERS, dtype=object)
-    rows = {kind: [] for kind in ("transactions", "outputs", "energy", "final_demand")}
-    for period in dataset.periods:
-        year = itertools.repeat(period.label)
+    by_code = np.array(sorted(range(dim), key=codes.supra_labels.__getitem__))
+    # Per table, one (period, supra or code index columns..., value) tuple per period.
+    parts = {kind: [] for kind in ("transactions", "outputs", "energy", "final_demand")}
+    for t, period in enumerate(dataset.periods):
         u = period.intermediate_use.tocoo()  # canonical CSR: in (h, k) order
-        rows["transactions"] += zip(year, *codes.supra_codes(u.row), *codes.supra_codes(u.col),
-                                    u.data.tolist())
+        parts["transactions"].append((t, u.row, u.col, u.data))
         h = np.flatnonzero(period.total_output)
-        rows["outputs"] += zip(year, *codes.supra_codes(h), period.total_output[h].tolist())
+        parts["outputs"].append((t, h, period.total_output[h]))
         f = period.energy_consumption
         pos, k = np.nonzero(f[:, by_code].T)
         h = by_code[pos]
-        rows["energy"] += zip(year, *codes.supra_codes(h), carriers[k], f[k, h].tolist())
+        parts["energy"].append((t, h, k, f[k, h]))
         y = period.final_demand.tocoo()
         a, j = np.divmod(y.row, n)
         order = np.lexsort((y.col, a, j))
-        rows["final_demand"] += zip(year, *codes.supra_codes(y.row[order]),
-                                    codes.supra_codes(y.col[order] * n)[0], y.data[order].tolist())
-    for kind, table in rows.items():
-        write_csv(directory / f"{kind}.csv", _SCHEMAS[kind], table)
+        parts["final_demand"].append((t, y.row[order], y.col[order], y.data[order]))
+    year = Labels.quoted(dataset.labels)
+    entity = _supra_text(codes)
+    texts = {"transactions": (entity, entity), "outputs": (entity,),
+             "energy": (entity, Labels.quoted(ENERGY_CARRIERS)),
+             "final_demand": (entity, Labels.quoted(codes.country_codes))}
+    for kind, table in parts.items():
+        period_index = np.repeat([p[0] for p in table], [p[-1].size for p in table])
+        *index, value = (np.concatenate(column) for column in list(zip(*table))[1:])
+        write_csv(directory / f"{kind}.csv", _SCHEMAS[kind],
+                  [Labels(year, period_index), *map(Labels, texts[kind], index), value])
 
     manifest = {
         "transactions": "transactions.csv",
@@ -743,8 +813,9 @@ class SyntheticSpec:
         unknown = [c for c in self.source_mix if c not in ENERGY_CARRIERS]
         if unknown:
             raise ValidationError(f"unknown energy sources in mix: {unknown}")
-        if any(w < 0 for w in self.source_mix.values()):
-            raise ValidationError("source mix weights must be >= 0")
+        bad = {c: w for c, w in self.source_mix.items() if not (math.isfinite(w) and w >= 0)}
+        if bad:
+            raise ValidationError(f"source mix weights must be finite and >= 0, got {bad}")
         for cls in (SourceClass.RENEWABLE, SourceClass.NONRENEWABLE):
             if not any(self.source_mix.get(c, 0) > 0 for c in cls.carriers):
                 raise ValidationError(
@@ -928,23 +999,27 @@ def export_results(
     if fmt == "json":
         path.write_text(json.dumps({"kind": kind, **_encode(obj)}, indent=2) + "\n", "utf-8")
     elif kind == "ranking":
-        write_csv(path, ["rank", "label", "score"], ((r.rank, r.label, r.score) for r in obj))
+        write_csv(path, ["rank", "label", "score"], [
+            [r.rank for r in obj], Labels.of(r.label for r in obj), [r.score for r in obj],
+        ])
     elif kind == "md_hits_scores":
-        write_csv(path, ["component", "label", "score"], (
-            (component, label, v)
-            for component, labels, vector in _score_sections(obj, codes, period_labels)
-            for label, v in zip(labels, vector.tolist())
-        ))
+        sections = _score_sections(obj, codes, period_labels)
+        write_csv(path, ["component", "label", "score"], [
+            Labels.of(component for component, labels, _ in sections for _ in labels),
+            Labels.of(label for _, labels, _ in sections for label in labels),
+            np.concatenate([vector for _, _, vector in sections]),
+        ])
     else:
         def label(node: int) -> str:
             if node_labels is not None and node < len(node_labels):
                 return str(node_labels[node])
             return str(node)
 
-        write_csv(path, ["tail_code", "head_code", "removed_total", "index", "rank"], (
-            (label(r.tail), label(r.head), r.removed_total, r.index, i + 1)
-            for i, r in enumerate(obj.rows)
-        ))
+        write_csv(path, ["tail_code", "head_code", "removed_total", "index", "rank"], [
+            Labels.of(label(r.tail) for r in obj.rows), Labels.of(label(r.head) for r in obj.rows),
+            [r.removed_total for r in obj.rows], [r.index for r in obj.rows],
+            range(1, len(obj.rows) + 1),
+        ])
     return path
 
 
@@ -977,17 +1052,20 @@ def save_network(
     codes.check_shape(net.shape)
     if net.shape.supra_dim > np.iinfo(np.int32).max:
         raise ValidationError(f"supra dimension {net.shape.supra_dim} exceeds the int32 arc index")
-    rows, arcs = [], []
+    arcs = []
     for label, matrix in net.periods:
         h, k, w = matrix.entries()
-        rows += zip(itertools.repeat(label), *codes.supra_codes(h), *codes.supra_codes(k),
-                    w.tolist())
         period = np.empty(h.size, dtype=_ARC_DTYPE)
         period["year"], period["row"], period["col"], period["weight"] = label, h, k, w
         arcs.append(period)
+    t = np.repeat(np.arange(len(arcs)), [period.size for period in arcs])
+    arcs = np.concatenate(arcs)
     path = directory / f"network_{source.value}.csv"
-    write_csv(path, _SCHEMAS["network"], rows)
-    np.save(directory / f"network_{source.value}.npy", np.concatenate(arcs), allow_pickle=False)
+    write_csv(path, _SCHEMAS["network"], [
+        Labels(Labels.quoted(net.labels), t), Labels.entities(codes, arcs["row"]),
+        Labels.entities(codes, arcs["col"]), arcs["weight"],
+    ])
+    np.save(directory / f"network_{source.value}.npy", arcs, allow_pickle=False)
 
     meta_path = directory / "network_meta.json"
     fields = {

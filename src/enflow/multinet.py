@@ -214,11 +214,10 @@ class EntityCodes:
     def n_layers(self) -> int:
         return len(self.country_codes)
 
-    def supra_codes(self, supra) -> tuple[list[str], list[str]]:
-        """Country and sector codes of 0-based supra indices (sector fastest)."""
-        country, sector = np.divmod(np.asarray(supra, dtype=np.int64), self.n_nodes)
-        return (np.array(self.country_codes, dtype=object)[country].tolist(),
-                np.array(self.sector_codes, dtype=object)[sector].tolist())
+    @property
+    def supra_labels(self) -> list[tuple[str, str]]:
+        """(country, sector) codes of every 0-based supra index, sector fastest."""
+        return [(country, sector) for country in self.country_codes for sector in self.sector_codes]
 
     def check_shape(self, shape: NetworkShape) -> None:
         if shape.n_nodes != self.n_nodes or shape.n_layers != self.n_layers:

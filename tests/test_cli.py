@@ -396,15 +396,21 @@ def test_empty_energy_warns_and_builds_empty(tmp_path, capsys):
     assert net.total_weight == 0.0
 
 
-def test_an_empty_period_is_named_by_build_and_every_scoring_command(tmp_path, capsys):
+def _renewable_1991_empty(tmp_path):
+    """Data whose renewable 1991 period has no energy use; returns the data dir."""
     from oracles import RENEWABLE
 
-    data, out = tmp_path / "data", tmp_path / "out"
+    data = tmp_path / "data"
     assert run(*synth_args(data, shape="4,3,2", seed=2)) == 0
     energy = data / "energy.csv"
     lines = energy.read_text().splitlines()
     energy.write_text("".join(f"{line}\n" for line in lines
                               if not (line.startswith("1991,") and line.split(",")[3] in RENEWABLE)))
+    return data
+
+
+def test_an_empty_period_is_named_by_build_and_every_scoring_command(tmp_path, capsys):
+    data, out = _renewable_1991_empty(tmp_path), tmp_path / "out"
     capsys.readouterr()
     assert run("build", "--manifest", data / "manifest.json", "--out", out) == 0
     assert capsys.readouterr().err == "warning: renewable 1991: network is empty\n"
@@ -412,6 +418,36 @@ def test_an_empty_period_is_named_by_build_and_every_scoring_command(tmp_path, c
         assert run(*argv, "--out", out) == 3, argv
         err = capsys.readouterr().err
         assert err.startswith("numerical error: renewable 1991: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("argv, written", [
+    (["hits"], "hits_nonrenewable.csv"),
+    (["eig", "--largest-scc"], "eig_nonrenewable.csv"),
+    (["criticality"], "criticality_nonrenewable_top.csv"),
+    (["mdhits", "--per-year"], "mdhits_nonrenewable_by_year.csv"),
+])
+def test_a_failing_class_does_not_stop_the_later_classes(tmp_path, capsys, argv, written):
+    data, out = _renewable_1991_empty(tmp_path), tmp_path / "out"
+    assert run("build", "--manifest", data / "manifest.json", "--out", out) == 0
+    assert run(*argv, "--out", out) == 3
+    assert (out / written).exists() and (out / written.replace("nonrenewable", "all")).exists()
+    # Alone, the later class scores to the same bytes.
+    scored = (out / written).read_bytes()
+    assert run(*argv, "--source", "nonrenewable", "--out", out) == 0
+    assert (out / written).read_bytes() == scored
+
+
+def test_every_failing_class_is_reported_and_the_first_sets_the_exit_code(tmp_path, capsys):
+    data, out = _renewable_1991_empty(tmp_path), tmp_path / "out"
+    assert run("build", "--manifest", data / "manifest.json", "--out", out,
+               "--source", "renewable") == 0
+    capsys.readouterr()
+    # "all" has no artifact (exit 2); renewable 1991 is empty (exit 3).
+    assert run("hits", "--out", out) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 3 and "network artifact for source 'all' not found" in err[0]
+    assert err[1].startswith("numerical error: renewable 1991: ")
+    assert "'nonrenewable' not found" in err[2]
 
 
 def test_synth_spec_json_input(tmp_path):
@@ -492,3 +528,15 @@ def test_out_of_range_flags_exit_2(workspace, capsys, argv, message):
     assert code == 2
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+
+
+def test_importing_the_cli_leaves_scipy_linalg_and_csgraph_unloaded():
+    # Only eig and hits need them; synth, build and the rest skip their import cost.
+    src = str(Path(enflow.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, enflow.cli; "
+            "print([m for m in ('scipy.sparse.linalg', 'scipy.sparse.csgraph') if m in sys.modules])")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=300, check=True)
+    assert done.stdout == "[]\n"

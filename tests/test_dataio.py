@@ -123,6 +123,13 @@ def test_synthetic_spec_validation():
         SyntheticSpec(shape=NetworkShape(2, 2, 1), source_mix={"coal": 1.0, "wood": 1.0})
 
 
+@pytest.mark.parametrize("weight", [float("nan"), float("inf"), -1.0])
+def test_synthetic_spec_rejects_non_finite_and_negative_weights(weight):
+    with pytest.raises(ValidationError, match="weights must be finite and >= 0"):
+        SyntheticSpec(shape=NetworkShape(2, 2, 1),
+                      source_mix={"coal": 1.0, "hydro": 1.0, "nuclear": weight})
+
+
 # ---------------------------------------------------------------------------
 # load / save round trip
 # ---------------------------------------------------------------------------

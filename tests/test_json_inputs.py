@@ -29,6 +29,16 @@ def test_synthetic_spec_value_types(tmp_path, capsys, spec, message):
     assert f"spec.json: {message}" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("weight", ["NaN", "Infinity", "-Infinity"])
+def test_synth_rejects_non_finite_source_mix_weights(tmp_path, capsys, weight):
+    path = tmp_path / "spec.json"
+    path.write_text('{"source_mix": {"coal": 1.0, "hydro": 1.0, "nuclear": %s}}' % weight)
+    assert run("synth", "--synthetic-spec", path, "--out", tmp_path / "d") == 2
+    err = capsys.readouterr().err
+    assert "source mix weights must be finite and >= 0" in err and "Traceback" not in err
+    assert not (tmp_path / "d").exists()
+
+
 @pytest.mark.parametrize("edit, message", [
     ({"units": [1]}, "'units' must be an object, got list"),
     ({"units": {"energy": 3}}, "'units'['energy'] must be a string, got int"),

@@ -179,8 +179,9 @@ def test_entity_codes():
 
 def test_entity_codes_of_supra_indices():
     codes = EntityCodes(("A", "B"), ("X", "Y", "Z"))
-    assert codes.supra_codes(np.array([5, 0, 3, 3])) == (["Z", "X", "Y", "Y"], ["B", "A", "B", "B"])
-    assert codes.supra_codes(np.array([], dtype=np.int32)) == ([], [])
+    labels = codes.supra_labels
+    assert len(labels) == 6
+    assert [labels[h] for h in (5, 0, 3, 3)] == [("Z", "B"), ("X", "A"), ("Y", "B"), ("Y", "B")]
 
 
 def test_entries_in_row_col_order_from_unsorted_csr():
