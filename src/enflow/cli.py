@@ -220,21 +220,21 @@ def cmd_mdhits(args) -> int:
         export_results(scores, path, "csv", codes=codes, period_labels=net.labels)
         _progress(f"wrote {path} (converged in {scores.iterations} sweeps)")
         if args.per_year:
-            rows = []  # (component, year, ranking row)
+            rows = []
             for label, matrix in net.periods:
                 with _naming(f"{source.value} {label}"):
                     per = md_hits_single_period(matrix, gamma=gamma, tol=args.tol,
                                                 max_iter=args.max_iter)
                 # One period has no time axis to rank: skip the last section.
                 for component, labels, vector in _score_sections(per, codes, None)[:-1]:
-                    rows.extend((component, label, row) for row in rank(vector, labels))
+                    rows.extend(
+                        (component, row.label, label, row.score, row.rank)
+                        for row in rank(vector, labels)
+                    )
+            component, code, year, score, position = zip(*rows)
             per_path = out / f"mdhits_{source.value}_by_year.csv"
-            write_csv(per_path, ["component", "label", "year", "score", "rank"], [
-                Labels.of(component for component, _, _ in rows),
-                Labels.of(row.label for _, _, row in rows),
-                Labels.of(label for _, label, _ in rows),
-                [row.score for _, _, row in rows], [row.rank for _, _, row in rows],
-            ])
+            write_csv(per_path, ["component", "label", "year", "score", "rank"],
+                      [Labels.of(component), Labels.of(code), Labels.of(year), score, position])
             _progress(f"wrote {per_path}")
 
     return _each_source(args.source, run)
@@ -305,20 +305,17 @@ def cmd_criticality(args) -> int:
             reports.append((label, report))
         # Every year's rows for the arcs that make any year's top list.
         top_arcs = {(row.tail, row.head) for _, report in reports for row in report.top(args.top)}
-        rows = [
-            (label, position, row)
+        top_rows = [
+            (label, row.tail, row.head, row.index, position)
             for label, report in reports
             for position, row in enumerate(report.rows, start=1)
             if (row.tail, row.head) in top_arcs
         ]
+        year, tail, head, index, position = zip(*top_rows) if top_rows else [()] * 5
         country = Labels.quoted(codes.country_codes)
         path = out / f"criticality_{source.value}_top.csv"
-        write_csv(path, ["year", "tail_code", "head_code", "index", "rank"], [
-            Labels.of(label for label, _, _ in rows),
-            Labels(country, [row.tail for _, _, row in rows]),
-            Labels(country, [row.head for _, _, row in rows]),
-            [row.index for _, _, row in rows], [position for _, position, _ in rows],
-        ])
+        write_csv(path, ["year", "tail_code", "head_code", "index", "rank"],
+                  [Labels.of(year), Labels(country, tail), Labels(country, head), index, position])
         _progress(f"wrote {path}")
 
     return _each_source(args.source, run)
@@ -356,18 +353,16 @@ def cmd_consumption(args) -> int:
         Labels(year, np.tile(np.arange(t), c)), Labels(source_class, np.repeat(np.arange(c), t)),
         np.concatenate([summary.world_series(cls) for cls in classes]),
     ])
-    rows = [  # (class, period, ranking row)
-        (k, p, row)
+    top_rows = [
+        (p, k, row.rank, row.label, row.score)
         for k, cls in enumerate(classes)
         for p, country in enumerate(summary.country_totals(cls))
         for row in rank(country, codes.country_codes).rows[: args.top]
     ]
+    p, k, position, country, value = zip(*top_rows)
     write_csv(out / "consumption_top_countries.csv",
-              ["year", "source_class", "rank", "country", "value"], [
-                  Labels(year, [p for _, p, _ in rows]), Labels(source_class, [k for k, _, _ in rows]),
-                  [row.rank for _, _, row in rows], Labels.of(row.label for _, _, row in rows),
-                  [row.score for _, _, row in rows],
-              ])
+              ["year", "source_class", "rank", "country", "value"],
+              [Labels(year, p), Labels(source_class, k), position, Labels.of(country), value])
 
     _progress(f"wrote consumption tables to {out}")
     return EXIT_OK

@@ -216,7 +216,7 @@ def write_csv(path: Path, header: Sequence[str], columns: Sequence) -> None:
         csv.writer(fh, lineterminator="\n").writerow(header)
         for start in range(0, n_rows, _CHUNK):
             part = slice(start, start + _CHUNK)
-            fields = [c.text[c.index[part]].tolist() if isinstance(c, Labels)
+            fields = [c.text[np.asarray(c.index[part])].tolist() if isinstance(c, Labels)
                       else repr(np.asarray(c[part]).tolist())[1:-1].split(", ")
                       for c in columns]
             rows = map(",".join, zip(*fields))
