@@ -124,7 +124,8 @@ GOLDEN = {
         "5005f327769e9cdc6459fcc5f6e5942209f625fb6f9ef034345a5a176aa86a25",
     "out/consumption_top_countries.csv":
         "d93949aec40158ba5866b8f4f3414cbd55be9f64d895c2f033e9fe942babe313",
-    "out/consumption_world.csv": "a099471c2740589e8d07b6c3bb2a2105c683933f51e17117a0307d3b09820771",
+    "out/consumption_world.csv":
+        "a099471c2740589e8d07b6c3bb2a2105c683933f51e17117a0307d3b09820771",
     "out/criticality_all_1990.csv":
         "4531978ea10404dab519dc9b3a5f310e6ec8137e087ff0e123c69a92975abf66",
     "out/criticality_all_1991.csv":
@@ -149,8 +150,10 @@ GOLDEN = {
     "out/hits_all.csv": "2d0b37ce68b6716cf4e5baefc2e565fe561ecfb429240433228e87206d7a620e",
     "out/hits_nonrenewable.csv": "8e3e6e8de31a5962f6aaedd8e9db7adcc03f089750ae74600a5b38aa83225f89",
     "out/hits_renewable.csv": "0016b0e0fa55435c8c05ddca90ee065e6db50e4dfb429c7377a2d6d509781618",
-    "out/incidence_country.csv": "a3d13af686077af83a8332b12d0473999cca4989bc086095780089fe3ef9def2",
-    "out/incidence_sector.csv": "7405d566d0a8caa7d1464b4de53860c678a32b365ec97aea00b0ec26dd498971",
+    "out/incidence_country.csv":
+        "a3d13af686077af83a8332b12d0473999cca4989bc086095780089fe3ef9def2",
+    "out/incidence_sector.csv":
+        "7405d566d0a8caa7d1464b4de53860c678a32b365ec97aea00b0ec26dd498971",
     "out/mdhits_all.csv": "8a986e69e395c77e823667ff93e413f05693bec56cdbf94931275a3a9454ddec",
     "out/mdhits_all_by_year.csv":
         "5fa6f3fc4effd45d7d2d96d46b9244f8f4d5199c9b93d1fa45e5903f5c8b4522",
