@@ -1,5 +1,12 @@
 /* Dinic max flow and arc removal drops for enflow.flowcrit, loaded through ctypes.
 
+   Entry point: solve_pairs, one call per pair list (a criticality period, or
+   the one pair of a max-flow query). It allocates its workspace once and
+   solves the pairs in list order; with drops, each pair adds its arc removal
+   drops before the next pair is solved, so every sum is added in pair-list
+   order. It stops at the first failing certificate. certify is exported too,
+   for tests of the certificate on its own.
+
    Arc a owns residual slots 2a (forward, to[2a] is its head) and 2a+1
    (reverse, to[2a+1] is its tail). The reverse slot starts at 0 and holds the
    arc's flow. The slots leaving node v are adj[start[v]] .. adj[start[v+1]-1],
@@ -184,35 +191,24 @@ static double two_hop(const graph *g, const double *cap, const double *row, doub
     return sum;
 }
 
-/* Certified max flow from s to t: cap receives the residual (a copy of base
-   augmented to optimality) and *value its value. When drops is not NULL,
-   each arc a that carries flow, in arc order, adds value - value_without_a
-   to drops[a], settled by a screen or by a certified warm re-solve (see the
-   header). When counts is not NULL as well, counts[0], counts[1] and
-   counts[2] grow by the arcs settled by the cut screen, by the two-hop
-   screen and by a re-solve. Returns a certificate code. */
-int solve_pair(int n, int m, const int *to, const int *start, const int *adj,
-               const double *base, double scale, int s, int t, double *cap,
-               double *drops, int64_t *counts, double *value, int *where)
+/* Add to drops[a], for each arc a that carries flow in cap (a certified
+   max-flow residual of `value` for s -> t, whose baseline's last BFS left its
+   levels in g->level), in arc order, value - value_without_a, settled by a
+   screen or by a certified warm re-solve (see the header); counts[0], [1] and
+   [2] grow by the arcs settled by the cut screen, by the two-hop screen and by
+   a re-solve. work holds 2n + 2m + 2n doubles, side n ints. Returns a
+   certificate code and stops at the first failing one. */
+static int pair_drops(const graph *g, int m, const double *base, double scale, int s, int t,
+                      const double *cap, double value, double *drops, int64_t *counts,
+                      double *work, int *side, int *where)
 {
-    size_t doubles = 2 * (size_t)n + (drops ? 2 * (size_t)m + 2 * (size_t)n : 0);
-    double *work = malloc(doubles * sizeof(double) + 5 * (size_t)n * sizeof(int));
-    if (!work) return 3;
-    int *iwork = (int *)(work + doubles), a, v, code, tail = -1;
-    graph g = {n, to, start, adj, iwork, iwork + n, iwork + 2 * n, iwork + 3 * n};
-    memcpy(cap, base, 2 * (size_t)m * sizeof *cap);
-    *value = augment(&g, cap, s, t, HUGE_VAL);
-    code = certify(n, m, to, base, cap, scale, s, t, *value, work, where);
-    if (!drops || code) {
-        free(work);
-        return code;
-    }
+    const int n = g->n, *to = g->to, *start = g->start, *adj = g->adj;
     double *warm = work + 2 * n, *row = warm + 2 * (size_t)m, *col = row + n;
-    int *side = iwork + 4 * n;
+    int a, v, code = 0, tail = -1;
     /* Only a BFS that missed t ran to completion; with finite capacities the
        baseline always ends with one. */
-    int screens = g.level[t] < 0;
-    memcpy(side, g.level, (size_t)n * sizeof *side);
+    int screens = g->level[t] < 0;
+    memcpy(side, g->level, (size_t)n * sizeof *side);
     for (v = 0; v < n; v++) row[v] = col[v] = 0.0;
     for (a = 0; code == 0 && a < m; a++) {
         int u = to[2 * a + 1], head = to[2 * a], how, k;
@@ -225,19 +221,47 @@ int solve_pair(int n, int m, const int *to, const int *start, const int *adj,
             tail = u;
         }
         if (screens && side[u] >= 0 && side[head] < 0) {
-            drop = *value - ((*value - f) + 0.0);
+            drop = value - ((value - f) + 0.0);
             how = 0;
-        } else if (screens && two_hop(&g, cap, row, col, u, head) >= f * (1.0 + 1e-9)) {
+        } else if (screens && two_hop(g, cap, row, col, u, head) >= f * (1.0 + 1e-9)) {
             drop = 0.0;
             how = 1;
         } else {
-            double rest = without(&g, cap, warm, m, s, t, *value, a);
+            double rest = without(g, cap, warm, m, s, t, value, a);
             code = certify(n, m, to, base, warm, scale, s, t, rest, work, where);
-            drop = *value - rest;
+            drop = value - rest;
             how = 2;
         }
         drops[a] += drop;
-        if (counts) counts[how]++;
+        counts[how]++;
+    }
+    return code;
+}
+
+/* Certified max flows of the npairs pairs (pairs[2i], pairs[2i+1]), solved in
+   list order with one workspace: values[i] receives pair i's value, and cap
+   each pair's residual in turn (a copy of base augmented to optimality), so
+   it ends with the last one's. When drops and counts are not NULL, each pair
+   then adds its arc removal drops and settle counts, as pair_drops says;
+   pair after pair in list order, so every sum is added in the same order. Stops at the first failing certificate and returns its
+   code, or 3 when the workspace cannot be allocated. */
+int solve_pairs(int n, int m, const int *to, const int *start, const int *adj,
+                const double *base, double scale, int npairs, const int *pairs,
+                double *cap, double *values, double *drops, int64_t *counts, int *where)
+{
+    size_t doubles = 2 * (size_t)n + (drops ? 2 * (size_t)m + 2 * (size_t)n : 0);
+    double *work = malloc(doubles * sizeof(double) + 5 * (size_t)n * sizeof(int));
+    if (!work) return 3;
+    int *iwork = (int *)(work + doubles), i, code = 0;
+    graph g = {n, to, start, adj, iwork, iwork + n, iwork + 2 * n, iwork + 3 * n};
+    for (i = 0; code == 0 && i < npairs; i++) {
+        int s = pairs[2 * i], t = pairs[2 * i + 1];
+        memcpy(cap, base, 2 * (size_t)m * sizeof *cap);
+        values[i] = augment(&g, cap, s, t, HUGE_VAL);
+        code = certify(n, m, to, base, cap, scale, s, t, values[i], work, where);
+        if (drops && code == 0)
+            code = pair_drops(&g, m, base, scale, s, t, cap, values[i], drops, counts, work,
+                              iwork + 4 * n, where);
     }
     free(work);
     return code;

@@ -20,13 +20,16 @@ exact mode the pair set is all ordered pairs; in sampled mode it is a seeded
 fixed sample of ordered pairs reused for the baseline and for every arc
 removal, so sampled runs are reproducible given (seed, pair count).
 
-Removal totals are computed pair by pair, and every shortcut is exact. Each
-pair is solved once, and the solve is certified (capacity bounds and
-conservation). An arc that carries no flow in that max flow leaves the
-pair's value unchanged: the flow stays feasible without the arc, and
-deleting capacity cannot raise a max flow. An arc that carries flow is
-settled by the first of three means that applies, each giving the bits of
-the warm re-solve (the header of ``_maxflow.c`` has the proofs):
+Removal totals are computed pair by pair, and every shortcut is exact. One
+kernel call per period (one network) solves all its pairs in pair-list
+order, so the per-arc sums are added in that order. Each pair is solved
+once, and the solve is certified (capacity bounds and conservation); the
+call stops at the first failing certificate. An arc that carries no flow
+in that max flow leaves the pair's value unchanged: the flow stays feasible
+without the arc, and deleting capacity cannot raise a max flow. An arc that
+carries flow is settled by the first of three means that applies, each
+giving the bits of the warm re-solve (the header of ``_maxflow.c`` has the
+proofs):
 
 - the cut screen: the arc leaves the source side S of the max flow's
   minimum cut (the nodes its residual reaches from the source), so deleting
@@ -133,43 +136,31 @@ class FlowNetwork:
         rows, cols = rows[off], cols[off]
         return cls(m.shape[0], np.column_stack((rows, cols, m[rows, cols])))
 
-    def solve(
-        self,
-        source: int,
-        target: int,
-        drops: np.ndarray | None = None,
-        counts: np.ndarray | None = None,
-    ) -> tuple[float, np.ndarray]:
-        """Certified max-flow value and the final residual. With ``drops``,
-        also add to ``drops[a]``, for every arc a carrying flow, the fall in
-        the value when a is deleted (settled by an exact screen or by a
-        certified warm re-solve). With ``counts`` too, add to its three
-        entries the number of those arcs settled by the cut screen, by the
-        two-hop screen and by a re-solve."""
+    def solve(self, source: int, target: int) -> tuple[float, np.ndarray]:
+        """Certified max-flow value and the final residual."""
         self._check_pair(source, target)
-        m = len(self.arcs)
-        for name, out, dtype, size in (
-            ("drops", drops, np.float64, m), ("counts", counts, np.int64, 3)
-        ):
-            if out is not None and not (
-                out.dtype == dtype and out.shape == (size,) and out.flags.c_contiguous
-            ):
-                raise ValidationError(
-                    f"{name} must be a contiguous {dtype.__name__} array of {size} entries"
-                )
-        if counts is not None and drops is None:
-            raise ValidationError("counts are kept only with drops")
-        cap = np.empty_like(self.base_cap)
-        value, where = ctypes.c_double(), ctypes.c_int()
-        code = _kernel().solve_pair(
-            self.node_count, m, self.to.ctypes.data, self.start.ctypes.data,
-            self.adj.ctypes.data, self.base_cap.ctypes.data, self.scale, source, target,
-            cap.ctypes.data, None if drops is None else drops.ctypes.data,
-            None if counts is None else counts.ctypes.data,
-            ctypes.byref(value), ctypes.byref(where),
+        values, cap, _, _ = self._solve_pairs([(source, target)])
+        return float(values[0]), cap
+
+    def _solve_pairs(self, pairs, drops: bool = False):
+        """Certified max-flow values of ``pairs``, (source, target) rows of
+        distinct nodes, solved in row order in one kernel call, and the last
+        pair's residual. With ``drops``, also, per arc, the falls in the
+        pairs' values when it is deleted, summed in row order, and the number
+        of carrying arcs settled by the cut screen, by the two-hop screen and
+        by a re-solve; else None and None."""
+        pairs = np.ascontiguousarray(pairs, dtype=np.intc)
+        values, cap = np.empty(len(pairs)), np.empty_like(self.base_cap)
+        sums = (np.zeros(len(self.arcs)), np.zeros(3, dtype=np.int64)) if drops else (None, None)
+        where = ctypes.c_int()
+        code = _kernel().solve_pairs(
+            self.node_count, len(self.arcs), self.to.ctypes.data, self.start.ctypes.data,
+            self.adj.ctypes.data, self.base_cap.ctypes.data, self.scale, len(pairs),
+            pairs.ctypes.data, cap.ctypes.data, values.ctypes.data,
+            *(None if a is None else a.ctypes.data for a in sums), ctypes.byref(where),
         )
         _raise_for(code, where.value)
-        return value.value, cap
+        return values, cap, *sums
 
     def _certify(self, cap, source: int, target: int, value: float) -> None:
         """Certify the residual as a flow of ``value``: capacity bounds plus
@@ -227,8 +218,8 @@ def _kernel() -> ctypes.CDLL:
         kernel = ctypes.CDLL(str(lib))
     i, d, p = ctypes.c_int, ctypes.c_double, ctypes.c_void_p
     kernel.certify.argtypes = [i, i, p, p, p, d, i, i, d, p, p]
-    kernel.solve_pair.argtypes = [i, i, p, p, p, p, d, i, i, p, p, p, p, p]
-    kernel.certify.restype = kernel.solve_pair.restype = i
+    kernel.solve_pairs.argtypes = [i, i, p, p, p, p, d, i, p, p, p, p, p, p]
+    kernel.certify.restype = kernel.solve_pairs.restype = i
     return kernel
 
 
@@ -244,20 +235,17 @@ def max_flow(net: FlowNetwork, source: int, target: int) -> float:
     return net.solve(source, target)[0]
 
 
-def _pair_set(node_count: int, mode: str, pairs: int, seed: int) -> list[tuple[int, int]]:
+def _pair_set(node_count: int, mode: str, pairs: int, seed: int) -> np.ndarray:
+    """The ordered pairs (s, t), s != t, as a (k, 2) ``intc`` array in index
+    order s * (n - 1) + (t if t < s else t - 1): all of them, or a seeded
+    sample."""
     total = node_count * (node_count - 1)
-    if total == 0:
-        return []
     if mode == "exact" or pairs >= total:
-        indices = range(total)
+        indices = np.arange(total)
     else:
-        rng = np.random.default_rng(seed)
-        indices = np.sort(rng.choice(total, size=pairs, replace=False)).tolist()
-    out = []
-    for idx in indices:
-        s, r = divmod(int(idx), node_count - 1)
-        out.append((s, r if r < s else r + 1))
-    return out
+        indices = np.sort(np.random.default_rng(seed).choice(total, size=pairs, replace=False))
+    s, r = np.divmod(indices, node_count - 1)
+    return np.column_stack((s, r + (r >= s))).astype(np.intc)
 
 
 @dataclass(frozen=True)
@@ -323,12 +311,8 @@ def arc_criticality(
     # max flow when arc a is deleted. Only arcs carrying flow in the pair's
     # certified max flow can lower it: without any other arc that flow stays
     # feasible, and deleting capacity cannot raise a max flow. One kernel
-    # call per pair solves, screens, re-solves and certifies.
-    values = np.empty(len(pair_list))
-    drops = np.zeros(len(net.arcs))
-    counts = np.zeros(3, dtype=np.int64)
-    for i, (s, t) in enumerate(pair_list):
-        values[i] = net.solve(s, t, drops, counts)[0]
+    # call solves, screens, re-solves and certifies every pair in turn.
+    values, _, drops, counts = net._solve_pairs(pair_list, drops=True)
     baseline = float(values.sum())
     if baseline <= 0.0:
         raise ZeroBaselineError(

@@ -250,12 +250,16 @@ def test_out_of_memory_exits_4(tmp_path, capsys):
 
 def test_kernel_out_of_memory_exits_4(workspace, monkeypatch, capsys):
     _, out = workspace
+    calls = []
 
-    def no_memory(self, source, target, drops=None, counts=None):
-        flowcrit._raise_for(3, 0)  # the kernel's code when its malloc fails
+    class NoMemory:
+        def solve_pairs(self, n, *args):
+            calls.append((n, args[6]))  # node and pair counts
+            return 3  # the kernel's code when its malloc fails
 
-    monkeypatch.setattr(flowcrit.FlowNetwork, "solve", no_memory)
+    monkeypatch.setattr(flowcrit, "_kernel", NoMemory)
     assert run("criticality", "--out", out, "--source", "all") == 4
+    assert calls == [(2, 2)]  # one call for both pairs of the first period's 2 countries
     assert capsys.readouterr().err == "error: out of memory: max-flow kernel is out of memory\n"
 
 

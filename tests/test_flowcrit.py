@@ -16,6 +16,7 @@ from enflow import (
     country_level_criticality,
     max_flow,
 )
+from enflow import flowcrit
 from enflow.flowcrit import _pair_set
 
 from oracles import lp_max_flow, min_cut_value
@@ -338,7 +339,7 @@ def test_flow_far_below_arc_capacity_is_rescored():
     # 1e-70 units cross (1, 2), yet 1.0 - (1.0 - 1e-70) == 0.0: the flow must
     # be read where it does not round away, or (1, 2) looks flowless.
     net = FlowNetwork(3, [(0, 1, 1e-70), (1, 2, 1.0)])
-    seed = next(s for s in range(100) if _pair_set(3, "sampled", 1, s) == [(0, 2)])
+    seed = next(s for s in range(100) if _pair_set(3, "sampled", 1, s).tolist() == [[0, 2]])
     report = arc_criticality(net, "sampled", pairs=1, seed=seed)
     assert [(r.tail, r.head, r.index) for r in report.rows] == [(0, 1, 1.0), (1, 2, 1.0)]
 
@@ -465,11 +466,13 @@ def test_kernel_matches_reference_engine_exactly(net):
             if s == t:
                 continue
             want_value, want_cap = reference.solve(s, t)
-            drops = np.zeros(len(net.arcs))
-            value, cap = net.solve(s, t, drops)
-            assert value == want_value
+            values, cap, drops, _ = net._solve_pairs([(s, t)], drops=True)
+            assert values.tolist() == [want_value]
             assert cap.tolist() == want_cap
             assert drops.tolist() == reference.drops(s, t).tolist()
+            value, cap = net.solve(s, t)
+            assert value == want_value
+            assert cap.tolist() == want_cap
 
 
 # ---------------------------------------------------------------------------
@@ -512,9 +515,8 @@ def check_screens(net, source, target):
     :func:`screen_counts`. Returns the drops and the counts."""
     engine = ReferenceEngine(net.node_count, net.arcs)
     want_value, want_cap = engine.solve(source, target)
-    drops, counts = np.zeros(len(net.arcs)), np.zeros(3, dtype=np.int64)
-    value, cap = net.solve(source, target, drops, counts)
-    assert value == want_value
+    values, cap, drops, counts = net._solve_pairs([(source, target)], drops=True)
+    assert values.tolist() == [want_value]
     assert cap.tolist() == want_cap
     assert drops.tolist() == engine.drops(source, target).tolist()
     assert counts.tolist() == screen_counts(engine, want_cap, source, target)
@@ -583,17 +585,63 @@ def test_screens_match_reference_engine_on_decimal_capacities(net, data):
         check_screens(net, s, t)
 
 
-def test_counts_need_drops_and_three_int64_entries():
+@settings(max_examples=100, deadline=None)
+@given(net=st.one_of(flow_networks(), decimal_networks()), data=st.data())
+def test_period_matches_reference_engine_pair_by_pair(net, data):
+    """One period's report against the reference engine: every total is
+    the same sum, in pair-list order, of the reference's values and drops."""
+    n = net.node_count
+    mode, pairs, seed = "exact", 0, 0
+    if data.draw(st.booleans(), label="sampled"):
+        mode = "sampled"
+        pairs = data.draw(st.integers(1, n * (n - 1)), label="pairs")
+        seed = data.draw(st.integers(0, 2**16), label="seed")
+    engine = ReferenceEngine(n, net.arcs)
+    values, drops, counts = [], np.zeros(len(net.arcs)), np.zeros(3, dtype=np.int64)
+    for s, t in _pair_set(n, mode, pairs, seed).tolist():
+        value, cap = engine.solve(s, t)
+        values.append(value)
+        drops += engine.drops(s, t)
+        counts += screen_counts(engine, cap, s, t)
+    baseline = np.array(values).sum()
+    if not baseline > 0.0:
+        with pytest.raises(ZeroBaselineError):
+            arc_criticality(net, mode, pairs=pairs, seed=seed)
+        return
+    report = arc_criticality(net, mode, pairs=pairs, seed=seed)
+    assert report.baseline_total == baseline
+    want = {(a, b): min(baseline - d, baseline) for (a, b, _), d in zip(net.arcs, drops)}
+    assert {(r.tail, r.head): r.removed_total for r in report.rows} == want
+    assert all(r.index == 1.0 - r.removed_total / baseline for r in report.rows)
+    got = [report.settled_by_cut, report.settled_by_two_hop, report.resolved]
+    assert got == counts.tolist()
+
+
+def test_one_kernel_call_per_period(monkeypatch):
+    kernel, calls = flowcrit._kernel(), []
+
+    class Counted:
+        def solve_pairs(self, *args):
+            calls.append(args[7])  # the number of pairs
+            return kernel.solve_pairs(*args)
+
+    monkeypatch.setattr(flowcrit, "_kernel", Counted)
+    arc_criticality(random_network(np.random.default_rng(3)))
+    arc_criticality(diamond(), "sampled", pairs=5, seed=1)
+    assert calls == [7 * 6, 5]
+
+
+def test_drops_and_counts_add_up_over_the_pairs_of_one_call():
     net = diamond()
-    with pytest.raises(ValidationError, match="counts are kept only with drops"):
-        net.solve(0, 3, counts=np.zeros(3, dtype=np.int64))
-    with pytest.raises(ValidationError, match="counts must be a contiguous int64 array of 3"):
-        net.solve(0, 3, np.zeros(4), np.zeros(3))
-    counts = np.zeros(3, dtype=np.int64)
-    net.solve(0, 3, np.zeros(4), counts)
-    net.solve(0, 3, np.zeros(4), counts)
-    # per call: (0, 2) and (1, 3) cross the cut, (0, 1) and (2, 3) have no detour
+    values, _, drops, counts = net._solve_pairs([(0, 3), (0, 3)], drops=True)
+    assert values.tolist() == [4.0, 4.0]
+    # per pair: (0, 2) and (1, 3) cross the cut, (0, 1) and (2, 3) have no detour
     assert counts.tolist() == [4, 0, 4]
+    assert drops.tolist() == [4.0, 4.0, 4.0, 4.0]
+    values, cap, drops, counts = net._solve_pairs([(0, 3), (1, 3)])
+    assert values.tolist() == [4.0, 2.0]
+    assert cap.tolist() == net.solve(1, 3)[1].tolist()
+    assert drops is None and counts is None
 
 
 def test_report_counts_every_carrying_arc():
