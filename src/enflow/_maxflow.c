@@ -242,9 +242,10 @@ static int pair_drops(const graph *g, int m, const double *base, double scale, i
    list order with one workspace: values[i] receives pair i's value, and cap
    each pair's residual in turn (a copy of base augmented to optimality), so
    it ends with the last one's. When drops and counts are not NULL, each pair
-   then adds its arc removal drops and settle counts, as pair_drops says;
-   pair after pair in list order, so every sum is added in the same order. Stops at the first failing certificate and returns its
-   code, or 3 when the workspace cannot be allocated. */
+   then adds its arc removal drops and settle counts, as pair_drops says,
+   pair after pair in list order, so every sum is added in that order. Stops
+   at the first failing certificate and returns its code, or 3 when the
+   workspace cannot be allocated. */
 int solve_pairs(int n, int m, const int *to, const int *start, const int *adj,
                 const double *base, double scale, int npairs, const int *pairs,
                 double *cap, double *values, double *drops, int64_t *counts, int *where)

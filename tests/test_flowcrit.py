@@ -14,9 +14,9 @@ from enflow import (
     aggregate_to_layers,
     arc_criticality,
     country_level_criticality,
+    flowcrit,
     max_flow,
 )
-from enflow import flowcrit
 from enflow.flowcrit import _pair_set
 
 from oracles import lp_max_flow, min_cut_value
