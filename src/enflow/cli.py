@@ -35,6 +35,7 @@ import numpy as np
 
 from .centrality import (
     DEFAULT_GAMMA,
+    _check_gamma,
     eigenvector_centrality,
     hits,
     md_hits,
@@ -57,7 +58,8 @@ from .dataio import (
     _score_sections,
 )
 from .errors import EnflowError, NumericalError, ValidationError
-from .flowcrit import DEFAULT_SAMPLE_PAIRS, EXACT_MODE_NODE_LIMIT, country_level_criticality
+from .flowcrit import (DEFAULT_SAMPLE_PAIRS, EXACT_MODE_NODE_LIMIT, _check_sampling,
+                       country_level_criticality)
 from .leontief import SourceClass, build_temporal_network
 from .multinet import NetworkShape
 
@@ -209,6 +211,7 @@ def cmd_build(args) -> int:
 
 def cmd_mdhits(args) -> int:
     gamma = _parse_gamma(args.gamma)
+    _check_gamma(gamma)  # once, not once per source class
     years = _parse_years(args.years)
     out = Path(args.out)
 
@@ -285,6 +288,8 @@ def cmd_eig(args) -> int:
 
 def cmd_criticality(args) -> int:
     years = _parse_years(args.years)
+    if args.mode is not None:  # once, not once per source class
+        _check_sampling(args.mode, args.pairs, args.seed)
     out = Path(args.out)
 
     def run(source):

@@ -50,10 +50,11 @@ import numpy as np
 from scipy import sparse
 
 from .centrality import MdHitsScores, RankingTable
-from .errors import DataFormatError, ValidationError
+from .errors import DataFormatError, ValidationError, first_failure
 from .flowcrit import ArcCriticalityReport
 from .leontief import ENERGY_CARRIERS, MrioPeriod, SourceClass
-from .multinet import EntityCodes, NetworkShape, SupraAdjacency, TemporalMultilayerNetwork
+from .multinet import (EntityCodes, NetworkShape, SupraAdjacency, TemporalMultilayerNetwork,
+                       stacked_entries)
 
 __all__ = [
     "CodeBook",
@@ -103,13 +104,17 @@ _ARC_DTYPE = np.dtype([("year", "<i8"), ("row", "<i4"), ("col", "<i4"), ("weight
 _INT64 = range(-(2**63), 2**63)
 
 
-def _read_json_object(path: Path) -> dict:
+def _read_json_object(path: Path, keys: Sequence[str] | None = None) -> dict:
+    """The JSON object in ``path``; when ``keys`` are given, it may hold no other key."""
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DataFormatError(f"invalid JSON: {exc}", path=str(path)) from exc
     if not isinstance(raw, dict):
         raise DataFormatError(f"expected a JSON object, got {type(raw).__name__}", path=str(path))
+    unknown = [key for key in raw if keys is not None and key not in keys]
+    if unknown:
+        raise DataFormatError(f"unknown key {unknown[0]!r} (known: {list(keys)})", path=str(path))
     return raw
 
 
@@ -328,7 +333,7 @@ class DatasetManifest:
     @classmethod
     def from_json(cls, path: Path | str) -> "DatasetManifest":
         path = Path(path)
-        raw = _read_json_object(path)
+        raw = _read_json_object(path, [f.name for f in dataclasses.fields(cls)])
         base = path.parent
         required = ["transactions", "outputs", "energy", "final_demand"]
         missing = [key for key in required if raw.get(key) is None]
@@ -438,7 +443,7 @@ def _number(text: str, kind: type):
         value = kind(text)
     except ValueError:
         return None
-    if kind is int and not -(2**63) <= value < 2**63:
+    if kind is int and value not in _INT64:
         return None
     return value
 
@@ -585,10 +590,10 @@ def _read_table(
         checks.append((live & ~np.isin(year, periods), lambda row: orphan.format(year=int(row[0]))))
     indices = []
     for column, table, fields in zip(code_columns, code_tables, codes):
-        idx, hit = _lookup(table, fields)
+        idx, known = _lookup(table, fields)
         indices.append(idx)
         template = _UNKNOWN_CODE.get(column, "unknown {what} code {code!r} in column {column!r}")
-        checks.append((live & ~hit, lambda row, c=column, t=template: t.format(
+        checks.append((live & ~known, lambda row, c=column, t=template: t.format(
             what=c.split("_")[-1], code=row[columns.index(c)].strip(_WHITESPACE), column=c)))
     name = columns[-1]
     if bad:  # every record's value must parse, as its field count must match
@@ -609,13 +614,10 @@ def _read_table(
         checks.append((dup, lambda row: duplicate.format(
             **{**dict(zip(columns, row)), "year": int(row[0])})))
 
-    record, message = year.size, None
-    for mask, text in checks:
-        k = int(np.argmax(mask)) if mask.size else 0
-        if mask.size and mask[k] and k < record:
-            record, message = k, text
-    if message is not None:
-        line, row = _record(path, record)
+    hit = first_failure(checks)
+    if hit is not None:
+        k, message = hit
+        line, row = _record(path, k)
         raise DataFormatError(message(row), path=str(path), line=line)
     return _Table(kept, year[kept], tuple(idx[kept] for idx in indices), value[kept])
 
@@ -682,9 +684,9 @@ def load_dataset(manifest: DatasetManifest) -> MrioDataset:
         t_tx[positive] * dim + dst[positive], weights=tx.value[positive], minlength=years.size * dim
     ).reshape(years.size, dim)
     over = (col_use > outputs * (1 + 1e-9) + 1e-12) | ((outputs == 0) & (col_use > 0))
-    bad = np.flatnonzero(over)
-    if bad.size:
-        t, k = divmod(int(bad[0]), dim)
+    hit = first_failure([(over.reshape(-1), None)])
+    if hit is not None:
+        t, k = divmod(hit[0], dim)
         r = int(output_record[t, k])
         raise DataFormatError(
             f"year {years[t]}: column {codebook.country_codes[k // n]}/"
@@ -733,33 +735,30 @@ def save_dataset(dataset: MrioDataset, directory: Path | str) -> Path:
     for name, entries in (("sectors", codebook.sectors), ("countries", codebook.countries)):
         write_csv(directory / f"{name}.csv", _SCHEMAS["codes"], [Labels.of(entries)])
 
+    periods = dataset.periods
+    year, entity = Labels.quoted(dataset.labels), _supra_text(codes)
+
+    def write(kind: str, t: np.ndarray, *columns) -> None:
+        write_csv(directory / f"{kind}.csv", _SCHEMAS[kind], [Labels(year, t), *columns])
+
+    t, h, k, value = stacked_entries(p.intermediate_use for p in periods)
+    write("transactions", t, Labels(entity, h), Labels(entity, k), value)
+    outputs = np.array([p.total_output for p in periods])
+    t, h = np.nonzero(outputs)
+    write("outputs", t, Labels(entity, h), outputs[t, h])
     # Energy rows sort by (country code, sector code, source).
     by_code = np.array(sorted(range(dim), key=codes.supra_labels.__getitem__))
-    # Per table, one (period, supra or code index columns..., value) tuple per period.
-    parts = {kind: [] for kind in ("transactions", "outputs", "energy", "final_demand")}
-    for t, period in enumerate(dataset.periods):
-        u = period.intermediate_use.tocoo()  # canonical CSR: in (h, k) order
-        parts["transactions"].append((t, u.row, u.col, u.data))
-        h = np.flatnonzero(period.total_output)
-        parts["outputs"].append((t, h, period.total_output[h]))
-        f = period.energy_consumption
-        pos, k = np.nonzero(f[:, by_code].T)
-        h = by_code[pos]
-        parts["energy"].append((t, h, k, f[k, h]))
-        y = period.final_demand.tocoo()
-        a, j = np.divmod(y.row, n)
-        order = np.lexsort((y.col, a, j))
-        parts["final_demand"].append((t, y.row[order], y.col[order], y.data[order]))
-    year = Labels.quoted(dataset.labels)
-    entity = _supra_text(codes)
-    texts = {"transactions": (entity, entity), "outputs": (entity,),
-             "energy": (entity, Labels.quoted(ENERGY_CARRIERS)),
-             "final_demand": (entity, Labels.quoted(codes.country_codes))}
-    for kind, table in parts.items():
-        period_index = np.repeat([p[0] for p in table], [p[-1].size for p in table])
-        *index, value = (np.concatenate(column) for column in list(zip(*table))[1:])
-        write_csv(directory / f"{kind}.csv", _SCHEMAS[kind],
-                  [Labels(year, period_index), *map(Labels, texts[kind], index), value])
+    energy = np.array([p.energy_consumption for p in periods])
+    t, pos, k = np.nonzero(energy[:, :, by_code].transpose(0, 2, 1))
+    h = by_code[pos]
+    write("energy", t, Labels(entity, h), Labels(Labels.quoted(ENERGY_CARRIERS), k),
+          energy[t, k, h])
+    # Final demand rows sort by (sector, source country, destination country).
+    t, h, b, value = stacked_entries(p.final_demand for p in periods)
+    a, j = np.divmod(h, n)
+    order = np.lexsort((b, a, j, t))
+    write("final_demand", t[order], Labels(entity, h[order]),
+          Labels(Labels.quoted(codes.country_codes), b[order]), value[order])
 
     manifest = {
         "transactions": "transactions.csv",
@@ -826,17 +825,18 @@ class SyntheticSpec:
     @classmethod
     def from_json(cls, path: Path | str) -> "SyntheticSpec":
         """Read ``n_sectors``, ``n_countries``, ``n_periods`` and the other
-        fields by name; a missing key keeps its default."""
+        fields by name; a missing key keeps its default, and any other key
+        is a DataFormatError."""
         path = Path(path)
-        raw = _read_json_object(path)
+        dims = {"n_sectors": 4, "n_countries": 3, "n_periods": 2}
+        names = [f.name for f in dataclasses.fields(cls) if f.name != "shape"]
+        raw = _read_json_object(path, [*dims, *names])
         shape = NetworkShape(*(
-            _decode(int, raw.get(key, default), repr(key), path)
-            for key, default in (("n_sectors", 4), ("n_countries", 3), ("n_periods", 2))
+            _decode(int, raw.get(key, default), repr(key), path) for key, default in dims.items()
         ))
         hints = typing.get_type_hints(cls)
         return cls(shape=shape, **{
-            f.name: _decode(hints[f.name], raw[f.name], repr(f.name), path)
-            for f in dataclasses.fields(cls) if f.name != "shape" and f.name in raw
+            name: _decode(hints[name], raw[name], repr(name), path) for name in names if name in raw
         })
 
 
@@ -1052,14 +1052,11 @@ def save_network(
     codes.check_shape(net.shape)
     if net.shape.supra_dim > np.iinfo(np.int32).max:
         raise ValidationError(f"supra dimension {net.shape.supra_dim} exceeds the int32 arc index")
-    arcs = []
-    for label, matrix in net.periods:
-        h, k, w = matrix.entries()
-        period = np.empty(h.size, dtype=_ARC_DTYPE)
-        period["year"], period["row"], period["col"], period["weight"] = label, h, k, w
-        arcs.append(period)
-    t = np.repeat(np.arange(len(arcs)), [period.size for period in arcs])
-    arcs = np.concatenate(arcs)
+    t, *entries = stacked_entries(m.matrix for m in net.matrices)
+    arcs = np.empty(t.size, dtype=_ARC_DTYPE)
+    arcs["year"] = np.array(net.labels)[t]
+    arcs["row"], arcs["col"], arcs["weight"] = entries
+    del entries  # the CSV export below holds only t and the records
     path = directory / f"network_{source.value}.csv"
     write_csv(path, _SCHEMAS["network"], [
         Labels(Labels.quoted(net.labels), t), Labels.entities(codes, arcs["row"]),
@@ -1159,23 +1156,20 @@ def load_network(
     arcs = _read_arcs(path)
     year, row, col, weight = arcs["year"], arcs["row"], arcs["col"], arcs["weight"]
     dim = shape.supra_dim
-    checks = [
+    hit = first_failure([
         (~np.isin(year, periods), lambda k: f"year {year[k]} not listed in {meta_path.name}"),
         ((row < 0) | (row >= dim), lambda k: f"row {row[k]} outside [0, {dim})"),
         ((col < 0) | (col >= dim), lambda k: f"col {col[k]} outside [0, {dim})"),
         (~np.isfinite(weight), lambda k: f"non-finite weight {weight[k]}"),
         (weight < 0, lambda k: f"negative weight {weight[k]}"),
-    ]
-    bad = np.logical_or.reduce([mask for mask, _ in checks])
-    if bad.any():
-        k = int(np.argmax(bad))
-        message = next(text for mask, text in checks if mask[k])
+    ])
+    if hit is not None:
+        k, message = hit
         raise DataFormatError(f"record {k}: {message(k)}", path=str(path))
-    if years is not None:
-        arcs = arcs[(years[0] <= year) & (year <= years[1])]
-    entries = np.column_stack((arcs["row"], arcs["col"], arcs["weight"]))
-    t = np.searchsorted(labels, arcs["year"])
+    # Each period's records only: a whole-class (m, 3) float copy costs 24 bytes an arc.
+    by_period = _by_period(np.searchsorted(periods, year), periods.size)
     return TemporalMultilayerNetwork([
-        (int(label), SupraAdjacency.from_entries(shape, entries[rows]))
-        for label, rows in zip(labels, _by_period(t, labels.size))
+        (int(label),
+         SupraAdjacency.from_entries(shape, np.column_stack((row[i], col[i], weight[i]))))
+        for label, i in zip(periods, by_period) if label in labels
     ]), codes

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from typing import Iterable
 
+import numpy as np
+
 
 class EnflowError(Exception):
     """Base class for all errors raised by this package."""
@@ -68,3 +70,13 @@ class ZeroBaselineError(NumericalError):
 class FlowCertificateError(NumericalError):
     """A computed max flow failed its certificate (capacity bounds or
     conservation), so its value cannot be trusted."""
+
+
+def first_failure(checks: Iterable[tuple[np.ndarray, object]]) -> tuple[int, object] | None:
+    """The one rule by which a strict check names what it rejects: the first
+    position that any check flags, with the message of the first check that
+    flags it, or None. ``checks`` are (mask, message) pairs of 1-D boolean
+    masks of one length; the message is returned as given."""
+    checks = list(checks)
+    first = np.flatnonzero(np.logical_or.reduce([mask for mask, _ in checks]))[:1]
+    return next(((int(k), message) for k in first for mask, message in checks if mask[k]), None)

@@ -235,6 +235,16 @@ def max_flow(net: FlowNetwork, source: int, target: int) -> float:
     return net.solve(source, target)[0]
 
 
+def _check_sampling(mode: str, pairs: int, seed: int) -> None:
+    """ValidationError unless ``mode`` is "exact", or "sampled" with pairs >= 1 and seed >= 0."""
+    if mode not in ("exact", "sampled"):
+        raise ValidationError(f"mode must be 'exact' or 'sampled', got {mode!r}")
+    if mode == "sampled" and pairs < 1:
+        raise ValidationError("sampled mode needs at least one pair")
+    if mode == "sampled" and seed < 0:
+        raise ValidationError(f"sampling seed must be >= 0, got {seed}")
+
+
 def _pair_set(node_count: int, mode: str, pairs: int, seed: int) -> np.ndarray:
     """The ordered pairs (s, t), s != t, as a (k, 2) ``intc`` array in index
     order s * (n - 1) + (t if t < s else t - 1): all of them, or a seeded
@@ -300,12 +310,7 @@ def arc_criticality(
     ZeroBaselineError
         The baseline total is zero, so the index is undefined.
     """
-    if mode not in ("exact", "sampled"):
-        raise ValidationError(f"mode must be 'exact' or 'sampled', got {mode!r}")
-    if mode == "sampled" and pairs < 1:
-        raise ValidationError("sampled mode needs at least one pair")
-    if mode == "sampled" and seed < 0:
-        raise ValidationError(f"sampling seed must be >= 0, got {seed}")
+    _check_sampling(mode, pairs, seed)
     pair_list = _pair_set(net.node_count, mode, pairs, seed)
     # drops[a] sums, pair by pair in pair-list order, the fall in the pair's
     # max flow when arc a is deleted. Only arcs carrying flow in the pair's

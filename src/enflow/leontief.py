@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy import sparse
 
-from .errors import ConvergenceError, NonProductiveEconomyError, ValidationError
+from .errors import ConvergenceError, NonProductiveEconomyError, ValidationError, first_failure
 from .multinet import NetworkShape, SupraAdjacency, TemporalMultilayerNetwork, _nonnegative_csr
 
 __all__ = [
@@ -115,19 +115,14 @@ class MrioPeriod:
             raise ValidationError(f"period {label}: total output must be finite and >= 0")
 
         col_use = np.asarray(u.sum(axis=0)).reshape(-1)
-        # Column use may not exceed output; allow harmless float slack.
-        bad = col_use > o * (1 + 1e-9) + 1e-12
-        if np.any(bad):
-            k = int(np.argmax(bad))
-            raise ValidationError(
-                f"period {label}: column {k} uses {col_use[k]} but output is {o[k]}"
-            )
-        zero_out = (o == 0) & (col_use > 0)
-        if np.any(zero_out):
-            k = int(np.argmax(zero_out))
-            raise ValidationError(
-                f"period {label}: column {k} has zero output but positive intermediate use"
-            )
+        # Column use may not exceed output (allow harmless float slack), and any use needs output.
+        hit = first_failure((
+            (col_use > o * (1 + 1e-9) + 1e-12, lambda k: f"uses {col_use[k]} but output is {o[k]}"),
+            ((o == 0) & (col_use > 0), lambda k: "has zero output but positive intermediate use"),
+        ))
+        if hit is not None:
+            k, message = hit
+            raise ValidationError(f"period {label}: column {k} {message(k)}")
 
         f_shape = (len(ENERGY_CARRIERS), dim)
         try:

@@ -18,7 +18,7 @@ from typing import Iterator, Sequence
 import numpy as np
 from scipy import sparse
 
-from .errors import ValidationError
+from .errors import ValidationError, first_failure
 
 __all__ = [
     "NetworkShape",
@@ -26,6 +26,7 @@ __all__ = [
     "TemporalMultilayerNetwork",
     "EntityCodes",
     "aggregate_to_layers",
+    "stacked_entries",
 ]
 
 
@@ -109,27 +110,34 @@ def checked_triples(
                 )
         raise ValidationError(f"{noun} triples must form an (m, 3) array, got {np.shape(table)}")
     tails, heads, values = table.T  # column by column: numpy is slow on rows of 2
-    checks = (
-        ~(np.isfinite(tails) & np.isfinite(heads)
-          & (tails == np.floor(tails)) & (heads == np.floor(heads))),
-        (tails < 0) | (tails >= n) | (heads < 0) | (heads >= n),
-        np.zeros(tails.size, dtype=bool) if loops else tails == heads,
-        ~(np.isfinite(values) & (values >= 0)),
-    )
-    failed = np.logical_or.reduce(checks)
-    if failed.any():
-        i = int(np.argmax(failed))
-        if checks[0][i]:
-            raise ValidationError(f"{noun} {i} endpoints ({tails[i]}, {heads[i]}) are not integers")
-        tail, head = int(tails[i]), int(heads[i])
-        if checks[1][i]:
-            raise ValidationError(f"{noun} ({tail}, {head}) outside {span}")
-        if checks[2][i]:
-            raise ValidationError(f"self-loop {noun} at node {tail} is not allowed")
-        raise ValidationError(
-            f"{noun} ({tail}, {head}) {fields[2]} must be finite and >= 0, got {float(values[i])}"
-        )
+    hit = first_failure((
+        (~(np.isfinite(tails) & np.isfinite(heads)
+           & (tails == np.floor(tails)) & (heads == np.floor(heads))),
+         lambda i: f"{noun} {i} endpoints ({tails[i]}, {heads[i]}) are not integers"),
+        ((tails < 0) | (tails >= n) | (heads < 0) | (heads >= n),
+         lambda i: f"{noun} ({int(tails[i])}, {int(heads[i])}) outside {span}"),
+        ((tails == heads) & (not loops),
+         lambda i: f"self-loop {noun} at node {int(tails[i])} is not allowed"),
+        (~(np.isfinite(values) & (values >= 0)),
+         lambda i: f"{noun} ({int(tails[i])}, {int(heads[i])}) {fields[2]} must be finite and "
+                   f">= 0, got {float(values[i])}"),
+    ))
+    if hit is not None:
+        i, message = hit
+        raise ValidationError(message(i))
     return tails.astype(np.int64), heads.astype(np.int64), values
+
+
+def stacked_entries(matrices) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(t, row, col, value) of the stored entries of ``matrices``, one or more
+    canonical CSR arrays: t is a matrix's 0-based position, the indices are
+    int64, and the entries come matrix by matrix, each in (row, col) order."""
+    matrices = list(matrices)
+    rows = [np.repeat(np.arange(m.shape[0]), np.diff(m.indptr)) for m in matrices]
+    return (np.repeat(np.arange(len(matrices), dtype=np.int64), [m.nnz for m in matrices]),
+            np.concatenate(rows, dtype=np.int64),
+            np.concatenate([m.indices for m in matrices], dtype=np.int64),
+            np.concatenate([m.data for m in matrices]))
 
 
 class SupraAdjacency:
@@ -167,12 +175,6 @@ class SupraAdjacency:
     @property
     def total_weight(self) -> float:
         return float(self.matrix.sum())
-
-    def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Return (rows, cols, weights) arrays of the stored arcs, 0-based, in
-        (row, col) order."""
-        coo = self.matrix.tocoo()
-        return coo.row.copy(), coo.col.copy(), coo.data.copy()
 
     def __repr__(self) -> str:
         s = self.shape
@@ -259,23 +261,9 @@ class TemporalMultilayerNetwork:
         return tuple(matrix for _, matrix in self.periods)
 
     def tensor_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Concatenate all stored arcs as (t, row, col, weight) arrays.
-
-        t is the 0-based period position (not the year label).
-        """
-        ts, rows, cols, vals = [], [], [], []
-        for t, (_, matrix) in enumerate(self.periods):
-            r, c, v = matrix.entries()
-            ts.append(np.full(r.shape, t, dtype=np.int64))
-            rows.append(r.astype(np.int64))
-            cols.append(c.astype(np.int64))
-            vals.append(v)
-        return (
-            np.concatenate(ts) if ts else np.empty(0, dtype=np.int64),
-            np.concatenate(rows),
-            np.concatenate(cols),
-            np.concatenate(vals),
-        )
+        """All stored arcs as (t, row, col, weight) arrays, by :func:`stacked_entries`;
+        t is the 0-based period position, not the year label."""
+        return stacked_entries(m.matrix for m in self.matrices)
 
     @property
     def total_weight(self) -> float:

@@ -77,8 +77,11 @@ def test_network_export_with_an_empty_period_and_quoted_codes(tmp_path, chunk):
     ]
     path = save_network(TemporalMultilayerNetwork(periods), codes, SourceClass.ALL, tmp_path)
     supra = codes.supra_labels
-    rows = [(label, *supra[h], *supra[k], w)
-            for label, matrix in periods for h, k, w in zip(*(a.tolist() for a in matrix.entries()))]
+    rows = []
+    for label, matrix in periods:
+        coo = matrix.matrix.tocoo()
+        rows += [(label, *supra[h], *supra[k], w)
+                 for h, k, w in zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist())]
     assert len(rows) == 5
     expected = csv_bytes(tmp_path / "rows.csv", dataio._SCHEMAS["network"], rows)
     assert path.read_bytes() == expected

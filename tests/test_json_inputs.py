@@ -108,3 +108,30 @@ def test_network_meta_period_beyond_int64_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert (f"{meta_path}: period 99999999999999999999 is out of the int64 range" in err
             and "Traceback" not in err)
+
+
+@pytest.mark.parametrize("spec, key", [
+    ({"densty": 0.9, "sed": 5}, "densty"),
+    ({"n_sectors": 2, "shape": [2, 2, 2]}, "shape"),
+])
+def test_synthetic_spec_unknown_key_exits_2(tmp_path, capsys, spec, key):
+    # A misspelt key would otherwise leave its field at the default.
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert run("synth", "--synthetic-spec", path, "--out", tmp_path / "d") == 2
+    err = capsys.readouterr().err
+    assert f"spec.json: unknown key {key!r}" in err and "Traceback" not in err
+    assert not (tmp_path / "d").exists()
+
+
+def test_manifest_unknown_key_exits_2(tmp_path, capsys):
+    data = tmp_path / "data"
+    assert run("synth", "--shape", "2,2,2", "--out", data) == 0
+    raw = json.loads((data / "manifest.json").read_text())
+    path = data / "edited.json"
+    path.write_text(json.dumps({**raw, "yaers": [1990, 1990]}))
+    capsys.readouterr()
+    assert run("build", "--manifest", path, "--out", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert f"{path}: unknown key 'yaers'" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()

@@ -76,6 +76,19 @@ def test_mrio_period_invariants():
         MrioPeriod(2000, shape, np.array([[1.0]]), np.array([0.0]), energy_array(1), no_demand)
 
 
+def test_mrio_period_names_the_first_column_that_fails_either_check():
+    # Column 0 has zero output and a use within the float slack; column 1 uses
+    # more than its output. The first failing column is named, as load_dataset does.
+    use = np.array([[1e-13, 2.0], [0.0, 0.0]])
+    with pytest.raises(ValidationError,
+                       match="^period 2000: column 0 has zero output but positive intermediate use$"):
+        MrioPeriod(2000, NetworkShape(2, 1), use, np.array([0.0, 1.0]), energy_array(2),
+                   np.zeros((2, 1)))
+    with pytest.raises(ValidationError, match="^period 2000: column 1 uses 2.0 but output is 1.0$"):
+        MrioPeriod(2000, NetworkShape(2, 1), use, np.array([1.0, 1.0]), energy_array(2),
+                   np.zeros((2, 1)))
+
+
 def test_energy_carriers_are_the_sorted_carrier_names():
     assert ENERGY_CARRIERS == tuple(sorted(RENEWABLE + NONRENEWABLE))
 

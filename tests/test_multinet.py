@@ -14,6 +14,9 @@ from enflow import (
     hits,
 )
 
+from enflow.errors import first_failure
+from enflow.multinet import stacked_entries
+
 from accounts import energy_array
 
 
@@ -168,6 +171,27 @@ def test_temporal_network_checks():
     assert vals.tolist() == [1.0, 1.0]
 
 
+def test_stacked_entries_come_matrix_by_matrix_in_row_col_order():
+    rng = np.random.default_rng(5)
+    matrices = [sparse.random_array((4, 3), density=d, rng=rng, format="csr")
+                for d in (0.5, 0.0, 0.9)]
+    t, rows, cols, values = stacked_entries(matrices)
+    assert all(a.dtype == np.int64 for a in (t, rows, cols))
+    for k, m in enumerate(matrices):
+        coo = m.tocoo()
+        assert np.array_equal(rows[t == k], coo.row) and np.array_equal(cols[t == k], coo.col)
+        assert np.array_equal(values[t == k], coo.data)
+    assert np.all(np.diff(t) >= 0) and np.all(np.diff(t * 12 + rows * 3 + cols) > 0)
+
+
+def test_first_failure_names_the_first_position_and_its_first_check():
+    low, high = np.array([False, True, True]), np.array([False, False, True])
+    assert first_failure([(high, "high"), (low, "low")]) == (1, "low")
+    assert first_failure([(low, "low"), (high, "high")]) == (1, "low")
+    assert first_failure([(high[:1], "high")]) is None
+    assert first_failure([(np.zeros(0, dtype=bool), "empty")]) is None
+
+
 def test_entity_codes():
     with pytest.raises(ValidationError):
         EntityCodes(("A", "A"), ("X",))
@@ -188,6 +212,6 @@ def test_entries_in_row_col_order_from_unsorted_csr():
     # Row 0 stores columns 3, 1: the matrix is kept canonical, so arcs come
     # back sorted, as the network writer needs.
     m = sparse.csr_array(([1.0, 2.0, 3.0], [3, 1, 0], [0, 2, 3, 3, 3]), shape=(4, 4))
-    rows, cols, vals = SupraAdjacency(NetworkShape(2, 2), m).entries()
+    _, rows, cols, vals = stacked_entries([SupraAdjacency(NetworkShape(2, 2), m).matrix])
     assert rows.tolist() == [0, 0, 1] and cols.tolist() == [1, 3, 0]
     assert vals.tolist() == [2.0, 1.0, 3.0]
