@@ -55,7 +55,6 @@ from .flowcrit import (
     max_flow,
 )
 from .dataio import (
-    ConsumptionSummary,
     DatasetManifest,
     MrioDataset,
     SyntheticSpec,
@@ -65,6 +64,7 @@ from .dataio import (
     generate_synthetic,
     import_results,
     load_dataset,
+    load_energy,
     load_network,
     save_dataset,
     save_network,
@@ -121,9 +121,9 @@ __all__ = [
     "DatasetManifest",
     "MrioDataset",
     "SyntheticSpec",
-    "ConsumptionSummary",
     "bundled_codebook",
     "load_dataset",
+    "load_energy",
     "save_dataset",
     "generate_synthetic",
     "consumption_summary",

@@ -44,12 +44,12 @@ from .centrality import (
 )
 from .dataio import (
     DatasetManifest,
-    MrioDataset,
     SyntheticSpec,
     consumption_summary,
     export_results,
     generate_synthetic,
     load_dataset,
+    load_energy,
     load_network,
     save_dataset,
     save_network,
@@ -143,9 +143,7 @@ def _parse_shape(text: str) -> NetworkShape:
 
 
 def _sources(arg: str | None) -> list[SourceClass]:
-    if arg is None:
-        return [SourceClass.ALL, SourceClass.RENEWABLE, SourceClass.NONRENEWABLE]
-    return [SourceClass(arg)]
+    return list(SourceClass) if arg is None else [SourceClass(arg)]
 
 
 def _each_source(arg: str | None, run) -> int:
@@ -162,14 +160,15 @@ def _each_source(arg: str | None, run) -> int:
     return code
 
 
-def _load_input(args) -> MrioDataset:
+def _manifest(args) -> DatasetManifest:
+    """The ``--manifest`` dataset, with ``--years`` as its year range when given."""
     years = _parse_years(args.years)
     if args.manifest is None:
         raise ValidationError("--manifest is required")
     manifest = DatasetManifest.from_json(args.manifest)
     if years is not None:
         manifest = dataclasses.replace(manifest, years=years)
-    return load_dataset(manifest)
+    return manifest
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +194,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_build(args) -> int:
-    dataset = _load_input(args)
+    dataset = load_dataset(_manifest(args))
     out = Path(args.out)
     for source in _sources(args.source):
         net = build_temporal_network(dataset.periods, source, tol=args.tol, max_iter=args.max_iter)
@@ -327,43 +326,39 @@ def cmd_criticality(args) -> int:
 
 
 def cmd_consumption(args) -> int:
-    dataset = _load_input(args)
-    summary = consumption_summary(dataset)
+    labels, codes, energy = load_energy(_manifest(args))
+    sums = consumption_summary(energy)  # (class, year, entity), classes in SourceClass order
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    codes = summary.codes
-    classes = [SourceClass.ALL, SourceClass.RENEWABLE, SourceClass.NONRENEWABLE]
-    year = Labels.quoted(summary.period_labels)
-    source_class = Labels.quoted(cls.value for cls in classes)
-    t, c = len(summary.period_labels), len(classes)
+    c, t = sums.shape[:2]
+    by_entity = sums.reshape(c, t, codes.n_layers, codes.n_nodes)
+    year = Labels.quoted(labels)
+    source_class = Labels.quoted(cls.value for cls in SourceClass)
 
-    for axis, axis_codes, totals_of in (
-        ("country", codes.country_codes, summary.country_totals),
-        ("sector", codes.sector_codes, summary.sector_totals),
-    ):
+    for axis, axis_codes, totals in (("country", codes.country_codes, by_entity.sum(axis=3)),
+                                     ("sector", codes.sector_codes, by_entity.sum(axis=2))):
         code, a = Labels.quoted(axis_codes), len(axis_codes)
         # Rows by class, then year, then code.
         write_csv(out / f"consumption_{axis}.csv", ["year", axis, "source_class", "value"], [
             Labels(year, np.tile(np.repeat(np.arange(t), a), c)),
             Labels(code, np.tile(np.arange(a), t * c)),
             Labels(source_class, np.repeat(np.arange(c), t * a)),
-            np.concatenate([totals_of(cls).ravel() for cls in classes]),
+            totals.ravel(),
         ])
-        incidence = summary.renewable_incidence(totals_of).ravel()
-        keep = np.flatnonzero(np.isfinite(incidence))
+        # The renewable share of the "all" total, where that total is positive.
+        whole, renewable = totals[0].ravel(), totals[1].ravel()
+        keep = np.flatnonzero(whole > 0)
         write_csv(out / f"incidence_{axis}.csv", ["year", axis, "incidence"], [
-            Labels(year, keep // a), Labels(code, keep % a), incidence[keep],
+            Labels(year, keep // a), Labels(code, keep % a), renewable[keep] / whole[keep],
         ])
     write_csv(out / "consumption_world.csv", ["year", "source_class", "value"], [
         Labels(year, np.tile(np.arange(t), c)), Labels(source_class, np.repeat(np.arange(c), t)),
-        np.concatenate([summary.world_series(cls) for cls in classes]),
+        sums.sum(axis=2).ravel(),
     ])
-    top_rows = [
-        (p, k, row.rank, row.label, row.score)
-        for k, cls in enumerate(classes)
-        for p, country in enumerate(summary.country_totals(cls))
-        for row in rank(country, codes.country_codes).rows[: args.top]
-    ]
+    top_rows = [(p, k, row.rank, row.label, row.score)
+                for k, by_year in enumerate(by_entity.sum(axis=3))
+                for p, country in enumerate(by_year)
+                for row in rank(country, codes.country_codes).rows[: args.top]]
     p, k, position, country, value = zip(*top_rows)
     write_csv(out / "consumption_top_countries.csv",
               ["year", "source_class", "rank", "country", "value"],

@@ -61,10 +61,10 @@ __all__ = [
     "DatasetManifest",
     "MrioDataset",
     "SyntheticSpec",
-    "ConsumptionSummary",
     "bundled_codebook",
     "load_code_list",
     "load_dataset",
+    "load_energy",
     "save_dataset",
     "generate_synthetic",
     "consumption_summary",
@@ -396,6 +396,11 @@ class MrioDataset:
     def labels(self) -> tuple[int, ...]:
         return tuple(p.label for p in self.periods)
 
+    @property
+    def energy(self) -> np.ndarray:
+        """The (T, 7, M) stack of the periods' energy blocks F."""
+        return np.array([p.energy_consumption for p in self.periods])
+
 
 # What ``str.strip()`` removes from an ASCII field: the readers strip code fields.
 _WHITESPACE = " \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f"
@@ -548,7 +553,7 @@ def _cut(fields: np.ndarray, width: int) -> np.ndarray:
 def _read_table(
     path: Path,
     kind: str,
-    tables: Mapping[str, Sequence[str]],
+    codebook: CodeBook,
     *,
     window: tuple[int, int] | None = None,
     periods: np.ndarray | None = None,
@@ -558,8 +563,8 @@ def _read_table(
     """Parse and validate one CSV table of ``_SCHEMAS[kind]`` in one columnar pass.
 
     The first column is the year, the last the value, and each column between
-    holds a code looked up in ``tables`` under the column name's last word
-    (country, sector or source). Records whose year lies outside ``window``
+    holds a code of the codebook's countries or sectors or of ``ENERGY_CARRIERS``,
+    as its name's last word says. Records whose year lies outside ``window``
     are dropped once the year parses. A year missing from ``periods`` fails
     with ``orphan``; a repeated (year, codes) key fails with ``duplicate``.
     The error names the first record with any violation and, within it, the
@@ -569,6 +574,8 @@ def _read_table(
     """
     columns = _SCHEMAS[kind]
     code_columns = columns[1:-1]
+    tables = {"country": codebook.country_codes, "sector": codebook.sector_codes,
+              "source": ENERGY_CARRIERS}
     code_tables = [tables[column.split("_")[-1]] for column in code_columns]
     # One byte more than the longest code, so a longer field cannot truncate
     # into a known code.
@@ -634,6 +641,39 @@ def _by_period(t: np.ndarray, n_periods: int) -> list[np.ndarray]:
     return [order[bounds[p] : bounds[p + 1]] for p in range(n_periods)]
 
 
+def _years(table: _Table, path: Path, window: tuple[int, int] | None) -> np.ndarray:
+    """The distinct years of a table's records in the window; there must be some."""
+    if not table.year.size:
+        raise ValidationError(f"no periods found in {path}"
+                              + (f" within years {window[0]}..{window[1]}" if window else ""))
+    return np.unique(table.year)
+
+
+def _energy_block(manifest: DatasetManifest, codebook: CodeBook, years=None) -> tuple:
+    """The periods and (T, 7, M) energy blocks F of ``energy.csv``: ``years``, which
+    the records in the window must use, or else the file's years in the window."""
+    en = _read_table(manifest.energy, "energy", codebook, window=manifest.years, periods=years,
+                     orphan="year {year} has energy rows but no outputs",
+                     duplicate="duplicate energy key")
+    if years is None:
+        years = _years(en, manifest.energy, manifest.years)
+    n = len(codebook.sectors)
+    energy = np.zeros((years.size, len(ENERGY_CARRIERS), n * len(codebook.countries)))
+    keep = en.value > 0
+    energy[np.searchsorted(years, en.year[keep]), en.codes[2][keep],
+           (en.codes[0] * n + en.codes[1])[keep]] = en.value[keep]
+    return years, energy
+
+
+def load_energy(manifest: DatasetManifest) -> tuple[tuple[int, ...], EntityCodes, np.ndarray]:
+    """Period labels, entity codes and (T, 7, M) energy blocks F, read from the
+    code lists and ``energy.csv`` alone: the file's years in the manifest's range,
+    checked as :func:`load_dataset` checks them, bar the years without outputs."""
+    codebook = manifest.codebook()
+    years, energy = _energy_block(manifest, codebook)
+    return tuple(years.tolist()), codebook.entity_codes, energy
+
+
 def load_dataset(manifest: DatasetManifest) -> MrioDataset:
     """Parse and validate one dataset into per-period accounts.
 
@@ -645,23 +685,13 @@ def load_dataset(manifest: DatasetManifest) -> MrioDataset:
     n = len(codebook.sectors)
     n_layers = len(codebook.countries)
     dim = n * n_layers
-    tables = {
-        "country": codebook.country_codes,
-        "sector": codebook.sector_codes,
-        "source": ENERGY_CARRIERS,
-    }
     window = manifest.years
 
     out = _read_table(
-        manifest.outputs, "outputs", tables, window=window,
+        manifest.outputs, "outputs", codebook, window=window,
         duplicate="duplicate output for year {year}, {country}/{sector}",
     )
-    if not out.year.size:
-        raise ValidationError(
-            f"no periods found in {manifest.outputs}"
-            + (f" within years {window[0]}..{window[1]}" if window else "")
-        )
-    years = np.unique(out.year)
+    years = _years(out, manifest.outputs, window)
     t_out = np.searchsorted(years, out.year)
     h_out = out.codes[0] * n + out.codes[1]
     outputs = np.zeros((years.size, dim))
@@ -670,7 +700,7 @@ def load_dataset(manifest: DatasetManifest) -> MrioDataset:
     output_record[t_out, h_out] = out.record
 
     def read(path: Path, kind: str, what: str, duplicate: str) -> tuple[_Table, np.ndarray]:
-        table = _read_table(path, kind, tables, window=window, periods=years,
+        table = _read_table(path, kind, codebook, window=window, periods=years,
                             orphan=f"year {{year}} has {what} but no outputs", duplicate=duplicate)
         return table, np.searchsorted(years, table.year)
 
@@ -696,10 +726,7 @@ def load_dataset(manifest: DatasetManifest) -> MrioDataset:
             line=_record(manifest.outputs, r)[0] if r >= 0 else None,
         )
 
-    en, t_en = read(manifest.energy, "energy", "energy rows", "duplicate energy key")
-    consumption = np.zeros((years.size, len(ENERGY_CARRIERS), dim))
-    keep = en.value > 0
-    consumption[t_en[keep], en.codes[2][keep], (en.codes[0] * n + en.codes[1])[keep]] = en.value[keep]
+    consumption = _energy_block(manifest, codebook, years)[1]
 
     fd, t_fd = read(manifest.final_demand, "final_demand", "final demand",
                     "duplicate final demand key")
@@ -748,7 +775,7 @@ def save_dataset(dataset: MrioDataset, directory: Path | str) -> Path:
     write("outputs", t, Labels(entity, h), outputs[t, h])
     # Energy rows sort by (country code, sector code, source).
     by_code = np.array(sorted(range(dim), key=codes.supra_labels.__getitem__))
-    energy = np.array([p.energy_consumption for p in periods])
+    energy = dataset.energy
     t, pos, k = np.nonzero(energy[:, :, by_code].transpose(0, 2, 1))
     h = by_code[pos]
     write("energy", t, Labels(entity, h), Labels(Labels.quoted(ENERGY_CARRIERS), k),
@@ -869,7 +896,7 @@ def generate_synthetic(spec: SyntheticSpec) -> MrioDataset:
             keep = rng.random(dim) < max(spec.density, 0.25)
             consumption[k] = weight[k] * rng.uniform(0.1, 1.0, dim) * keep
         for cls in (SourceClass.RENEWABLE, SourceClass.NONRENEWABLE):
-            rows = [k for k, c in enumerate(ENERGY_CARRIERS) if c in cls.carriers and weight[k] > 0]
+            rows = [k for k in cls.rows if weight[k] > 0]
             if not consumption[rows].any():
                 consumption[rows[0], int(rng.integers(dim))] = weight[rows[0]] * 0.5
 
@@ -898,42 +925,10 @@ def generate_synthetic(spec: SyntheticSpec) -> MrioDataset:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConsumptionSummary:
-    """Energy consumption aggregates per period, entity and source class."""
-
-    period_labels: tuple[int, ...]
-    codes: EntityCodes
-    values: Mapping[SourceClass, np.ndarray]  # (T, N*L) each, sector fastest
-
-    def country_totals(self, source: SourceClass) -> np.ndarray:
-        t = len(self.period_labels)
-        return self.values[source].reshape(t, self.codes.n_layers, self.codes.n_nodes).sum(axis=2)
-
-    def sector_totals(self, source: SourceClass) -> np.ndarray:
-        t = len(self.period_labels)
-        return self.values[source].reshape(t, self.codes.n_layers, self.codes.n_nodes).sum(axis=1)
-
-    def world_series(self, source: SourceClass) -> np.ndarray:
-        return self.values[source].sum(axis=1)
-
-    def renewable_incidence(self, totals_of) -> np.ndarray:
-        """Share of renewable consumption in the given aggregate (NaN where
-        the total is zero). ``totals_of`` is one of the aggregate methods.
-        """
-        renewable = totals_of(SourceClass.RENEWABLE)
-        total = totals_of(SourceClass.ALL)
-        out = np.full_like(total, np.nan, dtype=np.float64)
-        np.divide(renewable, total, out=out, where=total > 0)
-        return out
-
-
-def consumption_summary(dataset: MrioDataset) -> ConsumptionSummary:
-    """Aggregate raw consumption by period, country, sector and source class."""
-    values = {cls: np.array([p.consumption_for(cls) for p in dataset.periods]) for cls in SourceClass}
-    return ConsumptionSummary(
-        period_labels=dataset.labels, codes=dataset.codes, values=values
-    )
+def consumption_summary(energy: np.ndarray) -> np.ndarray:
+    """The class sums of a (T, 7, M) stack of energy blocks F, such as
+    :attr:`MrioDataset.energy`: a (3, T, M) array in ``SourceClass`` order."""
+    return np.array([cls.total(energy) for cls in SourceClass])
 
 
 # ---------------------------------------------------------------------------
@@ -1120,9 +1115,9 @@ def load_network(
     """Read back the binary arc list written by :func:`save_network`.
 
     Every record is checked, inside ``years`` or not: its year must be listed
-    in the meta file, its row and column must lie in [0, N*L) and its weight
-    must be finite and >= 0. ``years`` is an inclusive (first, last) window
-    applied after the checks.
+    in the meta file and follow the period order, its row and column must lie
+    in [0, N*L) and its weight must be finite and >= 0. ``years`` is an
+    inclusive (first, last) window applied after the checks.
     """
     directory = Path(directory)
     meta_path = directory / "network_meta.json"
@@ -1156,8 +1151,12 @@ def load_network(
     arcs = _read_arcs(path)
     year, row, col, weight = arcs["year"], arcs["row"], arcs["col"], arcs["weight"]
     dim = shape.supra_dim
+    unordered = np.zeros(year.shape, dtype=bool)
+    unordered[1:] = year[1:] < year[:-1]
     hit = first_failure([
         (~np.isin(year, periods), lambda k: f"year {year[k]} not listed in {meta_path.name}"),
+        (unordered, lambda k: f"year {year[k]} follows year {year[k - 1]}; "
+                              "records must be in period order"),
         ((row < 0) | (row >= dim), lambda k: f"row {row[k]} outside [0, {dim})"),
         ((col < 0) | (col >= dim), lambda k: f"col {col[k]} outside [0, {dim})"),
         (~np.isfinite(weight), lambda k: f"non-finite weight {weight[k]}"),
@@ -1167,9 +1166,9 @@ def load_network(
         k, message = hit
         raise DataFormatError(f"record {k}: {message(k)}", path=str(path))
     # Each period's records only: a whole-class (m, 3) float copy costs 24 bytes an arc.
-    by_period = _by_period(np.searchsorted(periods, year), periods.size)
+    cuts = np.searchsorted(year, periods[1:])
     return TemporalMultilayerNetwork([
-        (int(label),
-         SupraAdjacency.from_entries(shape, np.column_stack((row[i], col[i], weight[i]))))
-        for label, i in zip(periods, by_period) if label in labels
+        (int(label), SupraAdjacency.from_entries(shape, np.column_stack(part)))
+        for label, *part in zip(periods, *(np.split(a, cuts) for a in (row, col, weight)))
+        if label in labels
     ]), codes

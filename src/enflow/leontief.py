@@ -70,6 +70,16 @@ class SourceClass(enum.Enum):
             return NONRENEWABLE_SOURCES
         return ENERGY_SOURCES
 
+    @property
+    def rows(self) -> list[int]:
+        """The class's rows of the energy block F, in ``ENERGY_CARRIERS`` order."""
+        return [k for k, carrier in enumerate(ENERGY_CARRIERS) if carrier in self.carriers]
+
+    def total(self, f: np.ndarray) -> np.ndarray:
+        """The one class-sum rule: the class's rows of an energy block F, (7, M)
+        or a (T, 7, M) stack, added onto 0.0 in carrier order."""
+        return np.add.reduce(f[..., self.rows, :], axis=-2, initial=0.0)
+
 
 class MrioPeriod:
     """One period of raw multi-region input-output accounts.
@@ -143,13 +153,8 @@ class MrioPeriod:
         )
 
     def consumption_for(self, source: SourceClass) -> np.ndarray:
-        """Total consumption vector of one source class: the class's rows of
-        the energy block added onto 0.0 in carrier order."""
-        total = np.zeros(self.shape.supra_dim)
-        for carrier, row in zip(ENERGY_CARRIERS, self.energy_consumption):
-            if carrier in source.carriers:
-                total += row
-        return total
+        """Total consumption vector of one source class (:meth:`SourceClass.total`)."""
+        return source.total(self.energy_consumption)
 
     def __repr__(self) -> str:
         s = self.shape

@@ -317,11 +317,13 @@ def test_acceptance_9_conservation_fuzz():
             )
             dataset = generate_synthetic(spec)
 
-            summary = consumption_summary(dataset)
-            for cls in SourceClass:
-                world = summary.world_series(cls)
-                by_country = summary.country_totals(cls).sum(axis=1)
-                by_sector = summary.sector_totals(cls).sum(axis=1)
+            summary = consumption_summary(dataset.energy)
+            by_entity = summary.reshape(*summary.shape[:2], dataset.shape.n_layers,
+                                        dataset.shape.n_nodes)
+            for c in range(len(SourceClass)):
+                world = summary[c].sum(axis=1)
+                by_country = by_entity[c].sum(axis=2).sum(axis=1)
+                by_sector = by_entity[c].sum(axis=1).sum(axis=1)
                 scale = np.maximum(1.0, np.abs(world))
                 assert np.all(np.abs(world - by_country) <= 1e-12 * scale)
                 assert np.all(np.abs(world - by_sector) <= 1e-12 * scale)

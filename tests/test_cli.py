@@ -550,3 +550,96 @@ def test_importing_the_cli_leaves_scipy_linalg_and_csgraph_unloaded():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
                           timeout=300, check=True)
     assert done.stdout == "[]\n"
+
+
+# ---------------------------------------------------------------------------
+# consumption reads the code lists and energy.csv only
+# ---------------------------------------------------------------------------
+
+CONSUMPTION_TABLES = [f"{kind}_{axis}.csv" for kind in ("consumption", "incidence")
+                      for axis in ("country", "sector")]
+CONSUMPTION_TABLES += ["consumption_world.csv", "consumption_top_countries.csv"]
+
+
+def consumption_tables(data, out, *flags):
+    """The six consumption tables as text, or the exit code when it is not 0."""
+    code = run("consumption", "--manifest", data / "manifest.json", "--out", out, *flags)
+    if code:
+        return code
+    return {name: (out / name).read_text(encoding="utf-8") for name in CONSUMPTION_TABLES}
+
+
+def drop_year(path, year):
+    """Delete the records of ``year`` from a canonical dataset table."""
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text("".join(line for line in lines if not line.startswith(f"{year},")),
+                    encoding="utf-8")
+
+
+@pytest.fixture()
+def dataset_dir(tmp_path):
+    data = tmp_path / "data"
+    assert run(*synth_args(data, shape="3,2,3")) == 0
+    return data
+
+
+def test_consumption_ignores_faults_in_the_tables_it_does_not_read(dataset_dir, tmp_path, capsys):
+    clean = consumption_tables(dataset_dir, tmp_path / "clean")
+    for name in ("transactions.csv", "final_demand.csv", "outputs.csv"):
+        with open(dataset_dir / name, "a", encoding="utf-8") as fh:
+            fh.write("not,a,record\n")
+    assert consumption_tables(dataset_dir, tmp_path / "corrupt") == clean
+    capsys.readouterr()
+    assert run("build", "--manifest", dataset_dir / "manifest.json", "--out", tmp_path / "net") == 2
+    assert "outputs.csv:" in capsys.readouterr().err
+
+
+def test_consumption_builds_no_period_and_never_loads_the_dataset(dataset_dir, tmp_path,
+                                                                  monkeypatch):
+    import enflow.cli
+    import enflow.dataio
+
+    clean = consumption_tables(dataset_dir, tmp_path / "clean")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("consumption must read energy.csv only")
+
+    monkeypatch.setattr(enflow.cli, "load_dataset", refuse)
+    monkeypatch.setattr(enflow.dataio, "load_dataset", refuse)
+    monkeypatch.setattr(MrioPeriod, "__init__", refuse)
+    assert consumption_tables(dataset_dir, tmp_path / "again") == clean
+
+
+def test_consumption_names_an_energy_fault_by_file_and_line(dataset_dir, tmp_path, capsys):
+    path = dataset_dir / "energy.csv"
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[3] = lines[3].rsplit(",", 1)[0] + ",-1.5\n"
+    path.write_text("".join(lines), encoding="utf-8")
+    capsys.readouterr()
+    assert consumption_tables(dataset_dir, tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert f"{path}:4: negative value -1.5 in column 'value'" in err and "Traceback" not in err
+
+
+def test_consumption_tables_the_years_of_the_energy_table(dataset_dir, tmp_path, capsys):
+    clean = consumption_tables(dataset_dir, tmp_path / "clean")
+    # A year with energy records but no outputs is tabled; build rejects it.
+    drop_year(dataset_dir / "outputs.csv", 1991)
+    assert consumption_tables(dataset_dir, tmp_path / "no_outputs") == clean
+    capsys.readouterr()
+    assert run("build", "--manifest", dataset_dir / "manifest.json", "--out", tmp_path / "net") == 2
+    assert "year 1991 has transactions but no outputs" in capsys.readouterr().err
+    # A year with outputs but no energy records drops out of every table.
+    drop_year(dataset_dir / "energy.csv", 1991)
+    without = {name: "".join(line for line in text.splitlines(keepends=True)
+                             if not line.startswith("1991,"))
+               for name, text in clean.items()}
+    assert without != clean
+    assert consumption_tables(dataset_dir, tmp_path / "no_energy") == without
+
+
+def test_consumption_without_energy_records_in_the_window_exits_2(dataset_dir, tmp_path, capsys):
+    capsys.readouterr()
+    assert consumption_tables(dataset_dir, tmp_path / "out", "--years", "2050:2060") == 2
+    path = dataset_dir / "energy.csv"
+    assert capsys.readouterr().err == f"error: no periods found in {path} within years 2050..2060\n"

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from enflow import (
+    ENERGY_CARRIERS,
     DataFormatError,
     DatasetManifest,
     MrioPeriod,
@@ -20,6 +22,7 @@ from enflow import (
     import_results,
     input_coefficients,
     load_dataset,
+    load_energy,
     load_network,
     rank,
     save_dataset,
@@ -295,9 +298,9 @@ def test_consumption_single_renewable_entry():
         np.zeros((1, 1)),
     )
     book = CodeBook(sectors=(("S", "Sector"),), countries=(("C", "Country"),))
-    summary = consumption_summary(MrioDataset(periods=(period,), codebook=book))
-    assert summary.country_totals(SourceClass.ALL)[0, 0] == 7.0
-    incidence = summary.renewable_incidence(summary.country_totals)
+    summary = consumption_summary(MrioDataset(periods=(period,), codebook=book).energy)
+    assert summary[0, 0, 0] == 7.0  # class "all", year 0, the one country
+    incidence = summary[1] / summary[0]  # renewable over "all"
     assert incidence[0, 0] == 1.0
 
 
@@ -314,44 +317,77 @@ def test_consumption_balanced_incidence():
         np.zeros((1, 1)),
     )
     book = CodeBook(sectors=(("S", "Sector"),), countries=(("C", "Country"),))
-    summary = consumption_summary(MrioDataset(periods=(period,), codebook=book))
-    incidence = summary.renewable_incidence(summary.world_series)
+    summary = consumption_summary(MrioDataset(periods=(period,), codebook=book).energy)
+    world = summary.sum(axis=2)
+    incidence = world[1] / world[0]  # renewable over "all"
     assert incidence[0] == 0.5
 
 
 def test_consumption_totals_match_brute_force():
     ds = generate_synthetic(small_spec(density=0.9))
-    summary = consumption_summary(ds)
+    summary = consumption_summary(ds.energy)
     n, n_layers = ds.shape.n_nodes, ds.shape.n_layers
+    by_entity = summary.reshape(len(SourceClass), len(ds.periods), n_layers, n)
     for t, period in enumerate(ds.periods):
-        for cls in SourceClass:
+        for c, cls in enumerate(SourceClass):
             raw = np.zeros(n * n_layers)
             for carrier, vec in energy_dict(period).items():
                 if carrier in cls.carriers:
                     raw += vec
             country = [raw[a * n : (a + 1) * n].sum() for a in range(n_layers)]
             sector = [raw[np.arange(n_layers) * n + i].sum() for i in range(n)]
-            assert np.allclose(summary.country_totals(cls)[t], country, rtol=1e-12)
-            assert np.allclose(summary.sector_totals(cls)[t], sector, rtol=1e-12)
-            assert summary.world_series(cls)[t] == pytest.approx(raw.sum(), rel=1e-12)
+            assert np.allclose(by_entity[c, t].sum(axis=1), country, rtol=1e-12)
+            assert np.allclose(by_entity[c, t].sum(axis=0), sector, rtol=1e-12)
+            assert summary[c, t].sum() == pytest.approx(raw.sum(), rel=1e-12)
 
 
 def test_consumption_mass_conservation():
     ds = generate_synthetic(small_spec(density=0.8, seed=11))
-    summary = consumption_summary(ds)
-    for cls in SourceClass:
-        world = summary.world_series(cls)
-        country = summary.country_totals(cls).sum(axis=1)
-        sector = summary.sector_totals(cls).sum(axis=1)
+    summary = consumption_summary(ds.energy)
+    by_entity = summary.reshape(*summary.shape[:2], ds.shape.n_layers, ds.shape.n_nodes)
+    for c in range(len(SourceClass)):
+        world = summary[c].sum(axis=1)
+        country = by_entity[c].sum(axis=2).sum(axis=1)
+        sector = by_entity[c].sum(axis=1).sum(axis=1)
         assert np.allclose(world, country, rtol=1e-12)
         assert np.allclose(world, sector, rtol=1e-12)
 
 
+def test_class_sums_of_the_stack_match_each_period_bit_for_bit():
+    for seed in range(6):
+        ds = generate_synthetic(small_spec(seed=seed, shape=NetworkShape(3, 4, 3)))
+        summary = consumption_summary(ds.energy)
+        assert summary.shape == (3, 3, 12)
+        for c, cls in enumerate(SourceClass):
+            per_period = np.array([p.consumption_for(cls) for p in ds.periods])
+            # The carrier loop that the class-sum rule replaced.
+            looped = np.zeros_like(per_period)
+            for carrier, rows in zip(ENERGY_CARRIERS, ds.energy.transpose(1, 0, 2)):
+                if carrier in cls.carriers:
+                    looped += rows
+            assert summary[c].tobytes() == per_period.tobytes() == looped.tobytes()
+
+
+def test_load_energy_reads_what_load_dataset_reads(tmp_path):
+    ds = generate_synthetic(small_spec(shape=NetworkShape(3, 2, 4), seed=2))
+    manifest = DatasetManifest.from_json(save_dataset(ds, tmp_path))
+    labels, codes, energy = load_energy(manifest)
+    assert labels == ds.labels and codes == ds.codes
+    assert energy.tobytes() == load_dataset(manifest).energy.tobytes() == ds.energy.tobytes()
+    window = dataclasses.replace(manifest, years=(1991, 1992))
+    labels, _, energy = load_energy(window)
+    assert labels == (1991, 1992) and np.array_equal(energy, ds.energy[1:3])
+
+
 def test_incidence_bounds_where_defined():
     for seed in range(10):
-        summary = consumption_summary(generate_synthetic(small_spec(seed=seed)))
-        for totals in (summary.country_totals, summary.sector_totals, summary.world_series):
-            ratio = summary.renewable_incidence(totals)
+        ds = generate_synthetic(small_spec(seed=seed))
+        summary = consumption_summary(ds.energy)
+        by_entity = summary.reshape(*summary.shape[:2], ds.shape.n_layers, ds.shape.n_nodes)
+        for totals in (by_entity.sum(axis=3), by_entity.sum(axis=2), summary.sum(axis=2)):
+            # Renewable over "all", where "all" is positive.
+            ratio = np.full_like(totals[0], np.nan)
+            np.divide(totals[1], totals[0], out=ratio, where=totals[0] > 0)
             defined = np.isfinite(ratio)
             assert np.all(ratio[defined] >= 0.0)
             assert np.all(ratio[defined] <= 1.0)

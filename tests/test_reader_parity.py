@@ -311,6 +311,14 @@ def set_field(name, k, value):
     return edit
 
 
+def swap(i, j):
+    def edit(path):
+        arcs = np.load(path, allow_pickle=False)
+        arcs[[i, j]] = arcs[[j, i]]
+        np.save(path, arcs, allow_pickle=False)
+    return edit
+
+
 def resave(transform):
     return lambda path: np.save(path, transform(np.load(path, allow_pickle=False)))
 
@@ -335,6 +343,8 @@ NPY_FAULTS = {
                   "invalid .npy header: "),
     "unlisted_year": (set_field("year", 3, 1800), "record 3: year 1800 not listed in "
                                                   "network_meta.json"),
+    "out_of_period_order": (swap(0, -1), "record 1: year 1990 follows year 1992; records must be "
+                                         "in period order"),
     "negative_index": (set_field("row", 3, -1), "record 3: row -1 outside [0, 9)"),
     "row_out_of_range": (set_field("row", 3, 9), "record 3: row 9 outside [0, 9)"),
     "col_out_of_range": (set_field("col", 3, 9), "record 3: col 9 outside [0, 9)"),
