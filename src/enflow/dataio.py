@@ -102,6 +102,8 @@ _SCHEMAS = {
 # One record of a network arc list: 0-based supra row and column, little-endian.
 _ARC_DTYPE = np.dtype([("year", "<i8"), ("row", "<i4"), ("col", "<i4"), ("weight", "<f8")])
 _INT64 = range(-(2**63), 2**63)
+# Records per read of an arc list: 384 KiB of the file at a time.
+_ARC_CHUNK = 1 << 14
 
 
 def _read_json_object(path: Path, keys: Sequence[str] | None = None) -> dict:
@@ -1080,22 +1082,24 @@ def save_network(
     return path
 
 
-def _read_arcs(path: Path) -> np.ndarray:
-    """The records of a ``.npy`` arc list. Its header must hold exactly
-    ``_ARC_DTYPE``, C order, one axis and the record count the file size gives;
-    all of it is checked before the records are read."""
-    with open(path, "rb") as fh, warnings.catch_warnings():
-        # numpy warns, then reads a header that only parses as Python 2 text.
-        warnings.simplefilter("error", UserWarning)
-        try:
-            version = np.lib.format.read_magic(fh)
-            if version != (1, 0):
-                raise ValueError(f"unsupported .npy version {version[0]}.{version[1]}")
-            shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
-        # What numpy's parse of an untrusted header text may raise.
-        except (ValueError, TypeError, SyntaxError, RecursionError, tokenize.TokenError,
-                UserWarning) as exc:
-            raise DataFormatError(f"invalid .npy header: {exc}", path=str(path)) from None
+def _read_arcs(path: Path) -> Iterator[tuple[int, np.ndarray]]:
+    """The records of a ``.npy`` arc list, read in chunks of ``_ARC_CHUNK`` and
+    yielded with the index of each chunk's first record. The header must hold
+    exactly ``_ARC_DTYPE``, C order, one axis and the record count the file
+    size gives; all of it is checked before the first record is read."""
+    with open(path, "rb") as fh:
+        with warnings.catch_warnings():
+            # numpy warns, then reads a header that only parses as Python 2 text.
+            warnings.simplefilter("error", UserWarning)
+            try:
+                version = np.lib.format.read_magic(fh)
+                if version != (1, 0):
+                    raise ValueError(f"unsupported .npy version {version[0]}.{version[1]}")
+                shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
+            # What numpy's parse of an untrusted header text may raise.
+            except (ValueError, TypeError, SyntaxError, RecursionError, tokenize.TokenError,
+                    UserWarning) as exc:
+                raise DataFormatError(f"invalid .npy header: {exc}", path=str(path)) from None
         if dtype != _ARC_DTYPE:
             raise DataFormatError(f"records must have dtype {_ARC_DTYPE.descr}, got {dtype.descr}",
                                   path=str(path))
@@ -1106,7 +1110,8 @@ def _read_arcs(path: Path) -> np.ndarray:
         if count * _ARC_DTYPE.itemsize != size:
             raise DataFormatError(f"header gives {count} records of {_ARC_DTYPE.itemsize} bytes, "
                                   f"but {size} bytes follow it", path=str(path))
-        return np.fromfile(fh, dtype=_ARC_DTYPE, count=count)
+        for start in range(0, count, _ARC_CHUNK):
+            yield start, np.fromfile(fh, dtype=_ARC_DTYPE, count=min(_ARC_CHUNK, count - start))
 
 
 def load_network(
@@ -1117,7 +1122,10 @@ def load_network(
     Every record is checked, inside ``years`` or not: its year must be listed
     in the meta file and follow the period order, its row and column must lie
     in [0, N*L) and its weight must be finite and >= 0. ``years`` is an
-    inclusive (first, last) window applied after the checks.
+    inclusive (first, last) window applied after the checks. The file is read
+    in chunks of ``_ARC_CHUNK`` records, and a period's matrix is built once its
+    last record has been read, so a load holds the matrices it returns, one
+    period's records and one chunk, never the whole file.
     """
     directory = Path(directory)
     meta_path = directory / "network_meta.json"
@@ -1148,27 +1156,44 @@ def load_network(
         if not labels.size:
             raise ValidationError("period restriction removed every period")
 
-    arcs = _read_arcs(path)
-    year, row, col, weight = arcs["year"], arcs["row"], arcs["col"], arcs["weight"]
-    dim = shape.supra_dim
-    unordered = np.zeros(year.shape, dtype=bool)
-    unordered[1:] = year[1:] < year[:-1]
-    hit = first_failure([
-        (~np.isin(year, periods), lambda k: f"year {year[k]} not listed in {meta_path.name}"),
-        (unordered, lambda k: f"year {year[k]} follows year {year[k - 1]}; "
-                              "records must be in period order"),
-        ((row < 0) | (row >= dim), lambda k: f"row {row[k]} outside [0, {dim})"),
-        ((col < 0) | (col >= dim), lambda k: f"col {col[k]} outside [0, {dim})"),
-        (~np.isfinite(weight), lambda k: f"non-finite weight {weight[k]}"),
-        (weight < 0, lambda k: f"negative weight {weight[k]}"),
-    ])
-    if hit is not None:
-        k, message = hit
-        raise DataFormatError(f"record {k}: {message(k)}", path=str(path))
-    # Each period's records only: a whole-class (m, 3) float copy costs 24 bytes an arc.
-    cuts = np.searchsorted(year, periods[1:])
+    dim, kept = shape.supra_dim, set(labels.tolist())
+    matrices, pieces, current = {}, [], None  # current: the year of the last record read
+
+    def close() -> None:
+        """Build the open period's matrix from its pieces, now read in full."""
+        if pieces:
+            entries = np.concatenate(pieces)
+            pieces.clear()
+            matrices[current] = SupraAdjacency.from_entries(shape, entries)
+
+    for start, chunk in _read_arcs(path):
+        year, row, col, weight = (np.ascontiguousarray(chunk[f]) for f in _ARC_DTYPE.names)
+        del chunk
+        before = np.concatenate((year[:1] if current is None else [current], year[:-1]))
+        hit = first_failure([
+            (~np.isin(year, periods), lambda k: f"year {year[k]} not listed in {meta_path.name}"),
+            (year < before, lambda k: f"year {year[k]} follows year {before[k]}; "
+                                      "records must be in period order"),
+            ((row < 0) | (row >= dim), lambda k: f"row {row[k]} outside [0, {dim})"),
+            ((col < 0) | (col >= dim), lambda k: f"col {col[k]} outside [0, {dim})"),
+            (~np.isfinite(weight), lambda k: f"non-finite weight {weight[k]}"),
+            (weight < 0, lambda k: f"negative weight {weight[k]}"),
+        ])
+        if hit is not None:
+            k, message = hit
+            raise DataFormatError(f"record {start + k}: {message(k)}", path=str(path))
+        # Records are in period order, so each run of one year is its period's next piece.
+        cuts = (np.flatnonzero(year[1:] != year[:-1]) + 1).tolist()
+        for lo, hi in zip([0, *cuts], [*cuts, year.size]):
+            if year[lo] != current:
+                close()
+                current = int(year[lo])
+            if current in kept:
+                pieces.append(np.column_stack((row[lo:hi], col[lo:hi], weight[lo:hi])))
+    close()
+    # A listed period without records still gets its (empty) matrix.
     return TemporalMultilayerNetwork([
-        (int(label), SupraAdjacency.from_entries(shape, np.column_stack(part)))
-        for label, *part in zip(periods, *(np.split(a, cuts) for a in (row, col, weight)))
-        if label in labels
+        (label, matrices[label] if label in matrices
+         else SupraAdjacency.from_entries(shape, np.empty((0, 3))))
+        for label in labels.tolist()
     ]), codes

@@ -124,6 +124,10 @@ class FlowNetwork:
         self.base_cap = np.zeros(owner.size)
         self.base_cap[0::2] = merged
         self.scale = max(1.0, float(self.base_cap.max(initial=0.0)))
+        # The kernel reads these arrays only through this tuple: it keeps them
+        # alive, and a reassigned public attribute cannot leave a stale pointer.
+        arrays = (self.to, self.start, self.adj, self.base_cap)
+        self._static = arrays, tuple(a.ctypes.data for a in arrays)
 
     @classmethod
     def from_matrix(cls, matrix) -> "FlowNetwork":
@@ -150,12 +154,12 @@ class FlowNetwork:
         of carrying arcs settled by the cut screen, by the two-hop screen and
         by a re-solve; else None and None."""
         pairs = np.ascontiguousarray(pairs, dtype=np.intc)
-        values, cap = np.empty(len(pairs)), np.empty_like(self.base_cap)
+        (*_, base_cap), pointers = self._static
+        values, cap = np.empty(len(pairs)), np.empty_like(base_cap)
         sums = (np.zeros(len(self.arcs)), np.zeros(3, dtype=np.int64)) if drops else (None, None)
         where = ctypes.c_int()
         code = _kernel().solve_pairs(
-            self.node_count, len(self.arcs), self.to.ctypes.data, self.start.ctypes.data,
-            self.adj.ctypes.data, self.base_cap.ctypes.data, self.scale, len(pairs),
+            self.node_count, len(self.arcs), *pointers, self.scale, len(pairs),
             pairs.ctypes.data, cap.ctypes.data, values.ctypes.data,
             *(None if a is None else a.ctypes.data for a in sums), ctypes.byref(where),
         )
@@ -167,13 +171,13 @@ class FlowNetwork:
         conservation."""
         self._check_pair(source, target)
         cap = np.ascontiguousarray(cap, dtype=np.float64)
-        if cap.shape != self.base_cap.shape:
-            raise ValidationError(f"residual has shape {cap.shape}, expected {self.base_cap.shape}")
+        (*_, base_cap), (to, *_, base) = self._static
+        if cap.shape != base_cap.shape:
+            raise ValidationError(f"residual has shape {cap.shape}, expected {base_cap.shape}")
         work, where = np.empty(2 * self.node_count), ctypes.c_int()
         code = _kernel().certify(
-            self.node_count, len(self.arcs), self.to.ctypes.data, self.base_cap.ctypes.data,
-            cap.ctypes.data, self.scale, source, target, value, work.ctypes.data,
-            ctypes.byref(where),
+            self.node_count, len(self.arcs), to, base, cap.ctypes.data, self.scale, source,
+            target, value, work.ctypes.data, ctypes.byref(where),
         )
         _raise_for(code, where.value)
 

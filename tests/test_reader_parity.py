@@ -13,7 +13,9 @@ import io
 import json
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -35,6 +37,7 @@ from enflow import (
     save_dataset,
     save_network,
 )
+from enflow import dataio
 from enflow.cli import main
 from enflow.dataio import CodeBook
 from enflow.multinet import SupraAdjacency
@@ -162,8 +165,10 @@ def test_clean_workspaces_load_identically(n, layers, periods, seed, density, od
         else:
             assert_same_dataset(expected, got)
         for source in SourceClass:
-            assert_same_network(legacy_reader.load_network(Path(tmp) / "net", source),
-                                load_network(Path(tmp) / "net", source))
+            expected = legacy_reader.load_network(Path(tmp) / "net", source)
+            for chunk in (dataio._ARC_CHUNK, 3):  # one read, then many with periods across them
+                with mock.patch.object(dataio, "_ARC_CHUNK", chunk):
+                    assert_same_network(expected, load_network(Path(tmp) / "net", source))
 
 
 @settings(max_examples=120, deadline=None)
@@ -365,6 +370,67 @@ def test_bad_arc_list_exits_2_naming_the_file(tmp_path, capsys, fault):
     assert main(["hits", "--out", str(tmp_path / "net"), "--source", "all"]) == 2
     err = capsys.readouterr().err
     assert f"{path}: {message}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("fault", [f for f, (_, message) in NPY_FAULTS.items()
+                                   if message.startswith("record ")])
+def test_bad_record_first_in_the_second_chunk_is_reported_alike(tmp_path, monkeypatch, fault):
+    make_workspace(tmp_path)
+    path = tmp_path / "net" / "network_all.npy"
+    edit, message = NPY_FAULTS[fault]
+    edit(path)
+    monkeypatch.setattr(dataio, "_ARC_CHUNK", int(re.match(r"record (\d+):", message)[1]))
+    with pytest.raises(DataFormatError, match="^" + re.escape(f"{path}: {message}") + "$"):
+        load_network(tmp_path / "net", SourceClass.ALL)
+
+
+@pytest.mark.parametrize("split", [True, False])
+def test_period_order_is_checked_across_a_chunk_boundary(tmp_path, monkeypatch, split):
+    make_workspace(tmp_path)
+    path = tmp_path / "net" / "network_all.npy"
+    first = int(np.flatnonzero(np.load(path)["year"] == 1991)[0])
+    set_field("year", first - 1, 1992)(path)  # the last 1990 record, now after 1991's first
+    if split:
+        monkeypatch.setattr(dataio, "_ARC_CHUNK", first)
+    with pytest.raises(DataFormatError, match="^" + re.escape(
+            f"{path}: record {first}: year 1991 follows year 1992; records must be in period "
+            "order") + "$"):
+        load_network(tmp_path / "net", SourceClass.ALL)
+
+
+@pytest.mark.parametrize("chunk", [1, 4, 7])
+@pytest.mark.parametrize("window", [None, (1990, 1990), (1991, 1991), (1992, 1992)])
+def test_periods_across_many_chunks_load_as_in_one(tmp_path, monkeypatch, chunk, window):
+    make_workspace(tmp_path, density=1.0)
+    per_period = np.unique(np.load(tmp_path / "net" / "network_all.npy")["year"],
+                           return_counts=True)[1]
+    assert per_period.min() >= 3 * chunk  # every period spans three chunks or more
+    whole = dict(load_network(tmp_path / "net", SourceClass.ALL)[0].periods)
+    monkeypatch.setattr(dataio, "_ARC_CHUNK", chunk)
+    net, _ = load_network(tmp_path / "net", SourceClass.ALL, window)
+    assert net.labels == ((1990, 1991, 1992) if window is None else (window[0],))
+    for label, matrix in net.periods:
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(matrix.matrix, part), getattr(whole[label].matrix, part))
+
+
+def test_one_year_load_does_not_grow_with_the_periods_in_the_file(tmp_path, monkeypatch):
+    # The chunk is cut below one period's records, as a paper-shape period is
+    # far above the default chunk.
+    monkeypatch.setattr(dataio, "_ARC_CHUNK", 64)
+    peaks = []
+    for periods in (1, 9):
+        make_workspace(tmp_path / str(periods), n=6, layers=6, periods=periods, density=0.5)
+        year = np.load(tmp_path / str(periods) / "net" / "network_all.npy")["year"]
+        assert np.count_nonzero(year == 1990) > 4 * 64
+        load_network(tmp_path / str(periods) / "net", SourceClass.ALL, (1990, 1990))
+        tracemalloc.start()
+        try:
+            load_network(tmp_path / str(periods) / "net", SourceClass.ALL, (1990, 1990))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0], peaks
 
 
 def test_first_bad_record_is_reported_with_its_first_failing_check(tmp_path):
