@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -128,6 +129,16 @@ def test_max_flow_no_path():
 
 def test_max_flow_diamond():
     assert max_flow(diamond(), 0, 3) == 4.0
+
+
+def test_kernel_keeps_the_arrays_the_network_was_built_with():
+    net = diamond()
+    for name in ("to", "start", "adj", "base_cap"):
+        setattr(net, name, None)  # drops the public references only
+    gc.collect()
+    value, cap = net.solve(0, 3)
+    assert value == max_flow(net, 0, 3) == 4.0
+    net._certify(cap, 0, 3, value)
 
 
 def test_max_flow_source_equals_target():

@@ -405,13 +405,10 @@ def test_periods_across_many_chunks_load_as_in_one(tmp_path, monkeypatch, chunk,
     per_period = np.unique(np.load(tmp_path / "net" / "network_all.npy")["year"],
                            return_counts=True)[1]
     assert per_period.min() >= 3 * chunk  # every period spans three chunks or more
-    whole = dict(load_network(tmp_path / "net", SourceClass.ALL)[0].periods)
+    expected = load_network(tmp_path / "net", SourceClass.ALL, window)
+    assert expected[0].labels == ((1990, 1991, 1992) if window is None else (window[0],))
     monkeypatch.setattr(dataio, "_ARC_CHUNK", chunk)
-    net, _ = load_network(tmp_path / "net", SourceClass.ALL, window)
-    assert net.labels == ((1990, 1991, 1992) if window is None else (window[0],))
-    for label, matrix in net.periods:
-        for part in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(matrix.matrix, part), getattr(whole[label].matrix, part))
+    assert_same_network(expected, load_network(tmp_path / "net", SourceClass.ALL, window))
 
 
 def test_one_year_load_does_not_grow_with_the_periods_in_the_file(tmp_path, monkeypatch):
