@@ -34,7 +34,6 @@ from pathlib import Path
 import numpy as np
 
 from .centrality import (
-    DEFAULT_GAMMA,
     _check_gamma,
     eigenvector_centrality,
     hits,
@@ -58,8 +57,7 @@ from .dataio import (
     _score_sections,
 )
 from .errors import EnflowError, NumericalError, ValidationError
-from .flowcrit import (DEFAULT_SAMPLE_PAIRS, EXACT_MODE_NODE_LIMIT, _check_sampling,
-                       country_level_criticality)
+from .flowcrit import DEFAULT_SAMPLE_PAIRS, _check_sampling, country_level_criticality
 from .leontief import SourceClass, build_temporal_network
 from .multinet import NetworkShape
 
@@ -122,16 +120,11 @@ def _parse_years(text: str | None) -> tuple[int, int] | None:
     return lo, hi
 
 
-def _parse_gamma(text: str | None) -> tuple[float, ...]:
-    if text is None:
-        return DEFAULT_GAMMA
+def _parse_gamma(text: str | None) -> list[float] | None:
     try:
-        parts = tuple(float(p) for p in text.split(","))
+        return None if text is None else [float(p) for p in text.split(",")]
     except ValueError:
         raise ValidationError(f"--gamma must be five comma-separated numbers, got {text!r}")
-    if len(parts) != 5:
-        raise ValidationError(f"--gamma needs exactly five values, got {len(parts)}")
-    return parts
 
 
 def _parse_shape(text: str) -> NetworkShape:
@@ -146,14 +139,16 @@ def _sources(arg: str | None) -> list[SourceClass]:
     return list(SourceClass) if arg is None else [SourceClass(arg)]
 
 
-def _each_source(arg: str | None, run) -> int:
-    """``run(source)`` for each source class. A class that fails does not
-    stop the later ones: each failure is reported as it happens, and the
+def _each_source(args, run) -> int:
+    """``run(source, net, codes)`` for each source class's network in the
+    workspace, within ``--years``. A class that fails to load or to score does
+    not stop the later ones: each failure is reported as it happens, and the
     exit code is the first failure's."""
+    years = _parse_years(args.years)
     code = EXIT_OK
-    for source in _sources(arg):
+    for source in _sources(args.source):
         try:
-            run(source)
+            run(source, *load_network(Path(args.out), source, years))
         except (EnflowError, OSError) as exc:
             failed = _report(exc)
             code = code or failed
@@ -184,7 +179,6 @@ def cmd_synth(args) -> int:
             shape=_parse_shape(args.shape),
             density=args.density,
             seed=args.seed,
-            rho_cap=args.rho_cap,
             start_year=args.start_year,
         )
     dataset = generate_synthetic(spec)
@@ -209,13 +203,10 @@ def cmd_build(args) -> int:
 
 
 def cmd_mdhits(args) -> int:
-    gamma = _parse_gamma(args.gamma)
-    _check_gamma(gamma)  # once, not once per source class
-    years = _parse_years(args.years)
+    gamma = _check_gamma(_parse_gamma(args.gamma))  # once, not once per source class
     out = Path(args.out)
 
-    def run(source):
-        net, codes = load_network(out, source, years)
+    def run(source, net, codes):
         with _naming(source.value):
             scores = md_hits(net, gamma=gamma, tol=args.tol, max_iter=args.max_iter)
         path = out / f"mdhits_{source.value}.csv"
@@ -239,17 +230,15 @@ def cmd_mdhits(args) -> int:
                       [Labels.of(component), Labels.of(code), Labels.of(year), score, position])
             _progress(f"wrote {per_path}")
 
-    return _each_source(args.source, run)
+    return _each_source(args, run)
 
 
 def _entity_scores(args, name: str, header: list[str], score) -> int:
     """Write ``<name>_<source>.csv``: one row per period and (country, sector)
     entity, holding the vectors that ``score(source, label, matrix)`` returns."""
-    years = _parse_years(args.years)
     out = Path(args.out)
 
-    def run(source):
-        net, codes = load_network(out, source, years)
+    def run(source, net, codes):
         vectors = []
         for label, matrix in net.periods:
             with _naming(f"{source.value} {label}"):
@@ -263,7 +252,7 @@ def _entity_scores(args, name: str, header: list[str], score) -> int:
         ])
         _progress(f"wrote {path}")
 
-    return _each_source(args.source, run)
+    return _each_source(args, run)
 
 
 def cmd_hits(args) -> int:
@@ -286,20 +275,15 @@ def cmd_eig(args) -> int:
 
 
 def cmd_criticality(args) -> int:
-    years = _parse_years(args.years)
-    if args.mode is not None:  # once, not once per source class
-        _check_sampling(args.mode, args.pairs, args.seed)
+    _check_sampling(args.mode, args.pairs, args.seed)  # once, not once per source class
     out = Path(args.out)
 
-    def run(source):
-        net, codes = load_network(out, source, years)
-        mode = args.mode
-        if mode is None:
-            mode = "exact" if codes.n_layers <= EXACT_MODE_NODE_LIMIT else "sampled"
+    def run(source, net, codes):
         reports = []
         for label, matrix in net.periods:
             with _naming(f"{source.value} {label}"):
-                report = country_level_criticality(matrix, mode, pairs=args.pairs, seed=args.seed)
+                report = country_level_criticality(matrix, args.mode, pairs=args.pairs,
+                                                   seed=args.seed)
             path = out / f"criticality_{source.value}_{label}.csv"
             export_results(report, path, "csv", node_labels=codes.country_codes)
             _progress(f"{source.value} {label}: baseline={report.baseline_total:.6g} "
@@ -308,7 +292,8 @@ def cmd_criticality(args) -> int:
                       f"settled_by_two_hop={report.settled_by_two_hop} resolved={report.resolved}")
             reports.append((label, report))
         # Every year's rows for the arcs that make any year's top list.
-        top_arcs = {(row.tail, row.head) for _, report in reports for row in report.top(args.top)}
+        top_arcs = {(row.tail, row.head)
+                    for _, report in reports for row in report.rows[: args.top]}
         top_rows = [
             (label, row.tail, row.head, row.index, position)
             for label, report in reports
@@ -322,7 +307,7 @@ def cmd_criticality(args) -> int:
                   [Labels.of(year), Labels(country, tail), Labels(country, head), index, position])
         _progress(f"wrote {path}")
 
-    return _each_source(args.source, run)
+    return _each_source(args, run)
 
 
 def cmd_consumption(args) -> int:
@@ -399,7 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shape", default="4,3,2", help="N,L,T (sectors, countries, periods)")
     p.add_argument("--density", type=float, default=0.3)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--rho-cap", type=float, default=0.9)
     p.add_argument("--start-year", type=int, default=1990)
     p.add_argument("--out", default="enflow_out")
     p.set_defaults(func=cmd_synth)
@@ -427,8 +411,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("criticality", help="country-level arc criticality per period")
     _add_common(p)
-    p.add_argument("--mode", choices=["exact", "sampled"], default=None,
-                   help=f"default: exact up to {EXACT_MODE_NODE_LIMIT} nodes, sampled beyond")
+    p.add_argument("--mode", choices=["exact", "sampled"], default="exact",
+                   help="all ordered country pairs, or a seeded sample of --pairs of them")
     p.add_argument("--pairs", type=_COUNT, default=DEFAULT_SAMPLE_PAIRS,
                    help="ordered pairs per sampled total")
     p.add_argument("--seed", type=int, default=0, help="pair-sampling seed")

@@ -560,7 +560,7 @@ def _read_table(
     window: tuple[int, int] | None = None,
     periods: np.ndarray | None = None,
     orphan: str = "",
-    duplicate: str = "",
+    duplicate: str,
 ) -> _Table:
     """Parse and validate one CSV table of ``_SCHEMAS[kind]`` in one columnar pass.
 
@@ -611,17 +611,16 @@ def _read_table(
     checks.append((live & (value < 0),
                    lambda row: f"negative value {float(row[-1])} in column {name!r}"))
     kept = np.flatnonzero(live)
-    if duplicate:
-        distinct, year_idx = np.unique(year[kept], return_inverse=True)
-        key = np.ravel_multi_index(
-            (year_idx.reshape(-1), *(idx[kept] for idx in indices)),
-            (max(distinct.size, 1), *(len(t) for t in code_tables)),
-        )
-        dup = np.zeros(year.shape, dtype=bool)
-        dup[kept] = True
-        dup[kept[np.unique(key, return_index=True)[1]]] = False
-        checks.append((dup, lambda row: duplicate.format(
-            **{**dict(zip(columns, row)), "year": int(row[0])})))
+    distinct, year_idx = np.unique(year[kept], return_inverse=True)
+    key = np.ravel_multi_index(
+        (year_idx.reshape(-1), *(idx[kept] for idx in indices)),
+        (max(distinct.size, 1), *(len(t) for t in code_tables)),
+    )
+    dup = np.zeros(year.shape, dtype=bool)
+    dup[kept] = True
+    dup[kept[np.unique(key, return_index=True)[1]]] = False
+    checks.append((dup, lambda row: duplicate.format(
+        **{**dict(zip(columns, row)), "year": int(row[0])})))
 
     hit = first_failure(checks)
     if hit is not None:

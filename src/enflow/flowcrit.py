@@ -68,13 +68,9 @@ __all__ = [
     "max_flow",
     "arc_criticality",
     "country_level_criticality",
-    "EXACT_MODE_NODE_LIMIT",
     "DEFAULT_SAMPLE_PAIRS",
 ]
 
-# Exact all-ordered-pairs mode is the default up to this many nodes; beyond,
-# the quadratic number of max-flow calls per arc removal calls for sampling.
-EXACT_MODE_NODE_LIMIT = 250
 DEFAULT_SAMPLE_PAIRS = 2000
 
 
@@ -288,9 +284,6 @@ class ArcCriticalityReport:
     settled_by_cut: int = 0
     settled_by_two_hop: int = 0
     resolved: int = 0
-
-    def top(self, k: int) -> tuple[ArcRemovalRow, ...]:
-        return self.rows[:k]
 
 
 def arc_criticality(

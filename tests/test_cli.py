@@ -220,12 +220,14 @@ def test_solver_flags_rejected_where_nothing_iterates(command, flag, capsys):
     ["build", "--synthetic-spec", "s.json"],
     ["consumption", "--synthetic-spec", "s.json"],
     ["consumption", "--source", "renewable"],
+    ["synth", "--rho-cap", "0.5"],
 ])
 def test_removed_flags_are_rejected(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         run(*argv, "--manifest", "m.json")
     assert exc.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+    # The removed flag itself, not only synth's --manifest, is unrecognized.
+    assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
 
 
 def test_flow_certificate_failure_exits_3(workspace, monkeypatch, capsys):
@@ -248,8 +250,8 @@ def test_out_of_memory_exits_4(tmp_path, capsys):
     assert err.startswith("error: out of memory: ") and err.count("\n") == 1
 
 
-def test_kernel_out_of_memory_exits_4(workspace, monkeypatch, capsys):
-    _, out = workspace
+def no_memory_kernel(monkeypatch) -> list:
+    """Stub the kernel: each call records its node and pair counts and fails."""
     calls = []
 
     class NoMemory:
@@ -258,8 +260,27 @@ def test_kernel_out_of_memory_exits_4(workspace, monkeypatch, capsys):
             return 3  # the kernel's code when its malloc fails
 
     monkeypatch.setattr(flowcrit, "_kernel", NoMemory)
+    return calls
+
+
+def test_kernel_out_of_memory_exits_4(workspace, monkeypatch, capsys):
+    _, out = workspace
+    calls = no_memory_kernel(monkeypatch)
     assert run("criticality", "--out", out, "--source", "all") == 4
     assert calls == [(2, 2)]  # one call for both pairs of the first period's 2 countries
+    assert capsys.readouterr().err == "error: out of memory: max-flow kernel is out of memory\n"
+
+
+@pytest.mark.parametrize("flags", [[], ["--seed", -1]])
+def test_criticality_is_exact_without_mode_at_any_size(tmp_path, monkeypatch, capsys, flags):
+    # 251 countries; the kernel is stubbed, as the exact run takes minutes.
+    data, out = tmp_path / "data", tmp_path / "out"
+    assert run(*synth_args(data, shape="1,251,1", seed=1, density="0.05")) == 0
+    assert run("build", "--manifest", data / "manifest.json", "--source", "all",
+               "--out", out) == 0
+    calls = no_memory_kernel(monkeypatch)
+    assert run("criticality", "--out", out, "--source", "all", *flags) == 4
+    assert calls == [(251, 251 * 250)]  # every ordered pair, not a sample; the seed is unused
     assert capsys.readouterr().err == "error: out of memory: max-flow kernel is out of memory\n"
 
 
@@ -526,6 +547,7 @@ def test_negative_synthetic_seed_exits_2(tmp_path, capsys, source):
     (["criticality", "--mode", "sampled", "--seed", "-1"], "sampling seed must be >= 0, got -1"),
     (["mdhits", "--gamma", "2,0.2,0.2,0.2,0.2"],
      "every gamma entry must lie in (0, 1], got [2.0, 0.2, 0.2, 0.2, 0.2]"),
+    (["mdhits", "--gamma", "1,2"], "gamma must have exactly 5 entries, got shape (2,)"),
 ])
 def test_out_of_range_flags_exit_2(workspace, capsys, argv, message):
     data, out = workspace
