@@ -26,7 +26,6 @@ from .multinet import (
 )
 from .leontief import (
     ENERGY_CARRIERS,
-    InputCoefficients,
     MrioPeriod,
     SourceClass,
     build_temporal_network,
@@ -94,7 +93,6 @@ __all__ = [
     "ENERGY_CARRIERS",
     "SourceClass",
     "MrioPeriod",
-    "InputCoefficients",
     "input_coefficients",
     "leontief_apply",
     "spectral_radius_estimate",

@@ -149,7 +149,7 @@ def _each_source(args, run) -> int:
     for source in _sources(args.source):
         try:
             run(source, *load_network(Path(args.out), source, years))
-        except (EnflowError, OSError) as exc:
+        except (EnflowError, OSError, MemoryError) as exc:
             failed = _report(exc)
             code = code or failed
     return code

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -37,7 +36,6 @@ __all__ = [
     "ENERGY_SOURCES",
     "ENERGY_CARRIERS",
     "MrioPeriod",
-    "InputCoefficients",
     "input_coefficients",
     "leontief_apply",
     "spectral_radius_estimate",
@@ -152,43 +150,28 @@ class MrioPeriod:
             final_demand, f"period {label}: final demand", (dim, shape.n_layers)
         )
 
-    def consumption_for(self, source: SourceClass) -> np.ndarray:
-        """Total consumption vector of one source class (:meth:`SourceClass.total`)."""
-        return source.total(self.energy_consumption)
-
     def __repr__(self) -> str:
         s = self.shape
         return f"MrioPeriod({self.label}, N={s.n_nodes}, L={s.n_layers})"
 
 
-@dataclass(frozen=True)
-class InputCoefficients:
-    """Sparse input-coefficient matrix A with a_hk = u_hk / o_k."""
-
-    matrix: sparse.csr_array
-    period_label: int | None = None
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
-def input_coefficients(period: MrioPeriod) -> InputCoefficients:
-    """Column-normalize intermediate use by total output (0/0 treated as 0)."""
+def input_coefficients(period: MrioPeriod) -> sparse.csr_array:
+    """The input coefficients A, a_hk = u_hk / o_k: intermediate use
+    column-normalized by total output (0/0 treated as 0)."""
     o = period.total_output
     inv = np.zeros_like(o)
     np.divide(1.0, o, out=inv, where=o > 0)
     a = period.intermediate_use @ sparse.diags_array(inv, format="csr")
     a = sparse.csr_array(a)
     a.eliminate_zeros()
-    return InputCoefficients(matrix=a, period_label=period.label)
+    return a
 
 
-def spectral_radius_estimate(matrix, iters: int = 200) -> float:
+def spectral_radius_estimate(matrix) -> float:
     """Power-iteration estimate of the spectral radius of a nonnegative matrix.
 
-    Iterates on (I + A), whose dominant eigenvalue is 1 + rho(A) for
-    nonnegative A regardless of periodicity; deterministic uniform start.
+    Iterates 200 times on (I + A), whose dominant eigenvalue is 1 + rho(A)
+    for nonnegative A regardless of periodicity; deterministic uniform start.
     """
     m = sparse.csr_array(matrix, dtype=np.float64)
     dim = m.shape[0]
@@ -196,7 +179,7 @@ def spectral_radius_estimate(matrix, iters: int = 200) -> float:
         return 0.0
     x = np.full(dim, 1.0 / dim)
     ratio = 1.0
-    for _ in range(iters):
+    for _ in range(200):
         y = x + m @ x
         total = y.sum()
         if total <= 0 or not np.isfinite(total):
@@ -207,43 +190,47 @@ def spectral_radius_estimate(matrix, iters: int = 200) -> float:
 
 
 def leontief_apply(
-    coeffs: InputCoefficients,
+    a,
     rhs,
-    transpose: bool = False,
     tol: float = 1e-10,
     max_iter: int = 10_000,
+    *,
+    period: int | None = None,
 ):
-    """Solve the total-requirements system (I - A) x = v, or (I - A^T) x = v.
+    """Solve the total-requirements system (I - a) x = v for the matrix given.
 
     Parameters
     ----------
-    coeffs : InputCoefficients
-        Coefficient matrix A; the solve requires rho(A) < 1.
+    a : sparse or dense M-square matrix
+        The solve requires rho(a) < 1. Pass A for the demand side (x = L v)
+        and A^T for the consumption side (x = L^T v), as
+        :func:`embodied_intensity` does.
     rhs : length-M vector or (M, k) array
         Right-hand side(s); multiple columns are solved together.
-    transpose : bool
-        Solve against A^T instead of A. The transposed direction applies the
-        requirements matrix on the consumption side (x = L^T v), the plain
-        direction on the demand side (x = L v).
     tol, max_iter
-        The stationary iteration x <- v + A x stops once the residual
+        The stationary iteration x <- v + a x stops once the residual
         1-norm of every column is <= tol * (1 + ||v||_1); it is capped at
         ``max_iter`` steps.
+    period : int, optional
+        Period label named in the error messages.
 
     Raises
     ------
+    ValidationError
+        If ``a`` is not M x M with M the rows of ``rhs``.
     NonProductiveEconomyError
         If the iteration fails and the spectral radius estimate is >= 1.
     ConvergenceError
         If the cap is reached while the system still looks productive.
     """
-    a = coeffs.matrix.T.tocsr() if transpose else coeffs.matrix
     v = np.asarray(rhs, dtype=np.float64)
     squeeze = v.ndim == 1
     if squeeze:
         v = v[:, None]
-    if v.shape[0] != coeffs.dim:
-        raise ValidationError(f"rhs has {v.shape[0]} rows, expected {coeffs.dim}")
+    if a.shape != (v.shape[0],) * 2:
+        raise ValidationError(
+            f"a must be M x M with M the rows of rhs, got a {a.shape} and {v.shape[0]} rows"
+        )
 
     v_norm = np.abs(v).sum(axis=0)
     threshold = tol * (1.0 + v_norm)
@@ -262,13 +249,13 @@ def leontief_apply(
             break
         x, ax = x_new, ax_new
 
-    rho = spectral_radius_estimate(coeffs.matrix)
-    where = "" if coeffs.period_label is None else f" in period {coeffs.period_label}"
+    rho = spectral_radius_estimate(a)
+    where = "" if period is None else f" in period {period}"
     if rho >= 1.0 - 1e-6:
         raise NonProductiveEconomyError(
             f"input coefficients{where} have spectral radius ~{rho:.6f} >= 1; "
             "the economy is not productive",
-            period=coeffs.period_label,
+            period=period,
         )
     raise ConvergenceError(f"total-requirements solve{where}", tol, max_iter, "iterations", residuals)
 
@@ -285,20 +272,21 @@ def embodied_intensity(
     over all the economies where i consumes) propagated into the final output
     of the receiving pair k = (economy, sector).
 
-    One multi-column transposed solve: column i of the right-hand side is the
-    class consumption masked to sector i's positions, so row i of the result
-    keeps the sending sector resolved.
+    One multi-column consumption-side solve on A^T (x = L^T v): column i of
+    the right-hand side is the class consumption masked to sector i's
+    positions, so row i of the result keeps the sending sector resolved.
     """
     n = period.shape.n_nodes
     dim = period.shape.supra_dim
-    c = period.consumption_for(source)
+    c = source.total(period.energy_consumption)
     if not c.any():
         return np.zeros((n, dim))
-    coeffs = input_coefficients(period)
     rhs = np.zeros((dim, n))
     sector_of = np.arange(dim) % n
     rhs[np.arange(dim), sector_of] = c
-    solved = leontief_apply(coeffs, rhs, transpose=True, tol=tol, max_iter=max_iter)
+    solved = leontief_apply(
+        input_coefficients(period).T.tocsr(), rhs, tol, max_iter, period=period.label
+    )
     return np.ascontiguousarray(solved.T)
 
 
@@ -334,18 +322,7 @@ def build_temporal_network(
     max_iter: int = 10_000,
 ) -> TemporalMultilayerNetwork:
     """Build one supra-adjacency per period, ordered by period label."""
-    period_list = sorted(periods, key=lambda p: p.label)
-    if not period_list:
-        raise ValidationError("no periods to build from")
-    base = period_list[0].shape
-    for p in period_list:
-        if (p.shape.n_nodes, p.shape.n_layers) != (base.n_nodes, base.n_layers):
-            raise ValidationError(
-                f"period {p.label} has shape {p.shape}, expected (N={base.n_nodes}, "
-                f"L={base.n_layers})"
-            )
-    built = [
+    return TemporalMultilayerNetwork([
         (p.label, embodied_flow_matrix(p, source, tol=tol, max_iter=max_iter))
-        for p in period_list
-    ]
-    return TemporalMultilayerNetwork(built)
+        for p in sorted(periods, key=lambda p: p.label)
+    ])

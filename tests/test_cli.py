@@ -265,10 +265,16 @@ def no_memory_kernel(monkeypatch) -> list:
 
 def test_kernel_out_of_memory_exits_4(workspace, monkeypatch, capsys):
     _, out = workspace
+    message = "error: out of memory: max-flow kernel is out of memory\n"
     calls = no_memory_kernel(monkeypatch)
     assert run("criticality", "--out", out, "--source", "all") == 4
     assert calls == [(2, 2)]  # one call for both pairs of the first period's 2 countries
-    assert capsys.readouterr().err == "error: out of memory: max-flow kernel is out of memory\n"
+    assert capsys.readouterr().err == message
+    # A class that runs out of memory does not stop the later classes.
+    calls.clear()
+    assert run("criticality", "--out", out) == 4
+    assert calls == [(2, 2)] * 3
+    assert capsys.readouterr().err == message * 3
 
 
 @pytest.mark.parametrize("flags", [[], ["--seed", -1]])

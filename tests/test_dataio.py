@@ -103,16 +103,16 @@ def test_synthetic_respects_rho_cap():
         ds = generate_synthetic(
             SyntheticSpec(shape=NetworkShape(2, 2, 1), density=0.7, seed=seed, rho_cap=0.8)
         )
-        rho = spectral_radius_estimate(input_coefficients(ds.periods[0]).matrix)
+        rho = spectral_radius_estimate(input_coefficients(ds.periods[0]))
         assert rho <= 0.8 + 1e-9
 
 
 def test_synthetic_populates_both_classes():
     for seed in range(20):
         ds = generate_synthetic(small_spec(seed=seed, density=0.05))
-        p = ds.periods[0]
-        assert p.consumption_for(SourceClass.RENEWABLE).sum() > 0
-        assert p.consumption_for(SourceClass.NONRENEWABLE).sum() > 0
+        f = ds.periods[0].energy_consumption
+        assert SourceClass.RENEWABLE.total(f).sum() > 0
+        assert SourceClass.NONRENEWABLE.total(f).sum() > 0
 
 
 def test_synthetic_spec_validation():
@@ -359,7 +359,7 @@ def test_class_sums_of_the_stack_match_each_period_bit_for_bit():
         summary = consumption_summary(ds.energy)
         assert summary.shape == (3, 3, 12)
         for c, cls in enumerate(SourceClass):
-            per_period = np.array([p.consumption_for(cls) for p in ds.periods])
+            per_period = np.array([cls.total(p.energy_consumption) for p in ds.periods])
             # The carrier loop that the class-sum rule replaced.
             looped = np.zeros_like(per_period)
             for carrier, rows in zip(ENERGY_CARRIERS, ds.energy.transpose(1, 0, 2)):

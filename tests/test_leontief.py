@@ -43,12 +43,12 @@ def scalar_period(u=2.0, o=4.0, c=3.0, d=5.0, label=2000):
 
 def test_input_coefficients_zero_use():
     period = scalar_period(u=0.0)
-    assert input_coefficients(period).matrix.nnz == 0
+    assert input_coefficients(period).nnz == 0
 
 
 def test_input_coefficients_direct_division():
-    coeffs = input_coefficients(scalar_period(u=2.0, o=4.0))
-    assert coeffs.matrix[0, 0] == 0.5
+    a = input_coefficients(scalar_period(u=2.0, o=4.0))
+    assert a[0, 0] == 0.5
 
 
 def test_input_coefficients_columnwise_oracle():
@@ -63,7 +63,7 @@ def test_input_coefficients_columnwise_oracle():
         energy_consumption=energy_array(2),
         final_demand=np.zeros((2, 1)),
     )
-    a = input_coefficients(period).matrix.toarray()
+    a = input_coefficients(period).toarray()
     assert np.allclose(a, u / o[None, :], rtol=1e-15, atol=0)
 
 
@@ -151,14 +151,14 @@ def test_mrio_period_demand_layout():
 
 def test_leontief_apply_identity():
     period = scalar_period(u=0.0)
-    coeffs = input_coefficients(period)
+    a = input_coefficients(period)
     v = np.array([7.0])
-    assert np.allclose(leontief_apply(coeffs, v), v)
+    assert np.allclose(leontief_apply(a, v), v)
 
 
 def test_leontief_apply_geometric():
-    coeffs = input_coefficients(scalar_period(u=2.0, o=4.0))
-    x = leontief_apply(coeffs, np.array([1.0]))
+    a = input_coefficients(scalar_period(u=2.0, o=4.0))
+    x = leontief_apply(a, np.array([1.0]))
     assert np.allclose(x, [2.0], rtol=1e-10)
 
 
@@ -166,25 +166,21 @@ def test_leontief_apply_matches_neumann_series():
     rng = np.random.default_rng(11)
     a = rng.uniform(0, 0.29, (3, 3))  # 1-norm below 0.9
     assert np.abs(a).sum(axis=0).max() < 0.9
-    from enflow.leontief import InputCoefficients
-
-    coeffs = InputCoefficients(matrix=sparse.csr_array(a))
     v = np.zeros(3)
     v[0] = 1.0
-    expected = neumann_series(a, v, terms=60)
-    assert np.allclose(leontief_apply(coeffs, v), expected, atol=1e-9, rtol=0)
-    expected_t = neumann_series(a.T, v, terms=60)
-    assert np.allclose(leontief_apply(coeffs, v, transpose=True), expected_t, atol=1e-9, rtol=0)
+    for m in (a, a.T):  # the demand and the consumption side
+        expected = neumann_series(m, v, terms=60)
+        assert np.allclose(leontief_apply(sparse.csr_array(m), v), expected, atol=1e-9, rtol=0)
 
 
 def test_leontief_apply_residual_contract():
     rng = np.random.default_rng(5)
     spec = SyntheticSpec(shape=NetworkShape(3, 2, 1), density=0.7, seed=2, rho_cap=0.85)
     period = generate_synthetic(spec).periods[0]
-    coeffs = input_coefficients(period)
+    a = input_coefficients(period)
     v = rng.uniform(0, 2, 6)
-    x = leontief_apply(coeffs, v)
-    a = coeffs.matrix.toarray()
+    x = leontief_apply(a, v)
+    a = a.toarray()
     residual = v - (np.eye(6) - a) @ x
     assert np.abs(residual).sum() <= 1e-10 * (1 + np.abs(v).sum())
 
@@ -192,21 +188,25 @@ def test_leontief_apply_residual_contract():
 def test_non_productive_economy_detected():
     # a_11 = 1 exactly: the requirements series diverges
     period_matrix = sparse.csr_array(np.array([[1.0]]))
-    from enflow.leontief import InputCoefficients
-
-    coeffs = InputCoefficients(matrix=period_matrix, period_label=1999)
     with pytest.raises(NonProductiveEconomyError) as err:
-        leontief_apply(coeffs, np.array([1.0]), max_iter=200)
+        leontief_apply(period_matrix, np.array([1.0]), max_iter=200, period=1999)
     assert err.value.period == 1999
     assert spectral_radius_estimate(period_matrix) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_slow_but_productive_raises_convergence_error():
-    from enflow.leontief import InputCoefficients
-
-    coeffs = InputCoefficients(matrix=sparse.csr_array(np.array([[0.9]])))
     with pytest.raises(ConvergenceError):
-        leontief_apply(coeffs, np.array([1.0]), max_iter=3)
+        leontief_apply(sparse.csr_array(np.array([[0.9]])), np.array([1.0]), max_iter=3)
+
+
+@pytest.mark.parametrize("a, rhs", [
+    (np.ones((2, 3)), np.ones(2)),  # not square
+    (np.ones(2), np.ones(2)),  # not a matrix
+    (sparse.csr_array((2, 2)), np.ones((3, 1))),  # square, but not the rows of rhs
+])
+def test_leontief_apply_rejects_a_matrix_of_the_wrong_shape(a, rhs):
+    with pytest.raises(ValidationError, match="a must be M x M with M the rows of rhs"):
+        leontief_apply(a, rhs)
 
 
 def test_embodied_flow_zero_consumption():
@@ -287,8 +287,13 @@ def test_build_shape_mismatch():
         energy_array(2),
         np.zeros((2, 2)),
     )
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=r"period 1991 has shape .*, expected \(N=1, L=1\)"):
         build_temporal_network([p1, p2], SourceClass.ALL)
+
+
+def test_build_needs_a_period():
+    with pytest.raises(ValidationError, match="a temporal network needs at least one period"):
+        build_temporal_network([], SourceClass.ALL)
 
 
 def _dense_oracle_for(period, source):
@@ -367,17 +372,15 @@ def test_source_additivity():
     assert np.allclose(ren + non, total, rtol=1e-12, atol=1e-14)
 
 
-def test_consumption_for_partition():
+def test_class_total_partition():
     spec = SyntheticSpec(shape=NetworkShape(2, 2, 1), density=0.9, seed=2)
-    period = generate_synthetic(spec).periods[0]
-    total = period.consumption_for(SourceClass.ALL)
-    split = period.consumption_for(SourceClass.RENEWABLE) + period.consumption_for(
-        SourceClass.NONRENEWABLE
-    )
+    f = generate_synthetic(spec).periods[0].energy_consumption
+    total = SourceClass.ALL.total(f)
+    split = SourceClass.RENEWABLE.total(f) + SourceClass.NONRENEWABLE.total(f)
     assert np.allclose(total, split, rtol=1e-15)
 
 
-def test_consumption_for_absent_carriers_matches_the_oracle(tmp_path):
+def test_class_total_absent_carriers_matches_the_oracle(tmp_path):
     # Four of the seven carriers have no use at all; a class sum skips them
     # exactly as the oracle does, bit for bit, before and after a file round trip.
     spec = SyntheticSpec(shape=NetworkShape(3, 2, 1), density=0.6, seed=5,
@@ -392,7 +395,7 @@ def test_consumption_for_absent_carriers_matches_the_oracle(tmp_path):
                                  (SourceClass.RENEWABLE, RENEWABLE),
                                  (SourceClass.NONRENEWABLE, NONRENEWABLE)):
             want = class_consumption(energy, dim, sorted(carriers))
-            assert np.array_equal(period.consumption_for(source), want)
+            assert np.array_equal(source.total(period.energy_consumption), want)
 
 
 @pytest.mark.parametrize("seed", range(4))
