@@ -199,6 +199,7 @@ def cmd_build(args) -> int:
             _progress(f"{source.value} {label}: arcs={matrix.nnz} "
                       f"total_weight={matrix.total_weight:.6g}")
         _progress(f"wrote {path}")
+        del net, matrix  # the next class's network is built without this one
     return EXIT_OK
 
 

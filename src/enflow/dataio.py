@@ -16,9 +16,9 @@ files, an optional inclusive year range, the code lists and the units.
 Loading is strict: wrong field counts, unknown codes, duplicate keys,
 negative or non-finite values and column use exceeding output are reported
 with file and line. Every dataset table goes through one columnar reader
-keyed on ``_SCHEMAS``. Saving writes canonical files (sorted rows, shortest
-round-trip float formatting), so load -> save is byte-stable on canonical
-data.
+keyed on ``_SCHEMAS``, which reads and checks it a chunk of records at a
+time. Saving writes canonical files (sorted rows, shortest round-trip float
+formatting), so load -> save is byte-stable on canonical data.
 
 A built network is a binary arc list, ``network_<source>.npy`` (one
 ``_ARC_DTYPE`` record per stored arc), plus the shared ``network_meta.json``.
@@ -36,7 +36,6 @@ import io
 import itertools
 import json
 import math
-import mmap
 import tokenize
 import typing
 import warnings
@@ -204,7 +203,7 @@ def _supra_text(codes: EntityCodes) -> np.ndarray:
 
 
 # Rows formatted at a time: bounds the text held in memory.
-_CHUNK = 1 << 16
+_CHUNK = 1 << 12
 
 
 def write_csv(path: Path, header: Sequence[str], columns: Sequence) -> None:
@@ -215,21 +214,26 @@ def write_csv(path: Path, header: Sequence[str], columns: Sequence) -> None:
     sequence of numbers, written as Python writes them (``repr``, the
     shortest round-trip form of a float).
     """
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        _write_rows(fh, header, columns)
+
+
+def _write_rows(fh, header: Sequence[str], columns: Sequence) -> None:
+    """Append the rows of ``columns`` to a table of ``header`` open in ``fh``,
+    formatting ``_CHUNK`` rows at a time (see :func:`write_csv`)."""
     sizes = {len(c.index) if isinstance(c, Labels) else len(c) for c in columns}
     if len(sizes) != 1:
         raise ValueError(f"columns of unequal length: {sorted(sizes)}")
-    n_rows = sizes.pop()
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh, lineterminator="\n").writerow(header)
-        for start in range(0, n_rows, _CHUNK):
-            part = slice(start, start + _CHUNK)
-            fields = [c.text[np.asarray(c.index[part])].tolist() if isinstance(c, Labels)
-                      else repr(np.asarray(c[part]).tolist())[1:-1].split(", ")
-                      for c in columns]
-            rows = map(",".join, zip(*fields))
-            if len(header) == 1:  # as csv, quote a record that is one empty field
-                rows = (row or '""' for row in rows)
-            fh.write("\n".join(rows) + "\n")
+    for start in range(0, sizes.pop(), _CHUNK):
+        part = slice(start, start + _CHUNK)
+        fields = [c.text[np.asarray(c.index[part])].tolist() if isinstance(c, Labels)
+                  else repr(np.asarray(c[part]).tolist())[1:-1].split(", ")
+                  for c in columns]
+        rows = map(",".join, zip(*fields))
+        if len(header) == 1:  # as csv, quote a record that is one empty field
+            rows = (row or '""' for row in rows)
+        fh.write("\n".join(rows) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -415,13 +419,12 @@ _UNKNOWN_CODE = {
 }
 
 
-class _Table(NamedTuple):
-    """Validated records of one table that lie in the year window, in file order."""
+# Records per read of a dataset table, and bytes per read of its NUL scan.
+_TABLE_CHUNK = 1 << 14
+_SCAN_BLOCK = 1 << 20
 
-    record: np.ndarray  # 0-based record index in the file (header and blank lines excluded)
-    year: np.ndarray
-    codes: tuple[np.ndarray, ...]  # one index array per code column, in schema order
-    value: np.ndarray
+# A table, as read: per year in increasing order, its records' columns in file order.
+_Table = dict[int, tuple[np.ndarray, ...]]
 
 
 def _records(path: Path) -> Iterator[tuple[int, list[str]]]:
@@ -455,29 +458,39 @@ def _number(text: str, kind: type):
     return value
 
 
-def _lookup(table: Sequence[str], fields: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Index of each byte-string field in ``table`` (0 where unknown) and the hit mask."""
+def _lookup(table: Sequence[str]):
+    """A function giving the index in ``table`` of each byte-string field (0
+    where unknown) and the hit mask; the table is encoded and sorted once."""
     keys = np.array([code.encode() for code in table])
     order = np.argsort(keys, kind="stable")
-    pos = np.searchsorted(keys[order], fields)
-    pos[pos == len(table)] = 0
-    hit = keys[order][pos] == fields
-    return np.where(hit, order[pos], 0), hit
+    keys = keys[order]
+
+    def find(fields: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        pos = np.searchsorted(keys, fields)
+        pos[pos == len(keys)] = 0
+        hit = keys[pos] == fields
+        return np.where(hit, order[pos], 0), hit
+
+    return find
 
 
-def _parse(
-    path: Path, columns: list[str], widths: list[int]
-) -> tuple[np.ndarray, list[np.ndarray], np.ndarray, dict[str, np.ndarray]]:
-    """Year, code and value columns of one table, read by numpy's text reader.
+def _chunks(path: Path, columns: list[str], widths: list[int]) -> Iterator[tuple]:
+    """(start, year, codes, value, bad) of each chunk of one table's records,
+    read by numpy's text reader ``_TABLE_CHUNK`` records at a time; ``start``
+    is the chunk's first record (0-based, in the whole table).
 
     Code fields are fixed-width bytes of the raw UTF-8 text, stripped. A field
     that fills its width with whitespace at an edge may have been cut short:
-    the table is read once more with room for ``_PADDING`` bytes, and a field
-    still cut short reads as no code. When a record does not parse (field
-    count, year or value), the records before it are read and it is appended;
-    ``bad`` masks what failed in it.
+    its chunk and every later one are read with room for ``_PADDING`` bytes
+    more, and a field still cut short reads as no code. When a record does
+    not parse (field count, year or value), the records before it in its
+    chunk are read, it is appended, and no chunk follows; ``bad`` masks what
+    failed in it.
     """
     code_columns = columns[1:-1]
+    dtypes = {pad: [("year", np.int64), *((c, f"S{w + pad}") for c, w in zip(code_columns, widths)),
+                    ("value", np.float64)] for pad in (0, _PADDING)}
+    pads = (0, _PADDING)
     with open(path, "rb") as fh:
         first = fh.readline().decode("utf-8", "replace")
         try:
@@ -490,59 +503,70 @@ def _parse(
                 path=str(path),
                 line=1,
             )
-        body = fh.tell()
-        with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as view:
-            nul = view.find(b"\0", body)
+        body, lines = fh.tell(), first.count("\n")
+        while block := fh.read(_SCAN_BLOCK):
+            nul = block.find(b"\0")
             if nul >= 0:  # a fixed-width byte field would drop it at a field's end
                 raise DataFormatError("NUL byte", path=str(path),
-                                      line=view[:nul].count(b"\n") + 1)
+                                      line=lines + block.count(b"\n", 0, nul) + 1)
+            lines += block.count(b"\n")
+        fh.seek(body)
 
-        def load(max_rows=None):
-            for pad in (0, _PADDING):
-                fh.seek(body)
-                dtype = [("year", np.int64), *((c, f"S{w + pad}") for c, w in zip(code_columns, widths)),
-                         ("value", np.float64)]
+        def load(rows: int) -> np.ndarray:
+            nonlocal pads
+            offset = fh.tell()
+            for pad in pads:
+                fh.seek(offset)
                 with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", UserWarning)  # a table with no records
-                    data = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, quotechar='"',
-                                      encoding="latin1", ndmin=1, max_rows=max_rows)
+                    # No records, or blank lines, which are not records.
+                    warnings.simplefilter("ignore", UserWarning)
+                    data = np.loadtxt(fh, dtype=dtypes[pad], delimiter=",", comments=None,
+                                      quotechar='"', encoding="latin1", ndmin=1, max_rows=rows)
                 if not any(_cut(data[c], w + pad).any() for c, w in zip(code_columns, widths)):
                     break
+                pads = (_PADDING,)
             return data
 
-        try:
-            data = load()
-            failed = None
-        except ValueError as exc:
-            # Find the first record that does not parse and read up to it.
-            failed = next(((k, row) for k, (_, row) in enumerate(_records(path))
-                           if len(row) != len(columns) or _number(row[0], int) is None
-                           or _number(row[-1], float) is None), None)
-            data = None
-            if failed is not None:
-                with contextlib.suppress(ValueError):
-                    data = load(max_rows=failed[0])
-            if data is None:  # the csv reading disagrees: no record to name
-                raise DataFormatError(f"unreadable table: {exc}", path=str(path)) from exc
+        start = 0
+        while True:
+            offset = fh.tell()
+            try:
+                data, failed = load(_TABLE_CHUNK), None
+            except ValueError as exc:
+                # Find the first record that does not parse and read up to it.
+                failed = next(((k, row) for k, (_, row) in enumerate(_records(path))
+                               if len(row) != len(columns) or _number(row[0], int) is None
+                               or _number(row[-1], float) is None), None)
+                data = None
+                if failed is not None:
+                    fh.seek(offset)
+                    with contextlib.suppress(ValueError):
+                        data = load(max(failed[0] - start, 0))
+                    start = min(start, failed[0])
+                if data is None:  # the csv reading disagrees: no record to name
+                    raise DataFormatError(f"unreadable table: {exc}", path=str(path)) from exc
 
-    year, value = data["year"], data["value"]
-    codes = [data[c] for c in code_columns]
-    bad = {}
-    if failed is not None:
-        row = failed[1] + [""] * (len(columns) - len(failed[1]))
-        parsed_year, parsed_value = _number(row[0], int), _number(row[-1], float)
-        fields = np.zeros(year.size + 1, dtype=bool)
-        fields[-1] = len(failed[1]) != len(columns)
-        bad = {"fields": fields, "year": fields.copy(), "value": fields.copy()}
-        bad["year"][-1] |= parsed_year is None
-        bad["value"][-1] = parsed_value is None
-        year = np.append(year, parsed_year or 0)
-        value = np.append(value, np.nan if parsed_value is None else parsed_value)
-        codes = [np.append(f, np.array(text.encode()[: f.dtype.itemsize], dtype=f.dtype))
-                 for f, text in zip(codes, row[1:-1])]
-    codes = [np.where(_cut(f, f.dtype.itemsize), b"", np.char.strip(f, _WHITESPACE.encode()))
-             for f in codes]
-    return year, codes, value, bad
+            year, value = data["year"], data["value"]
+            codes = [data[c] for c in code_columns]
+            bad = {}
+            if failed is not None:
+                row = failed[1] + [""] * (len(columns) - len(failed[1]))
+                parsed_year, parsed_value = _number(row[0], int), _number(row[-1], float)
+                fields = np.zeros(year.size + 1, dtype=bool)
+                fields[-1] = len(failed[1]) != len(columns)
+                bad = {"fields": fields, "year": fields.copy(), "value": fields.copy()}
+                bad["year"][-1] |= parsed_year is None
+                bad["value"][-1] = parsed_value is None
+                year = np.append(year, parsed_year or 0)
+                value = np.append(value, np.nan if parsed_value is None else parsed_value)
+                codes = [np.append(f, np.array(text.encode()[: f.dtype.itemsize], dtype=f.dtype))
+                         for f, text in zip(codes, row[1:-1])]
+            codes = [np.where(_cut(f, f.dtype.itemsize), b"",
+                              np.char.strip(f, _WHITESPACE.encode())) for f in codes]
+            yield start, year, codes, value, bad
+            if failed is not None or data.size < _TABLE_CHUNK:
+                return
+            start += data.size
 
 
 def _cut(fields: np.ndarray, width: int) -> np.ndarray:
@@ -550,6 +574,18 @@ def _cut(fields: np.ndarray, width: int) -> np.ndarray:
     cut = np.char.str_len(fields) == width
     cut[cut] = np.char.strip(fields[cut], _WHITESPACE.encode()) != fields[cut]
     return cut
+
+
+def _repeated(bits: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Mask of the nonempty ``keys`` that repeat an earlier key of theirs or a
+    key set in the bitmap ``bits``; every key's bit is then set."""
+    distinct, first = np.unique(keys, return_index=True)
+    byte, bit = distinct >> 3, (1 << (distinct & 7)).astype(np.uint8)
+    repeated = np.ones(keys.size, dtype=bool)
+    repeated[first] = (bits[byte] & bit) != 0
+    starts = np.flatnonzero(np.diff(byte, prepend=-1))
+    bits[byte[starts]] |= np.bitwise_or.reduceat(bit, starts)
+    return repeated
 
 
 def _read_table(
@@ -561,8 +597,9 @@ def _read_table(
     periods: np.ndarray | None = None,
     orphan: str = "",
     duplicate: str,
+    records: bool = False,
 ) -> _Table:
-    """Parse and validate one CSV table of ``_SCHEMAS[kind]`` in one columnar pass.
+    """Parse and validate one CSV table of ``_SCHEMAS[kind]``, chunk by chunk.
 
     The first column is the year, the last the value, and each column between
     holds a code of the codebook's countries or sectors or of ``ENERGY_CARRIERS``,
@@ -573,6 +610,12 @@ def _read_table(
     first failing check: field count, year, listed year, codes in column
     order, value (parse, finite, negative), duplicate key. Field count, year
     and value parsing apply to every record, inside the window or not.
+
+    Each year's columns are an index per entity (a country column and the
+    sector column after it give one supra index, country * sectors + sector;
+    any other code column its own index) and the value, after the 0-based
+    record numbers when ``records``. A read holds these, a bitmap of the keys
+    seen in each year (a bit per possible key) and one chunk.
     """
     columns = _SCHEMAS[kind]
     code_columns = columns[1:-1]
@@ -582,52 +625,83 @@ def _read_table(
     # One byte more than the longest code, so a longer field cannot truncate
     # into a known code.
     widths = [max(len(code.encode()) for code in table) + 1 for table in code_tables]
-    year, codes, value, bad = _parse(path, columns, widths)
+    finders = [_lookup(table) for table in code_tables]
+    joins = [i > 0 and column.endswith("sector") for i, column in enumerate(code_columns)]
+    dims: list[int] = []  # the number of entities of each index
+    for join, table in zip(joins, code_tables):
+        if join:
+            dims[-1] *= len(table)
+        else:
+            dims.append(len(table))
+    index = np.int32 if max(dims) <= np.iinfo(np.int32).max else np.int64
 
-    live = np.ones(year.shape, dtype=bool)
-    if window is not None:
-        live = (window[0] <= year) & (year <= window[1])
-    if bad:
-        live &= ~bad["year"]
-
-    # (violating records, message from the record's raw fields), in check order.
-    checks = []
-    if bad:
-        checks.append((bad["fields"], lambda row: f"expected {len(columns)} fields, got {len(row)}"))
-        checks.append((bad["year"], lambda row: f"invalid year {row[0]!r}"))
-    if periods is not None:
-        checks.append((live & ~np.isin(year, periods), lambda row: orphan.format(year=int(row[0]))))
-    indices = []
-    for column, table, fields in zip(code_columns, code_tables, codes):
-        idx, known = _lookup(table, fields)
-        indices.append(idx)
+    def unknown(column: str):
+        """The message for an unknown code in ``column``, from the record's raw fields."""
         template = _UNKNOWN_CODE.get(column, "unknown {what} code {code!r} in column {column!r}")
-        checks.append((live & ~known, lambda row, c=column, t=template: t.format(
-            what=c.split("_")[-1], code=row[columns.index(c)].strip(_WHITESPACE), column=c)))
-    name = columns[-1]
-    if bad:  # every record's value must parse, as its field count must match
-        checks.append((bad["value"], lambda row: f"invalid number {row[-1]!r} in column {name!r}"))
-    checks.append((live & ~np.isfinite(value), lambda row: f"non-finite value in column {name!r}"))
-    checks.append((live & (value < 0),
-                   lambda row: f"negative value {float(row[-1])} in column {name!r}"))
-    kept = np.flatnonzero(live)
-    distinct, year_idx = np.unique(year[kept], return_inverse=True)
-    key = np.ravel_multi_index(
-        (year_idx.reshape(-1), *(idx[kept] for idx in indices)),
-        (max(distinct.size, 1), *(len(t) for t in code_tables)),
-    )
-    dup = np.zeros(year.shape, dtype=bool)
-    dup[kept] = True
-    dup[kept[np.unique(key, return_index=True)[1]]] = False
-    checks.append((dup, lambda row: duplicate.format(
-        **{**dict(zip(columns, row)), "year": int(row[0])})))
+        return lambda row: template.format(
+            what=column.split("_")[-1], code=row[columns.index(column)].strip(_WHITESPACE),
+            column=column)
 
-    hit = first_failure(checks)
-    if hit is not None:
-        k, message = hit
-        line, row = _record(path, k)
-        raise DataFormatError(message(row), path=str(path), line=line)
-    return _Table(kept, year[kept], tuple(idx[kept] for idx in indices), value[kept])
+    name = columns[-1]
+    seen: dict[int, np.ndarray] = {}  # per year, the bitmap of the keys read so far
+    groups: dict[int, list[tuple[np.ndarray, ...]]] = {}
+
+    for start, year, codes, value, bad in _chunks(path, columns, widths):
+        live = np.ones(year.shape, dtype=bool)
+        if window is not None:
+            live = (window[0] <= year) & (year <= window[1])
+        if bad:
+            live &= ~bad["year"]
+
+        # (violating records, message from the record's raw fields), in check order.
+        checks = []
+        if bad:
+            checks.append((bad["fields"],
+                           lambda row: f"expected {len(columns)} fields, got {len(row)}"))
+            checks.append((bad["year"], lambda row: f"invalid year {row[0]!r}"))
+        if periods is not None:
+            checks.append((live & ~np.isin(year, periods),
+                           lambda row: orphan.format(year=int(row[0]))))
+        entities = []
+        for column, table, find, join, fields in zip(code_columns, code_tables, finders, joins,
+                                                     codes):
+            idx, known = find(fields)
+            if join:
+                entities[-1] = entities[-1] * len(table) + idx
+            else:
+                entities.append(idx)
+            checks.append((live & ~known, unknown(column)))
+        if bad:  # every record's value must parse, as its field count must match
+            checks.append((bad["value"],
+                           lambda row: f"invalid number {row[-1]!r} in column {name!r}"))
+        checks.append((live & ~np.isfinite(value),
+                       lambda row: f"non-finite value in column {name!r}"))
+        checks.append((live & (value < 0),
+                       lambda row: f"negative value {float(row[-1])} in column {name!r}"))
+        hit = first_failure(checks)
+
+        # Only the records before the first other failure can fail as duplicates.
+        kept = np.flatnonzero(live[: year.size if hit is None else hit[0]])
+        year = year[kept]
+        kept_columns = ([start + kept] if records else []) + [
+            e[kept].astype(index) for e in entities] + [value[kept]]
+        key = np.ravel_multi_index(kept_columns[int(records):-1], dims)
+        repeated = np.zeros(kept.size, dtype=bool)
+        for y in np.unique(year).tolist():
+            at = year == y
+            if y not in seen:
+                seen[y] = np.zeros(-(-math.prod(dims) // 8), dtype=np.uint8)
+            repeated[at] = _repeated(seen[y], key[at])
+            groups.setdefault(y, []).append(tuple(c[at] for c in kept_columns))
+        if repeated.any():
+            hit = (kept[repeated.argmax()], lambda row: duplicate.format(
+                **{**dict(zip(columns, row)), "year": int(row[0])}))
+        if hit is not None:
+            k, message = hit
+            line, row = _record(path, start + k)
+            raise DataFormatError(message(row), path=str(path), line=line)
+
+    return {y: tuple(map(np.concatenate, zip(*groups.pop(y)))) for y in sorted(groups)}
 
 
 def _record(path: Path, k: int) -> tuple[int, list[str]]:
@@ -635,19 +709,12 @@ def _record(path: Path, k: int) -> tuple[int, list[str]]:
     return next(itertools.islice(_records(path), k, None))
 
 
-def _by_period(t: np.ndarray, n_periods: int) -> list[np.ndarray]:
-    """Record positions of each period, in file order."""
-    order = np.argsort(t, kind="stable")
-    bounds = np.searchsorted(t[order], np.arange(n_periods + 1))
-    return [order[bounds[p] : bounds[p + 1]] for p in range(n_periods)]
-
-
 def _years(table: _Table, path: Path, window: tuple[int, int] | None) -> np.ndarray:
     """The distinct years of a table's records in the window; there must be some."""
-    if not table.year.size:
+    if not table:
         raise ValidationError(f"no periods found in {path}"
                               + (f" within years {window[0]}..{window[1]}" if window else ""))
-    return np.unique(table.year)
+    return np.array(list(table), dtype=np.int64)
 
 
 def _energy_block(manifest: DatasetManifest, codebook: CodeBook, years=None) -> tuple:
@@ -660,9 +727,9 @@ def _energy_block(manifest: DatasetManifest, codebook: CodeBook, years=None) -> 
         years = _years(en, manifest.energy, manifest.years)
     n = len(codebook.sectors)
     energy = np.zeros((years.size, len(ENERGY_CARRIERS), n * len(codebook.countries)))
-    keep = en.value > 0
-    energy[np.searchsorted(years, en.year[keep]), en.codes[2][keep],
-           (en.codes[0] * n + en.codes[1])[keep]] = en.value[keep]
+    for t, (h, k, value) in zip(np.searchsorted(years, list(en)), en.values()):
+        keep = value > 0
+        energy[t, k[keep], h[keep]] = value[keep]
     return years, energy
 
 
@@ -680,7 +747,9 @@ def load_dataset(manifest: DatasetManifest) -> MrioDataset:
 
     Periods are the years present in the outputs file (restricted to the
     manifest's year range); rows in the other files must refer to those
-    years. Every violation is reported with its file and line.
+    years. Every violation is reported with its file and line. Each table is
+    read in chunks of ``_TABLE_CHUNK`` records, and a period's records leave
+    their table as its accounts are built.
     """
     codebook = manifest.codebook()
     n = len(codebook.sectors)
@@ -689,31 +758,26 @@ def load_dataset(manifest: DatasetManifest) -> MrioDataset:
     window = manifest.years
 
     out = _read_table(
-        manifest.outputs, "outputs", codebook, window=window,
+        manifest.outputs, "outputs", codebook, window=window, records=True,
         duplicate="duplicate output for year {year}, {country}/{sector}",
     )
     years = _years(out, manifest.outputs, window)
-    t_out = np.searchsorted(years, out.year)
-    h_out = out.codes[0] * n + out.codes[1]
     outputs = np.zeros((years.size, dim))
-    outputs[t_out, h_out] = out.value
     output_record = np.full((years.size, dim), -1)
-    output_record[t_out, h_out] = out.record
+    for t, (record, h, value) in enumerate(out.values()):
+        outputs[t, h] = value
+        output_record[t, h] = record
 
-    def read(path: Path, kind: str, what: str, duplicate: str) -> tuple[_Table, np.ndarray]:
-        table = _read_table(path, kind, codebook, window=window, periods=years,
-                            orphan=f"year {{year}} has {what} but no outputs", duplicate=duplicate)
-        return table, np.searchsorted(years, table.year)
+    def read(path: Path, kind: str, what: str, duplicate: str) -> _Table:
+        return _read_table(path, kind, codebook, window=window, periods=years,
+                           orphan=f"year {{year}} has {what} but no outputs", duplicate=duplicate)
 
-    tx, t_tx = read(manifest.transactions, "transactions", "transactions",
-                    "duplicate transaction key")
-    src = tx.codes[0] * n + tx.codes[1]
-    dst = tx.codes[2] * n + tx.codes[3]
-    positive = tx.value > 0
+    tx = read(manifest.transactions, "transactions", "transactions", "duplicate transaction key")
     # Column use must not exceed the declared output, and any use needs output.
-    col_use = np.bincount(
-        t_tx[positive] * dim + dst[positive], weights=tx.value[positive], minlength=years.size * dim
-    ).reshape(years.size, dim)
+    col_use = np.zeros((years.size, dim))
+    for t, (_, dst, value) in zip(np.searchsorted(years, list(tx)), tx.values()):
+        positive = value > 0
+        col_use[t] = np.bincount(dst[positive], weights=value[positive], minlength=dim)
     over = (col_use > outputs * (1 + 1e-9) + 1e-12) | ((outputs == 0) & (col_use > 0))
     hit = first_failure([(over.reshape(-1), None)])
     if hit is not None:
@@ -729,22 +793,24 @@ def load_dataset(manifest: DatasetManifest) -> MrioDataset:
 
     consumption = _energy_block(manifest, codebook, years)[1]
 
-    fd, t_fd = read(manifest.final_demand, "final_demand", "final demand",
-                    "duplicate final demand key")
-    fd_row = fd.codes[0] * n + fd.codes[1]
+    fd = read(manifest.final_demand, "final_demand", "final demand", "duplicate final demand key")
+
+    def entries(table: _Table, year: int) -> tuple:
+        """(value, (row, col)) of a year's records, which leave the table."""
+        row, col, value = table.pop(year, (np.empty(0, np.int32),) * 2 + (np.empty(0),))
+        return value, (row, col)
 
     shape = NetworkShape(n, n_layers, 1)
     periods = tuple(
         MrioPeriod(
-            label=int(years[t]),
+            label=year,
             shape=shape,
-            intermediate_use=sparse.coo_array((tx.value[u], (src[u], dst[u])), shape=(dim, dim)),
+            intermediate_use=sparse.coo_array(entries(tx, year), shape=(dim, dim)),
             total_output=outputs[t],
             energy_consumption=consumption[t],
-            final_demand=sparse.coo_array((fd.value[y], (fd_row[y], fd.codes[2][y])),
-                                          shape=(dim, n_layers)),
+            final_demand=sparse.coo_array(entries(fd, year), shape=(dim, n_layers)),
         )
-        for t, (u, y) in enumerate(zip(_by_period(t_tx, years.size), _by_period(t_fd, years.size)))
+        for t, year in enumerate(years.tolist())
     )
     return MrioDataset(periods=periods, codebook=codebook, units=dict(manifest.units))
 
@@ -1042,23 +1108,32 @@ def save_network(
     units: Mapping[str, str] | None = None,
 ) -> Path:
     """Persist a built network as a binary arc list, its CSV export and a
-    shared meta file; returns the CSV path."""
+    shared meta file; returns the CSV path. Both files are written period by
+    period from each period's matrix, so no copy of the whole network is held."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     codes.check_shape(net.shape)
     if net.shape.supra_dim > np.iinfo(np.int32).max:
         raise ValidationError(f"supra dimension {net.shape.supra_dim} exceeds the int32 arc index")
-    t, *entries = stacked_entries(m.matrix for m in net.matrices)
-    arcs = np.empty(t.size, dtype=_ARC_DTYPE)
-    arcs["year"] = np.array(net.labels)[t]
-    arcs["row"], arcs["col"], arcs["weight"] = entries
-    del entries  # the CSV export below holds only t and the records
+    header, years = _SCHEMAS["network"], Labels.quoted(net.labels)
+    # np.save's header, for the records of every period.
+    npy = {**np.lib.format.header_data_from_array_1_0(np.empty(0, _ARC_DTYPE)),
+           "shape": (sum(m.nnz for m in net.matrices),)}
     path = directory / f"network_{source.value}.csv"
-    write_csv(path, _SCHEMAS["network"], [
-        Labels(Labels.quoted(net.labels), t), Labels.entities(codes, arcs["row"]),
-        Labels.entities(codes, arcs["col"]), arcs["weight"],
-    ])
-    np.save(directory / f"network_{source.value}.npy", arcs, allow_pickle=False)
+    with (open(path, "w", newline="", encoding="utf-8") as text,
+          open(directory / f"network_{source.value}.npy", "wb") as binary):
+        csv.writer(text, lineterminator="\n").writerow(header)
+        np.lib.format.write_array_header_1_0(binary, npy)
+        for t, (label, m) in enumerate(net.periods):
+            arcs = np.empty(m.nnz, dtype=_ARC_DTYPE)
+            arcs["year"] = label
+            arcs["row"] = np.repeat(np.arange(m.matrix.shape[0]), np.diff(m.matrix.indptr))
+            arcs["col"], arcs["weight"] = m.matrix.indices, m.matrix.data
+            arcs.tofile(binary)
+            _write_rows(text, header, [
+                Labels(years, np.broadcast_to(t, arcs.shape)), Labels.entities(codes, arcs["row"]),
+                Labels.entities(codes, arcs["col"]), arcs["weight"],
+            ])
 
     meta_path = directory / "network_meta.json"
     fields = {

@@ -6,13 +6,14 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import enflow
-from enflow import MrioPeriod, NetworkShape, SourceClass, flowcrit, load_network
+from enflow import MrioPeriod, NetworkShape, SourceClass, dataio, flowcrit, load_network
 from enflow.cli import main
 from enflow.dataio import CodeBook, MrioDataset, save_dataset
 
@@ -416,6 +417,31 @@ def test_hits_converges_on_the_small_gap_renewable_periods(tmp_path):
     assert run("build", "--manifest", data / "manifest.json", "--out", out,
                "--source", "renewable") == 0
     assert run("hits", "--out", out, "--source", "renewable") == 0
+
+
+def test_build_frees_each_class_network_before_the_next(tmp_path, monkeypatch, capsys):
+    # Small read and write chunks, so that the networks set the peak.
+    monkeypatch.setattr(dataio, "_TABLE_CHUNK", 64)
+    monkeypatch.setattr(dataio, "_SCAN_BLOCK", 4096)
+    monkeypatch.setattr(dataio, "_CHUNK", 64)
+    data, out = tmp_path / "data", tmp_path / "out"
+    assert run(*synth_args(data, shape="6,6,20", density="1.0")) == 0
+    peaks = {}
+    for sources in (["--source", "all"], []):
+        argv = ["build", "--manifest", data / "manifest.json", *sources, "--out", out]
+        assert run(*argv) == 0
+        tracemalloc.start()
+        try:
+            assert run(*argv) == 0
+            peaks[len(sources)] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    capsys.readouterr()
+    net, _ = load_network(out, SourceClass.ALL)
+    nbytes = sum(m.matrix.data.nbytes + m.matrix.indices.nbytes + m.matrix.indptr.nbytes
+                 for m in net.matrices)
+    # Holding one class's network while the next is built adds most of it.
+    assert peaks[0] - peaks[2] < nbytes / 2, (peaks, nbytes)
 
 
 def test_empty_energy_warns_and_builds_empty(tmp_path, capsys):

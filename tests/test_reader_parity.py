@@ -88,6 +88,18 @@ def assert_same_dataset(a, b):
         assert np.array_equal(y.data, z.data)
 
 
+def load_in_chunks(manifest):
+    """``load_dataset``'s outcome, which a read two records at a time must repeat."""
+    got = outcome(load_dataset, manifest)
+    with mock.patch.object(dataio, "_TABLE_CHUNK", 2):
+        again = outcome(load_dataset, manifest)
+    if isinstance(got, tuple):
+        assert again == got
+    else:
+        assert_same_dataset(got, again)
+    return got
+
+
 def assert_same_network(a, b):
     (net_a, codes_a), (net_b, codes_b) = a, b
     assert codes_a == codes_b
@@ -159,7 +171,7 @@ def test_clean_workspaces_load_identically(n, layers, periods, seed, density, od
                                        density=density, odd_codes=odd_codes)
         manifest = dataclasses.replace(DatasetManifest.from_json(manifest_path), years=window)
         expected = outcome(legacy_reader.load_dataset, manifest)
-        got = outcome(load_dataset, manifest)
+        got = load_in_chunks(manifest)
         if isinstance(expected, tuple):
             assert got == expected
         else:
@@ -192,7 +204,7 @@ def test_single_fault_raises_the_reference_error(table, fault, data, crlf, blank
         rows = inject(rows, fault, r, column)
         write_rows(path, rows, crlf=crlf, blank_before=r if blank else None)
         manifest = dataclasses.replace(DatasetManifest.from_json(manifest_path), years=window)
-        got = outcome(load_dataset, manifest)
+        got = load_in_chunks(manifest)
         if fault == "non_numeric" and window and not window[0] <= int(rows[r][0]) <= window[1]:
             # The row reader never parsed the value of a row outside the window.
             line = r + 1 + blank
@@ -222,7 +234,7 @@ def test_faults_in_one_record_are_reported_in_the_reference_order(table, faults,
             rows = inject(rows, fault, r, data.draw(st.integers(1, len(rows[0]) - 2)))
         write_rows(path, rows)
         manifest = dataclasses.replace(DatasetManifest.from_json(manifest_path), years=None)
-        assert outcome(load_dataset, manifest) == outcome(legacy_reader.load_dataset, manifest)
+        assert load_in_chunks(manifest) == outcome(legacy_reader.load_dataset, manifest)
 
 
 @pytest.mark.parametrize("table", TABLES)
@@ -234,7 +246,7 @@ def test_every_fault_is_reported_like_the_reference(tmp_path, table, fault):
     write_rows(path, rows, crlf=True, blank_before=2)
     manifest = dataclasses.replace(DatasetManifest.from_json(manifest_path), years=None)
     expected = outcome(legacy_reader.load_dataset, manifest)
-    got = outcome(load_dataset, manifest)
+    got = load_in_chunks(manifest)
     if isinstance(expected, tuple):
         assert expected[0] is DataFormatError
         assert got == expected
@@ -281,6 +293,162 @@ def test_field_count_is_checked_before_an_earlier_records_later_check(tmp_path):
     write_rows(path, rows[:3] + [rows[3][:-1]] + rows[4:])
     with pytest.raises(DataFormatError, match=r"energy\.csv:3: unknown country code 'ZZZ'"):
         load_dataset(DatasetManifest.from_json(manifest_path))
+
+
+@pytest.mark.parametrize("table", TABLES)
+@pytest.mark.parametrize("fault", FAULTS + ("missing_field", "extra_field"))
+@pytest.mark.parametrize("chunk", [1, 3, 4], ids=["alone", "starts-a-chunk", "ends-a-chunk"])
+def test_a_fault_at_a_chunk_boundary_is_reported_as_in_one_chunk(tmp_path, monkeypatch, table,
+                                                                   fault, chunk):
+    # The fault is in record 3 (0-based). A duplicate is record 4, and its
+    # first copy record 3: with chunks of 4 the copy ends one chunk and the
+    # duplicate starts the next.
+    manifest_path = make_workspace(tmp_path, density=0.6, odd_codes=True)
+    path = manifest_path.parent / f"{table}.csv"
+    rows = read_rows(path)
+    if fault == "missing_field":
+        rows[4] = rows[4][:-1]
+    elif fault == "extra_field":
+        rows[4] = rows[4] + ["1"]
+    else:
+        rows = inject(rows, fault, 4, 2)
+    write_rows(path, rows, crlf=True, blank_before=4)
+    manifest = dataclasses.replace(DatasetManifest.from_json(manifest_path), years=None)
+    expected = outcome(load_dataset, manifest)
+    if fault in FAULTS:
+        reference = outcome(legacy_reader.load_dataset, manifest)
+        if isinstance(reference, tuple):
+            assert expected == reference
+        else:
+            assert_same_dataset(reference, expected)
+    monkeypatch.setattr(dataio, "_TABLE_CHUNK", chunk)
+    got = outcome(load_dataset, manifest)
+    if isinstance(expected, tuple):
+        assert got == expected
+        assert got[0] is DataFormatError or (fault, table) == ("unlisted_year", "outputs")
+    else:  # padded codes are valid; an unlisted output year adds a period
+        assert fault == "padded_code" or (fault, table) == ("unlisted_year", "outputs")
+        assert_same_dataset(expected, got)
+
+
+def workspace_with_a_country(directory: Path, code: str) -> Path:
+    """A 3-sector, 3-country dataset whose second country has ``code``."""
+    dataset = generate_synthetic(SyntheticSpec(shape=NetworkShape(3, 3, 3), density=0.6, seed=4))
+    countries = list(dataset.codebook.countries)
+    countries[1] = (code, "Odd")
+    codebook = CodeBook(dataset.codebook.sectors, tuple(countries))
+    return save_dataset(dataclasses.replace(dataset, codebook=codebook), directory)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 5])
+@pytest.mark.parametrize("code", ["A,B", 'Q"T', "N\nL"])
+def test_quoted_crlf_records_load_alike_in_chunks_of_any_size(tmp_path, monkeypatch, chunk, code):
+    manifest_path = workspace_with_a_country(tmp_path, code)
+    for table in TABLES:
+        path = manifest_path.parent / f"{table}.csv"
+        rows = read_rows(path)
+        assert sum(code in row for row in rows) > chunk  # quoted records on both sides of a cut
+        write_rows(path, rows, crlf=True, blank_before=2)
+    manifest = DatasetManifest.from_json(manifest_path)
+    expected = legacy_reader.load_dataset(manifest)
+    monkeypatch.setattr(dataio, "_TABLE_CHUNK", chunk)
+    assert_same_dataset(expected, load_dataset(manifest))
+
+
+def test_a_padded_code_rereads_its_chunk_and_the_later_ones_with_room(tmp_path, monkeypatch):
+    manifest_path = make_workspace(tmp_path, density=1.0)
+    path = manifest_path.parent / "transactions.csv"
+    rows = read_rows(path)
+    rows = inject(rows, "padded_code", 8, 1)  # record 7, in the third chunk of 3
+    write_rows(path, rows)
+    manifest = DatasetManifest.from_json(manifest_path)
+    expected = legacy_reader.load_dataset(manifest)
+    widths, loadtxt = [], np.loadtxt
+
+    def spy(fh, **kwargs):
+        if Path(fh.name) == path:
+            widths.append(kwargs["dtype"][1][1])
+        return loadtxt(fh, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    monkeypatch.setattr(dataio, "_TABLE_CHUNK", 3)
+    assert_same_dataset(expected, load_dataset(manifest))
+    reads = (len(rows) - 1) // 3 + 1  # the last read finds fewer than 3 records
+    assert widths == ["S4", "S4", "S4", "S68"] + ["S68"] * (reads - 3)
+
+
+@pytest.mark.parametrize("chunk", [2, 3, 4])
+@pytest.mark.parametrize("earlier", [None, "unknown_code", "negative", "duplicate"])
+def test_a_parse_failure_in_a_later_chunk_yields_to_an_earlier_fault(tmp_path, monkeypatch, chunk,
+                                                                      earlier):
+    # Record 7 (0-based) does not parse; record 6, in the same chunk, may
+    # fail an earlier check (a duplicate of record 5, from an earlier chunk
+    # when chunks hold 2 or 3 records).
+    manifest_path = make_workspace(tmp_path, density=0.6)
+    path = manifest_path.parent / "energy.csv"
+    rows = read_rows(path)
+    rows = inject(rows, "non_numeric", 8, 1)
+    if earlier == "duplicate":
+        rows[7] = rows[6]
+    elif earlier is not None:
+        rows = inject(rows, earlier, 7, 1)
+    write_rows(path, rows)
+    manifest = DatasetManifest.from_json(manifest_path)
+    expected = outcome(legacy_reader.load_dataset, manifest)
+    line = 9 if earlier is None else 8
+    assert expected[0] is DataFormatError and expected[1].startswith(f"{path}:{line}: ")
+    monkeypatch.setattr(dataio, "_TABLE_CHUNK", chunk)
+    assert outcome(load_dataset, manifest) == expected
+
+
+def test_a_nul_byte_after_the_first_scan_block_is_reported(tmp_path, monkeypatch):
+    manifest_path = make_workspace(tmp_path)
+    path = manifest_path.parent / "transactions.csv"
+    rows = read_rows(path)
+    rows[9][1] += "\0"
+    rows = inject(rows, "unknown_code", 2, 1)  # an earlier fault: the NUL byte comes first
+    write_rows(path, rows)
+    monkeypatch.setattr(dataio, "_SCAN_BLOCK", 7)
+    with pytest.raises(DataFormatError) as info:
+        load_dataset(DatasetManifest.from_json(manifest_path))
+    assert str(info.value) == f"{path}:10: NUL byte"
+
+
+def test_one_year_dataset_load_does_not_grow_with_the_periods_in_the_file(tmp_path, monkeypatch):
+    # Chunks are cut below one period's records, as a paper-shape period is
+    # far above the default sizes.
+    monkeypatch.setattr(dataio, "_TABLE_CHUNK", 64)
+    monkeypatch.setattr(dataio, "_SCAN_BLOCK", 4096)
+    peaks = []
+    for periods in (1, 9):
+        manifest_path = make_workspace(tmp_path / str(periods), n=6, layers=6, periods=periods,
+                                       density=0.5)
+        manifest = dataclasses.replace(DatasetManifest.from_json(manifest_path), years=(1990, 1990))
+        assert len(read_rows(manifest.transactions)) > periods * 4 * 64
+        load_dataset(manifest)
+        tracemalloc.start()
+        try:
+            assert load_dataset(manifest).labels == (1990,)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0], peaks
+
+
+def test_save_network_does_not_grow_with_the_periods_it_writes(tmp_path):
+    peaks = []
+    for periods in (1, 9):
+        dataset = generate_synthetic(SyntheticSpec(shape=NetworkShape(6, 6, periods), density=0.5))
+        net = build_temporal_network(dataset.periods, SourceClass.ALL)
+        assert net.matrices[0].nnz > 500
+        save_network(net, dataset.codes, SourceClass.ALL, tmp_path / str(periods))
+        tracemalloc.start()
+        try:
+            save_network(net, dataset.codes, SourceClass.ALL, tmp_path / str(periods))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0], peaks
 
 
 # ---------------------------------------------------------------------------
