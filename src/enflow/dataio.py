@@ -626,22 +626,13 @@ def _read_table(
     # into a known code.
     widths = [max(len(code.encode()) for code in table) + 1 for table in code_tables]
     finders = [_lookup(table) for table in code_tables]
-    joins = [i > 0 and column.endswith("sector") for i, column in enumerate(code_columns)]
-    dims: list[int] = []  # the number of entities of each index
-    for join, table in zip(joins, code_tables):
-        if join:
+    dims: list[int] = []  # the number of entities of each index; a sector follows a country
+    for column, table in zip(code_columns, code_tables):
+        if column.endswith("sector"):
             dims[-1] *= len(table)
         else:
             dims.append(len(table))
     index = np.int32 if max(dims) <= np.iinfo(np.int32).max else np.int64
-
-    def unknown(column: str):
-        """The message for an unknown code in ``column``, from the record's raw fields."""
-        template = _UNKNOWN_CODE.get(column, "unknown {what} code {code!r} in column {column!r}")
-        return lambda row: template.format(
-            what=column.split("_")[-1], code=row[columns.index(column)].strip(_WHITESPACE),
-            column=column)
-
     name = columns[-1]
     seen: dict[int, np.ndarray] = {}  # per year, the bitmap of the keys read so far
     groups: dict[int, list[tuple[np.ndarray, ...]]] = {}
@@ -663,14 +654,16 @@ def _read_table(
             checks.append((live & ~np.isin(year, periods),
                            lambda row: orphan.format(year=int(row[0]))))
         entities = []
-        for column, table, find, join, fields in zip(code_columns, code_tables, finders, joins,
-                                                     codes):
+        for column, table, find, fields in zip(code_columns, code_tables, finders, codes):
             idx, known = find(fields)
-            if join:
+            if column.endswith("sector"):
                 entities[-1] = entities[-1] * len(table) + idx
             else:
                 entities.append(idx)
-            checks.append((live & ~known, unknown(column)))
+            template = _UNKNOWN_CODE.get(column,
+                                         "unknown {what} code {code!r} in column {column!r}")
+            checks.append((live & ~known, lambda row, c=column, t=template: t.format(
+                what=c.split("_")[-1], code=row[columns.index(c)].strip(_WHITESPACE), column=c)))
         if bad:  # every record's value must parse, as its field count must match
             checks.append((bad["value"],
                            lambda row: f"invalid number {row[-1]!r} in column {name!r}"))
