@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -371,6 +372,53 @@ def test_md_hits_matches_naive_oracle():
             expected,
         ):
             assert np.allclose(got, want, atol=1e-8)
+
+
+def test_md_hits_matches_naive_oracle_with_mixed_gamma_and_empty_period():
+    gamma = (0.3, 0.5, 0.2, 1.0, 0.7)
+    rng = np.random.default_rng(29)
+    n, n_layers, n_periods = 3, 2, 3
+    dim = n * n_layers
+    idle = np.arange(dim) % n == n - 1  # the last sector of every layer
+    for _ in range(30):
+        stack = rng.uniform(0.05, 1.0, (n_periods, dim, dim)) * (
+            rng.random((n_periods, dim, dim)) < 0.6
+        )
+        stack[1] = 0.0
+        stack[:, idle, :] = 0.0
+        stack[:, :, idle] = 0.0
+        if not stack.any():
+            continue
+        scores = md_hits(net_from_dense(list(stack), n, n_layers), gamma=gamma, tol=1e-13)
+        expected = naive_md_hits(n, n_layers, n_periods, stack, gamma, tol=1e-13)
+        assert scores.time[1] == 0.0
+        assert scores.node_hub[-1] == scores.node_authority[-1] == 0.0
+        for got, want in zip(
+            (scores.node_hub, scores.node_authority, scores.layer_broadcast,
+             scores.layer_receive, scores.time),
+            expected,
+        ):
+            assert np.allclose(got, want, rtol=0, atol=1e-14)
+
+
+def test_md_hits_traces_at_most_16_bytes_per_arc():
+    rng = np.random.default_rng(37)
+    shape = NetworkShape(26, 12)
+    dim = shape.supra_dim
+    net = TemporalMultilayerNetwork([
+        (t, SupraAdjacency(shape, sparse.random_array((dim, dim), density=0.4, rng=rng)))
+        for t in range(3)
+    ])
+    arcs = sum(m.nnz for m in net.matrices)
+    assert arcs >= 100_000
+    md_hits(net)
+    tracemalloc.start()
+    try:
+        md_hits(net)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * arcs, peak / arcs
 
 
 def test_md_hits_single_period_wrapper():
