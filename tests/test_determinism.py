@@ -154,16 +154,16 @@ GOLDEN = {
         "a3d13af686077af83a8332b12d0473999cca4989bc086095780089fe3ef9def2",
     "out/incidence_sector.csv":
         "7405d566d0a8caa7d1464b4de53860c678a32b365ec97aea00b0ec26dd498971",
-    "out/mdhits_all.csv": "8a986e69e395c77e823667ff93e413f05693bec56cdbf94931275a3a9454ddec",
+    "out/mdhits_all.csv": "c00b31b71fee7bb65714c380a1c8179f6dc086cd7d069a5152cc953855365f5d",
     "out/mdhits_all_by_year.csv":
-        "5fa6f3fc4effd45d7d2d96d46b9244f8f4d5199c9b93d1fa45e5903f5c8b4522",
+        "d96574e4565dbf4c0f42c2e8a3c7a5ec48123fc700d07e4578a63c9459ef6b55",
     "out/mdhits_nonrenewable.csv":
-        "4d1a4df289552b728780ae457a6db469a33c977b9927aff439f1a3aa91646edf",
+        "c763d6b3a72a72769ea126506a4ac7f4db1a1553976eb96939069c6c99701428",
     "out/mdhits_nonrenewable_by_year.csv":
-        "b5952a64c819fd08411aaf0ee71dc80bf47f5ac50a883750a37fe8ff31dd257e",
-    "out/mdhits_renewable.csv": "8245f4d5c0047d78c98d149dc21266dd676721183ab1a0af7fc3721138708e01",
+        "d2b8a2dce119eb07c66c8bb57c5686f66c8e98b099953c8bba403f3c6531d875",
+    "out/mdhits_renewable.csv": "061ac9b3df871d9cf5a3873ba2fcd1b324da3a88a75c8582df8c9b34a09771b5",
     "out/mdhits_renewable_by_year.csv":
-        "f72d45e8fb86d0ed6236f20469176cad32405ba1060402fed816d45392ce3513",
+        "62f986d6bd2231a9b2a60aab707c29fb786581d947116693c7f78dd365f1dc62",
     "out/network_all.csv": "bced0b2286c77bc1736e82bdf9353be2304dbd87aadf757d4db9dbd3b71aee92",
     "out/network_all.npy": "89a7ced7d1631e7e8cbfe4bdc2e3a77df5c440218d8d22efcf9afab168e866db",
     "out/network_meta.json": "011b81436d5e7df406bd53263eb6bcf91222b9975fb258645971f6f28b28de9a",
