@@ -13,9 +13,8 @@ Three families:
   time instants (u) through one mutually reinforcing fixed point. Each score
   update sums, over the stored arcs incident to the entity, the product of
   the arc weight with the current scores of the other four dimensions,
-  raised elementwise to an exponent gamma_k in (0, 1]. The power factorises,
-  so an update is one sparse mat-vec per period on the weights raised to
-  gamma_k once: 8 bytes per arc for each distinct gamma_k, no per-arc array.
+  raised elementwise to an exponent gamma_k in (0, 1]. That power factorises
+  into sparse mat-vecs on weights powered once: 8 bytes per arc per distinct gamma_k.
 
 The first two share one power iteration, started from an ARPACK estimate of
 its limit and certified by ||M x - lam x||_1 <= tol * lam.
@@ -292,9 +291,7 @@ def md_hits(
         mats = [sparse.csr_array((w.data**e, w.indices, w.indptr), shape=w.shape) for w in loaded]
         powered[e] = (mats, [w.T for w in mats])
 
-    def blocks(k, transposed, layer, sector):
-        """Per period, W_t^(gamma_k) (its transpose if ``transposed``) times
-        layer^gamma_k kron sector^gamma_k, as a (layer, sector) array."""
+    def blocks(k, transposed, layer, sector):  # R_t per period; W_t^(g)T if transposed
         e = g[k]
         v = np.kron(layer**e, sector**e)
         for w in powered[e][transposed]:
@@ -356,7 +353,9 @@ def rank(scores, labels: Sequence[str]) -> RankingTable:
     for position, idx in enumerate(order):
         score = float(values[idx])
         # Competition ranking: tied scores share the best position.
-        tied = position > 0 and score == rows[-1].score
-        rank_value = rows[-1].rank if tied else position + 1
+        if position > 0 and score == rows[-1].score:
+            rank_value = rows[-1].rank
+        else:
+            rank_value = position + 1
         rows.append(RankingRow(rank=rank_value, label=str(labels[idx]), score=score))
     return RankingTable(rows=tuple(rows))
