@@ -188,3 +188,32 @@ def test_synth_and_build_write_the_golden_bytes(tmp_path):
     written = {p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
                for p in sorted(tmp_path.rglob("*")) if p.is_file()}
     assert written == GOLDEN
+
+
+# One sha256 over the names and bytes of the 116 files that the acceptance
+# shape's commands write (``synth --shape 26,12,27 --density 0.05 --seed 1``,
+# ``build``, exact ``criticality``, ``consumption``, ``mdhits --per-year``,
+# ``hits``, ``eig --largest-scc``).
+ACCEPTANCE_DIGEST = "4be63e93b171b9f42649b37cdafe35802903d0857aa68c6c99660e3eb8747f37"
+
+
+def test_acceptance_shape_outputs_keep_their_bytes(tmp_path):
+    data, out = str(tmp_path / "data"), str(tmp_path / "out")
+    manifest = data + "/manifest.json"
+    for argv in (
+        ["synth", "--shape", "26,12,27", "--density", "0.05", "--seed", "1", "--out", data],
+        ["build", "--manifest", manifest, "--out", out],
+        ["criticality", "--out", out],
+        ["consumption", "--manifest", manifest, "--out", out],
+        ["mdhits", "--per-year", "--out", out],
+        ["hits", "--out", out],
+        ["eig", "--largest-scc", "--out", out],
+    ):
+        assert main(argv) == 0, argv
+    files = [p for p in sorted(tmp_path.rglob("*")) if p.is_file()]
+    digest = hashlib.sha256()
+    for p in files:
+        digest.update(p.relative_to(tmp_path).as_posix().encode() + b"\0")
+        digest.update(hashlib.sha256(p.read_bytes()).digest())
+    assert len(files) == 116
+    assert digest.hexdigest() == ACCEPTANCE_DIGEST
