@@ -39,7 +39,6 @@ from .centrality import (
     EigScores,
     HitsScores,
     MdHitsScores,
-    RankingTable,
     eigenvector_centrality,
     hits,
     md_hits,
@@ -103,7 +102,6 @@ __all__ = [
     "EigScores",
     "HitsScores",
     "MdHitsScores",
-    "RankingTable",
     "eigenvector_centrality",
     "hits",
     "md_hits",

@@ -43,7 +43,6 @@ __all__ = [
     "EigScores",
     "HitsScores",
     "MdHitsScores",
-    "RankingTable",
     "eigenvector_centrality",
     "hits",
     "md_hits",
@@ -90,26 +89,6 @@ class MdHitsScores:
             "layer_receive": self.layer_receive,
             "time": self.time,
         }
-
-
-@dataclass(frozen=True)
-class RankingRow:
-    rank: int
-    label: str
-    score: float
-
-
-@dataclass(frozen=True)
-class RankingTable:
-    """Labels sorted by descending score; ties share a rank and sort by label."""
-
-    rows: tuple[RankingRow, ...]
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __iter__(self):
-        return iter(self.rows)
 
 
 def _as_csr(matrix) -> sparse.csr_array:
@@ -162,7 +141,12 @@ def eigenvector_centrality(
                 "(largest_scc=True) or pass an irreducible matrix"
             )
         keep = np.flatnonzero(labels == np.bincount(labels).argmax())
-        inner = eigenvector_centrality(w[np.ix_(keep, keep)], tol=tol, max_iter=max_iter)
+        inner = w[np.ix_(keep, keep)]
+        if inner.nnz == 0:  # only a single node without a self-loop has no arc
+            raise NumericalError("eigenvector centrality is undefined on the largest strongly "
+                                 f"connected component: it is node {keep[0]} alone, "
+                                 "without a self-loop")
+        inner = eigenvector_centrality(inner, tol=tol, max_iter=max_iter)
         full = np.zeros(dim)
         full[keep] = inner.centrality
         return EigScores(centrality=full, spectral_radius=inner.spectral_radius)
@@ -293,7 +277,7 @@ def md_hits(
 
     def blocks(k, transposed, layer, sector):  # R_t per period; W_t^(g)T if transposed
         e = g[k]
-        v = np.kron(layer**e, sector**e)
+        v = np.multiply.outer(layer**e, sector**e).ravel()
         for w in powered[e][transposed]:
             yield (w @ v).reshape(n_layers, n)
 
@@ -341,21 +325,17 @@ def md_hits_single_period(
     return md_hits(net, gamma=gamma, tol=tol, max_iter=max_iter)
 
 
-def rank(scores, labels: Sequence[str]) -> RankingTable:
-    """Sort labels by descending score; ties share a rank and order by label."""
+def rank(scores, labels: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of ``scores`` in rank order, by descending score with ties
+    ordered by label, and each one's competition rank: tied scores share the
+    rank of the best position."""
     values = np.asarray(scores, dtype=np.float64).reshape(-1)
     if len(values) != len(labels):
         raise ValidationError(
             f"got {len(values)} scores for {len(labels)} labels"
         )
-    order = sorted(range(len(values)), key=lambda idx: (-values[idx], labels[idx]))
-    rows = []
-    for position, idx in enumerate(order):
-        score = float(values[idx])
-        # Competition ranking: tied scores share the best position.
-        if position > 0 and score == rows[-1].score:
-            rank_value = rows[-1].rank
-        else:
-            rank_value = position + 1
-        rows.append(RankingRow(rank=rank_value, label=str(labels[idx]), score=score))
-    return RankingTable(rows=tuple(rows))
+    # An object array orders the labels as Python compares them.
+    _, by_label = np.unique(np.array(labels, dtype=object), return_inverse=True)
+    order = np.lexsort((by_label, -values))
+    ascending = -values[order]  # a tie's first position is where its value would insert
+    return order, np.searchsorted(ascending, ascending) + 1

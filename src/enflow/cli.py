@@ -214,21 +214,23 @@ def cmd_mdhits(args) -> int:
         export_results(scores, path, "csv", codes=codes, period_labels=net.labels)
         _progress(f"wrote {path} (converged in {scores.iterations} sweeps)")
         if args.per_year:
-            rows = []
-            for label, matrix in net.periods:
+            columns = []  # per period and component: its rows in rank order
+            for t, (label, matrix) in enumerate(net.periods):
                 with _naming(f"{source.value} {label}"):
                     per = md_hits_single_period(matrix, gamma=gamma, tol=args.tol,
                                                 max_iter=args.max_iter)
                 # One period has no time axis to rank: skip the last section.
                 for component, labels, vector in _score_sections(per, codes, None)[:-1]:
-                    rows.extend(
-                        (component, row.label, label, row.score, row.rank)
-                        for row in rank(vector, labels)
-                    )
-            component, code, year, score, position = zip(*rows)
+                    order, ranks = rank(vector, labels)
+                    columns.append((np.full(order.size, component, dtype=object),
+                                    np.array(labels, dtype=object)[order],
+                                    np.full(order.size, t), vector[order], ranks))
+            component, code, year, score, position = map(np.concatenate, zip(*columns))
             per_path = out / f"mdhits_{source.value}_by_year.csv"
-            write_csv(per_path, ["component", "label", "year", "score", "rank"],
-                      [Labels.of(component), Labels.of(code), Labels.of(year), score, position])
+            write_csv(per_path, ["component", "label", "year", "score", "rank"], [
+                Labels.of(component), Labels.of(code), Labels(Labels.quoted(net.labels), year),
+                score, position,
+            ])
             _progress(f"wrote {per_path}")
 
     return _each_source(args, run)
@@ -280,7 +282,7 @@ def cmd_criticality(args) -> int:
     out = Path(args.out)
 
     def run(source, net, codes):
-        reports = []
+        ranked = []  # each period's report rows
         for label, matrix in net.periods:
             with _naming(f"{source.value} {label}"):
                 report = country_level_criticality(matrix, args.mode, pairs=args.pairs,
@@ -291,21 +293,19 @@ def cmd_criticality(args) -> int:
                       f"arcs={len(report.rows)} mode={report.mode} "
                       f"settled_by_cut={report.settled_by_cut} "
                       f"settled_by_two_hop={report.settled_by_two_hop} resolved={report.resolved}")
-            reports.append((label, report))
+            ranked.append(report.rows)
         # Every year's rows for the arcs that make any year's top list.
-        top_arcs = {(row.tail, row.head)
-                    for _, report in reports for row in report.rows[: args.top]}
-        top_rows = [
-            (label, row.tail, row.head, row.index, position)
-            for label, report in reports
-            for position, row in enumerate(report.rows, start=1)
-            if (row.tail, row.head) in top_arcs
-        ]
-        year, tail, head, index, position = zip(*top_rows) if top_rows else [()] * 5
+        keys = [rows["tail"] * codes.n_layers + rows["head"] for rows in ranked]
+        top_keys = np.concatenate([k[: args.top] for k in keys])
+        picked = [np.flatnonzero(np.isin(k, top_keys)) for k in keys]
+        rows = np.concatenate([rows[p] for rows, p in zip(ranked, picked)])
+        year = np.repeat(np.arange(len(picked)), [p.size for p in picked])
         country = Labels.quoted(codes.country_codes)
         path = out / f"criticality_{source.value}_top.csv"
-        write_csv(path, ["year", "tail_code", "head_code", "index", "rank"],
-                  [Labels.of(year), Labels(country, tail), Labels(country, head), index, position])
+        write_csv(path, ["year", "tail_code", "head_code", "index", "rank"], [
+            Labels(Labels.quoted(net.labels), year), Labels(country, rows["tail"]),
+            Labels(country, rows["head"]), rows["index"], np.concatenate(picked) + 1,
+        ])
         _progress(f"wrote {path}")
 
     return _each_source(args, run)
@@ -341,14 +341,18 @@ def cmd_consumption(args) -> int:
         Labels(year, np.tile(np.arange(t), c)), Labels(source_class, np.repeat(np.arange(c), t)),
         sums.sum(axis=2).ravel(),
     ])
-    top_rows = [(p, k, row.rank, row.label, row.score)
-                for k, by_year in enumerate(by_entity.sum(axis=3))
-                for p, country in enumerate(by_year)
-                for row in rank(country, codes.country_codes).rows[: args.top]]
-    p, k, position, country, value = zip(*top_rows)
+    # Rows by class, then year, then rank.
+    by_country = by_entity.sum(axis=3).reshape(c * t, -1)
+    order, position = map(np.array, zip(*(rank(v, codes.country_codes) for v in by_country)))
+    order, position = order[:, : args.top], position[:, : args.top]
+    k = order.shape[1]
     write_csv(out / "consumption_top_countries.csv",
-              ["year", "source_class", "rank", "country", "value"],
-              [Labels(year, p), Labels(source_class, k), position, Labels.of(country), value])
+              ["year", "source_class", "rank", "country", "value"], [
+                  Labels(year, np.tile(np.repeat(np.arange(t), k), c)),
+                  Labels(source_class, np.repeat(np.arange(c), t * k)), position.ravel(),
+                  Labels(Labels.quoted(codes.country_codes), order.ravel()),
+                  np.take_along_axis(by_country, order, axis=1).ravel(),
+              ])
 
     _progress(f"wrote consumption tables to {out}")
     return EXIT_OK

@@ -48,7 +48,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 from scipy import sparse
 
-from .centrality import MdHitsScores, RankingTable
+from .centrality import MdHitsScores
 from .errors import DataFormatError, ValidationError, first_failure
 from .flowcrit import ArcCriticalityReport
 from .leontief import ENERGY_CARRIERS, MrioPeriod, SourceClass
@@ -126,18 +126,30 @@ _JSON_TYPES = {int: "an integer", float: "a number", str: "a string", list: "an 
 def _decode(hint, value, what: str, path: Path):
     """``value`` read from JSON as type ``hint``, else DataFormatError naming
     ``what``. A dataclass comes from an object of exactly its fields (as
-    :func:`_encode` writes it), a float array or tuple from an array, a dict
-    or mapping from an object; an optional may be null; a float may be given
-    as an integer (read as a float, DataFormatError beyond its range), and
-    true/false is neither."""
+    :func:`_encode` writes it), a structured array (``Annotated`` with its
+    dtype) from an object of its equal-length columns, a float array or tuple
+    from an array, a dict or mapping from an object; an optional may be null;
+    a float may be given as an integer (read as a float, DataFormatError
+    beyond its range), and true/false is neither."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
-    if dataclasses.is_dataclass(hint):
-        names = [f.name for f in dataclasses.fields(hint)]
+    if dataclasses.is_dataclass(hint) or origin is typing.Annotated:
+        names = list(args[1].names) if args else [f.name for f in dataclasses.fields(hint)]
         if sorted(_decode(dict, value, what, path)) != sorted(names):
             raise DataFormatError(f"{what} needs fields {names}, got {list(value)}", path=str(path))
-        hints = typing.get_type_hints(hint)
-        return hint(**{name: _decode(hints[name], value[name], f"{what}.{name}", path)
-                       for name in names})
+        if not args:
+            hints = typing.get_type_hints(hint, include_extras=True)
+            return hint(**{name: _decode(hints[name], value[name], f"{what}.{name}", path)
+                           for name in names})
+        rows = np.empty(len(_decode(list, value[names[0]], f"{what}.{names[0]}", path)), args[1])
+        for name in names:
+            integer = args[1][name] == np.int64
+            column = _decode(tuple[int if integer else float, ...], value[name], f"{what}.{name}",
+                             path)
+            if len(column) != len(rows) or integer and not all(v in _INT64 for v in column):
+                raise DataFormatError(f"{what}.{name} must hold {len(rows)} values of type "
+                                      f"{args[1][name]}", path=str(path))
+            rows[name] = column
+        return rows
     if hint is np.ndarray:
         return np.array(_decode(tuple[float, ...], value, what, path), dtype=np.float64)
     if origin is tuple:
@@ -813,6 +825,8 @@ def save_dataset(dataset: MrioDataset, directory: Path | str) -> Path:
 
     Rows are sorted, zero entries are omitted and floats use their shortest
     round-trip form, so a load/save cycle reproduces the files byte for byte.
+    Each table is written period by period from the period's accounts, so no
+    copy of the whole dataset is held.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -822,30 +836,39 @@ def save_dataset(dataset: MrioDataset, directory: Path | str) -> Path:
     for name, entries in (("sectors", codebook.sectors), ("countries", codebook.countries)):
         write_csv(directory / f"{name}.csv", _SCHEMAS["codes"], [Labels.of(entries)])
 
-    periods = dataset.periods
     year, entity = Labels.quoted(dataset.labels), _supra_text(codes)
-
-    def write(kind: str, t: np.ndarray, *columns) -> None:
-        write_csv(directory / f"{kind}.csv", _SCHEMAS[kind], [Labels(year, t), *columns])
-
-    t, h, k, value = stacked_entries(p.intermediate_use for p in periods)
-    write("transactions", t, Labels(entity, h), Labels(entity, k), value)
-    outputs = np.array([p.total_output for p in periods])
-    t, h = np.nonzero(outputs)
-    write("outputs", t, Labels(entity, h), outputs[t, h])
+    carriers, countries = Labels.quoted(ENERGY_CARRIERS), Labels.quoted(codes.country_codes)
     # Energy rows sort by (country code, sector code, source).
     by_code = np.array(sorted(range(dim), key=codes.supra_labels.__getitem__))
-    energy = dataset.energy
-    t, pos, k = np.nonzero(energy[:, :, by_code].transpose(0, 2, 1))
-    h = by_code[pos]
-    write("energy", t, Labels(entity, h), Labels(Labels.quoted(ENERGY_CARRIERS), k),
-          energy[t, k, h])
-    # Final demand rows sort by (sector, source country, destination country).
-    t, h, b, value = stacked_entries(p.final_demand for p in periods)
-    a, j = np.divmod(h, n)
-    order = np.lexsort((b, a, j, t))
-    write("final_demand", t[order], Labels(entity, h[order]),
-          Labels(Labels.quoted(codes.country_codes), b[order]), value[order])
+
+    def transactions(p: MrioPeriod) -> tuple:
+        _, h, k, value = stacked_entries([p.intermediate_use])
+        return Labels(entity, h), Labels(entity, k), value
+
+    def outputs(p: MrioPeriod) -> tuple:
+        h = np.flatnonzero(p.total_output)
+        return Labels(entity, h), p.total_output[h]
+
+    def energy(p: MrioPeriod) -> tuple:
+        f = p.energy_consumption
+        pos, k = np.nonzero(f[:, by_code].T)
+        h = by_code[pos]
+        return Labels(entity, h), Labels(carriers, k), f[k, h]
+
+    def final_demand(p: MrioPeriod) -> tuple:
+        _, h, b, value = stacked_entries([p.final_demand])
+        a, j = np.divmod(h, n)
+        order = np.lexsort((b, a, j))  # by (sector, source country, destination country)
+        return Labels(entity, h[order]), Labels(countries, b[order]), value[order]
+
+    for table in (transactions, outputs, energy, final_demand):
+        header = _SCHEMAS[table.__name__]
+        with open(directory / f"{table.__name__}.csv", "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, lineterminator="\n").writerow(header)
+            for t, period in enumerate(dataset.periods):
+                columns = table(period)
+                _write_rows(fh, header, [Labels(year, np.broadcast_to(t, len(columns[-1]))),
+                                         *columns])
 
     manifest = {
         "transactions": "transactions.csv",
@@ -997,7 +1020,6 @@ def consumption_summary(energy: np.ndarray) -> np.ndarray:
 
 
 _RESULT_KINDS = {
-    "ranking": RankingTable,
     "md_hits_scores": MdHitsScores,
     "arc_criticality": ArcCriticalityReport,
 }
@@ -1017,12 +1039,14 @@ def _score_sections(scores: MdHitsScores, codes: EntityCodes | None, period_labe
 
 
 def _encode(value):
-    """JSON form of a result: dataclasses as objects of their fields, arrays
-    and tuples as lists."""
+    """JSON form of a result: dataclasses as objects of their fields,
+    structured arrays as objects of their columns, other arrays and tuples as
+    lists."""
     if dataclasses.is_dataclass(value):
         return {f.name: _encode(getattr(value, f.name)) for f in dataclasses.fields(value)}
     if isinstance(value, np.ndarray):
-        return value.tolist()
+        names = value.dtype.names or ()
+        return {name: value[name].tolist() for name in names} if names else value.tolist()
     if isinstance(value, tuple):
         return [_encode(v) for v in value]
     return value
@@ -1039,10 +1063,12 @@ def export_results(
 ) -> Path:
     """Write a result object to ``path`` as csv or json.
 
-    Supported objects: RankingTable, MdHitsScores, ArcCriticalityReport.
-    JSON files hold ``kind`` plus the object's dataclass fields; they are
-    lossless and can be read back with :func:`import_results`. The CSV
-    layouts are the plot-ready long formats, and only they carry labels.
+    Supported objects: MdHitsScores, ArcCriticalityReport. JSON files hold
+    ``kind`` plus the object's dataclass fields, a report's ``rows`` as an
+    object of its four columns; they are lossless and can be read back with
+    :func:`import_results`. The CSV layouts are the plot-ready long formats,
+    and only they carry labels: a report's node ``k`` is ``node_labels[k]``
+    when there is one, else ``str(k)``.
     """
     path = Path(path)
     if fmt not in ("csv", "json"):
@@ -1053,10 +1079,6 @@ def export_results(
 
     if fmt == "json":
         path.write_text(json.dumps({"kind": kind, **_encode(obj)}, indent=2) + "\n", "utf-8")
-    elif kind == "ranking":
-        write_csv(path, ["rank", "label", "score"], [
-            [r.rank for r in obj], Labels.of(r.label for r in obj), [r.score for r in obj],
-        ])
     elif kind == "md_hits_scores":
         sections = _score_sections(obj, codes, period_labels)
         write_csv(path, ["component", "label", "score"], [
@@ -1065,21 +1087,19 @@ def export_results(
             np.concatenate([vector for _, _, vector in sections]),
         ])
     else:
-        def label(node: int) -> str:
-            if node_labels is not None and node < len(node_labels):
-                return str(node_labels[node])
-            return str(node)
-
+        rows, labels = obj.rows, () if node_labels is None else node_labels
+        ends = max(rows["tail"].max(initial=-1), rows["head"].max(initial=-1)) + 1
+        node = Labels.quoted(str(labels[k]) if k < len(labels) else str(k) for k in range(ends))
         write_csv(path, ["tail_code", "head_code", "removed_total", "index", "rank"], [
-            Labels.of(label(r.tail) for r in obj.rows), Labels.of(label(r.head) for r in obj.rows),
-            [r.removed_total for r in obj.rows], [r.index for r in obj.rows],
-            range(1, len(obj.rows) + 1),
+            Labels(node, rows["tail"]), Labels(node, rows["head"]), rows["removed_total"],
+            rows["index"], range(1, len(rows) + 1),
         ])
     return path
 
 
 def import_results(path: Path | str):
-    """Read back a JSON file written by :func:`export_results`."""
+    """Read back a JSON file written by :func:`export_results`: the same
+    class, with every float, integer and column as it was written."""
     path = Path(path)
     raw = _read_json_object(path)
     kind = raw.pop("kind", None)

@@ -54,7 +54,7 @@ import sysconfig
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Annotated, Iterable
 
 import numpy as np
 
@@ -63,7 +63,7 @@ from .multinet import SupraAdjacency, aggregate_to_layers, checked_triples
 
 __all__ = [
     "FlowNetwork",
-    "ArcRemovalRow",
+    "ARC_ROW",
     "ArcCriticalityReport",
     "max_flow",
     "arc_criticality",
@@ -258,26 +258,25 @@ def _pair_set(node_count: int, mode: str, pairs: int, seed: int) -> np.ndarray:
     return np.column_stack((s, r + (r >= s))).astype(np.intc)
 
 
-@dataclass(frozen=True)
-class ArcRemovalRow:
-    tail: int
-    head: int
-    removed_total: float
-    index: float
+# One row of a criticality report: an arc, the total without it and its index.
+ARC_ROW = np.dtype([("tail", np.int64), ("head", np.int64), ("removed_total", np.float64),
+                    ("index", np.float64)])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ArcCriticalityReport:
-    """Criticality index per arc, sorted by descending index.
+    """Criticality index per arc.
 
-    ``mode`` is "exact" or "sampled"; sampled reports carry the pair count
-    and seed that reproduce them. Summed over the pairs, ``settled_by_cut``,
-    ``settled_by_two_hop`` and ``resolved`` count the arcs carrying a pair's
-    flow that each means settled (see the module docstring).
+    ``rows`` is an ``ARC_ROW`` structured array, one row per arc, sorted by
+    descending index, then tail, then head. ``mode`` is "exact" or "sampled";
+    sampled reports carry the pair count and seed that reproduce them. Summed
+    over the pairs, ``settled_by_cut``, ``settled_by_two_hop`` and
+    ``resolved`` count the arcs carrying a pair's flow that each means
+    settled (see the module docstring).
     """
 
     baseline_total: float
-    rows: tuple[ArcRemovalRow, ...]
+    rows: Annotated[np.ndarray, ARC_ROW]
     mode: str
     pair_count: int | None = None
     seed: int | None = None
@@ -320,20 +319,17 @@ def arc_criticality(
         raise ZeroBaselineError(
             "baseline total max flow is zero; the criticality index is undefined"
         )
-    rows = []
-    for (tail, head, _), drop in zip(net.arcs, drops):
-        # Deleting capacity cannot raise the total; clip float dust so the
-        # reported pair (removed, index) stays exactly on the defining line.
-        removed = min(baseline - float(drop), baseline)
-        rows.append(
-            ArcRemovalRow(
-                tail=tail, head=head, removed_total=removed, index=1.0 - removed / baseline
-            )
-        )
-    rows.sort(key=lambda r: (-r.index, r.tail, r.head))
+    rows = np.empty(len(drops), dtype=ARC_ROW)
+    rows["head"], rows["tail"] = net.to[0::2], net.to[1::2]  # slot 2a+1 leads to the tail
+    # Deleting capacity cannot raise the total; clip float dust so the
+    # reported pair (removed, index) stays exactly on the defining line.
+    rows["removed_total"] = np.minimum(baseline - drops, baseline)
+    rows["index"] = 1.0 - rows["removed_total"] / baseline
+    # The arcs are in (tail, head) order, and a stable sort keeps it among ties.
+    rows = rows[np.argsort(-rows["index"], kind="stable")]
     return ArcCriticalityReport(
         baseline_total=baseline,
-        rows=tuple(rows),
+        rows=rows,
         mode=mode,
         pair_count=len(pair_list) if mode == "sampled" else None,
         seed=seed if mode == "sampled" else None,

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -76,6 +77,13 @@ def test_eigenvector_reducible_raises_and_fallback():
 def test_eigenvector_zero_matrix():
     with pytest.raises(NumericalError):
         eigenvector_centrality(np.zeros((2, 2)))
+
+
+def test_largest_scc_of_one_node_without_a_self_loop_is_named():
+    # The arc 0 -> 1 leaves two one-node components; the one picked has no arc.
+    with pytest.raises(NumericalError, match="^eigenvector centrality is undefined on the largest "
+                       "strongly connected component: it is node 1 alone, without a self-loop$"):
+        eigenvector_centrality(np.array([[0.0, 3.99], [0.0, 0.0]]), largest_scc=True)
 
 
 def test_eigenvector_matches_dense_eigensolver():
@@ -525,25 +533,67 @@ def test_md_hits_validation():
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class RankingRow:
+    rank: int
+    label: str
+    score: float
+
+
+def sorted_rows(scores, labels) -> list[RankingRow]:
+    """The rows that ``rank`` returned before it returned arrays, built as it did."""
+    values = np.asarray(scores, dtype=np.float64).reshape(-1)
+    order = sorted(range(len(values)), key=lambda idx: (-values[idx], labels[idx]))
+    rows = []
+    for position, idx in enumerate(order):
+        score = float(values[idx])
+        if position > 0 and score == rows[-1].score:
+            rank_value = rows[-1].rank
+        else:
+            rank_value = position + 1
+        rows.append(RankingRow(rank=rank_value, label=str(labels[idx]), score=score))
+    return rows
+
+
+def ranked_rows(scores, labels) -> list[RankingRow]:
+    order, ranks = rank(scores, labels)
+    values = np.asarray(scores, dtype=np.float64)
+    return [RankingRow(r, str(labels[i]), float(values[i]))
+            for i, r in zip(order.tolist(), ranks.tolist())]
+
+
 def test_rank_basic():
-    table = rank([0.2, 0.5, 0.3], ["A", "B", "C"])
-    assert [r.label for r in table] == ["B", "C", "A"]
-    assert [r.rank for r in table] == [1, 2, 3]
+    order, ranks = rank([0.2, 0.5, 0.3], ["A", "B", "C"])
+    assert order.tolist() == [1, 2, 0]
+    assert ranks.tolist() == [1, 2, 3]
 
 
 def test_rank_ties_alphabetical():
-    table = rank([0.5, 0.5, 0.5], ["C", "A", "B"])
-    assert [r.label for r in table] == ["A", "B", "C"]
-    assert [r.rank for r in table] == [1, 1, 1]
+    order, ranks = rank([0.5, 0.5, 0.5], ["C", "A", "B"])
+    assert order.tolist() == [1, 2, 0]
+    assert ranks.tolist() == [1, 1, 1]
 
 
 def test_rank_matches_sort_oracle():
     rng = np.random.default_rng(3)
     scores = rng.uniform(0, 1, 10)
     labels = [f"N{i}" for i in range(10)]
-    table = rank(scores, labels)
-    expected = [labels[i] for i in sorted(range(10), key=lambda i: (-scores[i], labels[i]))]
-    assert [r.label for r in table] == expected
+    order, _ = rank(scores, labels)
+    assert order.tolist() == sorted(range(10), key=lambda i: (-scores[i], labels[i]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_rank_matches_the_old_sort(data):
+    scores = data.draw(st.lists(
+        st.sampled_from([0.0, -0.0, 0.5, 1.0]) | st.floats(allow_nan=False), min_size=1, max_size=12
+    ))
+    labels = data.draw(st.lists(st.sampled_from(["A", "B", "a", ""]) | st.text(max_size=3),
+                                min_size=len(scores), max_size=len(scores)))
+    got, want = ranked_rows(scores, labels), sorted_rows(scores, labels)
+    # ``hex`` tells -0.0 from 0.0, so tied zeros must keep the old order too.
+    assert [(r.rank, r.label, r.score.hex()) for r in got] == \
+           [(r.rank, r.label, r.score.hex()) for r in want]
 
 
 def test_rank_length_mismatch():
@@ -558,7 +608,7 @@ def test_rank_length_mismatch():
 )
 def test_rank_is_sorted_permutation(scores):
     labels = [f"L{i:02d}" for i in range(len(scores))]
-    table = rank(scores, labels)
+    table = ranked_rows(scores, labels)
     assert sorted([r.label for r in table]) == labels
     values = [r.score for r in table]
     assert values == sorted(values, reverse=True)

@@ -410,6 +410,20 @@ def test_a_closed_stdout_drops_progress_but_writes_every_file(workspace, tmp_pat
         assert all_file_bytes(piped) == all_file_bytes(expected)
 
 
+def test_eig_names_a_largest_component_of_one_node(tmp_path, capsys):
+    # Each class holds one arc, 0 -> 1: the largest component is a node without an arc.
+    data, out = tmp_path / "data", tmp_path / "out"
+    assert run(*synth_args(data, shape="1,2,1", seed=3, density="0.5")) == 0
+    assert run("build", "--manifest", data / "manifest.json", "--out", out) == 0
+    capsys.readouterr()
+    assert run("eig", "--largest-scc", "--out", out) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        f"numerical error: {source} 1990: eigenvector centrality is undefined on the largest "
+        "strongly connected component: it is node 1 alone, without a self-loop"
+        for source in ("all", "renewable", "nonrenewable")
+    ]
+
+
 def test_hits_converges_on_the_small_gap_renewable_periods(tmp_path):
     # Seed 3, renewable, 1996: (sigma2/sigma1)^2 of the period is 0.9987.
     data, out = tmp_path / "data", tmp_path / "out"

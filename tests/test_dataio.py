@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,6 @@ from enflow import (
     load_dataset,
     load_energy,
     load_network,
-    rank,
     save_dataset,
     save_network,
     spectral_radius_estimate,
@@ -398,21 +398,6 @@ def test_incidence_bounds_where_defined():
 # ---------------------------------------------------------------------------
 
 
-def test_export_ranking_csv(tmp_path):
-    table = rank([0.2, 0.5, 0.3], ["A", "B", "C"])
-    path = export_results(table, tmp_path / "ranking.csv")
-    lines = path.read_text().splitlines()
-    assert lines[0] == "rank,label,score"
-    assert len(lines) == 4
-    assert lines[1] == "1,B,0.5"
-
-
-def test_export_ranking_json_round_trip(tmp_path):
-    table = rank([0.25, 0.5], ["A", "B"])
-    path = export_results(table, tmp_path / "ranking.json", "json")
-    assert import_results(path) == table
-
-
 def test_export_md_hits_sections(tmp_path):
     from enflow import md_hits_single_period, SupraAdjacency
 
@@ -445,7 +430,9 @@ def test_export_criticality_round_trip_full_precision(tmp_path):
     report = arc_criticality(net)
     path = export_results(report, tmp_path / "crit.json", "json", node_labels=["A", "B", "C", "D"])
     back = import_results(path)
-    assert back == report  # dataclass equality: floats must match exactly
+    assert back.rows.dtype == report.rows.dtype
+    assert back.rows.tolist() == report.rows.tolist()  # floats must match exactly
+    assert {**vars(back), "rows": None} == {**vars(report), "rows": None}
 
 
 def test_export_criticality_csv_columns(tmp_path):
@@ -457,13 +444,18 @@ def test_export_criticality_csv_columns(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "tail_code,head_code,removed_total,index,rank"
     assert lines[1] == "AAA,BBB,0.0,1.0,1"
+    # A node without a label is written as its number.
+    path = export_results(report, tmp_path / "crit.csv", node_labels=["AAA"])
+    assert path.read_text().splitlines()[1] == "AAA,1,0.0,1.0,1"
 
 
 def test_export_rejects_unknown(tmp_path):
+    from enflow import FlowNetwork, arc_criticality
+
     with pytest.raises(ValidationError):
         export_results(object(), tmp_path / "x.csv")
     with pytest.raises(ValidationError):
-        export_results(rank([1.0], ["A"]), tmp_path / "x.csv", fmt="xml")
+        export_results(arc_criticality(FlowNetwork(2, [(0, 1, 1.0)])), tmp_path / "x.csv", fmt="xml")
 
 
 # ---------------------------------------------------------------------------
@@ -507,6 +499,21 @@ def test_synthetic_demand_falls_back_to_one_entry():
     period = generate_synthetic(small_spec(shape=NetworkShape(3, 4, 1), density=1e-9)).periods[0]
     ((key, value),) = demand_dict(period).items()
     assert key == (0, 0, 3) and 0.1 <= value < 2.0
+
+
+def test_save_dataset_holds_one_period_at_a_time(tmp_path):
+    def peak(periods: int) -> int:
+        ds = generate_synthetic(small_spec(shape=NetworkShape(26, 12, periods), density=0.05))
+        save_dataset(ds, tmp_path)  # the code-list text is made once per code universe
+        tracemalloc.start()
+        try:
+            save_dataset(ds, tmp_path)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one, nine = peak(1), peak(9)
+    assert nine < 1.5 * one, (one, nine)
 
 
 def test_save_dataset_row_orders(tmp_path):

@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from enflow import ArcCriticalityReport, MdHitsScores, RankingTable
-from enflow.centrality import RankingRow
+from enflow import ArcCriticalityReport, MdHitsScores
 from enflow.dataio import export_results, import_results
 from enflow.errors import DataFormatError
-from enflow.flowcrit import ArcRemovalRow
+from enflow.flowcrit import ARC_ROW
 
 # Hypothesis draws subnormals and extremes too; these pin the named cases.
 FLOATS = st.one_of(
@@ -19,16 +18,12 @@ FLOATS = st.one_of(
 )
 VECTORS = st.lists(FLOATS, max_size=6).map(lambda values: np.array(values, dtype=np.float64))
 
-RANKINGS = st.builds(
-    RankingTable,
-    rows=st.lists(st.builds(RankingRow, rank=st.integers(1, 10**6), label=st.text(max_size=8),
-                            score=FLOATS), max_size=5).map(tuple),
-)
+NODES = st.integers(-(2**63), 2**63 - 1)
 REPORTS = st.builds(
     ArcCriticalityReport,
     baseline_total=FLOATS,
-    rows=st.lists(st.builds(ArcRemovalRow, tail=st.integers(0, 500), head=st.integers(0, 500),
-                            removed_total=FLOATS, index=FLOATS), max_size=5).map(tuple),
+    rows=st.lists(st.tuples(NODES, NODES, FLOATS, FLOATS), max_size=5)
+    .map(lambda rows: np.array(rows, dtype=ARC_ROW)),
     mode=st.sampled_from(["exact", "sampled"]),
     pair_count=st.none() | st.integers(1, 10**6),
     seed=st.none() | st.integers(0, 2**63 - 1),
@@ -50,11 +45,13 @@ def round_trip(obj, tmp_path_factory):
 
 
 @settings(max_examples=60, deadline=None)
-@given(obj=RANKINGS | REPORTS)
-def test_ranking_and_criticality_round_trip_exactly(obj, tmp_path_factory):
-    back = round_trip(obj, tmp_path_factory)
-    assert type(back) is type(obj)
-    assert back == obj  # dataclass equality: every float must match exactly
+@given(report=REPORTS)
+def test_criticality_round_trips_exactly(report, tmp_path_factory):
+    back = round_trip(report, tmp_path_factory)
+    assert type(back) is ArcCriticalityReport
+    assert back.rows.dtype == ARC_ROW
+    # Every integer and float must match exactly.
+    assert {**vars(back), "rows": back.rows.tolist()} == {**vars(report), "rows": report.rows.tolist()}
 
 
 @settings(max_examples=60, deadline=None)
@@ -69,17 +66,23 @@ def test_md_hits_scores_round_trip_exactly(scores, tmp_path_factory):
 
 
 def test_json_layout_is_kind_plus_fields(tmp_path):
-    report = ArcCriticalityReport(1.0, (ArcRemovalRow(0, 1, 0.5, 0.5),), "sampled", 4, 7, 3, 2, 1)
+    rows = np.array([(0, 1, 0.5, 0.5), (1, 0, 1.0, 0.0)], dtype=ARC_ROW)
+    report = ArcCriticalityReport(1.0, rows, "sampled", 4, 7, 3, 2, 1)
     path = export_results(report, tmp_path / "crit.json", "json", node_labels=["A", "B"])
     assert json.loads(path.read_text()) == {
         "kind": "arc_criticality", "baseline_total": 1.0,
-        "rows": [{"tail": 0, "head": 1, "removed_total": 0.5, "index": 0.5}],
+        "rows": {"tail": [0, 1], "head": [1, 0], "removed_total": [0.5, 1.0], "index": [0.5, 0.0]},
         "mode": "sampled", "pair_count": 4, "seed": 7,
         "settled_by_cut": 3, "settled_by_two_hop": 2, "resolved": 1,
     }
 
 
-RANKING = {"kind": "ranking", "rows": [{"rank": 1, "label": "A", "score": 0.5}]}
+ROWS = {"tail": [0], "head": [1], "removed_total": [0.5], "index": [0.5]}
+CRITICALITY = {"kind": "arc_criticality", "baseline_total": 1.0, "rows": ROWS, "mode": "exact",
+               "pair_count": None, "seed": None, "settled_by_cut": 0, "settled_by_two_hop": 0,
+               "resolved": 0}
+FIELDS = r"\['baseline_total', 'rows', 'mode', 'pair_count', 'seed', 'settled_by_cut', " \
+         r"'settled_by_two_hop', 'resolved'\]"
 
 
 @pytest.mark.parametrize("payload, message", [
@@ -87,21 +90,24 @@ RANKING = {"kind": "ranking", "rows": [{"rank": 1, "label": "A", "score": 0.5}]}
     ("[1, 2]", "expected a JSON object, got list"),
     ({"rows": []}, "unrecognized result kind None"),
     ({"kind": "histogram", "rows": []}, "unrecognized result kind 'histogram'"),
-    ({"kind": ["ranking"], "rows": []}, r"unrecognized result kind \['ranking'\]"),
-    ({"kind": "ranking"}, r"ranking needs fields \['rows'\], got \[\]"),
-    ({**RANKING, "extra": 1}, r"ranking needs fields \['rows'\], got \['rows', 'extra'\]"),
-    ({"kind": "ranking", "rows": [{"rank": 1, "label": "A"}]}, r"ranking\.rows\[0\] needs fields"),
-    ({"kind": "ranking", "rows": {}}, r"ranking\.rows must be an array, got dict"),
-    ({"kind": "ranking", "rows": [{"rank": True, "label": "A", "score": 0.5}]},
-     r"ranking\.rows\[0\]\.rank must be an integer, got bool"),
-    ({"kind": "ranking", "rows": [{"rank": 1, "label": "A", "score": "0.5"}]},
-     r"ranking\.rows\[0\]\.score must be a number, got str"),
+    ({**CRITICALITY, "kind": ["arc_criticality"]}, r"unrecognized result kind \['arc_criticality'\]"),
+    ({"kind": "arc_criticality"}, rf"arc_criticality needs fields {FIELDS}, got \[\]"),
+    ({**CRITICALITY, "extra": 1}, rf"arc_criticality needs fields {FIELDS}, got \[.*'extra'\]"),
+    ({**CRITICALITY, "rows": {"tail": [0], "head": [1], "index": [0.5]}},
+     r"arc_criticality\.rows needs fields \['tail', 'head', 'removed_total', 'index'\]"),
+    ({**CRITICALITY, "rows": []}, r"arc_criticality\.rows must be an object, got list"),
+    ({**CRITICALITY, "rows": {**ROWS, "tail": [True]}},
+     r"arc_criticality\.rows\.tail\[0\] must be an integer, got bool"),
+    ({**CRITICALITY, "rows": {**ROWS, "head": [1.0]}},
+     r"arc_criticality\.rows\.head\[0\] must be an integer, got float"),
+    ({**CRITICALITY, "rows": {**ROWS, "index": ["0.5"]}},
+     r"arc_criticality\.rows\.index\[0\] must be a number, got str"),
+    ({**CRITICALITY, "rows": {**ROWS, "head": [1, 2]}},
+     r"arc_criticality\.rows\.head must hold 1 values of type int64"),
     ({"kind": "md_hits_scores", "node_hub": [1.0, None], "node_authority": [], "layer_broadcast": [],
       "layer_receive": [], "time": [], "gamma": [], "iterations": 0},
      r"md_hits_scores\.node_hub\[1\] must be a number, got NoneType"),
-    ({"kind": "arc_criticality", "baseline_total": 1.0, "rows": [], "mode": "exact",
-      "pair_count": "4", "seed": None, "settled_by_cut": 0, "settled_by_two_hop": 0, "resolved": 0},
-     r"arc_criticality\.pair_count must be an integer"),
+    ({**CRITICALITY, "pair_count": "4"}, r"arc_criticality\.pair_count must be an integer"),
 ])
 def test_malformed_result_files_are_format_errors(tmp_path, payload, message):
     path = tmp_path / "result.json"
@@ -112,9 +118,10 @@ def test_malformed_result_files_are_format_errors(tmp_path, payload, message):
 
 def test_integers_in_float_fields_are_read_as_floats(tmp_path):
     path = tmp_path / "result.json"
-    path.write_text(json.dumps({"kind": "ranking", "rows": [{"rank": 1, "label": "A", "score": 1}]}))
-    score = import_results(path).rows[0].score
-    assert type(score) is float and score == 1.0
+    path.write_text(json.dumps({**CRITICALITY, "baseline_total": 1, "rows": {**ROWS, "index": [1]}}))
+    back = import_results(path)
+    assert type(back.baseline_total) is float and back.baseline_total == 1.0
+    assert back.rows["index"].tolist() == [1.0]
 
 
 HUGE = int("1" + "0" * 400)
@@ -124,8 +131,10 @@ SCORES_JSON = {"kind": "md_hits_scores", "node_hub": [0.5, 0.5], "node_authority
 
 
 @pytest.mark.parametrize("payload, message", [
-    ({"kind": "ranking", "rows": [{"rank": 1, "label": "A", "score": HUGE}]},
-     r"ranking\.rows\[0\]\.score is out of the float range"),
+    ({**CRITICALITY, "rows": {**ROWS, "removed_total": [HUGE]}},
+     r"arc_criticality\.rows\.removed_total\[0\] is out of the float range"),
+    ({**CRITICALITY, "rows": {**ROWS, "tail": [2**63]}},
+     r"arc_criticality\.rows\.tail must hold 1 values of type int64"),
     ({**SCORES_JSON, "node_hub": [0.5, HUGE]}, r"md_hits_scores\.node_hub\[1\] is out of the float range"),
     ({**SCORES_JSON, "gamma": [HUGE] * 5}, r"md_hits_scores\.gamma\[0\] is out of the float range"),
 ])
