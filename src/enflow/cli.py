@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import math
 import os
 import sys
@@ -377,6 +378,7 @@ def _add_common(
     p.add_argument("--out", default="enflow_out", help="workspace directory")
 
 
+@functools.cache  # one parser per process: each one is a reference cycle
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="enflow",

@@ -258,7 +258,6 @@ def _pair_set(node_count: int, mode: str, pairs: int, seed: int) -> np.ndarray:
     return np.column_stack((s, r + (r >= s))).astype(np.intc)
 
 
-# One row of a criticality report: an arc, the total without it and its index.
 ARC_ROW = np.dtype([("tail", np.int64), ("head", np.int64), ("removed_total", np.float64),
                     ("index", np.float64)])
 

@@ -98,16 +98,16 @@ FIELDS = r"\['baseline_total', 'rows', 'mode', 'pair_count', 'seed', 'settled_by
     ({**CRITICALITY, "rows": []}, r"arc_criticality\.rows must be an object, got list"),
     ({**CRITICALITY, "rows": {**ROWS, "tail": [True]}},
      r"arc_criticality\.rows\.tail\[0\] must be an integer, got bool"),
-    ({**CRITICALITY, "rows": {**ROWS, "head": [1.0]}},
-     r"arc_criticality\.rows\.head\[0\] must be an integer, got float"),
     ({**CRITICALITY, "rows": {**ROWS, "index": ["0.5"]}},
      r"arc_criticality\.rows\.index\[0\] must be a number, got str"),
-    ({**CRITICALITY, "rows": {**ROWS, "head": [1, 2]}},
-     r"arc_criticality\.rows\.head must hold 1 values of type int64"),
     ({"kind": "md_hits_scores", "node_hub": [1.0, None], "node_authority": [], "layer_broadcast": [],
       "layer_receive": [], "time": [], "gamma": [], "iterations": 0},
      r"md_hits_scores\.node_hub\[1\] must be a number, got NoneType"),
     ({**CRITICALITY, "pair_count": "4"}, r"arc_criticality\.pair_count must be an integer"),
+    ({**CRITICALITY, "rows": {**ROWS, "head": [1.0]}},
+     r"arc_criticality\.rows\.head\[0\] must be an integer, got float"),
+    ({**CRITICALITY, "rows": {**ROWS, "head": [1, 2]}},
+     r"arc_criticality\.rows\.head must hold 1 values of type int64"),
 ])
 def test_malformed_result_files_are_format_errors(tmp_path, payload, message):
     path = tmp_path / "result.json"
@@ -133,10 +133,10 @@ SCORES_JSON = {"kind": "md_hits_scores", "node_hub": [0.5, 0.5], "node_authority
 @pytest.mark.parametrize("payload, message", [
     ({**CRITICALITY, "rows": {**ROWS, "removed_total": [HUGE]}},
      r"arc_criticality\.rows\.removed_total\[0\] is out of the float range"),
-    ({**CRITICALITY, "rows": {**ROWS, "tail": [2**63]}},
-     r"arc_criticality\.rows\.tail must hold 1 values of type int64"),
     ({**SCORES_JSON, "node_hub": [0.5, HUGE]}, r"md_hits_scores\.node_hub\[1\] is out of the float range"),
     ({**SCORES_JSON, "gamma": [HUGE] * 5}, r"md_hits_scores\.gamma\[0\] is out of the float range"),
+    ({**CRITICALITY, "rows": {**ROWS, "tail": [2**63]}},
+     r"arc_criticality\.rows\.tail must hold 1 values of type int64"),
 ])
 def test_integers_beyond_the_float_range_are_format_errors(tmp_path, payload, message):
     path = tmp_path / "result.json"
