@@ -25,7 +25,6 @@ from oracles import lp_max_flow, min_cut_value
 from reference_flow import ReferenceEngine
 
 
-
 class ArcRemovalRow(NamedTuple):
     """One report row as an object, as reports held them before rows became an array."""
 
