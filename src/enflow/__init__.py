@@ -60,7 +60,6 @@ from .dataio import (
     consumption_summary,
     export_results,
     generate_synthetic,
-    import_results,
     load_dataset,
     load_energy,
     load_network,
@@ -124,7 +123,6 @@ __all__ = [
     "generate_synthetic",
     "consumption_summary",
     "export_results",
-    "import_results",
     "save_network",
     "load_network",
 ]

@@ -111,8 +111,8 @@ def eigenvector_centrality(
 
     The matrix must be strongly connected for the dominant eigenvector to be
     positive and unique. With ``largest_scc=True`` a reducible matrix is
-    restricted to its largest strongly connected component; entries outside
-    the component get score zero.
+    restricted to its largest strongly connected component, among equal ones
+    the first that has an arc; entries outside the component get score zero.
 
     A power iteration on W + sI (s = the max column sum, so periodic
     structures still converge; the shift moves the eigenvalue, not the
@@ -140,7 +140,10 @@ def eigenvector_centrality(
                 "restrict to the largest strongly connected component "
                 "(largest_scc=True) or pass an irreducible matrix"
             )
-        keep = np.flatnonzero(labels == np.bincount(labels).argmax())
+        sizes = np.bincount(labels)
+        has_arc = sizes > 1
+        has_arc[labels[w.diagonal() != 0]] = True  # a one-node component: only by a self-loop
+        keep = np.flatnonzero(labels == np.argmax(2 * sizes + has_arc))
         inner = w[np.ix_(keep, keep)]
         if inner.nnz == 0:  # only a single node without a self-loop has no arc
             raise NumericalError("eigenvector centrality is undefined on the largest strongly "

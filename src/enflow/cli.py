@@ -212,7 +212,7 @@ def cmd_mdhits(args) -> int:
         with _naming(source.value):
             scores = md_hits(net, gamma=gamma, tol=args.tol, max_iter=args.max_iter)
         path = out / f"mdhits_{source.value}.csv"
-        export_results(scores, path, "csv", codes=codes, period_labels=net.labels)
+        export_results(scores, path, codes=codes, period_labels=net.labels)
         _progress(f"wrote {path} (converged in {scores.iterations} sweeps)")
         if args.per_year:
             columns = []  # per period and component: its rows in rank order
@@ -289,7 +289,7 @@ def cmd_criticality(args) -> int:
                 report = country_level_criticality(matrix, args.mode, pairs=args.pairs,
                                                    seed=args.seed)
             path = out / f"criticality_{source.value}_{label}.csv"
-            export_results(report, path, "csv", node_labels=codes.country_codes)
+            export_results(report, path, node_labels=codes.country_codes)
             _progress(f"{source.value} {label}: baseline={report.baseline_total:.6g} "
                       f"arcs={len(report.rows)} mode={report.mode} "
                       f"settled_by_cut={report.settled_by_cut} "

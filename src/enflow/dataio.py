@@ -68,7 +68,6 @@ __all__ = [
     "generate_synthetic",
     "consumption_summary",
     "export_results",
-    "import_results",
     "save_network",
     "load_network",
     "write_csv",
@@ -125,33 +124,11 @@ _JSON_TYPES = {int: "an integer", float: "a number", str: "a string", list: "an 
 
 def _decode(hint, value, what: str, path: Path):
     """``value`` read from JSON as type ``hint``, else DataFormatError naming
-    ``what``. A dataclass comes from an object of exactly its fields (as
-    :func:`_encode` writes it), a structured array (``Annotated`` with its
-    dtype) from an object of its equal-length columns, a float array or tuple
-    from an array, a dict or mapping from an object; an optional may be null;
-    a float may be given as an integer (read as a float, DataFormatError
-    beyond its range), and true/false is neither."""
+    ``what``. A scalar comes from its JSON type, a tuple from an array, a
+    dict or mapping from an object; an optional may be null; a float may be
+    given as an integer (read as a float, DataFormatError beyond its range),
+    and true/false is neither."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
-    if dataclasses.is_dataclass(hint) or origin is typing.Annotated:
-        names = list(args[1].names) if args else [f.name for f in dataclasses.fields(hint)]
-        if sorted(_decode(dict, value, what, path)) != sorted(names):
-            raise DataFormatError(f"{what} needs fields {names}, got {list(value)}", path=str(path))
-        if not args:
-            hints = typing.get_type_hints(hint, include_extras=True)
-            return hint(**{name: _decode(hints[name], value[name], f"{what}.{name}", path)
-                           for name in names})
-        rows = np.empty(len(_decode(list, value[names[0]], f"{what}.{names[0]}", path)), args[1])
-        for name in names:
-            integer = args[1][name] == np.int64
-            column = _decode(tuple[int if integer else float, ...], value[name], f"{what}.{name}",
-                             path)
-            if len(column) != len(rows) or integer and not all(v in _INT64 for v in column):
-                raise DataFormatError(f"{what}.{name} must hold {len(rows)} values of type "
-                                      f"{args[1][name]}", path=str(path))
-            rows[name] = column
-        return rows
-    if hint is np.ndarray:
-        return np.array(_decode(tuple[float, ...], value, what, path), dtype=np.float64)
     if origin is tuple:
         return tuple(_decode(args[0], item, f"{what}[{i}]", path)
                      for i, item in enumerate(_decode(list, value, what, path)))
@@ -1019,12 +996,6 @@ def consumption_summary(energy: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-_RESULT_KINDS = {
-    "md_hits_scores": MdHitsScores,
-    "arc_criticality": ArcCriticalityReport,
-}
-
-
 def _score_sections(scores: MdHitsScores, codes: EntityCodes | None, period_labels):
     """(component, labels, vector) of each MD-HITS component, time last.
     Sector, country and period labels that do not fit a vector's length
@@ -1038,55 +1009,32 @@ def _score_sections(scores: MdHitsScores, codes: EntityCodes | None, period_labe
     return sections
 
 
-def _encode(value):
-    """JSON form of a result: dataclasses as objects of their fields,
-    structured arrays as objects of their columns, other arrays and tuples as
-    lists."""
-    if dataclasses.is_dataclass(value):
-        return {f.name: _encode(getattr(value, f.name)) for f in dataclasses.fields(value)}
-    if isinstance(value, np.ndarray):
-        names = value.dtype.names or ()
-        return {name: value[name].tolist() for name in names} if names else value.tolist()
-    if isinstance(value, tuple):
-        return [_encode(v) for v in value]
-    return value
-
-
 def export_results(
     obj,
     path: Path | str,
-    fmt: str = "csv",
     *,
     codes: EntityCodes | None = None,
     period_labels: Sequence[int] | None = None,
     node_labels: Sequence[str] | None = None,
 ) -> Path:
-    """Write a result object to ``path`` as csv or json.
+    """Write a result object to ``path`` as a plot-ready long-format CSV.
 
-    Supported objects: MdHitsScores, ArcCriticalityReport. JSON files hold
-    ``kind`` plus the object's dataclass fields, a report's ``rows`` as an
-    object of its four columns; they are lossless and can be read back with
-    :func:`import_results`. The CSV layouts are the plot-ready long formats,
-    and only they carry labels: a report's node ``k`` is ``node_labels[k]``
-    when there is one, else ``str(k)``.
+    MdHitsScores: ``component,label,score``, one row per entry of each of the
+    five vectors in turn; a label is a sector, country or period code (see
+    :func:`_score_sections`). ArcCriticalityReport:
+    ``tail_code,head_code,removed_total,index,rank``, one row per arc in the
+    report's order, ranked from 1; node ``k`` is ``node_labels[k]`` when
+    there is one, else ``str(k)``. Any other object is a ValidationError.
     """
     path = Path(path)
-    if fmt not in ("csv", "json"):
-        raise ValidationError(f"format must be 'csv' or 'json', got {fmt!r}")
-    kind = next((k for k, cls in _RESULT_KINDS.items() if isinstance(obj, cls)), None)
-    if kind is None:
-        raise ValidationError(f"cannot export object of type {type(obj).__name__}")
-
-    if fmt == "json":
-        path.write_text(json.dumps({"kind": kind, **_encode(obj)}, indent=2) + "\n", "utf-8")
-    elif kind == "md_hits_scores":
+    if isinstance(obj, MdHitsScores):
         sections = _score_sections(obj, codes, period_labels)
         write_csv(path, ["component", "label", "score"], [
             Labels.of(component for component, labels, _ in sections for _ in labels),
             Labels.of(label for _, labels, _ in sections for label in labels),
             np.concatenate([vector for _, _, vector in sections]),
         ])
-    else:
+    elif isinstance(obj, ArcCriticalityReport):
         rows, labels = obj.rows, () if node_labels is None else node_labels
         ends = max(rows["tail"].max(initial=-1), rows["head"].max(initial=-1)) + 1
         node = Labels.quoted(str(labels[k]) if k < len(labels) else str(k) for k in range(ends))
@@ -1094,18 +1042,9 @@ def export_results(
             Labels(node, rows["tail"]), Labels(node, rows["head"]), rows["removed_total"],
             rows["index"], range(1, len(rows) + 1),
         ])
+    else:
+        raise ValidationError(f"cannot export object of type {type(obj).__name__}")
     return path
-
-
-def import_results(path: Path | str):
-    """Read back a JSON file written by :func:`export_results`: the same
-    class, with every float, integer and column as it was written."""
-    path = Path(path)
-    raw = _read_json_object(path)
-    kind = raw.pop("kind", None)
-    if not isinstance(kind, str) or kind not in _RESULT_KINDS:
-        raise DataFormatError(f"unrecognized result kind {kind!r}", path=str(path))
-    return _decode(_RESULT_KINDS[kind], raw, kind, path)
 
 
 # ---------------------------------------------------------------------------

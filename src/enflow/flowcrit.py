@@ -54,7 +54,7 @@ import sysconfig
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Annotated, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -275,7 +275,7 @@ class ArcCriticalityReport:
     """
 
     baseline_total: float
-    rows: Annotated[np.ndarray, ARC_ROW]
+    rows: np.ndarray
     mode: str
     pair_count: int | None = None
     seed: int | None = None

@@ -8,7 +8,8 @@ import enflow
 MODULES = ["enflow"] + [f"enflow.{m.name}" for m in pkgutil.iter_modules(enflow.__path__)]
 DELETED = ("flat_index", "unflat_index", "block_view", "EmbodiedIntensity", "AllPairsFlow",
            "all_pairs_total", "_BlockingFlowEngine", "EXACT_MODE_NODE_LIMIT",
-           "InputCoefficients", "RankingRow", "RankingTable", "ArcRemovalRow")
+           "InputCoefficients", "RankingRow", "RankingTable", "ArcRemovalRow",
+           "import_results")
 
 
 @pytest.mark.parametrize("name", MODULES)

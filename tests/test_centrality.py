@@ -80,10 +80,21 @@ def test_eigenvector_zero_matrix():
 
 
 def test_largest_scc_of_one_node_without_a_self_loop_is_named():
-    # The arc 0 -> 1 leaves two one-node components; the one picked has no arc.
+    # The arc 0 -> 1 leaves two one-node components; neither has an arc.
     with pytest.raises(NumericalError, match="^eigenvector centrality is undefined on the largest "
                        "strongly connected component: it is node 1 alone, without a self-loop$"):
         eigenvector_centrality(np.array([[0.0, 3.99], [0.0, 0.0]]), largest_scc=True)
+
+
+@pytest.mark.parametrize("w, expected", [
+    ([[2.0, 1.0], [0.0, 0.0]], [1.0, 0.0]),
+    ([[0.0, 1.0], [0.0, 2.0]], [0.0, 1.0]),
+])
+def test_largest_scc_tie_prefers_a_component_with_an_arc(w, expected):
+    # Two one-node components; only the one with the self-loop has an arc.
+    scores = eigenvector_centrality(np.array(w), largest_scc=True)
+    assert scores.centrality.tolist() == expected
+    assert scores.spectral_radius == 2.0
 
 
 def test_eigenvector_matches_dense_eigensolver():

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import tracemalloc
@@ -20,7 +21,6 @@ from enflow import (
     consumption_summary,
     export_results,
     generate_synthetic,
-    import_results,
     input_coefficients,
     load_dataset,
     load_energy,
@@ -394,7 +394,7 @@ def test_incidence_bounds_where_defined():
 
 
 # ---------------------------------------------------------------------------
-# result export / import
+# result export
 # ---------------------------------------------------------------------------
 
 
@@ -414,13 +414,6 @@ def test_export_md_hits_sections(tmp_path):
         "node_hub", "node_authority", "layer_broadcast", "layer_receive", "time",
     }
     assert len(lines) == 1 + 2 + 2 + 2 + 2 + 1
-    json_path = export_results(
-        scores, tmp_path / "scores.json", "json", codes=book.entity_codes, period_labels=[1990]
-    )
-    back = import_results(json_path)
-    assert np.array_equal(back.node_hub, scores.node_hub)
-    assert np.array_equal(back.time, scores.time)
-    assert back.gamma == scores.gamma
 
 
 def test_export_criticality_round_trip_full_precision(tmp_path):
@@ -428,11 +421,11 @@ def test_export_criticality_round_trip_full_precision(tmp_path):
 
     net = FlowNetwork(4, [(0, 1, 1 / 3), (1, 2, 2 / 7), (2, 3, 0.9), (0, 3, 1e-7)])
     report = arc_criticality(net)
-    path = export_results(report, tmp_path / "crit.json", "json", node_labels=["A", "B", "C", "D"])
-    back = import_results(path)
-    assert back.rows.dtype == report.rows.dtype
-    assert back.rows.tolist() == report.rows.tolist()  # floats must match exactly
-    assert {**vars(back), "rows": None} == {**vars(report), "rows": None}
+    path = export_results(report, tmp_path / "crit.csv", node_labels=["A", "B", "C", "D"])
+    with path.open(newline="") as fh:
+        back = list(csv.DictReader(fh))
+    for column in ("removed_total", "index"):  # floats must match exactly
+        assert [float(row[column]) for row in back] == report.rows[column].tolist()
 
 
 def test_export_criticality_csv_columns(tmp_path):
@@ -450,12 +443,8 @@ def test_export_criticality_csv_columns(tmp_path):
 
 
 def test_export_rejects_unknown(tmp_path):
-    from enflow import FlowNetwork, arc_criticality
-
     with pytest.raises(ValidationError):
         export_results(object(), tmp_path / "x.csv")
-    with pytest.raises(ValidationError):
-        export_results(arc_criticality(FlowNetwork(2, [(0, 1, 1.0)])), tmp_path / "x.csv", fmt="xml")
 
 
 # ---------------------------------------------------------------------------

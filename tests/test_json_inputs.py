@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from enflow import SyntheticSpec
 from enflow.cli import main
 
 
@@ -20,6 +21,7 @@ def run(*argv) -> int:
     ({"start_year": [1990]}, "'start_year' must be an integer, got list"),
     ({"source_mix": [1]}, "'source_mix' must be an object, got list"),
     ({"source_mix": {"coal": "1", "hydro": 1}}, "'source_mix'['coal'] must be a number, got str"),
+    ({"rho_cap": 10**400}, "'rho_cap' is out of the float range"),
 ])
 def test_synthetic_spec_value_types(tmp_path, capsys, spec, message):
     path = tmp_path / "spec.json"
@@ -27,6 +29,14 @@ def test_synthetic_spec_value_types(tmp_path, capsys, spec, message):
     assert run("synth", "--synthetic-spec", path, "--out", tmp_path / "d") == 2
     err = capsys.readouterr().err
     assert f"spec.json: {message}" in err and "Traceback" not in err
+
+
+def test_synthetic_spec_reads_an_integer_as_a_float(tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"density": 1}))
+    density = SyntheticSpec.from_json(path).density
+    assert type(density) is float and density == 1.0
+    assert run("synth", "--synthetic-spec", path, "--out", tmp_path / "d") == 0
 
 
 @pytest.mark.parametrize("weight", ["NaN", "Infinity", "-Infinity"])

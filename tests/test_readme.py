@@ -19,7 +19,7 @@ def fenced(section: str, language: str) -> str:
 def test_library_example_runs(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     exec(compile(fenced("Library", "python"), "README.md", "exec"), {})
-    assert (tmp_path / "criticality.json").exists()
+    assert (tmp_path / "criticality.csv").exists()
 
 
 def test_command_line_walkthrough_exits_0(tmp_path, monkeypatch, capsys):
