@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from enflow import SyntheticSpec
+from enflow import DatasetManifest, SyntheticSpec
 from enflow.cli import main
 
 
@@ -22,6 +22,13 @@ def run(*argv) -> int:
     ({"source_mix": [1]}, "'source_mix' must be an object, got list"),
     ({"source_mix": {"coal": "1", "hydro": 1}}, "'source_mix'['coal'] must be a number, got str"),
     ({"rho_cap": 10**400}, "'rho_cap' is out of the float range"),
+    ({"density": 10**400}, "'density' is out of the float range"),
+    ({"source_mix": {"coal": 10**400, "hydro": 1}}, "'source_mix'['coal'] is out of the float range"),
+    ({"source_mix": {"coal": None}}, "'source_mix'['coal'] must be a number, got NoneType"),
+    ({"source_mix": "coal"}, "'source_mix' must be an object, got str"),
+    ({"density": True}, "'density' must be a number, got bool"),
+    ({"n_countries": 2.5}, "'n_countries' must be an integer, got float"),
+    ({"seed": None}, "'seed' must be an integer, got NoneType"),
 ])
 def test_synthetic_spec_value_types(tmp_path, capsys, spec, message):
     path = tmp_path / "spec.json"
@@ -37,6 +44,14 @@ def test_synthetic_spec_reads_an_integer_as_a_float(tmp_path):
     density = SyntheticSpec.from_json(path).density
     assert type(density) is float and density == 1.0
     assert run("synth", "--synthetic-spec", path, "--out", tmp_path / "d") == 0
+
+
+def test_synthetic_spec_reads_integer_source_mix_weights_as_floats(tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"source_mix": {"coal": 1, "hydro": 2, "nuclear": 0.5}}))
+    mix = SyntheticSpec.from_json(path).source_mix
+    assert mix == {"coal": 1.0, "hydro": 2.0, "nuclear": 0.5}
+    assert all(type(weight) is float for weight in mix.values())
 
 
 @pytest.mark.parametrize("weight", ["NaN", "Infinity", "-Infinity"])
@@ -57,6 +72,12 @@ def test_synth_rejects_non_finite_source_mix_weights(tmp_path, capsys, weight):
     ({"transactions": None}, "is missing keys: ['transactions']"),
     ({"years": [True, 1991]}, "'years'[0] must be an integer, got bool"),
     ({"years": [1991]}, "'years' must be [first, last] with first <= last"),
+    ({"years": 1990}, "'years' must be an array, got int"),
+    ({"years": ["1990", 1991]}, "'years'[0] must be an integer, got str"),
+    ({"years": [1990.0, 1991]}, "'years'[0] must be an integer, got float"),
+    ({"units": "TJ"}, "'units' must be an object, got str"),
+    ({"units": {"energy": None}}, "'units'['energy'] must be a string, got NoneType"),
+    ({"outputs": True}, "'outputs' must be a string, got bool"),
 ])
 def test_manifest_value_types(tmp_path, capsys, edit, message):
     data = tmp_path / "data"
@@ -70,9 +91,36 @@ def test_manifest_value_types(tmp_path, capsys, edit, message):
     assert message in err and "Traceback" not in err
 
 
+def test_manifest_years_may_be_null(tmp_path):
+    data = tmp_path / "data"
+    assert run("synth", "--shape", "2,2,2", "--out", data) == 0
+    raw = json.loads((data / "manifest.json").read_text())
+    path = data / "edited.json"
+    path.write_text(json.dumps({**raw, "years": None}))
+    assert DatasetManifest.from_json(path).years is None
+    assert run("build", "--manifest", path, "--out", tmp_path / "out") == 0
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"{not json", "invalid JSON"),
+    (b"[1, 2]", "expected a JSON object, got list"),
+    (b'{"years": "\xff"}', "invalid JSON"),
+])
+def test_malformed_manifest_exits_2_naming_the_file(tmp_path, capsys, content, message):
+    path = tmp_path / "manifest.json"
+    path.write_bytes(content)
+    assert run("build", "--manifest", path, "--out", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert f"manifest.json: {message}" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (lambda meta: "{not json", "invalid JSON"),
+    (lambda meta: "[1, 2]", "expected a JSON object, got list"),
     (lambda meta: json.dumps({**meta, "sources": 5}), "'sources' must be an array, got int"),
+    (lambda meta: json.dumps({**meta, "sources": "all"}), "'sources' must be an array, got str"),
+    (lambda meta: json.dumps({**meta, "sources": [1]}), "'sources'[0] must be a string, got int"),
 ])
 def test_corrupt_network_meta_exits_2_naming_the_file(tmp_path, capsys, corrupt, message):
     data, out = tmp_path / "data", tmp_path / "out"
