@@ -397,20 +397,13 @@ class MrioDataset:
         return np.array([p.energy_consumption for p in self.periods])
 
 
-# What ``str.strip()`` removes from an ASCII field: the readers strip code fields.
-_WHITESPACE = " \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f"
-
-# Whitespace a stripped code field may carry beyond the longest code's width.
-_PADDING = 64
-
 _UNKNOWN_CODE = {
     "source": "unknown energy source {code!r}; expected one of " + str(list(ENERGY_CARRIERS)),
 }
 
 
-# Records per read of a dataset table, and bytes per read of its NUL scan.
+# Records per read of a dataset table.
 _TABLE_CHUNK = 1 << 14
-_SCAN_BLOCK = 1 << 20
 
 # A table, as read: per year in increasing order, its records' columns in file order.
 _Table = dict[int, tuple[np.ndarray, ...]]
@@ -447,39 +440,39 @@ def _number(text: str, kind: type):
     return value
 
 
-def _lookup(table: Sequence[str]):
-    """A function giving the index in ``table`` of each byte-string field (0
-    where unknown) and the hit mask; the table is encoded and sorted once."""
-    keys = np.array([code.encode() for code in table])
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
+class _Codes(dict):
+    """The index of each code of ``table``, keyed by its UTF-8 bytes read as
+    Latin-1, as numpy's text reader hands over a field; its bound
+    ``__getitem__`` is a column's converter. A field missing from the keys is
+    decoded as UTF-8, stripped and looked up again; it reads as -1 when it
+    is still missing or is not UTF-8."""
 
-    def find(fields: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        pos = np.searchsorted(keys, fields)
-        pos[pos == len(keys)] = 0
-        hit = keys[pos] == fields
-        return np.where(hit, order[pos], 0), hit
+    def __init__(self, table: Sequence[str]):
+        super().__init__((code.encode().decode("latin1"), k) for k, code in enumerate(table))
 
-    return find
+    def __missing__(self, field: str) -> int:
+        try:
+            text = field.encode("latin1").decode()
+        except UnicodeDecodeError:
+            return -1
+        return self.get(text.strip().encode().decode("latin1"), -1)
 
 
-def _chunks(path: Path, columns: list[str], widths: list[int]) -> Iterator[tuple]:
+def _chunks(path: Path, columns: list[str], code_tables: list[Sequence[str]]) -> Iterator[tuple]:
     """(start, year, codes, value, bad) of each chunk of one table's records,
     read by numpy's text reader ``_TABLE_CHUNK`` records at a time; ``start``
     is the chunk's first record (0-based, in the whole table).
 
-    Code fields are fixed-width bytes of the raw UTF-8 text, stripped. A field
-    that fills its width with whitespace at an edge may have been cut short:
-    its chunk and every later one are read with room for ``_PADDING`` bytes
-    more, and a field still cut short reads as no code. When a record does
-    not parse (field count, year or value), the records before it in its
-    chunk are read, it is appended, and no chunk follows; ``bad`` masks what
-    failed in it.
+    Every field reads as a number: the year and the value as themselves, each
+    code field as its index in its column's table through ``_Codes``, -1
+    where it is no code. A NUL byte is an ordinary character of its field.
+    When a record does not parse (field count, year or value), the records
+    before it in its chunk are read, it is appended, and no chunk follows;
+    ``bad`` masks what failed in it.
     """
-    code_columns = columns[1:-1]
-    dtypes = {pad: [("year", np.int64), *((c, f"S{w + pad}") for c, w in zip(code_columns, widths)),
-                    ("value", np.float64)] for pad in (0, _PADDING)}
-    pads = (0, _PADDING)
+    lookups = [_Codes(table) for table in code_tables]
+    dtype = [("year", np.int64), *((c, np.int64) for c in columns[1:-1]), ("value", np.float64)]
+    converters = {k: codes.__getitem__ for k, codes in enumerate(lookups, 1)}
     with open(path, "rb") as fh:
         first = fh.readline().decode("utf-8", "replace")
         try:
@@ -492,29 +485,13 @@ def _chunks(path: Path, columns: list[str], widths: list[int]) -> Iterator[tuple
                 path=str(path),
                 line=1,
             )
-        body, lines = fh.tell(), first.count("\n")
-        while block := fh.read(_SCAN_BLOCK):
-            nul = block.find(b"\0")
-            if nul >= 0:  # a fixed-width byte field would drop it at a field's end
-                raise DataFormatError("NUL byte", path=str(path),
-                                      line=lines + block.count(b"\n", 0, nul) + 1)
-            lines += block.count(b"\n")
-        fh.seek(body)
 
         def load(rows: int) -> np.ndarray:
-            nonlocal pads
-            offset = fh.tell()
-            for pad in pads:
-                fh.seek(offset)
-                with warnings.catch_warnings():
-                    # No records, or blank lines, which are not records.
-                    warnings.simplefilter("ignore", UserWarning)
-                    data = np.loadtxt(fh, dtype=dtypes[pad], delimiter=",", comments=None,
-                                      quotechar='"', encoding="latin1", ndmin=1, max_rows=rows)
-                if not any(_cut(data[c], w + pad).any() for c, w in zip(code_columns, widths)):
-                    break
-                pads = (_PADDING,)
-            return data
+            with warnings.catch_warnings():
+                # No records, or blank lines, which are not records.
+                warnings.simplefilter("ignore", UserWarning)
+                return np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, quotechar='"',
+                                  encoding="latin1", ndmin=1, max_rows=rows, converters=converters)
 
         start = 0
         while True:
@@ -536,7 +513,7 @@ def _chunks(path: Path, columns: list[str], widths: list[int]) -> Iterator[tuple
                     raise DataFormatError(f"unreadable table: {exc}", path=str(path)) from exc
 
             year, value = data["year"], data["value"]
-            codes = [data[c] for c in code_columns]
+            codes = [data[c] for c in columns[1:-1]]
             bad = {}
             if failed is not None:
                 row = failed[1] + [""] * (len(columns) - len(failed[1]))
@@ -548,21 +525,12 @@ def _chunks(path: Path, columns: list[str], widths: list[int]) -> Iterator[tuple
                 bad["value"][-1] = parsed_value is None
                 year = np.append(year, parsed_year or 0)
                 value = np.append(value, np.nan if parsed_value is None else parsed_value)
-                codes = [np.append(f, np.array(text.encode()[: f.dtype.itemsize], dtype=f.dtype))
-                         for f, text in zip(codes, row[1:-1])]
-            codes = [np.where(_cut(f, f.dtype.itemsize), b"",
-                              np.char.strip(f, _WHITESPACE.encode())) for f in codes]
+                codes = [np.append(f, find[text.encode().decode("latin1")])
+                         for f, find, text in zip(codes, lookups, row[1:-1])]
             yield start, year, codes, value, bad
             if failed is not None or data.size < _TABLE_CHUNK:
                 return
             start += data.size
-
-
-def _cut(fields: np.ndarray, width: int) -> np.ndarray:
-    """Fields that fill ``width`` with whitespace at an edge."""
-    cut = np.char.str_len(fields) == width
-    cut[cut] = np.char.strip(fields[cut], _WHITESPACE.encode()) != fields[cut]
-    return cut
 
 
 def _repeated(bits: np.ndarray, keys: np.ndarray) -> np.ndarray:
@@ -611,10 +579,6 @@ def _read_table(
     tables = {"country": codebook.country_codes, "sector": codebook.sector_codes,
               "source": ENERGY_CARRIERS}
     code_tables = [tables[column.split("_")[-1]] for column in code_columns]
-    # One byte more than the longest code, so a longer field cannot truncate
-    # into a known code.
-    widths = [max(len(code.encode()) for code in table) + 1 for table in code_tables]
-    finders = [_lookup(table) for table in code_tables]
     dims: list[int] = []  # the number of entities of each index; a sector follows a country
     for column, table in zip(code_columns, code_tables):
         if column.endswith("sector"):
@@ -626,7 +590,7 @@ def _read_table(
     seen: dict[int, np.ndarray] = {}  # per year, the bitmap of the keys read so far
     groups: dict[int, list[tuple[np.ndarray, ...]]] = {}
 
-    for start, year, codes, value, bad in _chunks(path, columns, widths):
+    for start, year, codes, value, bad in _chunks(path, columns, code_tables):
         live = np.ones(year.shape, dtype=bool)
         if window is not None:
             live = (window[0] <= year) & (year <= window[1])
@@ -643,16 +607,15 @@ def _read_table(
             checks.append((live & ~np.isin(year, periods),
                            lambda row: orphan.format(year=int(row[0]))))
         entities = []
-        for column, table, find, fields in zip(code_columns, code_tables, finders, codes):
-            idx, known = find(fields)
+        for column, table, idx in zip(code_columns, code_tables, codes):
             if column.endswith("sector"):
                 entities[-1] = entities[-1] * len(table) + idx
             else:
                 entities.append(idx)
             template = _UNKNOWN_CODE.get(column,
                                          "unknown {what} code {code!r} in column {column!r}")
-            checks.append((live & ~known, lambda row, c=column, t=template: t.format(
-                what=c.split("_")[-1], code=row[columns.index(c)].strip(_WHITESPACE), column=c)))
+            checks.append((live & (idx < 0), lambda row, c=column, t=template: t.format(
+                what=c.split("_")[-1], code=row[columns.index(c)].strip(), column=c)))
         if bad:  # every record's value must parse, as its field count must match
             checks.append((bad["value"],
                            lambda row: f"invalid number {row[-1]!r} in column {name!r}"))

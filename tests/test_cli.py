@@ -436,7 +436,6 @@ def test_hits_converges_on_the_small_gap_renewable_periods(tmp_path):
 def test_build_frees_each_class_network_before_the_next(tmp_path, monkeypatch, capsys):
     # Small read and write chunks, so that the networks set the peak.
     monkeypatch.setattr(dataio, "_TABLE_CHUNK", 64)
-    monkeypatch.setattr(dataio, "_SCAN_BLOCK", 4096)
     monkeypatch.setattr(dataio, "_CHUNK", 64)
     data, out = tmp_path / "data", tmp_path / "out"
     assert run(*synth_args(data, shape="6,6,20", density="1.0")) == 0

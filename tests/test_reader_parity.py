@@ -142,17 +142,28 @@ def inject(rows, fault: str, r: int, column: int):
         row[0] = "19x0"
     elif fault == "unlisted_year":
         row[0] = "1800"
-    elif fault == "long_code":  # longer than any retry width, a known code at its start
+    elif fault == "long_code":  # a known code at its start, then padding and more
         row[column] = row[column] + " " * 80 + "X"
+    elif fault == "nul_code":
+        row[column] += "\0"
+    elif fault == "nul_number":
+        row[-1] += "\0"
     elif fault == "padded_code":  # valid: dataset codes are stripped
         row[column] = "   " + row[column] + "  "
+    elif fault == "wide_padding":
+        row[column] = " " * 80 + row[column]
+    elif fault == "unicode_padding":  # what str.strip() removes beyond ASCII
+        row[column] = "\u00a0\u3000" + row[column] + "\u2003\u0085"
     elif fault == "duplicate":
         return rows[: r + 1] + [rows[r]] + rows[r + 1:]
     return rows[:r] + [row] + rows[r + 1:]
 
 
+# Valid paddings of a code field, which load as the unpadded code.
+PADDINGS = ("padded_code", "wide_padding", "unicode_padding")
 FAULTS = ("unknown_code", "unknown_non_ascii_code", "long_code", "negative", "nan",
-          "non_numeric", "invalid_year", "unlisted_year", "padded_code", "duplicate")
+          "non_numeric", "invalid_year", "unlisted_year", "nul_code", "nul_number", *PADDINGS,
+          "duplicate")
 
 
 @settings(max_examples=25, deadline=None)
@@ -205,11 +216,12 @@ def test_single_fault_raises_the_reference_error(table, fault, data, crlf, blank
         write_rows(path, rows, crlf=crlf, blank_before=r if blank else None)
         manifest = dataclasses.replace(DatasetManifest.from_json(manifest_path), years=window)
         got = load_in_chunks(manifest)
-        if fault == "non_numeric" and window and not window[0] <= int(rows[r][0]) <= window[1]:
+        if (fault in ("non_numeric", "nul_number") and window
+                and not window[0] <= int(rows[r][0]) <= window[1]):
             # The row reader never parsed the value of a row outside the window.
             line = r + 1 + blank
-            assert got == (DataFormatError,
-                           f"{path}:{line}: invalid number 'abc' in column '{rows[0][-1]}'")
+            assert got == (DataFormatError, f"{path}:{line}: invalid number {rows[r][-1]!r} "
+                                            f"in column '{rows[0][-1]}'")
             return
         expected = outcome(legacy_reader.load_dataset, manifest)
         if isinstance(expected, tuple):
@@ -221,7 +233,8 @@ def test_single_fault_raises_the_reference_error(table, fault, data, crlf, blank
 @settings(max_examples=80, deadline=None)
 @given(
     table=st.sampled_from(TABLES),
-    faults=st.lists(st.sampled_from(FAULTS[:-2]), min_size=2, max_size=3, unique=True),
+    faults=st.lists(st.sampled_from(FAULTS[:-len(PADDINGS) - 1]), min_size=2, max_size=3,
+                    unique=True),
     data=st.data(),
 )
 def test_faults_in_one_record_are_reported_in_the_reference_order(table, faults, data):
@@ -251,21 +264,8 @@ def test_every_fault_is_reported_like_the_reference(tmp_path, table, fault):
         assert expected[0] is DataFormatError
         assert got == expected
     else:  # padded codes are valid; an unlisted output year adds a period
-        assert fault == "padded_code" or (fault, table) == ("unlisted_year", "outputs")
+        assert fault in PADDINGS or (fault, table) == ("unlisted_year", "outputs")
         assert_same_dataset(expected, got)
-
-
-def test_code_padded_beyond_the_retry_width_is_unknown(tmp_path):
-    # The row reader stripped any amount of padding; the columnar reader
-    # re-reads with room for 64 bytes and rejects what is still cut short.
-    manifest_path = make_workspace(tmp_path)
-    path = manifest_path.parent / "outputs.csv"
-    rows = read_rows(path)
-    rows[1][1] = " " * 80 + rows[1][1]
-    write_rows(path, rows)
-    with pytest.raises(DataFormatError, match=rf"outputs\.csv:2: unknown country code "
-                                              rf"'{rows[1][1].strip()}'"):
-        load_dataset(DatasetManifest.from_json(manifest_path))
 
 
 @pytest.mark.parametrize("table", TABLES)
@@ -327,7 +327,7 @@ def test_a_fault_at_a_chunk_boundary_is_reported_as_in_one_chunk(tmp_path, monke
         assert got == expected
         assert got[0] is DataFormatError or (fault, table) == ("unlisted_year", "outputs")
     else:  # padded codes are valid; an unlisted output year adds a period
-        assert fault == "padded_code" or (fault, table) == ("unlisted_year", "outputs")
+        assert fault in PADDINGS or (fault, table) == ("unlisted_year", "outputs")
         assert_same_dataset(expected, got)
 
 
@@ -355,28 +355,6 @@ def test_quoted_crlf_records_load_alike_in_chunks_of_any_size(tmp_path, monkeypa
     assert_same_dataset(expected, load_dataset(manifest))
 
 
-def test_a_padded_code_rereads_its_chunk_and_the_later_ones_with_room(tmp_path, monkeypatch):
-    manifest_path = make_workspace(tmp_path, density=1.0)
-    path = manifest_path.parent / "transactions.csv"
-    rows = read_rows(path)
-    rows = inject(rows, "padded_code", 8, 1)  # record 7, in the third chunk of 3
-    write_rows(path, rows)
-    manifest = DatasetManifest.from_json(manifest_path)
-    expected = legacy_reader.load_dataset(manifest)
-    widths, loadtxt = [], np.loadtxt
-
-    def spy(fh, **kwargs):
-        if Path(fh.name) == path:
-            widths.append(kwargs["dtype"][1][1])
-        return loadtxt(fh, **kwargs)
-
-    monkeypatch.setattr(np, "loadtxt", spy)
-    monkeypatch.setattr(dataio, "_TABLE_CHUNK", 3)
-    assert_same_dataset(expected, load_dataset(manifest))
-    reads = (len(rows) - 1) // 3 + 1  # the last read finds fewer than 3 records
-    assert widths == ["S4", "S4", "S4", "S68"] + ["S68"] * (reads - 3)
-
-
 @pytest.mark.parametrize("chunk", [2, 3, 4])
 @pytest.mark.parametrize("earlier", [None, "unknown_code", "negative", "duplicate"])
 def test_a_parse_failure_in_a_later_chunk_yields_to_an_earlier_fault(tmp_path, monkeypatch, chunk,
@@ -401,24 +379,10 @@ def test_a_parse_failure_in_a_later_chunk_yields_to_an_earlier_fault(tmp_path, m
     assert outcome(load_dataset, manifest) == expected
 
 
-def test_a_nul_byte_after_the_first_scan_block_is_reported(tmp_path, monkeypatch):
-    manifest_path = make_workspace(tmp_path)
-    path = manifest_path.parent / "transactions.csv"
-    rows = read_rows(path)
-    rows[9][1] += "\0"
-    rows = inject(rows, "unknown_code", 2, 1)  # an earlier fault: the NUL byte comes first
-    write_rows(path, rows)
-    monkeypatch.setattr(dataio, "_SCAN_BLOCK", 7)
-    with pytest.raises(DataFormatError) as info:
-        load_dataset(DatasetManifest.from_json(manifest_path))
-    assert str(info.value) == f"{path}:10: NUL byte"
-
-
 def test_one_year_dataset_load_does_not_grow_with_the_periods_in_the_file(tmp_path, monkeypatch):
     # Chunks are cut below one period's records, as a paper-shape period is
     # far above the default sizes.
     monkeypatch.setattr(dataio, "_TABLE_CHUNK", 64)
-    monkeypatch.setattr(dataio, "_SCAN_BLOCK", 4096)
     peaks = []
     for periods in (1, 9):
         manifest_path = make_workspace(tmp_path / str(periods), n=6, layers=6, periods=periods,
@@ -454,18 +418,6 @@ def test_save_network_does_not_grow_with_the_periods_it_writes(tmp_path):
 # ---------------------------------------------------------------------------
 # network artifacts
 # ---------------------------------------------------------------------------
-
-
-def test_nul_byte_is_reported(tmp_path):
-    # A fixed-width byte field would read "AFG\0" as "AFG".
-    manifest_path = make_workspace(tmp_path)
-    path = manifest_path.parent / "outputs.csv"
-    rows = read_rows(path)
-    rows[4][1] += "\0"
-    write_rows(path, rows)
-    with pytest.raises(DataFormatError) as info:
-        load_dataset(DatasetManifest.from_json(manifest_path))
-    assert str(info.value) == f"{path}:5: NUL byte"
 
 
 def write_npy(path: Path, arcs: np.ndarray, **header) -> None:
@@ -750,3 +702,29 @@ def test_a_lone_carriage_return_is_a_format_error(tmp_path):
     path.write_bytes(raw.replace(b"\n", b"\r", 1))
     with pytest.raises(DataFormatError, match=r"outputs\.csv:1: expected header"):
         load_dataset(DatasetManifest.from_json(manifest_path))
+
+
+ARABIC_INDIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
+
+
+@pytest.mark.parametrize("column, edit", [
+    (0, lambda text: re.sub(r"(\d)(\d)", r"\1_\2", text, count=1)),
+    (-1, lambda text: re.sub(r"(\d)(\d)", r"\1_\2", text, count=1)),
+    (0, lambda text: text.translate(ARABIC_INDIC)),
+    (-1, lambda text: text.translate(ARABIC_INDIC)),
+], ids=["year-separator", "value-separator", "year-arabic-indic", "value-arabic-indic"])
+def test_numbers_are_ascii_decimals_without_separators(tmp_path, column, edit):
+    manifest = DatasetManifest.from_json(make_workspace(tmp_path))
+    expected = load_dataset(manifest)
+    rows = read_rows(manifest.energy)
+    rows[1][column] = edit(rows[1][column])
+    write_rows(manifest.energy, rows)
+    # Python's int and float, which the row reader used, take digit separators
+    # and any Unicode decimal digits; _number follows numpy's text rules, which
+    # take neither.
+    assert_same_dataset(expected, legacy_reader.load_dataset(manifest))
+    message = (f"invalid year {rows[1][0]!r}" if column == 0
+               else f"invalid number {rows[1][-1]!r} in column 'value'")
+    with pytest.raises(DataFormatError) as info:
+        load_dataset(manifest)
+    assert str(info.value) == f"{manifest.energy}:2: {message}"
