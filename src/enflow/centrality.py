@@ -31,13 +31,15 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .errors import ConvergenceError, NumericalError, ReducibleNetworkError, ValidationError
 from .multinet import SupraAdjacency, TemporalMultilayerNetwork, _nonnegative_csr
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = [
     "EigScores",
@@ -268,6 +270,8 @@ def md_hits(
     ConvergenceError
         Sweep cap reached; carries the trailing residuals.
     """
+    from scipy import sparse
+
     g = _check_gamma(gamma)
     n, n_layers = net.shape.n_nodes, net.shape.n_layers
     loaded = [m.matrix for m in net.matrices]

@@ -46,7 +46,6 @@ from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .centrality import MdHitsScores
 from .errors import DataFormatError, ValidationError, first_failure
@@ -696,6 +695,8 @@ def load_dataset(manifest: DatasetManifest) -> MrioDataset:
     read in chunks of ``_TABLE_CHUNK`` records, and a period's records leave
     their table as its accounts are built.
     """
+    from scipy import sparse
+
     codebook = manifest.codebook()
     n = len(codebook.sectors)
     n_layers = len(codebook.countries)
@@ -934,7 +935,7 @@ def generate_synthetic(spec: SyntheticSpec) -> MrioDataset:
             MrioPeriod(
                 label=spec.start_year + t,
                 shape=shape,
-                intermediate_use=sparse.csr_array(u),
+                intermediate_use=u,
                 total_output=output,
                 energy_consumption=consumption,
                 final_demand=demand,
@@ -1042,8 +1043,8 @@ def save_network(
         for t, (label, m) in enumerate(net.periods):
             arcs = np.empty(m.nnz, dtype=_ARC_DTYPE)
             arcs["year"] = label
-            arcs["row"] = np.repeat(np.arange(m.matrix.shape[0]), np.diff(m.matrix.indptr))
-            arcs["col"], arcs["weight"] = m.matrix.indices, m.matrix.data
+            arcs["row"] = np.repeat(np.arange(m.indptr.size - 1), np.diff(m.indptr))
+            arcs["col"], arcs["weight"] = m.indices, m.data
             arcs.tofile(binary)
             _write_rows(text, header, [
                 Labels(years, np.broadcast_to(t, arcs.shape)), Labels.entities(codes, arcs["row"]),

@@ -21,13 +21,15 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .errors import ConvergenceError, NonProductiveEconomyError, ValidationError, first_failure
 from .multinet import NetworkShape, SupraAdjacency, TemporalMultilayerNetwork, _nonnegative_csr
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = [
     "SourceClass",
@@ -158,6 +160,8 @@ class MrioPeriod:
 def input_coefficients(period: MrioPeriod) -> sparse.csr_array:
     """The input coefficients A, a_hk = u_hk / o_k: intermediate use
     column-normalized by total output (0/0 treated as 0)."""
+    from scipy import sparse
+
     o = period.total_output
     inv = np.zeros_like(o)
     np.divide(1.0, o, out=inv, where=o > 0)
@@ -173,6 +177,8 @@ def spectral_radius_estimate(matrix) -> float:
     Iterates 200 times on (I + A), whose dominant eigenvalue is 1 + rho(A)
     for nonnegative A regardless of periodicity; deterministic uniform start.
     """
+    from scipy import sparse
+
     m = sparse.csr_array(matrix, dtype=np.float64)
     dim = m.shape[0]
     if m.nnz == 0:
@@ -302,6 +308,8 @@ def embodied_flow_matrix(
     The arc from (sector i, economy a) to (sector j, economy b) weighs
     intensity(i -> (j, a)) * y[a*N + j, b]; zero products are not stored.
     """
+    from scipy import sparse
+
     n = period.shape.n_nodes
     by_sector = embodied_intensity(period, source, tol=tol, max_iter=max_iter)
     y = period.final_demand.tocoo()

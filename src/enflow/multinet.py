@@ -6,19 +6,26 @@ blocks has intra-layer flows on the diagonal blocks and inter-layer flows off
 the diagonal. A temporal network is an ordered sequence of such matrices over
 a shared node/layer universe.
 
+Each matrix is held as the three numpy arrays of its canonical CSR form, so
+building one from entries, aggregating it to its layers and writing it out
+need no SciPy; ``scipy.sparse`` is imported only where a SciPy matrix is made.
+
 Indices are 0-based throughout: sector i of economy a sits at supra position
 h = a*N + i.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .errors import ValidationError, first_failure
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = [
     "NetworkShape",
@@ -66,6 +73,8 @@ def _nonnegative_csr(matrix, what: str, shape: tuple[int, int] | None = None) ->
     entries must be finite and >= 0, and its shape ``shape`` when given. A
     float64 CSR input may share its buffers with the result, so it is copied
     before anything is summed or dropped, and is never changed."""
+    from scipy import sparse
+
     try:
         m = sparse.csr_array(matrix, dtype=np.float64)
     except (TypeError, ValueError) as exc:
@@ -130,10 +139,11 @@ def checked_triples(
 
 def stacked_entries(matrices) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(t, row, col, value) of the stored entries of ``matrices``, one or more
-    canonical CSR arrays: t is a matrix's 0-based position, the indices are
-    int64, and the entries come matrix by matrix, each in (row, col) order."""
+    canonical CSR arrays or :class:`SupraAdjacency`: t is a matrix's 0-based
+    position, the indices are int64, and the entries come matrix by matrix,
+    each in (row, col) order."""
     matrices = list(matrices)
-    rows = [np.repeat(np.arange(m.shape[0]), np.diff(m.indptr)) for m in matrices]
+    rows = [np.repeat(np.arange(m.indptr.size - 1), np.diff(m.indptr)) for m in matrices]
     return (np.repeat(np.arange(len(matrices), dtype=np.int64), [m.nnz for m in matrices]),
             np.concatenate(rows, dtype=np.int64),
             np.concatenate([m.indices for m in matrices], dtype=np.int64),
@@ -144,37 +154,69 @@ class SupraAdjacency:
     """Sparse nonnegative supra-adjacency matrix for one time instant.
 
     Stored entries are strictly positive; an absent entry means weight zero.
+    The matrix is held as the ``indptr``, ``indices`` and ``data`` arrays of
+    its canonical CSR form (no duplicate, column indices ascending in each
+    row, no stored zero); ``matrix`` is a ``scipy.sparse.csr_array`` over the
+    same arrays, made on first use.
     """
 
     def __init__(self, shape: NetworkShape, matrix):
-        self.shape = shape.single_period()
         dim = shape.supra_dim
-        self.matrix = _nonnegative_csr(matrix, "supra-adjacency", (dim, dim))
+        m = _nonnegative_csr(matrix, "supra-adjacency", (dim, dim))
+        self.shape = shape.single_period()
+        self.indptr, self.indices, self.data = m.indptr, m.indices, m.data
+        self.matrix = m  # fills the cache of the ``matrix`` property
 
     @classmethod
     def from_entries(cls, shape: NetworkShape, entries) -> "SupraAdjacency":
-        """Build from 0-based (row, col, weight) triplets, an (m, 3) array-like;
-        duplicates are summed. The first malformed entry raises
-        ValidationError (see :func:`checked_triples`)."""
+        """Build from 0-based (row, col, weight) triplets, an (m, 3) array-like.
+        The first malformed entry raises ValidationError (see
+        :func:`checked_triples`). Duplicates are summed in input order from
+        0.0, as :class:`~enflow.flowcrit.FlowNetwork` merges parallel arcs,
+        and sums of zero are dropped."""
         dim = shape.supra_dim
-        rows, cols, weights = checked_triples(
+        key, cols, weights = checked_triples(
             entries, dim, "entry", ("row", "col", "weight"), f"supra dimension {dim}"
         )
-        m = sparse.coo_array((weights, (rows, cols)), shape=(dim, dim))
-        return cls(shape, m)
+        key *= dim  # row * dim + col, in place of the rows
+        key += cols
+        del cols
+        # Index dtypes as SciPy gave them: int64, as the ends are, or int32 for no entries.
+        index = np.int64 if key.size else np.int32
+        if np.any(key[1:] < key[:-1]):
+            order = np.argsort(key, kind="stable")  # keeps each key's entries in input order
+            key, weights = key[order], weights[order]
+        first = np.ones(key.size, dtype=bool)
+        np.not_equal(key[1:], key[:-1], out=first[1:])
+        if not first.all():
+            key, weights = key[first], np.bincount(np.cumsum(first) - 1, weights)
+            if not np.all(np.isfinite(weights)):
+                raise ValidationError("supra-adjacency must be finite and >= 0")
+        if not weights.all():
+            kept = np.flatnonzero(weights)
+            key, weights = key[kept], weights[kept]
+        w = cls.__new__(cls)  # canonical already: no pass through _nonnegative_csr
+        w.shape = shape.single_period()
+        w.indptr = np.searchsorted(key, np.arange(dim + 1) * dim).astype(index, copy=False)
+        w.indices = np.remainder(key, dim, out=key).astype(index, copy=False)
+        w.data = np.array(weights)  # a copy: the weights may be a view of the caller's entries
+        return w
 
-    @classmethod
-    def empty(cls, shape: NetworkShape) -> "SupraAdjacency":
-        dim = shape.supra_dim
-        return cls(shape, sparse.csr_array((dim, dim), dtype=np.float64))
+    @functools.cached_property
+    def matrix(self) -> sparse.csr_array:
+        """The matrix as a ``scipy.sparse.csr_array`` sharing the three arrays."""
+        from scipy import sparse
+
+        dim = self.shape.supra_dim
+        return sparse.csr_array((self.data, self.indices, self.indptr), shape=(dim, dim))
 
     @property
     def nnz(self) -> int:
-        return int(self.matrix.nnz)
+        return int(self.data.size)
 
     @property
     def total_weight(self) -> float:
-        return float(self.matrix.sum())
+        return float(self.data.sum())
 
     def __repr__(self) -> str:
         s = self.shape
@@ -187,9 +229,9 @@ def aggregate_to_layers(w: SupraAdjacency) -> np.ndarray:
     preserved exactly up to float addition order.
     """
     n, n_layers = w.shape.n_nodes, w.shape.n_layers
-    coo = w.matrix.tocoo()
-    pair = np.ravel_multi_index((coo.row // n, coo.col // n), (n_layers, n_layers))
-    return np.bincount(pair, coo.data, n_layers * n_layers).reshape(n_layers, n_layers)
+    rows = np.repeat(np.arange(w.indptr.size - 1), np.diff(w.indptr))
+    pair = rows // n * n_layers + w.indices // n
+    return np.bincount(pair, w.data, n_layers * n_layers).reshape(n_layers, n_layers)
 
 
 @dataclass(frozen=True)
@@ -263,7 +305,7 @@ class TemporalMultilayerNetwork:
     def tensor_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """All stored arcs as (t, row, col, weight) arrays, by :func:`stacked_entries`;
         t is the 0-based period position, not the year label."""
-        return stacked_entries(m.matrix for m in self.matrices)
+        return stacked_entries(self.matrices)
 
     @property
     def total_weight(self) -> float:

@@ -619,6 +619,34 @@ def test_importing_the_cli_leaves_scipy_linalg_and_csgraph_unloaded():
     assert done.stdout == "[]\n"
 
 
+SCIPY_SPARSE_CHECK = """
+import json, sys
+argv = json.loads(sys.argv[1])
+if argv:
+    from enflow.cli import main
+    code = main(argv)
+else:
+    import enflow
+    code = 0
+print(code, "scipy.sparse" in sys.modules)
+"""
+
+
+def test_criticality_and_consumption_never_import_scipy_sparse(tmp_path):
+    # Neither builds a SciPy matrix, so a cold process skips scipy.sparse's import cost.
+    data, out = tmp_path / "data", tmp_path / "out"
+    assert run(*synth_args(data, shape="5,4,3")) == 0
+    assert run("build", "--manifest", data / "manifest.json", "--source", "all", "--out", out) == 0
+    src = str(Path(enflow.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    for argv in ([], ["criticality", "--source", "all", "--out", str(out)],
+                 ["consumption", "--manifest", str(data / "manifest.json"), "--out", str(out)]):
+        done = subprocess.run([sys.executable, "-c", SCIPY_SPARSE_CHECK, json.dumps(argv)],
+                              capture_output=True, text=True, env=env, timeout=300, check=True)
+        assert done.stdout.splitlines()[-1] == "0 False", (argv, done.stdout, done.stderr)
+
+
 # ---------------------------------------------------------------------------
 # consumption reads the code lists and energy.csv only
 # ---------------------------------------------------------------------------

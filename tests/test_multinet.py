@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
 from enflow import (
@@ -15,7 +16,7 @@ from enflow import (
 )
 
 from enflow.errors import first_failure
-from enflow.multinet import stacked_entries
+from enflow.multinet import _nonnegative_csr, stacked_entries
 
 from accounts import energy_array
 
@@ -89,6 +90,79 @@ def test_weight_matrix_is_canonical_and_canonical_input_is_not_copied():
     assert np.shares_memory(SupraAdjacency(TWO_LAYERS, w).matrix.data, w.data)
 
 
+def parent_csr(dim, entries):
+    """What ``from_entries`` built before its arrays came from numpy: a COO
+    array of the entries, made canonical by :func:`_nonnegative_csr`."""
+    r, c, w = np.asarray(entries, dtype=np.float64).reshape(-1, 3).T
+    coo = sparse.coo_array((w, (r.astype(np.int64), c.astype(np.int64))), shape=(dim, dim))
+    return _nonnegative_csr(coo, "supra-adjacency", (dim, dim))
+
+
+def parent_fold(matrix, n, n_layers):
+    """``aggregate_to_layers`` as it read the matrix through ``tocoo()``."""
+    coo = matrix.tocoo()
+    pair = np.ravel_multi_index((coo.row // n, coo.col // n), (n_layers, n_layers))
+    return np.bincount(pair, coo.data, n_layers * n_layers).reshape(n_layers, n_layers)
+
+
+def same_array(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def supra_entries(draw):
+    """A shape and its entries: keys repeated 1-5 times, weights of zero or
+    from 1e-9 to 1e9, in any order, possibly none."""
+    shape = NetworkShape(draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    cell = st.integers(0, shape.supra_dim - 1)
+    weight = st.just(0.0) | st.floats(1e-9, 1e9) | st.floats(-9, 9).map(lambda e: 10.0**e)
+    keys = draw(st.lists(st.tuples(cell, cell, st.integers(1, 5)), max_size=12))
+    entries = [(r, c, draw(weight)) for r, c, repeats in keys for _ in range(repeats)]
+    return shape, draw(st.permutations(entries))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=supra_entries())
+def test_from_entries_builds_the_parent_csr(case):
+    shape, entries = case
+    dim = shape.supra_dim
+    w = SupraAdjacency.from_entries(shape, entries)
+    parent = parent_csr(dim, entries)
+    assert w.nnz == parent.nnz and w.total_weight.hex() == float(w.matrix.sum()).hex()
+    assert same_array(w.indptr, parent.indptr) and same_array(w.indices, parent.indices)
+    # SciPy sums a key's duplicates in input order unless a row holds more
+    # than 16 entries: it then sorts the row with std::sort, which is not
+    # stable. Given the entries in key order, it sums in that order always.
+    in_key_order = sorted(entries, key=lambda e: e[0] * dim + e[1])
+    assert same_array(w.data, parent_csr(dim, in_key_order).data)
+    if max(np.bincount([int(r) for r, _, _ in entries], minlength=1)) <= 16:
+        assert same_array(w.data, parent.data)
+    assert same_array(aggregate_to_layers(w), parent_fold(w.matrix, shape.n_nodes, shape.n_layers))
+
+
+def test_from_entries_rejects_duplicates_that_sum_past_the_float_range():
+    entries = [(0, 1, 1e308), (0, 1, 1e308)]
+    with pytest.raises(ValidationError, match="^supra-adjacency must be finite and >= 0$"):
+        SupraAdjacency.from_entries(NetworkShape(2, 1), entries)
+
+
+def test_matrix_is_a_cached_view_of_the_arrays():
+    w = SupraAdjacency.from_entries(NetworkShape(2, 2), [(3, 0, 1.0), (0, 2, 2.0), (3, 0, 4.0)])
+    assert w.indptr.tolist() == [0, 1, 1, 1, 2] and w.indices.tolist() == [2, 0]
+    assert w.data.tolist() == [2.0, 5.0] and w.total_weight == 7.0
+    m = w.matrix
+    assert m is w.matrix and m.shape == (4, 4)
+    for name in ("indptr", "indices", "data"):
+        assert np.shares_memory(getattr(m, name), getattr(w, name))
+
+
+def test_from_entries_does_not_share_the_callers_array():
+    entries = np.array([[0.0, 1.0, 2.0]])
+    w = SupraAdjacency.from_entries(NetworkShape(2, 1), entries)
+    entries[0, 2] = 5.0
+    assert w.data.tolist() == [2.0]
+
+
 def test_supra_entry_out_of_range():
     with pytest.raises(ValidationError):
         SupraAdjacency.from_entries(NetworkShape(2, 2), [(4, 0, 1.0)])
@@ -120,7 +194,7 @@ def test_aggregate_single_entry():
 
 
 def test_aggregate_empty():
-    agg = aggregate_to_layers(SupraAdjacency.empty(NetworkShape(2, 3)))
+    agg = aggregate_to_layers(SupraAdjacency.from_entries(NetworkShape(2, 3), np.empty((0, 3))))
     assert agg.shape == (3, 3)
     assert not agg.any()
 
@@ -152,7 +226,7 @@ def test_aggregate_exact_on_integer_weights():
 def test_temporal_network_checks():
     shape = NetworkShape(2, 2)
     a = SupraAdjacency.from_entries(shape, [(0, 1, 1.0)])
-    b = SupraAdjacency.empty(NetworkShape(2, 3))
+    b = SupraAdjacency.from_entries(NetworkShape(2, 3), np.empty((0, 3)))
     with pytest.raises(ValidationError):
         TemporalMultilayerNetwork([(1990, a), (1991, b)])
     with pytest.raises(ValidationError):
