@@ -261,7 +261,7 @@ def _entity_scores(args, name: str, header: list[str], score) -> int:
 
 def cmd_hits(args) -> int:
     def score(source, label, matrix):
-        scores = hits(matrix.matrix, tol=args.tol, max_iter=args.max_iter)
+        scores = hits(matrix, tol=args.tol, max_iter=args.max_iter)
         return scores.hub, scores.authority
 
     return _entity_scores(args, "hits", ["hub", "authority"], score)
@@ -270,7 +270,7 @@ def cmd_hits(args) -> int:
 def cmd_eig(args) -> int:
     def score(source, label, matrix):
         scores = eigenvector_centrality(
-            matrix.matrix, tol=args.tol, max_iter=args.max_iter, largest_scc=args.largest_scc
+            matrix, tol=args.tol, max_iter=args.max_iter, largest_scc=args.largest_scc
         )
         _progress(f"{source.value} {label}: spectral radius {scores.spectral_radius:.6g}")
         return (scores.centrality,)

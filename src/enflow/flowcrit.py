@@ -59,7 +59,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import FlowCertificateError, ValidationError, ZeroBaselineError
-from .multinet import SupraAdjacency, aggregate_to_layers, checked_triples
+from .multinet import SupraAdjacency, aggregate_to_layers, checked_triples, merged
 
 __all__ = [
     "FlowNetwork",
@@ -79,7 +79,7 @@ class FlowNetwork:
     Dinic kernel in ``_maxflow.c``.
 
     ``arcs`` is an iterable of (tail, head, capacity) triples or an (m, 3)
-    array. Parallel arcs are merged by adding capacities in input order;
+    array. Parallel arcs are merged by :func:`~enflow.multinet.merged`;
     self-loops are rejected (they can never carry flow between distinct
     endpoints). Arcs are kept in sorted (tail, head) order, which fixes the
     iteration order everywhere.
@@ -95,20 +95,18 @@ class FlowNetwork:
         if not isinstance(node_count, (int, np.integer)) or node_count < 1:
             raise ValidationError(f"node_count must be an int >= 1, got {node_count!r}")
         n = self.node_count = int(node_count)
-        tails, heads, capacity = checked_triples(
+        key, capacity = checked_triples(
             arcs, n, "arc", ("tail", "head", "capacity"), f"node range 0..{n - 1}", loops=False
         )
-        # bincount adds each key's capacities in input order, starting from 0.0
-        keys, slot = np.unique(tails * n + heads, return_inverse=True)
-        merged = np.bincount(slot, weights=capacity, minlength=keys.size)
-        tails, heads = np.divmod(keys, n)
-        if not np.all(np.isfinite(merged)):
-            a = int(np.argmin(np.isfinite(merged)))
+        key, capacity = merged(key, capacity)
+        tails, heads = np.divmod(key, n)
+        if not np.all(np.isfinite(capacity)):
+            a = int(np.argmin(np.isfinite(capacity)))
             raise ValidationError(
                 f"parallel arcs ({tails[a]}, {heads[a]}) merge to a capacity that is not finite"
             )
         self.arcs: tuple[tuple[int, int, float], ...] = tuple(
-            zip(tails.tolist(), heads.tolist(), merged.tolist())
+            zip(tails.tolist(), heads.tolist(), capacity.tolist())
         )
         ends = np.column_stack((tails, heads)).astype(np.intc)
         owner = ends.ravel()  # slot 2a leaves the tail, slot 2a+1 the head
@@ -118,7 +116,7 @@ class FlowNetwork:
         self.start = np.zeros(n + 1, dtype=np.intc)
         np.cumsum(np.bincount(owner, minlength=n), out=self.start[1:])
         self.base_cap = np.zeros(owner.size)
-        self.base_cap[0::2] = merged
+        self.base_cap[0::2] = capacity
         self.scale = max(1.0, float(self.base_cap.max(initial=0.0)))
         # The kernel reads these arrays only through this tuple: it keeps them
         # alive, and a reassigned public attribute cannot leave a stale pointer.

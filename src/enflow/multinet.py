@@ -9,6 +9,8 @@ a shared node/layer universe.
 Each matrix is held as the three numpy arrays of its canonical CSR form, so
 building one from entries, aggregating it to its layers and writing it out
 need no SciPy; ``scipy.sparse`` is imported only where a SciPy matrix is made.
+One rule makes every weight matrix canonical (:func:`canonical_csr`): repeated
+entries summed in input order from 0.0, int32 indices where they fit.
 
 Indices are 0-based throughout: sector i of economy a sits at supra position
 h = a*N + i.
@@ -68,37 +70,75 @@ class NetworkShape:
         return NetworkShape(self.n_nodes, self.n_layers, 1)
 
 
+def merged(key: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of ``key`` (int64, overwritten), ascending, each
+    with its ``weights`` summed in input order from 0.0, in a new array."""
+    n = key.size
+    if np.any(key[1:] < key[:-1]):
+        if key.max() < np.iinfo(np.int64).max // n:
+            key *= n  # key * n + position: distinct, so any sort of them sorts key stably
+            key += np.arange(n)
+            key.sort()
+            weights = weights[key % n]
+            key //= n
+        else:
+            order = np.argsort(key, kind="stable")
+            key, weights = key[order], weights[order]
+    else:
+        weights = weights.copy()
+    weights += 0.0  # a sum from 0.0 turns -0.0 into 0.0
+    first = np.ones(n, dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    if first.all():
+        return key, weights
+    return key[first], np.bincount(np.cumsum(first) - 1, weights)
+
+
+def canonical_csr(key, weights, shape: tuple[int, int], what: str) -> tuple[np.ndarray, ...]:
+    """(data, indices, indptr) of the canonical CSR of the ``shape`` matrix
+    whose entry at ``key`` row * n_cols + col (int64, overwritten) is the
+    :func:`merged` sum of its ``weights``: zero sums are dropped, one that is
+    not finite raises ValidationError, and indices are int32 where they fit."""
+    n_rows, n_cols = shape
+    key, weights = merged(key, weights)
+    if not np.all(np.isfinite(weights)):
+        raise ValidationError(f"{what} must be finite and >= 0")
+    if not weights.all():
+        kept = np.flatnonzero(weights)
+        key, weights = key[kept], weights[kept]
+    index = np.int32 if max(n_cols, key.size) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.searchsorted(key, np.arange(n_rows + 1) * n_cols).astype(index, copy=False)
+    return weights, np.remainder(key, n_cols, out=key).astype(index, copy=False), indptr
+
+
 def _nonnegative_csr(matrix, what: str, shape: tuple[int, int] | None = None) -> sparse.csr_array:
-    """``matrix`` as a float64, canonical CSR array without stored zeros; its
-    entries must be finite and >= 0, and its shape ``shape`` when given. A
-    float64 CSR input may share its buffers with the result, so it is copied
-    before anything is summed or dropped, and is never changed."""
+    """``matrix``, any input that ``scipy.sparse.coo_array`` reads, as the
+    float64 :func:`canonical_csr` of its stored entries, taken in storage
+    order; its entries must be finite and >= 0, and its shape ``shape`` when
+    given. The input is never changed."""
     from scipy import sparse
 
     try:
-        m = sparse.csr_array(matrix, dtype=np.float64)
+        m = sparse.coo_array(matrix, dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{what} is not a matrix: {exc}") from None
     if m.ndim != 2 or (shape is not None and m.shape != shape):
         raise ValidationError(f"{what} shape {m.shape}, expected {shape or 'two axes'}")
     if m.nnz and (not np.all(np.isfinite(m.data)) or m.data.min() < 0):
         raise ValidationError(f"{what} must be finite and >= 0")
-    if not m.has_canonical_format or not m.data.all():
-        m = m.copy()
-        m.sum_duplicates()
-        m.eliminate_zeros()
-    return m
+    key = np.ravel_multi_index((m.row, m.col), m.shape)
+    return sparse.csr_array(canonical_csr(key, m.data, m.shape, what), shape=m.shape)
 
 
 def checked_triples(
     triples, n: int, noun: str, fields: tuple[str, str, str], span: str, loops: bool = True
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Ends (int64) and values (float64) of ``triples``, an (m, 3) array-like
-    of (tail, head, value), whose ``fields`` name the three columns. The
-    first triple that is not three numbers, or that fails a check (integral
-    ends, ends in 0..n-1 (the ``span``), no self-loop unless ``loops``, a
-    finite value >= 0, in that order), raises ValidationError naming the
-    triple as a ``noun``."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Keys tail * n + head (int64) and values (float64) of ``triples``, an
+    (m, 3) array-like of (tail, head, value), whose ``fields`` name the three
+    columns. The first triple that is not three numbers, or that fails a
+    check (integral ends, ends in 0..n-1 (the ``span``), no self-loop unless
+    ``loops``, a finite value >= 0, in that order), raises ValidationError
+    naming the triple as a ``noun``."""
     if not isinstance(triples, np.ndarray):
         triples = list(triples)
     try:
@@ -134,7 +174,9 @@ def checked_triples(
     if hit is not None:
         i, message = hit
         raise ValidationError(message(i))
-    return tails.astype(np.int64), heads.astype(np.int64), values
+    key = tails.astype(np.int64) * n
+    key += heads.astype(np.int64)
+    return key, values
 
 
 def stacked_entries(matrices) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -156,8 +198,9 @@ class SupraAdjacency:
     Stored entries are strictly positive; an absent entry means weight zero.
     The matrix is held as the ``indptr``, ``indices`` and ``data`` arrays of
     its canonical CSR form (no duplicate, column indices ascending in each
-    row, no stored zero); ``matrix`` is a ``scipy.sparse.csr_array`` over the
-    same arrays, made on first use.
+    row, no stored zero, int32 indices where they fit), which
+    :func:`canonical_csr` makes however the entries arrive; ``matrix`` is a
+    ``scipy.sparse.csr_array`` over the same arrays, made on first use.
     """
 
     def __init__(self, shape: NetworkShape, matrix):
@@ -171,35 +214,15 @@ class SupraAdjacency:
     def from_entries(cls, shape: NetworkShape, entries) -> "SupraAdjacency":
         """Build from 0-based (row, col, weight) triplets, an (m, 3) array-like.
         The first malformed entry raises ValidationError (see
-        :func:`checked_triples`). Duplicates are summed in input order from
-        0.0, as :class:`~enflow.flowcrit.FlowNetwork` merges parallel arcs,
-        and sums of zero are dropped."""
+        :func:`checked_triples`); the arrays are the :func:`canonical_csr` of
+        the entries."""
         dim = shape.supra_dim
-        key, cols, weights = checked_triples(
+        key, weights = checked_triples(
             entries, dim, "entry", ("row", "col", "weight"), f"supra dimension {dim}"
         )
-        key *= dim  # row * dim + col, in place of the rows
-        key += cols
-        del cols
-        # Index dtypes as SciPy gave them: int64, as the ends are, or int32 for no entries.
-        index = np.int64 if key.size else np.int32
-        if np.any(key[1:] < key[:-1]):
-            order = np.argsort(key, kind="stable")  # keeps each key's entries in input order
-            key, weights = key[order], weights[order]
-        first = np.ones(key.size, dtype=bool)
-        np.not_equal(key[1:], key[:-1], out=first[1:])
-        if not first.all():
-            key, weights = key[first], np.bincount(np.cumsum(first) - 1, weights)
-            if not np.all(np.isfinite(weights)):
-                raise ValidationError("supra-adjacency must be finite and >= 0")
-        if not weights.all():
-            kept = np.flatnonzero(weights)
-            key, weights = key[kept], weights[kept]
         w = cls.__new__(cls)  # canonical already: no pass through _nonnegative_csr
         w.shape = shape.single_period()
-        w.indptr = np.searchsorted(key, np.arange(dim + 1) * dim).astype(index, copy=False)
-        w.indices = np.remainder(key, dim, out=key).astype(index, copy=False)
-        w.data = np.array(weights)  # a copy: the weights may be a view of the caller's entries
+        w.data, w.indices, w.indptr = canonical_csr(key, weights, (dim, dim), "supra-adjacency")
         return w
 
     @functools.cached_property

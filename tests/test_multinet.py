@@ -15,8 +15,10 @@ from enflow import (
     hits,
 )
 
+from enflow.centrality import _as_csr
 from enflow.errors import first_failure
-from enflow.multinet import _nonnegative_csr, stacked_entries
+from enflow.flowcrit import FlowNetwork
+from enflow.multinet import merged, stacked_entries
 
 from accounts import energy_array
 
@@ -71,6 +73,7 @@ TWO_BY_TWO_TAKERS = {
                                           energy_array(2), m),
     "supra-adjacency": lambda m: SupraAdjacency(TWO_LAYERS, m),
     "hits": hits,
+    "eig": eigenvector_centrality,
 }
 
 
@@ -83,19 +86,58 @@ def test_weight_matrix_input_is_left_unchanged(taker):
     assert m.indptr.tolist() == [0, 2, 3]
 
 
-def test_weight_matrix_is_canonical_and_canonical_input_is_not_copied():
-    w = SupraAdjacency(TWO_LAYERS, tangled_csr()).matrix
-    assert w.has_canonical_format and w.data.tolist() == [2.0, 1.0]
-    assert w.toarray().tolist() == [[0.0, 2.0], [1.0, 0.0]]
-    assert np.shares_memory(SupraAdjacency(TWO_LAYERS, w).matrix.data, w.data)
+def from_csr_entries(m):
+    """``from_entries`` on the stored entries of the CSR ``m``, in storage order."""
+    rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
+    return SupraAdjacency.from_entries(TWO_LAYERS, np.column_stack((rows, m.indices, m.data)))
 
 
-def parent_csr(dim, entries):
-    """What ``from_entries`` built before its arrays came from numpy: a COO
-    array of the entries, made canonical by :func:`_nonnegative_csr`."""
-    r, c, w = np.asarray(entries, dtype=np.float64).reshape(-1, 3).T
-    coo = sparse.coo_array((w, (r.astype(np.int64), c.astype(np.int64))), shape=(dim, dim))
-    return _nonnegative_csr(coo, "supra-adjacency", (dim, dim))
+@pytest.mark.parametrize("taker", [*TWO_BY_TWO_TAKERS.values(), from_csr_entries],
+                         ids=[*TWO_BY_TWO_TAKERS, "from entries"])
+def test_duplicates_that_sum_past_the_float_range_are_rejected(taker):
+    m = sparse.csr_array(([1e308, 1e308], [1, 1], [0, 2, 2]), shape=(2, 2))
+    with pytest.raises(ValidationError, match="must be finite and >= 0$"):
+        taker(m)
+
+
+def test_weight_matrix_is_canonical_and_a_supra_adjacency_is_scored_as_held():
+    w = SupraAdjacency(TWO_LAYERS, tangled_csr())
+    m = w.matrix
+    assert m.has_canonical_format and m.data.tolist() == [2.0, 1.0]
+    assert m.toarray().tolist() == [[0.0, 2.0], [1.0, 0.0]]
+    assert m.indptr.dtype == m.indices.dtype == np.int32
+    assert _as_csr(w) is m
+
+
+def test_one_summation_order_for_every_entry_point():
+    """20 entries in one row: more than SciPy's sort keeps stable."""
+    rng = np.random.default_rng(0)
+    cols = rng.integers(0, 6, 20)
+    weights = rng.choice([0.1, 0.2, 0.3, 0.7, 1 / 3, 1e-9, 1e9], 20)
+    sums = {}
+    for c, x in zip(cols.tolist(), weights.tolist()):
+        sums[c] = sums.get(c, 0.0) + x
+    expected = [sums[c] for c in sorted(sums)]
+    shape = NetworkShape(6, 1)
+    coo = sparse.coo_array((weights, (np.zeros(20, dtype=int), cols)), shape=(6, 6))
+    entries = np.column_stack((np.zeros(20), cols, weights))
+    period = MrioPeriod(2000, shape, coo, np.full(6, 1e11), energy_array(6), np.zeros((6, 1)))
+    network = FlowNetwork(7, np.column_stack((np.full(20, 6), cols, weights)))
+    assert SupraAdjacency(shape, coo).data.tolist() == expected
+    assert period.intermediate_use.data.tolist() == expected
+    assert SupraAdjacency.from_entries(shape, entries).data.tolist() == expected
+    assert [capacity for _, _, capacity in network.arcs] == expected
+
+
+def input_order_csr(dim, entries):
+    """The canonical CSR lists of ``entries`` by plain Python: each key's
+    weights summed in input order from 0.0, sums of zero dropped, keys sorted."""
+    sums = {}
+    for r, c, x in entries:
+        sums[r, c] = sums.get((r, c), 0.0) + x
+    keys = sorted(key for key, total in sums.items() if total)
+    row_sizes = np.bincount([r for r, _ in keys], minlength=dim)
+    return [0, *np.cumsum(row_sizes).tolist()], [c for _, c in keys], [sums[k] for k in keys]
 
 
 def parent_fold(matrix, n, n_layers):
@@ -123,27 +165,21 @@ def supra_entries(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(case=supra_entries())
-def test_from_entries_builds_the_parent_csr(case):
+def test_from_entries_and_a_coo_build_the_input_order_csr(case):
     shape, entries = case
     dim = shape.supra_dim
     w = SupraAdjacency.from_entries(shape, entries)
-    parent = parent_csr(dim, entries)
-    assert w.nnz == parent.nnz and w.total_weight.hex() == float(w.matrix.sum()).hex()
-    assert same_array(w.indptr, parent.indptr) and same_array(w.indices, parent.indices)
-    # SciPy sums a key's duplicates in input order unless a row holds more
-    # than 16 entries: it then sorts the row with std::sort, which is not
-    # stable. Given the entries in key order, it sums in that order always.
-    in_key_order = sorted(entries, key=lambda e: e[0] * dim + e[1])
-    assert same_array(w.data, parent_csr(dim, in_key_order).data)
-    if max(np.bincount([int(r) for r, _, _ in entries], minlength=1)) <= 16:
-        assert same_array(w.data, parent.data)
+    indptr, indices, data = input_order_csr(dim, entries)
+    assert w.indptr.tolist() == indptr and w.indices.tolist() == indices
+    assert [x.hex() for x in w.data.tolist()] == [x.hex() for x in data]
+    assert w.indptr.dtype == w.indices.dtype == np.int32
+    assert w.total_weight.hex() == float(w.matrix.sum()).hex()
+    r, c, x = np.array(entries, dtype=np.float64).reshape(-1, 3).T
+    coo = sparse.coo_array((x, (r.astype(np.int64), c.astype(np.int64))), shape=(dim, dim))
+    from_coo = SupraAdjacency(shape, coo)
+    for name in ("indptr", "indices", "data"):
+        assert same_array(getattr(from_coo, name), getattr(w, name))
     assert same_array(aggregate_to_layers(w), parent_fold(w.matrix, shape.n_nodes, shape.n_layers))
-
-
-def test_from_entries_rejects_duplicates_that_sum_past_the_float_range():
-    entries = [(0, 1, 1e308), (0, 1, 1e308)]
-    with pytest.raises(ValidationError, match="^supra-adjacency must be finite and >= 0$"):
-        SupraAdjacency.from_entries(NetworkShape(2, 1), entries)
 
 
 def test_matrix_is_a_cached_view_of_the_arrays():
@@ -289,3 +325,16 @@ def test_entries_in_row_col_order_from_unsorted_csr():
     _, rows, cols, vals = stacked_entries([SupraAdjacency(NetworkShape(2, 2), m).matrix])
     assert rows.tolist() == [0, 0, 1] and cols.tolist() == [1, 3, 0]
     assert vals.tolist() == [2.0, 1.0, 3.0]
+
+
+@pytest.mark.parametrize("offset", [0, 2**62], ids=["sorted-with-positions", "stable-argsort"])
+def test_merged_sums_each_key_in_input_order(offset):
+    rng = np.random.default_rng(0)
+    key = offset + rng.integers(0, 6, 40)
+    weights = rng.choice([0.1, 0.2, 0.3, 0.7, 1 / 3, 1e-9, 1e9, -0.0], 40)
+    sums = {}
+    for k, x in zip(key.tolist(), weights.tolist()):
+        sums[k] = sums.get(k, 0.0) + x
+    keys, totals = merged(key.copy(), weights)
+    assert keys.tolist() == sorted(sums)
+    assert [x.hex() for x in totals.tolist()] == [sums[k].hex() for k in sorted(sums)]
