@@ -308,18 +308,19 @@ def embodied_flow_matrix(
     The arc from (sector i, economy a) to (sector j, economy b) weighs
     intensity(i -> (j, a)) * y[a*N + j, b]; zero products are not stored.
     """
-    from scipy import sparse
-
     n = period.shape.n_nodes
+    dim = period.shape.supra_dim
     by_sector = embodied_intensity(period, source, tol=tol, max_iter=max_iter)
     y = period.final_demand.tocoo()
-    # Demand entry (r = a*N + j, b) reaches N arcs, one from each sector i of a.
-    rows = (y.row - y.row % n) + np.arange(n)[:, None]
-    cols = np.broadcast_to(y.col * n + y.row % n, rows.shape)
-    vals = by_sector[:, y.row] * y.data
-    dim = period.shape.supra_dim
-    m = sparse.coo_array((vals.ravel(), (rows.ravel(), cols.ravel())), shape=(dim, dim))
-    return SupraAdjacency(period.shape, m)
+    # Demand entry (r = a*N + j, b) reaches N arcs, one from each sector i of
+    # a, at key (a*N + i) * dim + b*N + j. Made economy by economy from the
+    # entries in key order, the keys ascend, so the canonical CSR needs no sort.
+    base = (y.row - y.row % n).astype(np.int64) * dim + y.col * n + y.row % n  # key at i = 0
+    order = np.argsort(base)
+    parts = np.split(order, np.searchsorted(base[order], np.arange(1, dim // n) * n * dim))
+    key = np.concatenate([(base[p] + (np.arange(n) * dim)[:, None]).ravel() for p in parts])
+    weights = np.concatenate([(by_sector[:, y.row[p]] * y.data[p]).ravel() for p in parts])
+    return SupraAdjacency._from_keys(period.shape, key, weights)
 
 
 def build_temporal_network(

@@ -71,26 +71,16 @@ class NetworkShape:
 
 
 def merged(key: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct values of ``key`` (int64, overwritten), ascending, each
-    with its ``weights`` summed in input order from 0.0, in a new array."""
-    n = key.size
+    """The distinct values of ``key`` (int64; ``key`` itself when they
+    already ascend), each with its ``weights`` summed in input order from
+    0.0, in a new array."""
     if np.any(key[1:] < key[:-1]):
-        if key.max() < np.iinfo(np.int64).max // n:
-            key *= n  # key * n + position: distinct, so any sort of them sorts key stably
-            key += np.arange(n)
-            key.sort()
-            weights = weights[key % n]
-            key //= n
-        else:
-            order = np.argsort(key, kind="stable")
-            key, weights = key[order], weights[order]
-    else:
-        weights = weights.copy()
-    weights += 0.0  # a sum from 0.0 turns -0.0 into 0.0
-    first = np.ones(n, dtype=bool)
+        order = np.argsort(key, kind="stable")  # keeps each key's weights in input order
+        key, weights = key[order], weights[order]
+    first = np.ones(key.size, dtype=bool)
     np.not_equal(key[1:], key[:-1], out=first[1:])
     if first.all():
-        return key, weights
+        return key, weights + 0.0  # a new array; a sum from 0.0 makes -0.0 0.0
     return key[first], np.bincount(np.cumsum(first) - 1, weights)
 
 
@@ -217,11 +207,17 @@ class SupraAdjacency:
         :func:`checked_triples`); the arrays are the :func:`canonical_csr` of
         the entries."""
         dim = shape.supra_dim
-        key, weights = checked_triples(
+        return cls._from_keys(shape, *checked_triples(
             entries, dim, "entry", ("row", "col", "weight"), f"supra dimension {dim}"
-        )
+        ))
+
+    @classmethod
+    def _from_keys(cls, shape: NetworkShape, key, weights) -> "SupraAdjacency":
+        """From keys row * supra_dim + col (int64) and their weights (float64,
+        >= 0, not checked): the arrays are their :func:`canonical_csr`."""
         w = cls.__new__(cls)  # canonical already: no pass through _nonnegative_csr
         w.shape = shape.single_period()
+        dim = shape.supra_dim
         w.data, w.indices, w.indptr = canonical_csr(key, weights, (dim, dim), "supra-adjacency")
         return w
 

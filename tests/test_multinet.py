@@ -332,12 +332,21 @@ def test_entries_in_row_col_order_from_unsorted_csr():
     assert vals.tolist() == [2.0, 1.0, 3.0]
 
 
-@pytest.mark.parametrize("offset", [0, 2**62], ids=["sorted-with-positions", "stable-argsort"])
-def test_merged_sums_each_key_in_input_order(offset):
+@pytest.mark.parametrize("keys", ["unsorted", "ascending", "distinct", "empty"])
+def test_merged_sums_each_key_in_input_order(keys):
     rng = np.random.default_rng(0)
-    key = offset + rng.integers(0, 6, 40)
-    weights = rng.choice([0.1, 0.2, 0.3, 0.7, 1 / 3, 1e-9, 1e9, -0.0], 40)
+    key = {
+        "unsorted": rng.integers(0, 6, 40),
+        "ascending": np.sort(rng.integers(0, 6, 40)),  # merged without a sort
+        "distinct": np.arange(40) * 3,  # neither sorted nor merged
+        "empty": np.zeros(0, dtype=np.int64),
+    }[keys]
+    weights = rng.choice([0.1, 0.2, 0.3, 0.7, 1 / 3, 1e-9, 1e9, -0.0], key.size)
+    weights[:1] = -0.0  # summed from 0.0 to 0.0 on every path
     sums = input_order_sums(key.tolist(), weights.tolist())
-    keys, totals = merged(key.copy(), weights)
-    assert keys.tolist() == sorted(sums)
+    before = weights.copy()
+    got_keys, totals = merged(key.copy(), weights)
+    assert got_keys.tolist() == sorted(sums)
     assert [x.hex() for x in totals.tolist()] == [sums[k].hex() for k in sorted(sums)]
+    assert totals.dtype == np.float64 and not np.shares_memory(totals, weights)
+    assert weights.tobytes() == before.tobytes()
