@@ -99,7 +99,7 @@ _SCHEMAS = {
 # One record of a network arc list: 0-based supra row and column, little-endian.
 _ARC_DTYPE = np.dtype([("year", "<i8"), ("row", "<i4"), ("col", "<i4"), ("weight", "<f8")])
 _INT64 = range(-(2**63), 2**63)
-# Records per read of an arc list: 384 KiB of the file at a time.
+# Records per read or write of an arc list: 384 KiB of the file at a time.
 _ARC_CHUNK = 1 << 14
 
 
@@ -1024,8 +1024,9 @@ def save_network(
     units: Mapping[str, str] | None = None,
 ) -> Path:
     """Persist a built network as a binary arc list, its CSV export and a
-    shared meta file; returns the CSV path. Both files are written period by
-    period from each period's matrix, so no copy of the whole network is held."""
+    shared meta file; returns the CSV path. Both files are written from each
+    period's matrix, ``_ARC_CHUNK`` arcs at a time, so no copy of the network
+    or of one period is held."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     codes.check_shape(net.shape)
@@ -1041,15 +1042,18 @@ def save_network(
         csv.writer(text, lineterminator="\n").writerow(header)
         np.lib.format.write_array_header_1_0(binary, npy)
         for t, (label, m) in enumerate(net.periods):
-            arcs = np.empty(m.nnz, dtype=_ARC_DTYPE)
-            arcs["year"] = label
-            arcs["row"] = np.repeat(np.arange(m.indptr.size - 1), np.diff(m.indptr))
-            arcs["col"], arcs["weight"] = m.indices, m.data
-            arcs.tofile(binary)
-            _write_rows(text, header, [
-                Labels(years, np.broadcast_to(t, arcs.shape)), Labels.entities(codes, arcs["row"]),
-                Labels.entities(codes, arcs["col"]), arcs["weight"],
-            ])
+            for start in range(0, m.nnz, _ARC_CHUNK):
+                positions = np.arange(start, min(start + _ARC_CHUNK, m.nnz))
+                arcs = np.empty(positions.size, dtype=_ARC_DTYPE)
+                arcs["year"] = label
+                arcs["row"] = np.searchsorted(m.indptr, positions, "right") - 1
+                arcs["col"], arcs["weight"] = m.indices[positions], m.data[positions]
+                arcs.tofile(binary)
+                _write_rows(text, header, [
+                    Labels(years, np.broadcast_to(t, arcs.shape)),
+                    Labels.entities(codes, arcs["row"]), Labels.entities(codes, arcs["col"]),
+                    arcs["weight"],
+                ])
 
     meta_path = directory / "network_meta.json"
     fields = {
@@ -1152,9 +1156,9 @@ def load_network(
     def close() -> None:
         """Build the open period's matrix from its pieces, now read in full."""
         if pieces:
-            entries = np.concatenate(pieces)
+            key, weights = (np.concatenate(column) for column in zip(*pieces))
             pieces.clear()
-            matrices[current] = SupraAdjacency.from_entries(shape, entries)
+            matrices[current] = SupraAdjacency.from_entries(shape, key, weights)
 
     for start, chunk in _read_arcs(path):
         year, row, col, weight = (np.ascontiguousarray(chunk[f]) for f in _ARC_DTYPE.names)
@@ -1179,11 +1183,11 @@ def load_network(
                 close()
                 current = int(year[lo])
             if current in kept:
-                pieces.append(np.column_stack((row[lo:hi], col[lo:hi], weight[lo:hi])))
+                pieces.append((row[lo:hi].astype(np.int64) * dim + col[lo:hi], weight[lo:hi]))
     close()
     # A listed period without records still gets its (empty) matrix.
     return TemporalMultilayerNetwork([
         (label, matrices[label] if label in matrices
-         else SupraAdjacency.from_entries(shape, np.empty((0, 3))))
+         else SupraAdjacency.from_entries(shape, np.empty(0, np.int64), np.empty(0)))
         for label in labels.tolist()
     ]), codes

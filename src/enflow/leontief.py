@@ -320,7 +320,7 @@ def embodied_flow_matrix(
     parts = np.split(order, np.searchsorted(base[order], np.arange(1, dim // n) * n * dim))
     key = np.concatenate([(base[p] + (np.arange(n) * dim)[:, None]).ravel() for p in parts])
     weights = np.concatenate([(by_sector[:, y.row[p]] * y.data[p]).ravel() for p in parts])
-    return SupraAdjacency._from_keys(period.shape, key, weights)
+    return SupraAdjacency.from_entries(period.shape, key, weights)
 
 
 def build_temporal_network(

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
-from .errors import ValidationError, first_failure
+from .errors import ValidationError
 
 if TYPE_CHECKING:
     from scipy import sparse
@@ -120,55 +120,6 @@ def _nonnegative_csr(matrix, what: str, shape: tuple[int, int] | None = None) ->
     return sparse.csr_array(canonical_csr(key, m.data, m.shape, what), shape=m.shape)
 
 
-def checked_triples(
-    triples, n: int, noun: str, fields: tuple[str, str, str], span: str, loops: bool = True
-) -> tuple[np.ndarray, np.ndarray]:
-    """Keys tail * n + head (int64) and values (float64) of ``triples``, an
-    (m, 3) array-like of (tail, head, value), whose ``fields`` name the three
-    columns. The first triple that is not three numbers, or that fails a
-    check (integral ends, ends in 0..n-1 (the ``span``), no self-loop unless
-    ``loops``, a finite value >= 0, in that order), raises ValidationError
-    naming the triple as a ``noun``."""
-    if not isinstance(triples, np.ndarray):
-        triples = list(triples)
-    try:
-        table = np.asarray(triples, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError):
-        table = None
-    if table is not None and table.shape == (0,):
-        table = table.reshape(0, 3)
-    if table is None or table.ndim != 2 or table.shape[1] != 3:
-        for i, triple in enumerate(triples):
-            try:
-                ok = np.shape(np.asarray(triple, dtype=np.float64)) == (3,)
-            except (TypeError, ValueError, OverflowError):
-                ok = False
-            if not ok:
-                raise ValidationError(
-                    f"{noun} {i} is not a ({', '.join(fields)}) triple: {triple!r}"
-                )
-        raise ValidationError(f"{noun} triples must form an (m, 3) array, got {np.shape(table)}")
-    tails, heads, values = table.T  # column by column: numpy is slow on rows of 2
-    hit = first_failure((
-        (~(np.isfinite(tails) & np.isfinite(heads)
-           & (tails == np.floor(tails)) & (heads == np.floor(heads))),
-         lambda i: f"{noun} {i} endpoints ({tails[i]}, {heads[i]}) are not integers"),
-        ((tails < 0) | (tails >= n) | (heads < 0) | (heads >= n),
-         lambda i: f"{noun} ({int(tails[i])}, {int(heads[i])}) outside {span}"),
-        ((tails == heads) & (not loops),
-         lambda i: f"self-loop {noun} at node {int(tails[i])} is not allowed"),
-        (~(np.isfinite(values) & (values >= 0)),
-         lambda i: f"{noun} ({int(tails[i])}, {int(heads[i])}) {fields[2]} must be finite and "
-                   f">= 0, got {float(values[i])}"),
-    ))
-    if hit is not None:
-        i, message = hit
-        raise ValidationError(message(i))
-    key = tails.astype(np.int64) * n
-    key += heads.astype(np.int64)
-    return key, values
-
-
 def stacked_entries(matrices) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(t, row, col, value) of the stored entries of ``matrices``, one or more
     canonical CSR arrays or :class:`SupraAdjacency`: t is a matrix's 0-based
@@ -201,20 +152,10 @@ class SupraAdjacency:
         self.matrix = m  # fills the cache of the ``matrix`` property
 
     @classmethod
-    def from_entries(cls, shape: NetworkShape, entries) -> "SupraAdjacency":
-        """Build from 0-based (row, col, weight) triplets, an (m, 3) array-like.
-        The first malformed entry raises ValidationError (see
-        :func:`checked_triples`); the arrays are the :func:`canonical_csr` of
-        the entries."""
-        dim = shape.supra_dim
-        return cls._from_keys(shape, *checked_triples(
-            entries, dim, "entry", ("row", "col", "weight"), f"supra dimension {dim}"
-        ))
-
-    @classmethod
-    def _from_keys(cls, shape: NetworkShape, key, weights) -> "SupraAdjacency":
-        """From keys row * supra_dim + col (int64) and their weights (float64,
-        >= 0, not checked): the arrays are their :func:`canonical_csr`."""
+    def from_entries(cls, shape: NetworkShape, key, weights) -> "SupraAdjacency":
+        """From keys row * supra_dim + col (int64, overwritten) and their
+        weights (float64), both checked by the caller: in range and >= 0.
+        The arrays are their :func:`canonical_csr`."""
         w = cls.__new__(cls)  # canonical already: no pass through _nonnegative_csr
         w.shape = shape.single_period()
         dim = shape.supra_dim

@@ -1,8 +1,11 @@
-"""Final demand and energy use in the oracles' form."""
+"""Final demand and energy use in the oracles' form, and small supra-adjacency
+matrices from their entries."""
 
 import numpy as np
+from scipy import sparse
 
 from enflow.leontief import ENERGY_CARRIERS
+from enflow.multinet import SupraAdjacency
 
 
 def demand_dict(period) -> dict[tuple[int, int, int], float]:
@@ -27,3 +30,11 @@ def energy_array(dim: int, **use) -> np.ndarray:
     for carrier, row in use.items():
         f[ENERGY_CARRIERS.index(carrier)] = row
     return f
+
+
+def supra(shape, entries) -> SupraAdjacency:
+    """``SupraAdjacency(shape, coo)`` of the (row, col, weight) ``entries``."""
+    dim = shape.supra_dim
+    r, c, x = np.array(entries, dtype=np.float64).reshape(-1, 3).T
+    return SupraAdjacency(shape, sparse.coo_array((x, (r.astype(int), c.astype(int))),
+                                                  shape=(dim, dim)))

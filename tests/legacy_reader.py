@@ -264,7 +264,9 @@ def load_network(
             k = country_idx[row["dst_country"]] * n + sector_idx[row["dst_sector"]]
             per_year[year].append((h, k, float(row["weight"])))
     periods = [
-        (year, SupraAdjacency.from_entries(shape, entries))
+        (year, SupraAdjacency(shape, sparse.coo_array(
+            ([w for _, _, w in entries], ([h for h, _, _ in entries], [k for _, k, _ in entries])),
+            shape=(shape.supra_dim, shape.supra_dim))))
         for year, entries in sorted(per_year.items())
     ]
     return TemporalMultilayerNetwork(periods), codes

@@ -9,7 +9,8 @@ MODULES = ["enflow"] + [f"enflow.{m.name}" for m in pkgutil.iter_modules(enflow.
 DELETED = ("flat_index", "unflat_index", "block_view", "EmbodiedIntensity", "AllPairsFlow",
            "all_pairs_total", "_BlockingFlowEngine", "EXACT_MODE_NODE_LIMIT",
            "InputCoefficients", "RankingRow", "RankingTable", "ArcRemovalRow",
-           "import_results", "_lookup", "_cut", "_PADDING", "_SCAN_BLOCK", "_WHITESPACE")
+           "import_results", "_lookup", "_cut", "_PADDING", "_SCAN_BLOCK", "_WHITESPACE",
+           "checked_triples")
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -8,7 +8,9 @@ import pytest
 from enflow import dataio
 from enflow.dataio import Labels, load_network, save_network, write_csv
 from enflow.leontief import SourceClass
-from enflow.multinet import EntityCodes, NetworkShape, SupraAdjacency, TemporalMultilayerNetwork
+from enflow.multinet import EntityCodes, NetworkShape, TemporalMultilayerNetwork
+
+from accounts import supra
 
 CODES = ["plain", "a,b", 'say "hi"', " lead", "trail ", "Côte d’Ivoire", "日本", "line\nbreak", ""]
 FLOATS = [1e-05, 0.0001, 1e16, 1e+16, 5e-324, 0.1 + 0.2, 0.0, -0.0, 1.5e300, float("nan"),
@@ -71,16 +73,16 @@ def test_network_export_with_an_empty_period_and_quoted_codes(tmp_path, chunk):
     codes = EntityCodes(("a,b", 'q"t', " s"), ("Ünï", "x\ny"))
     shape = NetworkShape(3, 2)
     periods = [
-        (1990, SupraAdjacency.from_entries(shape, [(0, 5, 0.1 + 0.2), (4, 1, 1e-05), (2, 2, 1e16)])),
-        (1991, SupraAdjacency.from_entries(shape, np.empty((0, 3)))),
-        (1992, SupraAdjacency.from_entries(shape, [(5, 0, 5e-324), (3, 3, 0.0001)])),
+        (1990, supra(shape, [(0, 5, 0.1 + 0.2), (4, 1, 1e-05), (2, 2, 1e16)])),
+        (1991, supra(shape, [])),
+        (1992, supra(shape, [(5, 0, 5e-324), (3, 3, 0.0001)])),
     ]
     path = save_network(TemporalMultilayerNetwork(periods), codes, SourceClass.ALL, tmp_path)
-    supra = codes.supra_labels
+    labels = codes.supra_labels
     rows = []
     for label, matrix in periods:
         coo = matrix.matrix.tocoo()
-        rows += [(label, *supra[h], *supra[k], w)
+        rows += [(label, *labels[h], *labels[k], w)
                  for h, k, w in zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist())]
     assert len(rows) == 5
     expected = csv_bytes(tmp_path / "rows.csv", dataio._SCHEMAS["network"], rows)

@@ -31,7 +31,7 @@ from enflow import (
 )
 from enflow.dataio import CodeBook, MrioDataset, load_code_list
 
-from accounts import demand_dict, energy_array, energy_dict
+from accounts import demand_dict, energy_array, energy_dict, supra
 
 
 def small_spec(**kw):
@@ -399,10 +399,10 @@ def test_incidence_bounds_where_defined():
 
 
 def test_export_md_hits_sections(tmp_path):
-    from enflow import md_hits_single_period, SupraAdjacency
+    from enflow import md_hits_single_period
 
     shape = NetworkShape(2, 2)
-    w = SupraAdjacency.from_entries(shape, [(0, 3, 1.0), (3, 0, 2.0), (1, 2, 0.5)])
+    w = supra(shape, [(0, 3, 1.0), (3, 0, 2.0), (1, 2, 0.5)])
     scores = md_hits_single_period(w)
     book = bundled_codebook().truncated(2, 2)
     path = export_results(

@@ -21,6 +21,7 @@ from enflow import (
 )
 from enflow.flowcrit import _pair_set
 
+from accounts import supra
 from oracles import lp_max_flow, min_cut_value
 from reference_flow import ReferenceEngine
 
@@ -784,7 +785,7 @@ def test_certificate_rejects_corrupted_residual():
 
 def test_country_level_single_arc():
     shape = NetworkShape(2, 2)
-    w = SupraAdjacency.from_entries(shape, [(0, 3, 5.0)])  # layer 1 -> layer 2
+    w = supra(shape, [(0, 3, 5.0)])  # layer 1 -> layer 2
     report = country_level_criticality(w)
     assert len(report.rows) == 1
     assert rows_of(report)[0].index == 1.0
@@ -792,7 +793,7 @@ def test_country_level_single_arc():
 
 def test_country_level_two_independent_pairs():
     shape = NetworkShape(1, 4)
-    w = SupraAdjacency.from_entries(shape, [(0, 1, 2.0), (2, 3, 2.0)])
+    w = supra(shape, [(0, 1, 2.0), (2, 3, 2.0)])
     report = country_level_criticality(w)
     assert report.baseline_total == 4.0
     for row in rows_of(report):

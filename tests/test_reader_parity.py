@@ -20,6 +20,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import sparse
 
 import legacy_reader
 from enflow import (
@@ -40,7 +41,7 @@ from enflow import (
 from enflow import dataio
 from enflow.cli import main
 from enflow.dataio import CodeBook
-from enflow.multinet import SupraAdjacency
+from enflow.multinet import EntityCodes, SupraAdjacency, TemporalMultilayerNetwork
 
 TABLES = ("outputs", "transactions", "energy", "final_demand")
 # Codes with non-ASCII bytes, a comma (written quoted) and a quote.
@@ -415,6 +416,25 @@ def test_save_network_does_not_grow_with_the_periods_it_writes(tmp_path):
     assert peaks[1] < 1.5 * peaks[0], peaks
 
 
+def test_one_period_save_does_not_grow_with_its_arcs(tmp_path, monkeypatch):
+    monkeypatch.setattr(dataio, "_ARC_CHUNK", 64)
+    shape = NetworkShape(20, 10)
+    codes = EntityCodes(tuple(f"s{i}" for i in range(20)), tuple(f"c{a}" for a in range(10)))
+    peaks = []
+    for arcs in (640, 40_000):
+        dense = np.zeros(shape.supra_dim**2)
+        dense[:arcs] = 1.5
+        net = TemporalMultilayerNetwork([(1990, SupraAdjacency(shape, dense.reshape(200, 200)))])
+        save_network(net, codes, SourceClass.ALL, tmp_path / str(arcs))
+        tracemalloc.start()
+        try:
+            save_network(net, codes, SourceClass.ALL, tmp_path / str(arcs))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0], peaks
+
+
 # ---------------------------------------------------------------------------
 # network artifacts
 # ---------------------------------------------------------------------------
@@ -655,14 +675,37 @@ def test_synthetic_spec_json_errors(tmp_path, capsys, text, message):
     assert message in capsys.readouterr().err
 
 
+def test_load_merges_a_period_out_of_order_across_chunks_in_record_order(tmp_path, monkeypatch):
+    records = np.array([
+        (1990, 2, 1, 1.0),
+        (1991, 3, 0, 2.0), (1991, 1, 2, 0.1), (1991, 0, 3, 4.0), (1991, 1, 2, 0.2),
+        (1991, 2, 2, 0.5), (1991, 1, 2, 0.3), (1991, 0, 1, 0.0),
+    ], dtype=dataio._ARC_DTYPE)
+    write_npy(tmp_path / "network_all.npy", records)
+    (tmp_path / "network_meta.json").write_text(json.dumps({
+        "sectors": ["a", "b"], "countries": ["X", "Y"], "periods": [1990, 1991],
+        "sources": ["all"],
+    }))
+    monkeypatch.setattr(dataio, "_ARC_CHUNK", 2)
+    net, _ = load_network(tmp_path, SourceClass.ALL)
+    shape = NetworkShape(2, 2)
+    for year, w in net:
+        mine = records[records["year"] == year]
+        coo = sparse.coo_array((mine["weight"], (mine["row"], mine["col"])), shape=(4, 4))
+        expected = SupraAdjacency(shape, coo)
+        for name in ("indptr", "indices", "data"):
+            got, want = getattr(w, name), getattr(expected, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert net.periods[1][1].matrix[1, 2].hex() == (0.0 + 0.1 + 0.2 + 0.3).hex()
+    assert net.periods[1][1].nnz == 4
+
+
 def test_from_entries_takes_an_array_and_sums_duplicates():
     shape = NetworkShape(2, 2)
-    entries = np.array([[0, 1, 1.0], [3, 2, 2.0], [0, 1, 0.5]])
-    w = SupraAdjacency.from_entries(shape, entries)
+    keys = np.array([0 * 4 + 1, 3 * 4 + 2, 0 * 4 + 1])
+    w = SupraAdjacency.from_entries(shape, keys, np.array([1.0, 2.0, 0.5]))
     assert w.matrix[0, 1] == 1.5 and w.matrix[3, 2] == 2.0 and w.nnz == 2
-    assert SupraAdjacency.from_entries(shape, np.empty((0, 3))).nnz == 0
-    with pytest.raises(ValidationError, match=r"entry \(0, 4\) outside supra dimension 4"):
-        SupraAdjacency.from_entries(shape, np.array([[0, 1, 1.0], [0, 4, 1.0]]))
+    assert SupraAdjacency.from_entries(shape, np.empty(0, np.int64), np.empty(0)).nnz == 0
 
 
 @settings(max_examples=150, deadline=None)
