@@ -206,6 +206,24 @@ def test_from_entries_does_not_share_the_callers_array():
     assert w.data.tolist() == [2.0]
 
 
+def test_supra_entry_out_of_range():
+    # COO triples without a shape take it from their largest indices.
+    with pytest.raises(ValidationError,
+                       match=r"^supra-adjacency shape \(5, 1\), expected \(4, 4\)$"):
+        SupraAdjacency(NetworkShape(2, 2), ([1.0], ([4], [0])))
+
+
+@pytest.mark.parametrize("matrix, message", [
+    ("abc", r"^supra-adjacency is not a matrix: "),
+    (np.ones(4), r"^supra-adjacency shape \(4,\), expected \(2, 2\)$"),
+    ([[0.0, 1.0], [float("nan"), 0.0]], r"^supra-adjacency must be finite and >= 0$"),
+    (([1.0, -2.0], ([0, 1], [1, 0])), r"^supra-adjacency must be finite and >= 0$"),
+], ids=["not-a-matrix", "1d", "nan", "negative-triple"])
+def test_supra_adjacency_names_what_is_wrong_with_its_matrix(matrix, message):
+    with pytest.raises(ValidationError, match=message):
+        SupraAdjacency(NetworkShape(1, 2), matrix)
+
+
 def test_from_entries_keeps_self_loops():
     w = SupraAdjacency.from_entries(NetworkShape(2, 1), np.array([1 * 2 + 1]), np.array([2.0]))
     assert w.matrix[1, 1] == 2.0
