@@ -58,7 +58,8 @@ from .dataio import (
     _score_sections,
 )
 from .errors import EnflowError, NumericalError, ValidationError
-from .flowcrit import DEFAULT_SAMPLE_PAIRS, _check_sampling, country_level_criticality
+from .flowcrit import (DEFAULT_SAMPLE_PAIRS, _check_sampling, country_level_criticality,
+                       start_country_criticality)
 from .leontief import SourceClass, build_temporal_network
 from .multinet import NetworkShape
 
@@ -141,15 +142,16 @@ def _sources(arg: str | None) -> list[SourceClass]:
 
 
 def _each_source(args, run) -> int:
-    """``run(source, net, codes)`` for each source class's network in the
-    workspace, within ``--years``. A class that fails to load or to score does
-    not stop the later ones: each failure is reported as it happens, and the
-    exit code is the first failure's."""
+    """``run(source, load)`` for each source class, where ``load(each=None)``
+    reads the class's network in the workspace, within ``--years``, and
+    returns it with its codes (see ``load_network``). A class that fails to
+    load or to score does not stop the later ones: each failure is reported as
+    it happens, and the exit code is the first failure's."""
     years = _parse_years(args.years)
     code = EXIT_OK
     for source in _sources(args.source):
         try:
-            run(source, *load_network(Path(args.out), source, years))
+            run(source, functools.partial(load_network, Path(args.out), source, years))
         except (EnflowError, OSError, MemoryError) as exc:
             failed = _report(exc)
             code = code or failed
@@ -208,7 +210,8 @@ def cmd_mdhits(args) -> int:
     gamma = _check_gamma(_parse_gamma(args.gamma))  # once, not once per source class
     out = Path(args.out)
 
-    def run(source, net, codes):
+    def run(source, load):
+        net, codes = load()
         with _naming(source.value):
             scores = md_hits(net, gamma=gamma, tol=args.tol, max_iter=args.max_iter)
         path = out / f"mdhits_{source.value}.csv"
@@ -242,7 +245,8 @@ def _entity_scores(args, name: str, header: list[str], score) -> int:
     entity, holding the vectors that ``score(source, label, matrix)`` returns."""
     out = Path(args.out)
 
-    def run(source, net, codes):
+    def run(source, load):
+        net, codes = load()
         vectors = []
         for label, matrix in net.periods:
             with _naming(f"{source.value} {label}"):
@@ -279,22 +283,45 @@ def cmd_eig(args) -> int:
 
 
 def cmd_criticality(args) -> int:
+    # Imported here: no other command starts threads, and the import costs memory.
+    from concurrent.futures import ThreadPoolExecutor
+
     _check_sampling(args.mode, args.pairs, args.seed)  # once, not once per source class
     out = Path(args.out)
+    sampling = {"pairs": args.pairs, "seed": args.seed}
 
-    def run(source, net, codes):
-        ranked = []  # each period's report rows
-        for label, matrix in net.periods:
-            with _naming(f"{source.value} {label}"):
-                report = country_level_criticality(matrix, args.mode, pairs=args.pairs,
-                                                   seed=args.seed)
-            path = out / f"criticality_{source.value}_{label}.csv"
-            export_results(report, path, node_labels=codes.country_codes)
-            _progress(f"{source.value} {label}: baseline={report.baseline_total:.6g} "
-                      f"arcs={len(report.rows)} mode={report.mode} "
-                      f"settled_by_cut={report.settled_by_cut} "
-                      f"settled_by_two_hop={report.settled_by_two_hop} resolved={report.resolved}")
-            ranked.append(report.rows)
+    def run(source, load):
+        # One kernel call per period, started on the pool as the period is read.
+        pool, started = ThreadPoolExecutor(len(os.sched_getaffinity(0))), []
+
+        def start(label, matrix):
+            if started and isinstance(started[-1], Exception):
+                return  # the class stops at that period: later calls would go unused
+            try:
+                started.append(start_country_criticality(matrix, args.mode, submit=pool.submit,
+                                                         **sampling))
+            except (EnflowError, OSError, MemoryError) as exc:
+                started.append(exc)  # raised in period order, once the read has ended
+
+        try:
+            net, codes = load(each=start)
+            ranked = []  # each period's report rows
+            for (label, matrix), solved in zip(net.periods, started):
+                with _naming(f"{source.value} {label}"):
+                    if isinstance(solved, Exception):
+                        raise solved
+                    report = country_level_criticality(matrix, args.mode, solved=solved,
+                                                       **sampling)
+                path = out / f"criticality_{source.value}_{label}.csv"
+                export_results(report, path, node_labels=codes.country_codes)
+                _progress(f"{source.value} {label}: baseline={report.baseline_total:.6g} "
+                          f"arcs={len(report.rows)} mode={report.mode} "
+                          f"settled_by_cut={report.settled_by_cut} "
+                          f"settled_by_two_hop={report.settled_by_two_hop} "
+                          f"resolved={report.resolved}")
+                ranked.append(report.rows)
+        finally:
+            pool.shutdown(cancel_futures=True)  # after a failure, queued calls are dropped
         # Every year's rows for the arcs that make any year's top list.
         keys = [rows["tail"] * codes.n_layers + rows["head"] for rows in ranked]
         top_keys = np.concatenate([k[: args.top] for k in keys])

@@ -39,7 +39,7 @@ import math
 import tokenize
 import typing
 import warnings
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -1109,7 +1109,10 @@ def _read_arcs(path: Path) -> Iterator[tuple[int, np.ndarray]]:
 
 
 def load_network(
-    directory: Path | str, source: SourceClass, years: tuple[int, int] | None = None
+    directory: Path | str,
+    source: SourceClass,
+    years: tuple[int, int] | None = None,
+    each: Callable[[int, SupraAdjacency], object] | None = None,
 ) -> tuple[TemporalMultilayerNetwork, EntityCodes]:
     """Read back the binary arc list written by :func:`save_network`.
 
@@ -1120,6 +1123,10 @@ def load_network(
     in chunks of ``_ARC_CHUNK`` records, and a period's matrix is built once its
     last record has been read, so a load holds the matrices it returns, one
     period's records and one chunk, never the whole file.
+
+    ``each(label, matrix)``, when given, is called for every window period in
+    period order as soon as its matrix is built, on the calling thread; the
+    read then goes on, and a later record can still fail it.
     """
     directory = Path(directory)
     meta_path = directory / "network_meta.json"
@@ -1150,15 +1157,27 @@ def load_network(
         if not labels.size:
             raise ValidationError("period restriction removed every period")
 
-    dim, kept = shape.supra_dim, set(labels.tolist())
+    dim, window = shape.supra_dim, labels.tolist()
+    kept = set(window)
     matrices, pieces, current = {}, [], None  # current: the year of the last record read
+    done = 0  # the window periods whose matrices are final
 
-    def close() -> None:
-        """Build the open period's matrix from its pieces, now read in full."""
+    def close(following: int | None) -> None:
+        """Build the open period's matrix from its pieces, now read in full, and
+        hand ``each`` the window periods before year ``following`` (all when None)."""
+        nonlocal done
         if pieces:
             key, weights = (np.concatenate(column) for column in zip(*pieces))
             pieces.clear()
             matrices[current] = SupraAdjacency.from_entries(shape, key, weights)
+        while done < len(window) and (following is None or window[done] < following):
+            label = window[done]
+            if label not in matrices:  # a listed period without records
+                matrices[label] = SupraAdjacency.from_entries(shape, np.empty(0, np.int64),
+                                                              np.empty(0))
+            if each is not None:
+                each(label, matrices[label])
+            done += 1
 
     for start, chunk in _read_arcs(path):
         year, row, col, weight = (np.ascontiguousarray(chunk[f]) for f in _ARC_DTYPE.names)
@@ -1180,14 +1199,9 @@ def load_network(
         cuts = (np.flatnonzero(year[1:] != year[:-1]) + 1).tolist()
         for lo, hi in zip([0, *cuts], [*cuts, year.size]):
             if year[lo] != current:
-                close()
+                close(int(year[lo]))
                 current = int(year[lo])
             if current in kept:
                 pieces.append((row[lo:hi].astype(np.int64) * dim + col[lo:hi], weight[lo:hi]))
-    close()
-    # A listed period without records still gets its (empty) matrix.
-    return TemporalMultilayerNetwork([
-        (label, matrices[label] if label in matrices
-         else SupraAdjacency.from_entries(shape, np.empty(0, np.int64), np.empty(0)))
-        for label in labels.tolist()
-    ]), codes
+    close(None)
+    return TemporalMultilayerNetwork([(label, matrices[label]) for label in window]), codes

@@ -42,6 +42,14 @@ proofs):
   with no augmenting path, as a from-scratch solve does.
 
 The report counts the arcs that each means settled.
+
+A period's kernel call may run on another thread: it releases the GIL and
+reads only its network's arrays and its own outputs. The ``criticality``
+command starts each period's call (:func:`start_country_criticality`) on a
+pool of one thread per CPU the process may use, as soon as the period is
+read, and hands the started call to :func:`country_level_criticality` once
+the read has ended; every file, progress line and exit code is that of one
+call after another.
 """
 
 from __future__ import annotations
@@ -52,14 +60,18 @@ import shlex
 import subprocess
 import sysconfig
 import tempfile
+import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 import numpy as np
 
 from .errors import FlowCertificateError, ValidationError, ZeroBaselineError, first_failure
 from .multinet import SupraAdjacency, aggregate_to_layers, merged
+
+if TYPE_CHECKING:
+    from concurrent.futures import Future
 
 __all__ = [
     "FlowNetwork",
@@ -68,6 +80,7 @@ __all__ = [
     "max_flow",
     "arc_criticality",
     "country_level_criticality",
+    "start_country_criticality",
     "DEFAULT_SAMPLE_PAIRS",
 ]
 
@@ -238,10 +251,20 @@ _CERTIFICATE_ERRORS = {
 _CFLAGS = ("-O2", "-std=c99", "-ffp-contract=off", "-shared", "-fPIC")
 
 
-@functools.cache
+_kernel_lock = threading.Lock()
+
+
 def _kernel() -> ctypes.CDLL:
     """The compiled ``_maxflow.c``, built once per process with the C compiler
-    Python was built with and ``_CFLAGS``."""
+    Python was built with and ``_CFLAGS``: threads that ask for it at once wait
+    for one build. A failed build is not kept; ``_kernel.cache_clear()``
+    forgets a kept one."""
+    with _kernel_lock:
+        return _build_kernel()
+
+
+@functools.cache
+def _build_kernel() -> ctypes.CDLL:
     source = Path(__file__).with_name("_maxflow.c")
     cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
     with tempfile.TemporaryDirectory() as tmp:
@@ -259,6 +282,9 @@ def _kernel() -> ctypes.CDLL:
     kernel.solve_pairs.argtypes = [i, i, p, p, p, p, d, i, p, p, p, p, p, p]
     kernel.certify.restype = kernel.solve_pairs.restype = i
     return kernel
+
+
+_kernel.cache_clear = _build_kernel.cache_clear
 
 
 def _raise_for(code: int, where: int) -> None:
@@ -328,6 +354,7 @@ def arc_criticality(
     *,
     pairs: int = DEFAULT_SAMPLE_PAIRS,
     seed: int = 0,
+    solved: Future | None = None,
 ) -> ArcCriticalityReport:
     """Delete each arc in turn and measure the drop in the total max flow.
 
@@ -338,19 +365,26 @@ def arc_criticality(
     screen or re-solved warm-started from the baseline residual. Per-arc
     drops are summed in pair-list order, so reruns are bit-identical.
 
+    ``solved``, when given, is the future of this network's kernel call for
+    the same mode, pairs and seed, already started (see
+    :func:`start_country_criticality`); its result stands in for the call.
+
     Raises
     ------
     ZeroBaselineError
         The baseline total is zero, so the index is undefined.
     """
     _check_sampling(mode, pairs, seed)
-    pair_list = _pair_set(net.node_count, mode, pairs, seed)
     # drops[a] sums, pair by pair in pair-list order, the fall in the pair's
     # max flow when arc a is deleted. Only arcs carrying flow in the pair's
     # certified max flow can lower it: without any other arc that flow stays
     # feasible, and deleting capacity cannot raise a max flow. One kernel
     # call solves, screens, re-solves and certifies every pair in turn.
-    values, _, drops, counts = net._solve_pairs(pair_list, drops=True)
+    if solved is None:
+        values, _, drops, counts = net._solve_pairs(_pair_set(net.node_count, mode, pairs, seed),
+                                                    drops=True)
+    else:
+        values, _, drops, counts = solved.result()
     baseline = float(values.sum())
     if baseline <= 0.0:
         raise ZeroBaselineError(
@@ -368,7 +402,7 @@ def arc_criticality(
         baseline_total=baseline,
         rows=rows,
         mode=mode,
-        pair_count=len(pair_list) if mode == "sampled" else None,
+        pair_count=len(values) if mode == "sampled" else None,
         seed=seed if mode == "sampled" else None,
         settled_by_cut=int(counts[0]),
         settled_by_two_hop=int(counts[1]),
@@ -382,13 +416,34 @@ def country_level_criticality(
     *,
     pairs: int = DEFAULT_SAMPLE_PAIRS,
     seed: int = 0,
+    solved: tuple[FlowNetwork, Future] | None = None,
 ) -> ArcCriticalityReport:
     """Arc criticality on the layer-aggregated network.
 
     Sectors are collapsed first (summing all sector-level weights per ordered
     layer pair), so intra-layer structure becomes inert diagonal mass and is
     dropped; nodes of the resulting flow network are the layers.
+
+    ``solved``, when given, is what :func:`start_country_criticality`
+    returned for ``w`` and the same mode, pairs and seed; the report then
+    waits for that kernel call instead of making its own.
     """
-    aggregated = aggregate_to_layers(w)
-    net = FlowNetwork.from_matrix(aggregated)
-    return arc_criticality(net, mode, pairs=pairs, seed=seed)
+    net, future = solved or (FlowNetwork.from_matrix(aggregate_to_layers(w)), None)
+    return arc_criticality(net, mode, pairs=pairs, seed=seed, solved=future)
+
+
+def start_country_criticality(
+    w: SupraAdjacency,
+    mode: str = "exact",
+    *,
+    pairs: int = DEFAULT_SAMPLE_PAIRS,
+    seed: int = 0,
+    submit: Callable[..., Future],
+) -> tuple[FlowNetwork, Future]:
+    """Aggregate ``w`` as :func:`country_level_criticality` does and start its
+    one kernel call with ``submit`` (an executor's), after building the kernel
+    on the calling thread; returns the flow network and the call's future."""
+    _check_sampling(mode, pairs, seed)
+    net = FlowNetwork.from_matrix(aggregate_to_layers(w))
+    _kernel()
+    return net, submit(net._solve_pairs, _pair_set(net.node_count, mode, pairs, seed), drops=True)

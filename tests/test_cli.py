@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import enflow
-from enflow import MrioPeriod, NetworkShape, SourceClass, dataio, flowcrit, load_network
+from enflow import MrioPeriod, NetworkShape, SourceClass, cli, dataio, flowcrit, load_network
 from enflow.cli import main
 from enflow.dataio import CodeBook, MrioDataset, save_dataset
 
@@ -299,6 +300,113 @@ def test_missing_compiler_exits_4(workspace, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "i/o error: cannot compile _maxflow.c with /nonexistent/enflow-cc" in err
     assert "Traceback" not in err
+
+
+def test_a_bad_record_outranks_a_missing_compiler(workspace, monkeypatch, capsys):
+    # The first period is handed over, and its kernel build fails, before the
+    # read reaches the bad record; the record's error is still the one reported.
+    _, out = workspace
+    monkeypatch.setitem(sysconfig.get_config_vars(), "CC", "/nonexistent/enflow-cc")
+    flowcrit._kernel.cache_clear()
+    monkeypatch.setattr(dataio, "_ARC_CHUNK", 1)
+    builds, build = [], flowcrit._build_kernel
+
+    def counted():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(flowcrit, "_build_kernel", counted)
+    path = out / "network_all.npy"
+    arcs = np.load(path)
+    arcs["weight"][-1] = -1.0
+    np.save(path, arcs)
+    assert run("criticality", "--out", out, "--source", "all") == 2
+    assert capsys.readouterr().err == (f"error: {path}: record {arcs.size - 1}: "
+                                       "negative weight -1.0\n")
+    assert builds == [1]
+
+
+def counted_kernel(monkeypatch, hold=None) -> list:
+    """Count the kernel's calls, one entry per call in call order; ``hold(k)``,
+    when given, runs on the worker before call k reaches the kernel."""
+    kernel, calls = flowcrit._kernel(), []
+
+    class Counted:
+        def solve_pairs(self, *args):
+            calls.append(len(calls))
+            if hold is not None:
+                hold(calls[-1])
+            return kernel.solve_pairs(*args)
+
+    monkeypatch.setattr(flowcrit, "_kernel", Counted)
+    return calls
+
+
+def test_a_bad_record_after_the_window_stops_criticality_before_any_file(tmp_path, monkeypatch,
+                                                                          capsys):
+    data, out = tmp_path / "data", tmp_path / "out"
+    assert run(*synth_args(data, shape="3,2,22")) == 0  # 1990 to 2011
+    assert run("build", "--manifest", data / "manifest.json", "--source", "all", "--out", out) == 0
+    path = out / "network_all.npy"
+    arcs = np.load(path)
+    k = int(np.flatnonzero(arcs["year"] == 2010)[0])
+    arcs["weight"][k] = -2.0
+    np.save(path, arcs)
+    monkeypatch.setattr(dataio, "_ARC_CHUNK", 8)  # the window is read long before record k
+    calls = counted_kernel(monkeypatch)
+    capsys.readouterr()
+    assert run("criticality", "--years", "1990:1992", "--source", "all", "--out", out) == 2
+    assert capsys.readouterr() == ("", f"error: {path}: record {k}: negative weight -2.0\n")
+    assert calls  # the window's kernels started while the read went on
+    assert not list(out.glob("criticality_*"))
+
+
+def empty_1991(tmp_path) -> Path:
+    """A 1990 to 1993 workspace whose "all" arc list has no 1991 records,
+    although network_meta.json lists the year."""
+    data, out = tmp_path / "data", tmp_path / "out"
+    assert run(*synth_args(data, shape="3,2,4")) == 0
+    assert run("build", "--manifest", data / "manifest.json", "--out", out) == 0
+    arcs = np.load(out / "network_all.npy")
+    np.save(out / "network_all.npy", arcs[arcs["year"] != 1991])
+    return out
+
+
+def test_a_failing_middle_period_keeps_the_earlier_files_and_scores_the_later_classes(
+        tmp_path, capsys):
+    out = empty_1991(tmp_path)
+    assert run("criticality", "--out", out) == 3
+    assert capsys.readouterr().err == ("numerical error: all 1991: baseline total max flow is "
+                                       "zero; the criticality index is undefined\n")
+    assert sorted(p.name for p in out.glob("criticality_all_*")) == ["criticality_all_1990.csv"]
+    for source in ("renewable", "nonrenewable"):
+        assert len(list(out.glob(f"criticality_{source}_*"))) == 5
+
+
+def test_the_first_failure_drops_the_kernel_calls_still_queued(tmp_path, monkeypatch, capsys):
+    # One worker. 1992's call holds it until 1993's queued call is cancelled,
+    # which the failure of 1991, collected meanwhile, must do.
+    out = empty_1991(tmp_path)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    futures, start = [], cli.start_country_criticality
+
+    def recorded(*args, **kwargs):
+        net, future = start(*args, **kwargs)
+        futures.append(future)
+        return net, future
+
+    def hold(k):
+        deadline = time.monotonic() + 30
+        while k == 2 and not (len(futures) == 4 and futures[3].cancelled()):
+            assert time.monotonic() < deadline, "1993's call was not cancelled"
+            time.sleep(0.001)
+
+    monkeypatch.setattr(cli, "start_country_criticality", recorded)
+    calls = counted_kernel(monkeypatch, hold)
+    assert run("criticality", "--out", out, "--source", "all") == 3
+    assert "numerical error: all 1991: baseline total max flow is zero" in capsys.readouterr().err
+    assert calls == [0, 1, 2] and futures[3].cancelled()
+    assert sorted(p.name for p in out.glob("criticality_*")) == ["criticality_all_1990.csv"]
 
 
 def test_kernel_source_compiles_without_warnings(tmp_path):

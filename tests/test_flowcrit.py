@@ -1,5 +1,9 @@
 import gc
 import math
+import subprocess
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple
 
 import numpy as np
@@ -684,6 +688,27 @@ def test_one_kernel_call_per_period(monkeypatch):
     arc_criticality(random_network(np.random.default_rng(3)))
     arc_criticality(diamond(), "sampled", pairs=5, seed=1)
     assert calls == [7 * 6, 5]
+
+
+def test_threads_that_ask_for_the_kernel_at_once_share_one_build(monkeypatch):
+    builds, compile_ = [], subprocess.run
+
+    def slow_compile(cmd, **kwargs):
+        builds.append(cmd)
+        time.sleep(0.2)  # the other thread asks while this build runs
+        return compile_(cmd, **kwargs)
+
+    monkeypatch.setattr(subprocess, "run", slow_compile)
+    flowcrit._kernel.cache_clear()
+    together = threading.Barrier(2)
+
+    def first_call(_):
+        together.wait()
+        return flowcrit._kernel()
+
+    with ThreadPoolExecutor(2) as pool:
+        kernels = list(pool.map(first_call, range(2)))
+    assert len(builds) == 1 and kernels[0] is kernels[1]
 
 
 def test_drops_and_counts_add_up_over_the_pairs_of_one_call():

@@ -650,6 +650,34 @@ def test_years_window_is_applied_while_loading(tmp_path):
         load_network(tmp_path / "net", SourceClass.ALL, (2050, 2060))
 
 
+def test_each_window_period_is_handed_over_in_order_as_soon_as_it_is_built(tmp_path,
+                                                                           monkeypatch):
+    # 1991 and 1993 have no records; 1989 and 1994 lie outside the window.
+    records = np.array([
+        (1989, 0, 1, 5.0), (1990, 0, 1, 1.0), (1990, 1, 2, 2.0), (1992, 2, 3, 3.0),
+        (1994, 0, 2, 1.0), (1994, 1, 3, 1.0), (1994, 2, 1, 1.0),
+    ], dtype=dataio._ARC_DTYPE)
+    path = tmp_path / "network_all.npy"
+    write_npy(path, records)
+    (tmp_path / "network_meta.json").write_text(json.dumps({
+        "sectors": ["a", "b"], "countries": ["X", "Y"], "periods": list(range(1989, 1995)),
+        "sources": ["all"],
+    }))
+    monkeypatch.setattr(dataio, "_ARC_CHUNK", 2)
+    handed = []
+    net, _ = load_network(tmp_path, SourceClass.ALL, (1990, 1993), each=lambda *p: handed.append(p))
+    assert [label for label, _ in handed] == [1990, 1991, 1992, 1993]
+    assert all(got is kept for (_, got), (_, kept) in zip(handed, net.periods))
+    assert [matrix.nnz for _, matrix in handed] == [2, 0, 1, 0]
+    # The read goes on: a record in the last chunk fails the load after the
+    # whole window was handed over.
+    set_field("weight", 6, -1.0)(path)
+    handed.clear()
+    with pytest.raises(DataFormatError, match="record 6: negative weight -1.0$"):
+        load_network(tmp_path, SourceClass.ALL, (1990, 1993), each=lambda *p: handed.append(p))
+    assert [label for label, _ in handed] == [1990, 1991, 1992, 1993]
+
+
 @pytest.mark.parametrize("command", ["mdhits", "hits", "eig", "criticality"])
 def test_empty_years_window_exits_2(tmp_path, capsys, command):
     make_workspace(tmp_path)
