@@ -7,7 +7,9 @@ Subcommands:
 * mdhits       five-vector scores of a built network (whole horizon and/or per year)
 * hits         classical hub/authority scores per period
 * eig          eigenvector centrality per period
-* criticality  country-level arc criticality per period
+* criticality  country-level arc criticality per period; each period's
+               max-flow kernel starts as soon as the period is read, on
+               one thread per CPU the process may use
 * consumption  consumption aggregates, rankings and incidence tables
 
 ``--out DIR`` is the shared workspace: ``build`` writes network artifacts
@@ -18,7 +20,9 @@ environment: files, compiler, memory. A scoring command that fails on one
 source class still scores the later ones and exits with the first failure's
 code.
 Stdout carries only progress lines. If its reader closes early, a command
-drops the rest, still writes every result file and exits 0.
+drops the rest, still writes every result file and exits 0. Files, progress
+lines and exit codes do not depend on the number of threads, and no flag sets
+it.
 """
 
 from __future__ import annotations
@@ -306,7 +310,8 @@ def cmd_criticality(args) -> int:
         try:
             net, codes = load(each=start)
             ranked = []  # each period's report rows
-            for (label, matrix), solved in zip(net.periods, started):
+            for label, matrix in net.periods:
+                solved = started.pop(0)  # the period's network and result go with its report
                 with _naming(f"{source.value} {label}"):
                     if isinstance(solved, Exception):
                         raise solved

@@ -43,13 +43,10 @@ proofs):
 
 The report counts the arcs that each means settled.
 
-A period's kernel call may run on another thread: it releases the GIL and
-reads only its network's arrays and its own outputs. The ``criticality``
-command starts each period's call (:func:`start_country_criticality`) on a
-pool of one thread per CPU the process may use, as soon as the period is
-read, and hands the started call to :func:`country_level_criticality` once
-the read has ended; every file, progress line and exit code is that of one
-call after another.
+A kernel call releases the GIL and touches only its network's arrays and its
+own outputs, so calls may run on threads: ``criticality`` starts each
+period's call as soon as the period is read (:func:`start_country_criticality`)
+and reports it once the read has ended.
 """
 
 from __future__ import annotations
@@ -443,7 +440,6 @@ def start_country_criticality(
     """Aggregate ``w`` as :func:`country_level_criticality` does and start its
     one kernel call with ``submit`` (an executor's), after building the kernel
     on the calling thread; returns the flow network and the call's future."""
-    _check_sampling(mode, pairs, seed)
     net = FlowNetwork.from_matrix(aggregate_to_layers(w))
     _kernel()
     return net, submit(net._solve_pairs, _pair_set(net.node_count, mode, pairs, seed), drops=True)

@@ -7,6 +7,7 @@ leaking into floating-point sums.
 
 import hashlib
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -217,3 +218,23 @@ def test_acceptance_shape_outputs_keep_their_bytes(tmp_path):
         digest.update(hashlib.sha256(p.read_bytes()).digest())
     assert len(files) == 116
     assert digest.hexdigest() == ACCEPTANCE_DIGEST
+
+
+def test_criticality_bytes_do_not_follow_the_worker_count(tmp_path, monkeypatch, capsys):
+    data, built = str(tmp_path / "data"), tmp_path / "built"
+    assert main(["synth", "--shape", "26,12,27", "--density", "0.05", "--seed", "1",
+                 "--out", data]) == 0
+    assert main(["build", "--manifest", data + "/manifest.json", "--out", str(built)]) == 0
+    for flags in ([], ["--mode", "sampled", "--seed", "0", "--years", "1990:1992"]):
+        written = []
+        for cpus in ({0}, {0, 1}):  # one worker, then two
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+            out = tmp_path / f"{len(flags)}-{len(cpus)}"
+            shutil.copytree(built, out)
+            capsys.readouterr()
+            assert main(["criticality", "--out", str(out), *flags]) == 0
+            printed = capsys.readouterr().out.replace(str(out), "OUT")
+            written.append((printed, {p.name: p.read_bytes() for p in sorted(out.iterdir())}))
+        assert written[0] == written[1]
+        assert len([name for name in written[0][1] if name.startswith("criticality_")]) == (
+            3 * 28 if not flags else 3 * 4)
