@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+import threading
 import time
 import tracemalloc
 from pathlib import Path
@@ -252,13 +253,16 @@ def test_out_of_memory_exits_4(tmp_path, capsys):
     assert err.startswith("error: out of memory: ") and err.count("\n") == 1
 
 
-def no_memory_kernel(monkeypatch) -> list:
-    """Stub the kernel: each call records its node and pair counts and fails."""
-    calls = []
+def no_memory_kernel(monkeypatch, together: int = 1) -> list:
+    """Stub the kernel: each call records its node and pair counts and fails
+    once ``together`` calls have reached it, so that none of them can be
+    dropped as queued behind an earlier failure."""
+    calls, met = [], threading.Barrier(together)
 
     class NoMemory:
         def solve_pairs(self, n, *args):
             calls.append((n, args[6]))  # node and pair counts
+            met.wait(timeout=30)
             return 3  # the kernel's code when its malloc fails
 
     monkeypatch.setattr(flowcrit, "_kernel", NoMemory)
@@ -268,14 +272,15 @@ def no_memory_kernel(monkeypatch) -> list:
 def test_kernel_out_of_memory_exits_4(workspace, monkeypatch, capsys):
     _, out = workspace
     message = "error: out of memory: max-flow kernel is out of memory\n"
-    calls = no_memory_kernel(monkeypatch)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})  # a worker per period
+    calls = no_memory_kernel(monkeypatch, together=2)
     assert run("criticality", "--out", out, "--source", "all") == 4
-    assert calls == [(2, 2)]  # one call for both pairs of the first period's 2 countries
+    assert calls == [(2, 2)] * 2  # each period's call, for both pairs of its 2 countries
     assert capsys.readouterr().err == message
     # A class that runs out of memory does not stop the later classes.
     calls.clear()
     assert run("criticality", "--out", out) == 4
-    assert calls == [(2, 2)] * 3
+    assert calls == [(2, 2)] * 2 * 3
     assert capsys.readouterr().err == message * 3
 
 
