@@ -45,8 +45,10 @@ The report counts the arcs that each means settled.
 
 A kernel call releases the GIL and touches only its network's arrays and its
 own outputs, so calls may run on threads: ``criticality`` starts each
-period's call as soon as the period is read (:func:`start_country_criticality`)
-and reports it once the read has ended.
+period's call as soon as the period is read (:func:`start_country_criticality`),
+on one thread per CPU the process may use, and reports it once the read has
+ended. Each period is still one call, so the files, progress lines and exit
+codes do not depend on the thread count, and no flag sets it.
 """
 
 from __future__ import annotations

@@ -57,6 +57,19 @@ for n, arcs, pair, arc, after in [
     values, _, drops, _ = net._solve_pairs([pair], drops=True)
     assert drops[arc] == values[0] - after, (arcs, drops[arc])
 
+# certify on corrupted residuals: slot 1 holds the flow on arc (0, 1).
+net = padded(4, [(0, 1, 3.0), (0, 2, 2.0), (1, 3, 2.0), (2, 3, 3.0)])
+value, cap = net.solve(0, 3)
+net._certify(cap, 0, 3, value)
+for slot_1, claimed in [(cap[1], value + 0.5), (cap[1] - 0.5, value), (4.0, value)]:
+    corrupted = cap.copy()
+    corrupted[1] = slot_1
+    try:
+        net._certify(corrupted, 0, 3, claimed)
+    except flowcrit.FlowCertificateError:
+        continue
+    raise AssertionError(f"certified slot 1 = {slot_1}, value {claimed}")
+
 # A seeded batch of the screens' graphs: every drop against a re-solve without the arc.
 rng = np.random.default_rng(7)
 for _ in range(60):
