@@ -1170,6 +1170,7 @@ def load_network(
             key, weights = (np.concatenate(column) for column in zip(*pieces))
             pieces.clear()
             matrices[current] = SupraAdjacency.from_entries(shape, key, weights)
+            del key, weights  # the period's largest temporaries, freed before the hook runs
         while done < len(window) and (following is None or window[done] < following):
             label = window[done]
             if label not in matrices:  # a listed period without records

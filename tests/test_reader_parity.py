@@ -678,6 +678,35 @@ def test_each_window_period_is_handed_over_in_order_as_soon_as_it_is_built(tmp_p
     assert [label for label, _ in handed] == [1990, 1991, 1992, 1993]
 
 
+def test_the_hook_runs_once_the_periods_entries_are_freed(tmp_path, monkeypatch):
+    # What a hook allocates comes on top of the matrices built so far and one
+    # small chunk, not of the 16 bytes per arc that a matrix is built from.
+    monkeypatch.setattr(dataio, "_ARC_CHUNK", 1024)
+    arcs = 150_000
+    records = np.zeros(2 * arcs, dtype=dataio._ARC_DTYPE)
+    records["year"] = np.repeat([1990, 1991], arcs)
+    records["row"], records["col"] = np.divmod(np.tile(np.arange(arcs), 2), 400)
+    records["weight"] = 1.0
+    write_npy(tmp_path / "network_all.npy", records)
+    (tmp_path / "network_meta.json").write_text(json.dumps({
+        "sectors": [f"s{i}" for i in range(20)], "countries": [f"c{i}" for i in range(20)],
+        "periods": [1990, 1991], "sources": ["all"],
+    }))
+    held, built = [], 0
+
+    def each(label, matrix):
+        nonlocal built
+        built += matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes
+        held.append(tracemalloc.get_traced_memory()[0] - built)
+
+    tracemalloc.start()
+    try:
+        load_network(tmp_path, SourceClass.ALL, each=each)
+    finally:
+        tracemalloc.stop()
+    assert len(held) == 2 and max(held) < 2 * arcs, held
+
+
 @pytest.mark.parametrize("command", ["mdhits", "hits", "eig", "criticality"])
 def test_empty_years_window_exits_2(tmp_path, capsys, command):
     make_workspace(tmp_path)
