@@ -1184,8 +1184,12 @@ def load_network(
         year, row, col, weight = (np.ascontiguousarray(chunk[f]) for f in _ARC_DTYPE.names)
         del chunk
         before = np.concatenate((year[:1] if current is None else [current], year[:-1]))
+        # Each run of one year is its period's next piece; its year is looked up once.
+        cuts = (np.flatnonzero(year[1:] != year[:-1]) + 1).tolist()
+        runs = np.array([0, *cuts])
+        listed = np.repeat(np.isin(year[runs], periods), np.diff(runs, append=year.size))
         hit = first_failure([
-            (~np.isin(year, periods), lambda k: f"year {year[k]} not listed in {meta_path.name}"),
+            (~listed, lambda k: f"year {year[k]} not listed in {meta_path.name}"),
             (year < before, lambda k: f"year {year[k]} follows year {before[k]}; "
                                       "records must be in period order"),
             ((row < 0) | (row >= dim), lambda k: f"row {row[k]} outside [0, {dim})"),
@@ -1196,8 +1200,6 @@ def load_network(
         if hit is not None:
             k, message = hit
             raise DataFormatError(f"record {start + k}: {message(k)}", path=str(path))
-        # Records are in period order, so each run of one year is its period's next piece.
-        cuts = (np.flatnonzero(year[1:] != year[:-1]) + 1).tolist()
         for lo, hi in zip([0, *cuts], [*cuts, year.size]):
             if year[lo] != current:
                 close(int(year[lo]))
