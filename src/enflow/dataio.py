@@ -1158,7 +1158,7 @@ def load_network(
             raise ValidationError("period restriction removed every period")
 
     dim, window = shape.supra_dim, labels.tolist()
-    kept = set(window)
+    kept, listed = set(window), set(periods.tolist())
     matrices, pieces, current = {}, [], None  # current: the year of the last record read
     done = 0  # the window periods whose matrices are final
 
@@ -1183,22 +1183,26 @@ def load_network(
     for start, chunk in _read_arcs(path):
         year, row, col, weight = (np.ascontiguousarray(chunk[f]) for f in _ARC_DTYPE.names)
         del chunk
-        before = np.concatenate((year[:1] if current is None else [current], year[:-1]))
-        # Each run of one year is its period's next piece; its year is looked up once.
+        # Records are in period order, so each run of one year is its period's next piece.
         cuts = (np.flatnonzero(year[1:] != year[:-1]) + 1).tolist()
-        runs = np.array([0, *cuts])
-        listed = np.repeat(np.isin(year[runs], periods), np.diff(runs, append=year.size))
-        hit = first_failure([
-            (~listed, lambda k: f"year {year[k]} not listed in {meta_path.name}"),
-            (year < before, lambda k: f"year {year[k]} follows year {before[k]}; "
-                                      "records must be in period order"),
-            ((row < 0) | (row >= dim), lambda k: f"row {row[k]} outside [0, {dim})"),
-            ((col < 0) | (col >= dim), lambda k: f"col {col[k]} outside [0, {dim})"),
-            (~np.isfinite(weight), lambda k: f"non-finite weight {weight[k]}"),
-            (weight < 0, lambda k: f"negative weight {weight[k]}"),
-        ])
-        if hit is not None:
-            k, message = hit
+        runs = ([] if current is None else [current]) + year[[0, *cuts]].tolist()
+        # A chunk is checked by its runs' years and each column's min and max (NaN
+        # fails both); only a chunk that fails builds per-record masks, to name its
+        # first bad record.
+        if not (set(runs) <= listed and runs == sorted(runs)
+                and 0 <= row.min() and row.max() < dim and 0 <= col.min() and col.max() < dim
+                and 0 <= weight.min() and weight.max() < np.inf):
+            before = np.concatenate((year[:1] if current is None else [current], year[:-1]))
+            k, message = first_failure([
+                (~np.isin(year, periods), lambda k: f"year {year[k]} not listed in "
+                                                    f"{meta_path.name}"),
+                (year < before, lambda k: f"year {year[k]} follows year {before[k]}; "
+                                          "records must be in period order"),
+                ((row < 0) | (row >= dim), lambda k: f"row {row[k]} outside [0, {dim})"),
+                ((col < 0) | (col >= dim), lambda k: f"col {col[k]} outside [0, {dim})"),
+                (~np.isfinite(weight), lambda k: f"non-finite weight {weight[k]}"),
+                (weight < 0, lambda k: f"negative weight {weight[k]}"),
+            ])
             raise DataFormatError(f"record {start + k}: {message(k)}", path=str(path))
         for lo, hi in zip([0, *cuts], [*cuts, year.size]):
             if year[lo] != current:

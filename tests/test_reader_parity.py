@@ -494,6 +494,7 @@ NPY_FAULTS = {
     "row_out_of_range": (set_field("row", 3, 9), "record 3: row 9 outside [0, 9)"),
     "col_out_of_range": (set_field("col", 3, 9), "record 3: col 9 outside [0, 9)"),
     "nan_weight": (set_field("weight", 3, np.nan), "record 3: non-finite weight nan"),
+    "inf_weight": (set_field("weight", 3, np.inf), "record 3: non-finite weight inf"),
     "negative_weight": (set_field("weight", 3, -2.0), "record 3: negative weight -2.0"),
 }
 
@@ -521,6 +522,20 @@ def test_bad_record_first_in_the_second_chunk_is_reported_alike(tmp_path, monkey
     edit(path)
     monkeypatch.setattr(dataio, "_ARC_CHUNK", int(re.match(r"record (\d+):", message)[1]))
     with pytest.raises(DataFormatError, match="^" + re.escape(f"{path}: {message}") + "$"):
+        load_network(tmp_path / "net", SourceClass.ALL)
+
+
+@pytest.mark.parametrize("split", [True, False])
+def test_an_unlisted_year_in_period_order_is_named(tmp_path, monkeypatch, split):
+    # 1993 follows 1992, so only the meta file's period list rejects it.
+    make_workspace(tmp_path)
+    path = tmp_path / "net" / "network_all.npy"
+    last = np.load(path).size - 1
+    set_field("year", last, 1993)(path)
+    if split:
+        monkeypatch.setattr(dataio, "_ARC_CHUNK", last)
+    with pytest.raises(DataFormatError, match="^" + re.escape(
+            f"{path}: record {last}: year 1993 not listed in network_meta.json") + "$"):
         load_network(tmp_path / "net", SourceClass.ALL)
 
 
