@@ -50,9 +50,9 @@ import numpy as np
 from .centrality import MdHitsScores
 from .errors import DataFormatError, ValidationError, first_failure
 from .flowcrit import ArcCriticalityReport
-from .leontief import ENERGY_CARRIERS, MrioPeriod, SourceClass
+from .leontief import ENERGY_CARRIERS, MrioPeriod, SourceClass, overused_column
 from .multinet import (EntityCodes, NetworkShape, SupraAdjacency, TemporalMultilayerNetwork,
-                       stacked_entries)
+                       merged, stacked_entries)
 
 __all__ = [
     "CodeBook",
@@ -553,7 +553,6 @@ def _read_table(
     periods: np.ndarray | None = None,
     orphan: str = "",
     duplicate: str,
-    records: bool = False,
 ) -> _Table:
     """Parse and validate one CSV table of ``_SCHEMAS[kind]``, chunk by chunk.
 
@@ -569,9 +568,8 @@ def _read_table(
 
     Each year's columns are an index per entity (a country column and the
     sector column after it give one supra index, country * sectors + sector;
-    any other code column its own index) and the value, after the 0-based
-    record numbers when ``records``. A read holds these, a bitmap of the keys
-    seen in each year (a bit per possible key) and one chunk.
+    any other code column its own index) and the value. A read holds these, a
+    bitmap of the keys seen in each year (a bit per possible key) and one chunk.
     """
     columns = _SCHEMAS[kind]
     code_columns = columns[1:-1]
@@ -627,9 +625,8 @@ def _read_table(
         # Only the records before the first other failure can fail as duplicates.
         kept = np.flatnonzero(live[: year.size if hit is None else hit[0]])
         year = year[kept]
-        kept_columns = ([start + kept] if records else []) + [
-            e[kept].astype(index) for e in entities] + [value[kept]]
-        key = np.ravel_multi_index(kept_columns[int(records):-1], dims)
+        kept_columns = [e[kept].astype(index) for e in entities] + [value[kept]]
+        key = np.ravel_multi_index(kept_columns[:-1], dims)
         repeated = np.zeros(kept.size, dtype=bool)
         for y in np.unique(year).tolist():
             at = year == y
@@ -704,38 +701,31 @@ def load_dataset(manifest: DatasetManifest) -> MrioDataset:
     window = manifest.years
 
     out = _read_table(
-        manifest.outputs, "outputs", codebook, window=window, records=True,
+        manifest.outputs, "outputs", codebook, window=window,
         duplicate="duplicate output for year {year}, {country}/{sector}",
     )
     years = _years(out, manifest.outputs, window)
     outputs = np.zeros((years.size, dim))
-    output_record = np.full((years.size, dim), -1)
-    for t, (record, h, value) in enumerate(out.values()):
+    for t, (h, value) in enumerate(out.values()):
         outputs[t, h] = value
-        output_record[t, h] = record
 
     def read(path: Path, kind: str, what: str, duplicate: str) -> _Table:
         return _read_table(path, kind, codebook, window=window, periods=years,
                            orphan=f"year {{year}} has {what} but no outputs", duplicate=duplicate)
 
     tx = read(manifest.transactions, "transactions", "transactions", "duplicate transaction key")
-    # Column use must not exceed the declared output, and any use needs output.
-    col_use = np.zeros((years.size, dim))
-    for t, (_, dst, value) in zip(np.searchsorted(years, list(tx)), tx.values()):
-        positive = value > 0
-        col_use[t] = np.bincount(dst[positive], weights=value[positive], minlength=dim)
-    over = (col_use > outputs * (1 + 1e-9) + 1e-12) | ((outputs == 0) & (col_use > 0))
-    hit = first_failure([(over.reshape(-1), None)])
-    if hit is not None:
-        t, k = divmod(hit[0], dim)
-        r = int(output_record[t, k])
-        raise DataFormatError(
-            f"year {years[t]}: column {codebook.country_codes[k // n]}/"
-            f"{codebook.sector_codes[k % n]} uses {col_use[t, k]} "
-            f"but output is {outputs[t, k]}",
-            path=str(manifest.outputs),
-            line=_record(manifest.outputs, r)[0] if r >= 0 else None,
-        )
+    for t, (row, col, value) in zip(np.searchsorted(years, list(tx)), tx.values()):
+        key, use = merged(row.astype(np.int64) * dim + col, value)  # in (row, col) order, as U
+        hit = overused_column(key % dim, use, outputs[t])
+        if hit is not None:
+            k, use, _ = hit
+            year = int(years[t])
+            code = [codebook.country_codes[k // n], codebook.sector_codes[k % n]]
+            # The column's outputs record, if any, found as every read error finds its own.
+            line = next((line for line, fields in _records(manifest.outputs) if _number(
+                fields[0], int) == year and [f.strip() for f in fields[1:3]] == code), None)
+            raise DataFormatError(f"year {year}: column {'/'.join(code)} uses {use} but output is "
+                                  f"{outputs[t, k]}", path=str(manifest.outputs), line=line)
 
     consumption = _energy_block(manifest, codebook, years)[1]
 

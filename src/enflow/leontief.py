@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError, NonProductiveEconomyError, ValidationError, first_failure
+from .errors import ConvergenceError, NonProductiveEconomyError, ValidationError
 from .multinet import NetworkShape, SupraAdjacency, TemporalMultilayerNetwork, _nonnegative_csr
 
 if TYPE_CHECKING:
@@ -81,6 +81,17 @@ class SourceClass(enum.Enum):
         return np.add.reduce(f[..., self.rows, :], axis=-2, initial=0.0)
 
 
+def overused_column(col, use, output: np.ndarray) -> tuple[int, np.float64, bool] | None:
+    """The one column-use rule: column k's use, its ``use`` entries (those at ``col``
+    k) summed from 0.0 as given, in U's (row, col) order, may exceed ``output[k]``
+    by 1e-9 of it plus 1e-12, and needs a positive output. The first column that
+    breaks it, with its use and whether that exceeds the slack; else None."""
+    total = np.bincount(col, use, output.size)
+    over = total > output * (1 + 1e-9) + 1e-12
+    broken = np.flatnonzero(over | (output == 0) & (total > 0))[:1]
+    return next(((int(k), total[k], bool(over[k])) for k in broken), None)
+
+
 class MrioPeriod:
     """One period of raw multi-region input-output accounts.
 
@@ -124,15 +135,12 @@ class MrioPeriod:
         if not np.all(np.isfinite(o)) or o.min(initial=0.0) < 0:
             raise ValidationError(f"period {label}: total output must be finite and >= 0")
 
-        col_use = np.asarray(u.sum(axis=0)).reshape(-1)
-        # Column use may not exceed output (allow harmless float slack), and any use needs output.
-        hit = first_failure((
-            (col_use > o * (1 + 1e-9) + 1e-12, lambda k: f"uses {col_use[k]} but output is {o[k]}"),
-            ((o == 0) & (col_use > 0), lambda k: "has zero output but positive intermediate use"),
-        ))
+        hit = overused_column(u.indices, u.data, o)
         if hit is not None:
-            k, message = hit
-            raise ValidationError(f"period {label}: column {k} {message(k)}")
+            k, use, over = hit
+            problem = (f"uses {use} but output is {o[k]}" if over
+                       else "has zero output but positive intermediate use")
+            raise ValidationError(f"period {label}: column {k} {problem}")
 
         f_shape = (len(ENERGY_CARRIERS), dim)
         try:

@@ -29,6 +29,7 @@ from enflow import (
     save_network,
     spectral_radius_estimate,
 )
+from enflow.cli import main
 from enflow.dataio import CodeBook, MrioDataset, load_code_list
 
 from accounts import demand_dict, energy_array, energy_dict, supra
@@ -251,6 +252,31 @@ def test_tiny_use_of_zero_output_rejected_with_its_line(tmp_path):
         message = f"outputs.csv{where}: year 2000: column C2/S1 uses 1e-12 but output is 0.0"
         with pytest.raises(DataFormatError, match=message):
             load_dataset(DatasetManifest.from_json(manifest_path))
+
+
+def test_column_use_is_named_at_its_outputs_line_in_any_record_order(tmp_path, capsys):
+    # A/S receives 0.1, 0.2 and 0.3 from A, B and C. Summed in (row, col) order
+    # they give 0.6000000000000001, above the output's slack; in reverse record
+    # order they would give 0.6, within it.
+    for name, text in (("sectors", "code,name\nS,s\n"),
+                       ("countries", "code,name\nA,a\nB,b\nC,c\n"),
+                       ("outputs", "year,country,sector,total_output\n"
+                                   "1990,A,S,0.599999999399\n1990,B,S,1\n1990,C,S,1\n"),
+                       ("energy", "year,country,sector,source,value\n1990,A,S,coal,1\n"),
+                       ("final_demand", "year,src_country,sector,dst_country,value\n"
+                                        "1990,A,S,B,1\n")):
+        (tmp_path / f"{name}.csv").write_text(text)
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({name: f"{name}.csv" for name in (
+        "transactions", "outputs", "energy", "final_demand", "sectors", "countries")}))
+    records = ["1990,A,S,A,S,0.1", "1990,B,S,A,S,0.2", "1990,C,S,A,S,0.3"]
+    for order in (records, records[::-1]):
+        (tmp_path / "transactions.csv").write_text(
+            "year,src_country,src_sector,dst_country,dst_sector,value\n" + "\n".join(order) + "\n")
+        assert main(["build", "--manifest", str(manifest), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'outputs.csv'}:2: year 1990: column A/S uses "
+            "0.6000000000000001 but output is 0.599999999399\n")
 
 
 def test_unknown_source_rejected(tmp_path):

@@ -89,6 +89,17 @@ def test_mrio_period_names_the_first_column_that_fails_either_check():
                    np.zeros((2, 1)))
 
 
+def test_mrio_period_sums_column_use_in_row_order_whatever_the_entry_order():
+    # 0.1 + 0.2 + 0.3 exceeds the output's slack, 0.3 + 0.2 + 0.1 does not; the
+    # entries of column 0 are summed in row order however they are given.
+    values, rows, output = np.array([0.1, 0.2, 0.3]), np.arange(3), np.array([0.599999999399, 1, 1])
+    for order in (slice(None), slice(None, None, -1)):
+        use = sparse.coo_array((values[order], (rows[order], [0, 0, 0])), shape=(3, 3))
+        with pytest.raises(ValidationError, match="^period 1990: column 0 uses 0.6000000000000001 "
+                                                  "but output is 0.599999999399$"):
+            MrioPeriod(1990, NetworkShape(1, 3), use, output, energy_array(3), np.zeros((3, 3)))
+
+
 def test_energy_carriers_are_the_sorted_carrier_names():
     assert ENERGY_CARRIERS == tuple(sorted(RENEWABLE + NONRENEWABLE))
 
