@@ -295,8 +295,10 @@ def cmd_criticality(args) -> int:
     sampling = {"pairs": args.pairs, "seed": args.seed}
 
     def run(source, load):
-        # One kernel call per period, started on the pool as the period is read.
-        pool, started = ThreadPoolExecutor(len(os.sched_getaffinity(0))), []
+        # One kernel call per period, started on the pool as the period is read: a
+        # thread per CPU the process may use, or per CPU where affinity is unknown.
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        pool, started = ThreadPoolExecutor(cpus or 1), []
 
         def start(label, matrix):
             if started and isinstance(started[-1], Exception):

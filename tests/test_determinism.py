@@ -5,6 +5,7 @@ which shares one string-hash seed, so they cannot see set iteration order
 leaking into floating-point sums.
 """
 
+import concurrent.futures
 import hashlib
 import os
 import shutil
@@ -238,3 +239,34 @@ def test_criticality_bytes_do_not_follow_the_worker_count(tmp_path, monkeypatch,
         assert written[0] == written[1]
         assert len([name for name in written[0][1] if name.startswith("criticality_")]) == (
             3 * 28 if not flags else 3 * 4)
+
+
+def test_criticality_sizes_its_pool_by_cpu_count_where_affinity_is_unknown(tmp_path, monkeypatch,
+                                                                         capsys):
+    # os.sched_getaffinity is missing on macOS and Windows; os.cpu_count() may be None.
+    data, built = str(tmp_path / "data"), tmp_path / "built"
+    assert main(["synth", "--shape", "4,5,3", "--density", "0.5", "--seed", "2",
+                 "--out", data]) == 0
+    assert main(["build", "--manifest", data + "/manifest.json", "--out", str(built)]) == 0
+    mask, executor = len(os.sched_getaffinity(0)), concurrent.futures.ThreadPoolExecutor
+    workers = []
+
+    def recorded(max_workers):
+        workers.append(max_workers)
+        return executor(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recorded)
+    written = []
+    for cpus in ("mask", 3, None):
+        if cpus != "mask":
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
+        out = tmp_path / str(cpus)
+        shutil.copytree(built, out)
+        capsys.readouterr()
+        assert main(["criticality", "--out", str(out)]) == 0
+        printed = capsys.readouterr().out.replace(str(out), "OUT")
+        written.append((printed, {p.name: p.read_bytes() for p in sorted(out.iterdir())}))
+    assert written[0] == written[1] == written[2]
+    assert len([name for name in written[0][1] if name.startswith("criticality_")]) == 3 * 4
+    assert workers == [mask] * 3 + [3] * 3 + [1] * 3
