@@ -157,9 +157,6 @@ class FlowNetwork:
             raise ValidationError(
                 f"parallel arcs ({tails[a]}, {heads[a]}) merge to a capacity that is not finite"
             )
-        self.arcs: tuple[tuple[int, int, float], ...] = tuple(
-            zip(tails.tolist(), heads.tolist(), capacity.tolist())
-        )
         ends = np.column_stack((tails, heads)).astype(np.intc)
         owner = ends.ravel()  # slot 2a leaves the tail, slot 2a+1 the head
         self.to = np.ascontiguousarray(ends[:, ::-1]).ravel()
@@ -174,6 +171,12 @@ class FlowNetwork:
         # alive, and a reassigned public attribute cannot leave a stale pointer.
         arrays = (self.to, self.start, self.adj, self.base_cap)
         self._static = arrays, tuple(a.ctypes.data for a in arrays)
+
+    @functools.cached_property
+    def arcs(self) -> tuple[tuple[int, int, float], ...]:
+        """The (tail, head, capacity) triples in arc order, made on first read."""
+        return tuple(zip(self.to[1::2].tolist(), self.to[0::2].tolist(),
+                         self.base_cap[0::2].tolist()))
 
     @classmethod
     def from_matrix(cls, matrix) -> "FlowNetwork":
@@ -202,10 +205,10 @@ class FlowNetwork:
         pairs = np.ascontiguousarray(pairs, dtype=np.intc)
         (*_, base_cap), pointers = self._static
         values, cap = np.empty(len(pairs)), np.empty_like(base_cap)
-        sums = (np.zeros(len(self.arcs)), np.zeros(3, dtype=np.int64)) if drops else (None, None)
+        sums = (np.zeros(cap.size // 2), np.zeros(3, dtype=np.int64)) if drops else (None, None)
         where = ctypes.c_int()
         code = _kernel().solve_pairs(
-            self.node_count, len(self.arcs), *pointers, self.scale, len(pairs),
+            self.node_count, cap.size // 2, *pointers, self.scale, len(pairs),
             pairs.ctypes.data, cap.ctypes.data, values.ctypes.data,
             *(None if a is None else a.ctypes.data for a in sums), ctypes.byref(where),
         )
@@ -222,7 +225,7 @@ class FlowNetwork:
             raise ValidationError(f"residual has shape {cap.shape}, expected {base_cap.shape}")
         work, where = np.empty(2 * self.node_count), ctypes.c_int()
         code = _kernel().certify(
-            self.node_count, len(self.arcs), to, base, cap.ctypes.data, self.scale, source,
+            self.node_count, cap.size // 2, to, base, cap.ctypes.data, self.scale, source,
             target, value, work.ctypes.data, ctypes.byref(where),
         )
         _raise_for(code, where.value)
@@ -236,7 +239,7 @@ class FlowNetwork:
                 raise ValidationError(f"{name} node {v} outside 0..{self.node_count - 1}")
 
     def __repr__(self) -> str:
-        return f"FlowNetwork(nodes={self.node_count}, arcs={len(self.arcs)})"
+        return f"FlowNetwork(nodes={self.node_count}, arcs={self.base_cap.size // 2})"
 
 
 _CERTIFICATE_ERRORS = {

@@ -24,6 +24,7 @@ from enflow import (
     max_flow,
 )
 from enflow.flowcrit import _pair_set
+from enflow.multinet import merged
 
 from accounts import supra
 from oracles import lp_max_flow, min_cut_value
@@ -127,6 +128,19 @@ def test_arcs_from_arrays_and_iterators():
     assert FlowNetwork(2, iter([(np.int64(1), 0, 2), (0, 1, 1.5)])).arcs == want
     assert FlowNetwork(np.int64(2), []).arcs == ()
     assert FlowNetwork(3, np.empty((0, 3))).arcs == ()
+
+
+def test_solving_and_scoring_leave_the_arc_tuple_unbuilt():
+    net = diamond()
+    arc_criticality(net)
+    value, cap = net.solve(0, 3)
+    net._certify(cap, 0, 3, value)
+    assert repr(net) == "FlowNetwork(nodes=4, arcs=4)"
+    w = supra(NetworkShape(1, 3), [(0, 1, 2.0), (1, 0, 1.0), (2, 0, 3.0)])
+    with ThreadPoolExecutor(1) as pool:
+        started = flowcrit.start_country_criticality(w, submit=pool.submit)
+        country_level_criticality(w, solved=started)
+    assert "arcs" not in vars(net) and "arcs" not in vars(started[0])
 
 
 def test_from_matrix_drops_diagonal():
@@ -629,11 +643,31 @@ DECIMALS = st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.7, 1 / 3, 2 / 3, 1.1, 3.0, 1e-
 
 
 @st.composite
-def decimal_networks(draw):
+def decimal_arcs(draw):
+    """A node count and its arc triples, self-loops left out."""
     n = draw(st.integers(2, 12))
     node = st.integers(0, n - 1)
     edges = draw(st.lists(st.tuples(node, node, DECIMALS), min_size=2 * n, max_size=5 * n))
-    return FlowNetwork(n, [(a, b, c) for a, b, c in edges if a != b])
+    return n, [(a, b, c) for a, b, c in edges if a != b]
+
+
+def decimal_networks():
+    return decimal_arcs().map(lambda drawn: FlowNetwork(*drawn))
+
+
+@settings(max_examples=100, deadline=None)
+@given(drawn=decimal_arcs())
+def test_arcs_are_made_on_first_read_as_the_constructor_made_them(drawn):
+    # The tuple the constructor built before ``arcs`` was derived from the arrays.
+    n, arcs = drawn
+    key, capacity = merged(*flowcrit._checked_arcs(arcs, n))
+    tails, heads = np.divmod(key, n)
+    built = tuple(zip(tails.tolist(), heads.tolist(), capacity.tolist()))
+    net = FlowNetwork(n, arcs)
+    assert "arcs" not in vars(net)
+    assert net.arcs == built
+    assert [(type(t), type(h), c.hex()) for t, h, c in net.arcs] == [
+        (int, int, c.hex()) for _, _, c in built]
 
 
 @settings(max_examples=100, deadline=None)
