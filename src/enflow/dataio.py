@@ -1122,13 +1122,9 @@ def load_network(
     meta_path = directory / "network_meta.json"
     if not meta_path.exists():
         raise ValidationError(f"no network artifacts found in {directory} (missing meta file)")
-    meta = _read_json_object(meta_path)
-    for key, kind in (("sectors", str), ("countries", str), ("periods", int), ("sources", str)):
-        value = meta.get(key)
-        if not isinstance(value, list) or not all(type(v) is kind for v in value):
-            raise DataFormatError(
-                f"{key!r} must be a list of {kind.__name__}", path=str(meta_path)
-            )
+    raw = _read_json_object(meta_path)
+    meta = {key: _decode(tuple[kind, ...], raw.get(key), repr(key), meta_path) for key, kind
+            in (("sectors", str), ("countries", str), ("periods", int), ("sources", str))}
     outside = next((p for p in meta["periods"] if p not in _INT64), None)
     if outside is not None:
         raise DataFormatError(f"period {outside} is out of the int64 range", path=str(meta_path))
@@ -1138,7 +1134,7 @@ def load_network(
             f"network artifact for source {source.value!r} not found: {path} is missing or "
             f"not listed in {meta_path.name}; run the build step first"
         )
-    codes = EntityCodes(tuple(meta["sectors"]), tuple(meta["countries"]))
+    codes = EntityCodes(meta["sectors"], meta["countries"])
     shape = NetworkShape(codes.n_nodes, codes.n_layers, 1)
     periods = np.unique(np.array(meta["periods"], dtype=np.int64))
     labels = periods

@@ -115,13 +115,16 @@ def test_malformed_manifest_exits_2_naming_the_file(tmp_path, capsys, content, m
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("corrupt, message", [
+CORRUPT_META = [
     (lambda meta: "{not json", "invalid JSON"),
     (lambda meta: "[1, 2]", "expected a JSON object, got list"),
     (lambda meta: json.dumps({**meta, "sources": 5}), "'sources' must be an array, got int"),
     (lambda meta: json.dumps({**meta, "sources": "all"}), "'sources' must be an array, got str"),
     (lambda meta: json.dumps({**meta, "sources": [1]}), "'sources'[0] must be a string, got int"),
-])
+]
+
+
+@pytest.mark.parametrize("corrupt, message", CORRUPT_META)
 def test_corrupt_network_meta_exits_2_naming_the_file(tmp_path, capsys, corrupt, message):
     data, out = tmp_path / "data", tmp_path / "out"
     assert run("synth", "--shape", "2,2,2", "--out", data) == 0
@@ -132,6 +135,19 @@ def test_corrupt_network_meta_exits_2_naming_the_file(tmp_path, capsys, corrupt,
     assert run("build", "--manifest", data / "manifest.json", "--out", out) == 2
     err = capsys.readouterr().err
     assert f"network_meta.json: {message}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("corrupt, message", CORRUPT_META)
+def test_hits_reads_a_corrupt_network_meta_as_build_does(tmp_path, capsys, corrupt, message):
+    data, out = tmp_path / "data", tmp_path / "out"
+    assert run("synth", "--shape", "2,2,2", "--out", data) == 0
+    assert run("build", "--manifest", data / "manifest.json", "--source", "all", "--out", out) == 0
+    meta_path = out / "network_meta.json"
+    meta_path.write_text(corrupt(json.loads(meta_path.read_text())))
+    capsys.readouterr()
+    assert run("hits", "--source", "all", "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {meta_path}: {message}") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [
