@@ -609,7 +609,7 @@ def test_arc_list_holds_the_csv_export_in_file_order(tmp_path):
 @pytest.mark.parametrize("meta, message", [
     ("[1, 2]", "expected a JSON object, got list"),
     ("{", "invalid JSON"),
-    (None, "'periods' must be a list of int"),
+    (None, "'periods' must be an array, got NoneType"),
 ])
 def test_network_meta_errors(tmp_path, meta, message):
     make_workspace(tmp_path)
