@@ -440,6 +440,24 @@ def test_md_hits_traces_at_most_16_bytes_per_arc():
     assert peak <= 16 * arcs, peak / arcs
 
 
+def test_md_hits_stops_at_its_sweep_cap():
+    rng = np.random.default_rng(3)
+    net = net_from_dense([rng.uniform(0.1, 1.0, (4, 4))], 2, 2)
+    with pytest.raises(ConvergenceError,
+                       match=r"^five-vector iteration did not reach tolerance 1e-300 in 2 sweeps "
+                             r"\(last residual \d\.\d{3}e[-+]\d\d\)$") as err:
+        md_hits(net, tol=1e-300, max_iter=2)
+    assert len(err.value.residuals) == 2
+
+
+def test_md_hits_update_that_underflows_to_zero_is_a_numerical_error():
+    # The one weight is the least subnormal: half of it rounds to 0.0.
+    net = net_from_dense([np.array([[0.0, 5e-324], [0.0, 0.0]])], 1, 2)
+    with pytest.raises(NumericalError,
+                       match="^score update collapsed to zero; weights degenerate$"):
+        md_hits(net, gamma=[1.0] * 5)
+
+
 def test_md_hits_single_period_wrapper():
     rng = np.random.default_rng(23)
     shape = NetworkShape(26, 3)

@@ -202,6 +202,17 @@ def test_validation_exit_codes(tmp_path):
     assert run("mdhits", "--out", tmp_path, "--gamma", "1,2") == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["hits", "--years", "1992:1990"], "--years range is empty: '1992:1990'"),
+    (["mdhits", "--gamma", "a,b"], "--gamma must be five comma-separated numbers, got 'a,b'"),
+    (["synth", "--shape", "4,3"], "--shape must look like N,L,T, got '4,3'"),
+])
+def test_malformed_flag_values_exit_2_naming_the_flag(tmp_path, capsys, argv, message):
+    assert run(*argv, "--out", tmp_path / "out") == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_argparse_usage_error_is_2(capsys):
     with pytest.raises(SystemExit) as exc:
         run("criticality", "--mode", "bogus")
@@ -305,6 +316,19 @@ def test_missing_compiler_exits_4(workspace, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "i/o error: cannot compile _maxflow.c with /nonexistent/enflow-cc" in err
     assert "Traceback" not in err
+
+
+def test_a_compiler_that_fails_exits_4_naming_it(workspace, tmp_path, monkeypatch, capsys):
+    _, out = workspace
+    cc = tmp_path / "failing-cc"
+    cc.write_text("#!/bin/sh\necho 'failing-cc: no output written' >&2\nexit 1\n")
+    cc.chmod(0o755)
+    monkeypatch.setitem(sysconfig.get_config_vars(), "CC", str(cc))
+    flowcrit._kernel.cache_clear()
+    assert run("criticality", "--out", out, "--source", "all") == 4
+    assert capsys.readouterr().err == (f"i/o error: cannot compile _maxflow.c with {cc}: "
+                                       "failing-cc: no output written\n")
+    assert not list(out.glob("criticality_*"))
 
 
 def test_a_bad_record_outranks_a_missing_compiler(workspace, monkeypatch, capsys):

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -290,6 +291,13 @@ def test_unknown_source_rejected(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(DataFormatError, match="unknown energy source"):
         load_dataset(DatasetManifest.from_json(manifest_path))
+
+
+def test_a_code_list_with_only_its_header_is_empty(tmp_path):
+    path = tmp_path / "sectors.csv"
+    path.write_text("code,name\n\n")
+    with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}: code list is empty$"):
+        load_code_list(path)
 
 
 def test_manifest_validation(tmp_path):

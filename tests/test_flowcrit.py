@@ -104,6 +104,8 @@ BAD_ARCS = [  # node_count, arcs, the message naming the first offending arc
     (2, [(0, 1, 1.0), (1, 0, 1.0, 2.0)],
      "arc 1 is not a (tail, head, capacity) triple: (1, 0, 1.0, 2.0)"),
     (2, np.zeros((2, 2)), "arc 0 is not a (tail, head, capacity) triple: array([0., 0.])"),
+    (2, np.zeros((2, 4)), "arc 0 is not a (tail, head, capacity) triple: array([0., 0., 0., 0.])"),
+    (2, np.zeros((0, 4)), "arc triples must form an (m, 3) array, got (0, 4)"),
     (2, [(0, 1, 1.0), (1, 0, -1.0), (0, 5, 1.0)],
      "arc (1, 0) capacity must be finite and >= 0, got -1.0"),
     # one arc failing several checks reports the first: range, self-loop, capacity
@@ -128,6 +130,12 @@ def test_arcs_from_arrays_and_iterators():
     assert FlowNetwork(2, iter([(np.int64(1), 0, 2), (0, 1, 1.5)])).arcs == want
     assert FlowNetwork(np.int64(2), []).arcs == ()
     assert FlowNetwork(3, np.empty((0, 3))).arcs == ()
+
+
+def test_from_matrix_needs_a_square_matrix():
+    with pytest.raises(ValidationError) as caught:
+        FlowNetwork.from_matrix(np.ones((2, 3)))
+    assert str(caught.value) == "capacity matrix must be square, got shape (2, 3)"
 
 
 def test_solving_and_scoring_leave_the_arc_tuple_unbuilt():

@@ -89,6 +89,18 @@ def test_mrio_period_names_the_first_column_that_fails_either_check():
                    np.zeros((2, 1)))
 
 
+@pytest.mark.parametrize("output, message", [
+    (np.ones(3), "^period 2000: total output length 3, expected 2$"),
+    (np.array([1.0, np.nan]), "^period 2000: total output must be finite and >= 0$"),
+    (np.array([np.inf, 1.0]), "^period 2000: total output must be finite and >= 0$"),
+    (np.array([1.0, -1.0]), "^period 2000: total output must be finite and >= 0$"),
+])
+def test_mrio_period_rejects_a_bad_total_output(output, message):
+    with pytest.raises(ValidationError, match=message):
+        MrioPeriod(2000, NetworkShape(2, 1), np.zeros((2, 2)), output, energy_array(2),
+                   np.zeros((2, 1)))
+
+
 def test_mrio_period_sums_column_use_in_row_order_whatever_the_entry_order():
     # 0.1 + 0.2 + 0.3 exceeds the output's slack, 0.3 + 0.2 + 0.1 does not; the
     # entries of column 0 are summed in row order however they are given.
@@ -203,6 +215,26 @@ def test_non_productive_economy_detected():
         leontief_apply(period_matrix, np.array([1.0]), max_iter=200, period=1999)
     assert err.value.period == 1999
     assert spectral_radius_estimate(period_matrix) == pytest.approx(1.0, abs=1e-9)
+
+
+class CountedMatrix(np.ndarray):
+    """A dense matrix that counts its products."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        CountedMatrix.products += 1
+        return np.asarray(self) @ other
+
+
+def test_a_diverging_solve_stops_long_before_its_cap():
+    # The residual passes 1e12 (1 + ||v||_1) after about 70 steps of 1.5x.
+    a, CountedMatrix.products = np.array([[1.5]]).view(CountedMatrix), 0
+    with pytest.raises(NonProductiveEconomyError,
+                       match=r"^input coefficients in period 7 have spectral radius "
+                             r"~1\.500000 >= 1; the economy is not productive$"):
+        leontief_apply(a, np.array([1.0]), max_iter=10_000, period=7)
+    assert CountedMatrix.products < 100
 
 
 def test_slow_but_productive_raises_convergence_error():

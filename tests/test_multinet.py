@@ -320,6 +320,15 @@ def test_entity_codes():
         codes.check_shape(NetworkShape(3, 3))
 
 
+@pytest.mark.parametrize("sectors, countries, message", [
+    ((), ("X",), "^sector code list is empty$"),
+    (("A",), [], "^country code list is empty$"),
+])
+def test_entity_codes_need_a_code_of_each_kind(sectors, countries, message):
+    with pytest.raises(ValidationError, match=message):
+        EntityCodes(sectors, countries)
+
+
 def test_entity_codes_of_supra_indices():
     codes = EntityCodes(("A", "B"), ("X", "Y", "Z"))
     labels = codes.supra_labels

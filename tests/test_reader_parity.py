@@ -448,6 +448,13 @@ def write_npy(path: Path, arcs: np.ndarray, **header) -> None:
         fh.write(arcs.tobytes())
 
 
+def write_version_2(path: Path) -> None:
+    """The arc list rewritten as a version 2.0 ``.npy`` file."""
+    arcs = np.load(path)
+    with open(path, "wb") as fh:
+        np.lib.format.write_array(fh, arcs, version=(2, 0))
+
+
 def set_field(name, k, value):
     def edit(path):
         arcs = np.load(path, allow_pickle=False)
@@ -486,6 +493,7 @@ NPY_FAULTS = {
     "truncated": (lambda path: path.write_bytes(path.read_bytes()[:-5]), "header gives "),
     "bad_magic": (lambda path: path.write_bytes(b"year,row" + path.read_bytes()[8:]),
                   "invalid .npy header: "),
+    "version_2": (write_version_2, "invalid .npy header: unsupported .npy version 2.0"),
     "unlisted_year": (set_field("year", 3, 1800), "record 3: year 1800 not listed in "
                                                   "network_meta.json"),
     "out_of_period_order": (swap(0, -1), "record 1: year 1990 follows year 1992; records must be "
