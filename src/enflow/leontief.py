@@ -82,10 +82,10 @@ class SourceClass(enum.Enum):
 
 
 def overused_column(col, use, output: np.ndarray) -> tuple[int, np.float64, bool] | None:
-    """The one column-use rule: column k's use, its ``use`` entries (those at ``col``
-    k) summed from 0.0 as given, in U's (row, col) order, may exceed ``output[k]``
-    by 1e-9 of it plus 1e-12, and needs a positive output. The first column that
-    breaks it, with its use and whether that exceeds the slack; else None."""
+    """The one column-use rule: column k's use, the sum from 0.0 of the ``use``
+    entries at ``col`` k in the order given (U's (row, col) order), may exceed
+    ``output[k]`` by 1e-9 of it plus 1e-12, and needs a positive output. The
+    first column that breaks it, its use and whether that exceeds the slack; or None."""
     total = np.bincount(col, use, output.size)
     over = total > output * (1 + 1e-9) + 1e-12
     broken = np.flatnonzero(over | (output == 0) & (total > 0))[:1]
