@@ -99,7 +99,7 @@ def _as_csr(matrix) -> sparse.csr_array:
     m = _nonnegative_csr(matrix, "matrix")
     if m.shape[0] != m.shape[1]:
         raise ValidationError(f"matrix must be square, got shape {m.shape}")
-    return m
+    return m.scipy()
 
 
 def eigenvector_centrality(

@@ -692,8 +692,6 @@ def load_dataset(manifest: DatasetManifest) -> MrioDataset:
     read in chunks of ``_TABLE_CHUNK`` records, and a period's records leave
     their table as its accounts are built.
     """
-    from scipy import sparse
-
     codebook = manifest.codebook()
     n = len(codebook.sectors)
     n_layers = len(codebook.countries)
@@ -732,7 +730,7 @@ def load_dataset(manifest: DatasetManifest) -> MrioDataset:
     fd = read(manifest.final_demand, "final_demand", "final demand", "duplicate final demand key")
 
     def entries(table: _Table, year: int) -> tuple:
-        """(value, (row, col)) of a year's records, which leave the table."""
+        """The COO triple (value, (row, col)) of a year's records, which leave the table."""
         row, col, value = table.pop(year, (np.empty(0, np.int32),) * 2 + (np.empty(0),))
         return value, (row, col)
 
@@ -741,10 +739,10 @@ def load_dataset(manifest: DatasetManifest) -> MrioDataset:
         MrioPeriod(
             label=year,
             shape=shape,
-            intermediate_use=sparse.coo_array(entries(tx, year), shape=(dim, dim)),
+            intermediate_use=entries(tx, year),
             total_output=outputs[t],
             energy_consumption=consumption[t],
-            final_demand=sparse.coo_array(entries(fd, year), shape=(dim, n_layers)),
+            final_demand=entries(fd, year),
         )
         for t, year in enumerate(years.tolist())
     )
@@ -773,7 +771,7 @@ def save_dataset(dataset: MrioDataset, directory: Path | str) -> Path:
     by_code = np.array(sorted(range(dim), key=codes.supra_labels.__getitem__))
 
     def transactions(p: MrioPeriod) -> tuple:
-        _, h, k, value = stacked_entries([p.intermediate_use])
+        _, h, k, value = stacked_entries([p.u])
         return Labels(entity, h), Labels(entity, k), value
 
     def outputs(p: MrioPeriod) -> tuple:
@@ -787,7 +785,7 @@ def save_dataset(dataset: MrioDataset, directory: Path | str) -> Path:
         return Labels(entity, h), Labels(carriers, k), f[k, h]
 
     def final_demand(p: MrioPeriod) -> tuple:
-        _, h, b, value = stacked_entries([p.final_demand])
+        _, h, b, value = stacked_entries([p.y])
         a, j = np.divmod(h, n)
         order = np.lexsort((b, a, j))  # by (sector, source country, destination country)
         return Labels(entity, h[order]), Labels(countries, b[order]), value[order]

@@ -20,13 +20,16 @@ Arc weights are stored only when strictly positive.
 from __future__ import annotations
 
 import enum
+import functools
 from collections import deque
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
 from .errors import ConvergenceError, NonProductiveEconomyError, ValidationError
-from .multinet import NetworkShape, SupraAdjacency, TemporalMultilayerNetwork, _nonnegative_csr
+from .multinet import (
+    NetworkShape, SupraAdjacency, TemporalMultilayerNetwork, _nonnegative_csr, stacked_entries,
+)
 
 if TYPE_CHECKING:
     from scipy import sparse
@@ -102,16 +105,24 @@ class MrioPeriod:
     shape : NetworkShape
         Node/layer dimensions; the supra dimension M = N*L indexes all
         (economy, sector) pairs, sector fastest.
-    intermediate_use : sparse or dense M-square matrix
-        u[h, k]: monetary deliveries from pair h to pair k.
+    intermediate_use : M-square matrix
+        u[h, k]: monetary deliveries from pair h to pair k; a dense
+        array-like, a ``(data, (row, col))`` COO triple or a SciPy sparse
+        matrix or array.
     total_output : length-M vector
         o[k]: total output of pair k.
     energy_consumption : (7, M) array
         f[k, h]: technical energy consumption (TJ) of pair h from carrier
         ``ENERGY_CARRIERS[k]``, the MRIO energy block F.
-    final_demand : sparse or dense M x L matrix
+    final_demand : M x L matrix
         y[a*N + j, b]: final demand of economy b for the goods of sector j
-        from economy a (0-based), the MRIO final-demand block Y.
+        from economy a (0-based), the MRIO final-demand block Y; any input
+        that ``intermediate_use`` takes.
+
+    U and Y are held as the arrays of their canonical CSR form, ``u`` and
+    ``y`` (:class:`~enflow.multinet.CsrArrays`), read without SciPy;
+    ``intermediate_use`` and ``final_demand`` are ``scipy.sparse.csr_array``
+    views over those arrays, made on first read.
     """
 
     def __init__(
@@ -153,12 +164,21 @@ class MrioPeriod:
                 f"{f_shape}, one row per carrier of ENERGY_CARRIERS"
             )
 
-        self.intermediate_use = u
+        self.u = u
         self.total_output = o
         self.energy_consumption = f
-        self.final_demand = _nonnegative_csr(
-            final_demand, f"period {label}: final demand", (dim, shape.n_layers)
-        )
+        self.y = _nonnegative_csr(final_demand, f"period {label}: final demand",
+                                  (dim, shape.n_layers))
+
+    @functools.cached_property
+    def intermediate_use(self) -> sparse.csr_array:
+        """U as a ``scipy.sparse.csr_array`` over the arrays of ``u``."""
+        return self.u.scipy()
+
+    @functools.cached_property
+    def final_demand(self) -> sparse.csr_array:
+        """Y as a ``scipy.sparse.csr_array`` over the arrays of ``y``."""
+        return self.y.scipy()
 
     def __repr__(self) -> str:
         s = self.shape
@@ -319,15 +339,15 @@ def embodied_flow_matrix(
     n = period.shape.n_nodes
     dim = period.shape.supra_dim
     by_sector = embodied_intensity(period, source, tol=tol, max_iter=max_iter)
-    y = period.final_demand.tocoo()
+    _, row, col, value = stacked_entries([period.y])
     # Demand entry (r = a*N + j, b) reaches N arcs, one from each sector i of
     # a, at key (a*N + i) * dim + b*N + j. Made economy by economy from the
     # entries in key order, the keys ascend, so the canonical CSR needs no sort.
-    base = (y.row - y.row % n).astype(np.int64) * dim + y.col * n + y.row % n  # key at i = 0
+    base = (row - row % n) * dim + col * n + row % n  # key at i = 0
     order = np.argsort(base)
     parts = np.split(order, np.searchsorted(base[order], np.arange(1, dim // n) * n * dim))
     key = np.concatenate([(base[p] + (np.arange(n) * dim)[:, None]).ravel() for p in parts])
-    weights = np.concatenate([(by_sector[:, y.row[p]] * y.data[p]).ravel() for p in parts])
+    weights = np.concatenate([(by_sector[:, row[p]] * value[p]).ravel() for p in parts])
     return SupraAdjacency.from_entries(period.shape, key, weights)
 
 

@@ -7,8 +7,9 @@ the diagonal. A temporal network is an ordered sequence of such matrices over
 a shared node/layer universe.
 
 Each matrix is held as the three numpy arrays of its canonical CSR form, so
-building one from entries, aggregating it to its layers and writing it out
-need no SciPy; ``scipy.sparse`` is imported only where a SciPy matrix is made.
+reading one from dense, COO or SciPy input, building one from entries,
+aggregating it to its layers and writing it out need no SciPy;
+``scipy.sparse`` is imported only where a SciPy matrix is made.
 One rule makes every weight matrix canonical (:func:`canonical_csr`): repeated
 entries summed in input order from 0.0, int32 indices where they fit.
 
@@ -19,8 +20,9 @@ h = a*N + i.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -101,33 +103,76 @@ def canonical_csr(key, weights, shape: tuple[int, int], what: str) -> tuple[np.n
     return weights, np.remainder(key, n_cols, out=key).astype(index, copy=False), indptr
 
 
-def _nonnegative_csr(matrix, what: str, shape: tuple[int, int] | None = None) -> sparse.csr_array:
-    """``matrix``, any input that ``scipy.sparse.coo_array`` reads, as the
-    float64 :func:`canonical_csr` of its stored entries, taken in storage
-    order; its entries must be finite and >= 0, and its shape ``shape`` when
-    given. The input is never changed."""
-    from scipy import sparse
+class CsrArrays(NamedTuple):
+    """The arrays of a canonical CSR matrix (see :func:`canonical_csr`) and its shape."""
 
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple[int, int]
+
+    def scipy(self) -> sparse.csr_array:
+        """A ``scipy.sparse.csr_array`` over the same arrays."""
+        from scipy import sparse
+
+        return sparse.csr_array(self[:3], shape=self.shape)
+
+
+def _nonnegative_csr(matrix, what: str, shape: tuple[int, int] | None = None) -> CsrArrays:
+    """``matrix`` as the float64 :func:`canonical_csr` of its stored entries,
+    taken in storage order: a dense array-like stores its nonzero entries row
+    by row, a ``(data, (row, col))`` COO triple its entries (its shape is
+    ``shape`` when its indices fit in it, else the one they imply), and a
+    SciPy sparse matrix or array the entries of its own ``tocoo()``. The
+    entries must be finite and >= 0, and the shape ``shape`` when given. The
+    input is never changed, and SciPy is not imported."""
+    key = None
     try:
-        m = sparse.coo_array(matrix, dtype=np.float64)
+        if hasattr(matrix, "tocoo"):
+            coo = matrix.tocoo()
+            values, coords, size = coo.data, (coo.row, coo.col), coo.shape
+        elif isinstance(matrix, tuple):
+            if len(matrix) != 2:
+                raise TypeError("invalid input format")
+            values, coords = matrix
+            coords = tuple(np.asarray(c) if len(c) else np.empty(0, np.intp) for c in coords)
+            if shape is None and not all(c.size for c in coords):
+                raise ValueError("cannot infer dimensions from zero sized index arrays")
+            size = tuple(operator.index(c.max(initial=-1)) + 1 for c in coords)
+            for axis, c in enumerate(coords):
+                if c.min(initial=0) < 0:
+                    raise ValueError(f"negative axis {axis} index: {c.min()}")
+            if shape is not None and len(size) == 2 and np.all(np.less_equal(size, shape)):
+                size = tuple(shape)
+        else:
+            dense = np.asarray(matrix)
+            if not dense.ndim:
+                raise ValueError(f"got the scalar {matrix!r}")
+            flat, size = dense.reshape(-1), dense.shape
+            key = np.flatnonzero(flat)  # row * n_cols + col, ascending
+            values = flat[key]
+        values = np.asarray(values, dtype=np.float64)
+        if len(size) == 2 and key is None:
+            key = np.ravel_multi_index(coords, size)
+            if key.shape != values.shape or values.ndim != 1:
+                raise ValueError("all index and data arrays must have the same length")
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{what} is not a matrix: {exc}") from None
-    if m.ndim != 2 or (shape is not None and m.shape != shape):
-        raise ValidationError(f"{what} shape {m.shape}, expected {shape or 'two axes'}")
-    if m.nnz and (not np.all(np.isfinite(m.data)) or m.data.min() < 0):
+    if len(size) != 2 or (shape is not None and size != tuple(shape)):
+        raise ValidationError(f"{what} shape {size}, expected {shape or 'two axes'}")
+    if values.size and (not np.all(np.isfinite(values)) or values.min() < 0):
         raise ValidationError(f"{what} must be finite and >= 0")
-    key = np.ravel_multi_index((m.row, m.col), m.shape)
-    return sparse.csr_array(canonical_csr(key, m.data, m.shape, what), shape=m.shape)
+    return CsrArrays(*canonical_csr(key, values, size, what), size)
 
 
 def stacked_entries(matrices) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(t, row, col, value) of the stored entries of ``matrices``, one or more
-    canonical CSR arrays or :class:`SupraAdjacency`: t is a matrix's 0-based
+    :class:`CsrArrays` or :class:`SupraAdjacency`: t is a matrix's 0-based
     position, the indices are int64, and the entries come matrix by matrix,
     each in (row, col) order."""
     matrices = list(matrices)
     rows = [np.repeat(np.arange(m.indptr.size - 1), np.diff(m.indptr)) for m in matrices]
-    return (np.repeat(np.arange(len(matrices), dtype=np.int64), [m.nnz for m in matrices]),
+    return (np.repeat(np.arange(len(matrices), dtype=np.int64), [m.data.size for m in matrices]),
             np.concatenate(rows, dtype=np.int64),
             np.concatenate([m.indices for m in matrices], dtype=np.int64),
             np.concatenate([m.data for m in matrices]))
@@ -146,10 +191,9 @@ class SupraAdjacency:
 
     def __init__(self, shape: NetworkShape, matrix):
         dim = shape.supra_dim
-        m = _nonnegative_csr(matrix, "supra-adjacency", (dim, dim))
+        self.data, self.indices, self.indptr, _ = _nonnegative_csr(
+            matrix, "supra-adjacency", (dim, dim))
         self.shape = shape.single_period()
-        self.indptr, self.indices, self.data = m.indptr, m.indices, m.data
-        self.matrix = m  # fills the cache of the ``matrix`` property
 
     @classmethod
     def from_entries(cls, shape: NetworkShape, key, weights) -> "SupraAdjacency":
@@ -165,10 +209,8 @@ class SupraAdjacency:
     @functools.cached_property
     def matrix(self) -> sparse.csr_array:
         """The matrix as a ``scipy.sparse.csr_array`` sharing the three arrays."""
-        from scipy import sparse
-
         dim = self.shape.supra_dim
-        return sparse.csr_array((self.data, self.indices, self.indptr), shape=(dim, dim))
+        return CsrArrays(self.data, self.indices, self.indptr, (dim, dim)).scipy()
 
     @property
     def nnz(self) -> int:
