@@ -1121,8 +1121,12 @@ def load_network(
     if not meta_path.exists():
         raise ValidationError(f"no network artifacts found in {directory} (missing meta file)")
     raw = _read_json_object(meta_path)
-    meta = {key: _decode(tuple[kind, ...], raw.get(key), repr(key), meta_path) for key, kind
-            in (("sectors", str), ("countries", str), ("periods", int), ("sources", str))}
+    lists = {"sectors": str, "countries": str, "periods": int, "sources": str}
+    missing = [key for key in lists if key not in raw]
+    if missing:
+        raise DataFormatError(f"{missing[0]!r} is missing", path=str(meta_path))
+    meta = {key: _decode(tuple[kind, ...], raw[key], repr(key), meta_path)
+            for key, kind in lists.items()}
     outside = next((p for p in meta["periods"] if p not in _INT64), None)
     if outside is not None:
         raise DataFormatError(f"period {outside} is out of the int64 range", path=str(meta_path))

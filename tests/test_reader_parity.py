@@ -617,7 +617,7 @@ def test_arc_list_holds_the_csv_export_in_file_order(tmp_path):
 @pytest.mark.parametrize("meta, message", [
     ("[1, 2]", "expected a JSON object, got list"),
     ("{", "invalid JSON"),
-    (None, "'periods' must be an array, got NoneType"),
+    (None, "'periods' is missing"),
 ])
 def test_network_meta_errors(tmp_path, meta, message):
     make_workspace(tmp_path)
@@ -629,6 +629,19 @@ def test_network_meta_errors(tmp_path, meta, message):
     meta_path.write_text(meta)
     with pytest.raises(DataFormatError, match=message):
         load_network(tmp_path / "net", SourceClass.ALL)
+
+
+def test_network_meta_tells_a_missing_list_from_a_null_one(tmp_path):
+    make_workspace(tmp_path)
+    meta_path = tmp_path / "net" / "network_meta.json"
+    raw = json.loads(meta_path.read_text())
+    without_sources = {key: value for key, value in raw.items() if key != "sources"}
+    for meta, message in ((dict(raw, periods=None), "'periods' must be an array, got NoneType"),
+                          (without_sources, "'sources' is missing")):
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(DataFormatError) as err:
+            load_network(tmp_path / "net", SourceClass.ALL)
+        assert str(err.value) == f"{meta_path}: {message}"
 
 
 def test_cli_exits_2_on_a_bad_network_artifact(tmp_path, capsys):
