@@ -764,7 +764,7 @@ def test_importing_the_cli_leaves_scipy_linalg_and_csgraph_unloaded():
     assert done.stdout == "[]\n"
 
 
-SCIPY_SPARSE_CHECK = """
+SCIPY_CHECK = """
 import json, sys
 argv = json.loads(sys.argv[1])
 if argv:
@@ -773,23 +773,28 @@ if argv:
 else:
     import enflow
     code = 0
-print(code, "scipy.sparse" in sys.modules)
+print(code, any(m.split(".")[0] == "scipy" for m in sys.modules))
 """
 
 
-def test_criticality_and_consumption_never_import_scipy_sparse(tmp_path):
-    # Neither builds a SciPy matrix, so a cold process skips scipy.sparse's import cost.
+def test_synth_criticality_and_consumption_never_import_scipy(tmp_path):
+    # None builds a SciPy matrix, so a cold process skips SciPy's import cost.
     data, out = tmp_path / "data", tmp_path / "out"
-    assert run(*synth_args(data, shape="5,4,3")) == 0
-    assert run("build", "--manifest", data / "manifest.json", "--source", "all", "--out", out) == 0
     src = str(Path(enflow.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    for argv in ([], ["criticality", "--source", "all", "--out", str(out)],
-                 ["consumption", "--manifest", str(data / "manifest.json"), "--out", str(out)]):
-        done = subprocess.run([sys.executable, "-c", SCIPY_SPARSE_CHECK, json.dumps(argv)],
+
+    def cold(*argv):
+        done = subprocess.run([sys.executable, "-c", SCIPY_CHECK, json.dumps(argv)],
                               capture_output=True, text=True, env=env, timeout=300, check=True)
-        assert done.stdout.splitlines()[-1] == "0 False", (argv, done.stdout, done.stderr)
+        return done.stdout.splitlines()[-1]
+
+    assert cold() == "0 False"
+    assert cold(*map(str, synth_args(data, shape="5,4,3"))) == "0 False"
+    assert run("build", "--manifest", data / "manifest.json", "--source", "all", "--out", out) == 0
+    assert cold("criticality", "--source", "all", "--out", str(out)) == "0 False"
+    manifest = str(data / "manifest.json")
+    assert cold("consumption", "--manifest", manifest, "--out", str(out)) == "0 False"
 
 
 # ---------------------------------------------------------------------------
