@@ -186,16 +186,14 @@ class MrioPeriod:
 
 
 def input_coefficients(period: MrioPeriod) -> sparse.csr_array:
-    """The input coefficients A, a_hk = u_hk / o_k: intermediate use
-    column-normalized by total output (0/0 treated as 0)."""
+    """The input coefficients A, a_hk = u_hk / o_k: each stored value of U
+    times 1/o of its column (0/0 treated as 0), in U's canonical order."""
     from scipy import sparse
 
-    o = period.total_output
-    inv = np.zeros_like(o)
-    np.divide(1.0, o, out=inv, where=o > 0)
-    a = period.intermediate_use @ sparse.diags_array(inv, format="csr")
-    a = sparse.csr_array(a)
-    a.eliminate_zeros()
+    u, o = period.u, period.total_output
+    inv = np.divide(1.0, o, out=np.zeros_like(o), where=o > 0)
+    a = sparse.csr_array((u.data * inv[u.indices], u.indices, u.indptr), shape=u.shape, copy=True)
+    a.eliminate_zeros()  # a product that underflows; the copy keeps U's arrays intact
     return a
 
 
@@ -242,9 +240,10 @@ def leontief_apply(
     rhs : length-M vector or (M, k) array
         Right-hand side(s); multiple columns are solved together.
     tol, max_iter
-        The stationary iteration x <- v + a x stops once the residual
-        1-norm of every column is <= tol * (1 + ||v||_1); it is capped at
-        ``max_iter`` steps.
+        The stationary iteration holds one iterate x, from v + a v. Its
+        residual is the step between consecutive iterates, x_next - x with
+        x_next = v + a x; it returns x once the residual 1-norm of every
+        column is <= tol * (1 + ||v||_1), and is capped at ``max_iter`` steps.
     period : int, optional
         Period label named in the error messages.
 
@@ -268,20 +267,17 @@ def leontief_apply(
 
     v_norm = np.abs(v).sum(axis=0)
     threshold = tol * (1.0 + v_norm)
-    x = v.copy()
-    ax = a @ x
+    x = v + a @ v
     residuals: deque[float] = deque(maxlen=10)
     for _ in range(max_iter):
-        x_new = v + ax
-        ax_new = a @ x_new
-        r = v + ax_new - x_new
-        r_norm = np.abs(r).sum(axis=0)
+        x_next = v + a @ x
+        r_norm = np.abs(x_next - x).sum(axis=0)
         residuals.append(float(r_norm.max()))
         if np.all(r_norm <= threshold):
-            return x_new[:, 0] if squeeze else x_new
+            return x[:, 0] if squeeze else x
         if not np.all(np.isfinite(r_norm)) or np.any(r_norm > 1e12 * (1.0 + v_norm)):
             break
-        x, ax = x_new, ax_new
+        x = x_next
 
     rho = spectral_radius_estimate(a)
     where = "" if period is None else f" in period {period}"

@@ -67,6 +67,22 @@ def test_input_coefficients_columnwise_oracle():
     assert np.allclose(a, u / o[None, :], rtol=1e-15, atol=0)
 
 
+def test_input_coefficients_scale_us_stored_values_in_canonical_order():
+    # Column 2 has zero output and no use; 5e-324 / 6.0 underflows to zero.
+    u = np.array([[1.0, 0.0, 0.0, 3.0],
+                  [2.0, 5.0, 0.0, 0.0],
+                  [0.0, 5e-324, 0.0, 1.0],
+                  [4.0, 0.0, 0.0, 2.0]])
+    o = np.array([8.0, 6.0, 0.0, 7.0])
+    period = MrioPeriod(2000, NetworkShape(2, 2), u, o, energy_array(4), np.zeros((4, 2)))
+    a = input_coefficients(period)
+    assert a.has_canonical_format and a.nnz == 7
+    inv = np.zeros(4)
+    np.divide(1.0, o, out=inv, where=o > 0)
+    assert a.toarray().tobytes() == (u @ np.diag(inv)).tobytes()
+    assert period.u.indices.tolist() == [0, 3, 0, 1, 1, 3, 0, 3]  # U's arrays are left as read
+
+
 def test_mrio_period_invariants():
     shape = NetworkShape(1, 1)
     no_demand = np.zeros((1, 1))
@@ -250,6 +266,99 @@ def test_slow_but_productive_raises_convergence_error():
 def test_leontief_apply_rejects_a_matrix_of_the_wrong_shape(a, rhs):
     with pytest.raises(ValidationError, match="a must be M x M with M the rows of rhs"):
         leontief_apply(a, rhs)
+
+
+def reference_leontief_apply(a, rhs, tol=1e-10, max_iter=10_000, *, period=None):
+    """The two-iterate loop that ``leontief_apply`` replaced: it kept x, a x,
+    their successors and the residual v + a x_new - x_new apart."""
+    from collections import deque
+
+    from enflow.errors import ConvergenceError as _ConvergenceError
+
+    v = np.asarray(rhs, dtype=np.float64)
+    squeeze = v.ndim == 1
+    if squeeze:
+        v = v[:, None]
+    v_norm = np.abs(v).sum(axis=0)
+    threshold = tol * (1.0 + v_norm)
+    x = v.copy()
+    ax = a @ x
+    residuals = deque(maxlen=10)
+    for _ in range(max_iter):
+        x_new = v + ax
+        ax_new = a @ x_new
+        r = v + ax_new - x_new
+        r_norm = np.abs(r).sum(axis=0)
+        residuals.append(float(r_norm.max()))
+        if np.all(r_norm <= threshold):
+            return x_new[:, 0] if squeeze else x_new
+        if not np.all(np.isfinite(r_norm)) or np.any(r_norm > 1e12 * (1.0 + v_norm)):
+            break
+        x, ax = x_new, ax_new
+    rho = spectral_radius_estimate(a)
+    where = "" if period is None else f" in period {period}"
+    if rho >= 1.0 - 1e-6:
+        raise NonProductiveEconomyError(
+            f"input coefficients{where} have spectral radius ~{rho:.6f} >= 1; "
+            "the economy is not productive",
+            period=period,
+        )
+    raise _ConvergenceError(f"total-requirements solve{where}", tol, max_iter, "iterations",
+                            residuals)
+
+
+def consumption_side_matrix(seed):
+    """A^T of a synthetic 26-sector, 3-economy period, as ``embodied_intensity`` solves it."""
+    spec = SyntheticSpec(shape=NetworkShape(26, 3, 1), density=0.1, seed=seed)
+    return input_coefficients(generate_synthetic(spec).periods[0]).T.tocsr()
+
+
+@pytest.mark.parametrize("seed", [1, 3])
+@pytest.mark.parametrize("dense", [False, True])
+@pytest.mark.parametrize("columns", [None, 26, "strided"])
+def test_leontief_apply_matches_the_two_iterate_loop_bit_for_bit(seed, dense, columns):
+    a = consumption_side_matrix(seed)
+    if dense:
+        a = a.toarray()
+    rng = np.random.default_rng(seed)
+    dim = a.shape[0]
+    if columns is None:
+        rhs = rng.uniform(0, 5, dim)
+    elif columns == "strided":
+        rhs = rng.uniform(0, 5, (dim, 52))[:, ::2]
+    else:
+        rhs = np.zeros((dim, columns))
+        rhs[np.arange(dim), np.arange(dim) % columns] = rng.uniform(0, 5, dim)
+    got, expected = leontief_apply(a, rhs, period=1990), reference_leontief_apply(a, rhs)
+    assert got.shape == expected.shape and got.dtype == expected.dtype
+    assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("dense", [False, True])
+def test_a_capped_solve_keeps_the_two_iterate_loops_residuals(dense):
+    a = consumption_side_matrix(9)
+    if dense:
+        a = a.toarray()
+    rhs = np.ones((a.shape[0], 4))
+    with pytest.raises(ConvergenceError) as got:
+        leontief_apply(a, rhs, max_iter=5, period=1991)
+    with pytest.raises(ConvergenceError) as expected:
+        reference_leontief_apply(a, rhs, max_iter=5, period=1991)
+    assert str(got.value) == str(expected.value)
+    assert np.array(got.value.residuals).tobytes() == np.array(expected.value.residuals).tobytes()
+    assert len(got.value.residuals) == 5
+
+
+@pytest.mark.parametrize("a", [
+    sparse.csr_array(np.array([[1.0]])),  # a_11 = 1: stops at the cap
+    np.array([[0.0, 1.5], [1.5, 0.0]]),  # diverges past 1e12 (1 + ||v||_1)
+])
+def test_a_non_productive_matrix_keeps_the_two_iterate_loops_message(a):
+    with pytest.raises(NonProductiveEconomyError) as got:
+        leontief_apply(a, np.ones(a.shape[0]), max_iter=300, period=2001)
+    with pytest.raises(NonProductiveEconomyError) as expected:
+        reference_leontief_apply(a, np.ones(a.shape[0]), max_iter=300, period=2001)
+    assert str(got.value) == str(expected.value) and got.value.period == 2001
 
 
 def test_embodied_flow_zero_consumption():
