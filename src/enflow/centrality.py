@@ -113,8 +113,9 @@ def eigenvector_centrality(
 
     The matrix must be strongly connected for the dominant eigenvector to be
     positive and unique. With ``largest_scc=True`` a reducible matrix is
-    restricted to its largest strongly connected component, among equal ones
-    the first that has an arc; entries outside the component get score zero.
+    restricted once, after one component pass, to its largest strongly
+    connected component, among equal ones the first that has an arc; entries
+    outside the component get score zero.
 
     A power iteration on W + sI (s = the max column sum, so periodic
     structures still converge; the shift moves the eigenvalue, not the
@@ -133,7 +134,7 @@ def eigenvector_centrality(
     w = _as_csr(matrix)
     if w.nnz == 0:
         raise NumericalError("eigenvector centrality is undefined for an all-zero matrix")
-    dim = w.shape[0]
+    dim, keep = w.shape[0], slice(None)
     n_comp, labels = csgraph.connected_components(w, directed=True, connection="strong")
     if n_comp > 1:
         if not largest_scc:
@@ -146,19 +147,18 @@ def eigenvector_centrality(
         has_arc = sizes > 1
         has_arc[labels[w.diagonal() != 0]] = True  # a one-node component: only by a self-loop
         keep = np.flatnonzero(labels == np.argmax(2 * sizes + has_arc))
-        inner = w[np.ix_(keep, keep)]
-        if inner.nnz == 0:  # only a single node without a self-loop has no arc
+        w = w[np.ix_(keep, keep)]
+        if w.nnz == 0:  # only a single node without a self-loop has no arc
             raise NumericalError("eigenvector centrality is undefined on the largest strongly "
                                  f"connected component: it is node {keep[0]} alone, "
                                  "without a self-loop")
-        inner = eigenvector_centrality(inner, tol=tol, max_iter=max_iter)
-        full = np.zeros(dim)
-        full[keep] = inner.centrality
-        return EigScores(centrality=full, spectral_radius=inner.spectral_radius)
 
     shift = float(np.abs(w).sum(axis=0).max())
     start = _perron_start(w, symmetric=False)
-    return EigScores(*_dominant(w, start, shift, tol, max_iter, "eigenvector power iteration"))
+    x, lam = _dominant(w, start, shift, tol, max_iter, "eigenvector power iteration")
+    centrality = np.zeros(dim)
+    centrality[keep] = x  # zero outside the largest component
+    return EigScores(centrality, lam)
 
 
 def _dominant(m, x, shift, tol, max_iter, what):

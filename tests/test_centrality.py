@@ -97,6 +97,112 @@ def test_largest_scc_tie_prefers_a_component_with_an_arc(w, expected):
     assert scores.spectral_radius == 2.0
 
 
+def reference_eigenvector_centrality(matrix, tol=1e-12, max_iter=10_000, *, largest_scc=False):
+    """The recursive restriction that ``eigenvector_centrality`` replaced: it
+    read the largest component's submatrix again and ran a second component
+    pass on it."""
+    from scipy.sparse import csgraph
+
+    from enflow.centrality import EigScores, _as_csr, _dominant, _perron_start
+
+    w = _as_csr(matrix)
+    if w.nnz == 0:
+        raise NumericalError("eigenvector centrality is undefined for an all-zero matrix")
+    dim = w.shape[0]
+    n_comp, labels = csgraph.connected_components(w, directed=True, connection="strong")
+    if n_comp > 1:
+        if not largest_scc:
+            raise ReducibleNetworkError(
+                f"matrix is reducible ({n_comp} strongly connected components); "
+                "restrict to the largest strongly connected component "
+                "(largest_scc=True) or pass an irreducible matrix"
+            )
+        sizes = np.bincount(labels)
+        has_arc = sizes > 1
+        has_arc[labels[w.diagonal() != 0]] = True
+        keep = np.flatnonzero(labels == np.argmax(2 * sizes + has_arc))
+        inner = w[np.ix_(keep, keep)]
+        if inner.nnz == 0:
+            raise NumericalError("eigenvector centrality is undefined on the largest strongly "
+                                 f"connected component: it is node {keep[0]} alone, "
+                                 "without a self-loop")
+        inner = reference_eigenvector_centrality(inner, tol=tol, max_iter=max_iter)
+        full = np.zeros(dim)
+        full[keep] = inner.centrality
+        return EigScores(centrality=full, spectral_radius=inner.spectral_radius)
+    shift = float(np.abs(w).sum(axis=0).max())
+    start = _perron_start(w, symmetric=False)
+    return EigScores(*_dominant(w, start, shift, tol, max_iter, "eigenvector power iteration"))
+
+
+def _two_components():
+    # A 5-cycle with chords and a 3-cycle, joined by one arc 4 -> 5.
+    rng = np.random.default_rng(7)
+    w = np.zeros((8, 8))
+    for a, b in [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2), (3, 1), (5, 6), (6, 7), (7, 5),
+                 (4, 5)]:
+        w[a, b] = rng.uniform(0.5, 3.0)
+    return w
+
+
+_REFERENCE_CASES = {
+    "irreducible": np.random.default_rng(3).uniform(0.1, 1.0, (9, 9)),
+    "two components": _two_components(),
+    "two components, reordered": _two_components()[::-1, ::-1].copy(),
+    "tie, self-loop first": np.array([[2.0, 1.0], [0.0, 0.0]]),
+    "tie, self-loop second": np.array([[0.0, 1.0], [0.0, 2.0]]),
+    "self-loop singleton": np.array([[0.0, 1.0, 0.0], [0.0, 2.5, 1.0], [0.0, 0.0, 0.0]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REFERENCE_CASES))
+def test_eig_matches_the_recursive_restriction_bit_for_bit(name):
+    w = _REFERENCE_CASES[name]
+    got = eigenvector_centrality(w, largest_scc=True)
+    expected = reference_eigenvector_centrality(w, largest_scc=True)
+    assert got.centrality.tobytes() == expected.centrality.tobytes()
+    assert type(got.spectral_radius) is float
+    assert np.float64(got.spectral_radius).tobytes() == np.float64(expected.spectral_radius).tobytes()
+
+
+def test_eig_matches_the_recursive_restriction_on_built_periods():
+    from enflow import SourceClass, build_temporal_network
+    from enflow.dataio import SyntheticSpec, generate_synthetic
+
+    spec = SyntheticSpec(shape=NetworkShape(6, 4, 3), density=0.2, seed=5)
+    net = build_temporal_network(generate_synthetic(spec).periods, SourceClass.RENEWABLE)
+    for matrix in net.matrices:
+        got = eigenvector_centrality(matrix, largest_scc=True)
+        expected = reference_eigenvector_centrality(matrix, largest_scc=True)
+        assert got.centrality.tobytes() == expected.centrality.tobytes()
+        assert got.spectral_radius == expected.spectral_radius
+
+
+@pytest.mark.parametrize("w", [np.array([[0.0, 3.99], [0.0, 0.0]]), np.zeros((3, 3))])
+def test_eig_errors_match_the_recursive_restriction(w):
+    with pytest.raises(NumericalError) as got:
+        eigenvector_centrality(w, largest_scc=True)
+    with pytest.raises(NumericalError) as expected:
+        reference_eigenvector_centrality(w, largest_scc=True)
+    assert type(got.value) is type(expected.value) and str(got.value) == str(expected.value)
+
+
+def test_largest_scc_takes_one_component_pass(monkeypatch):
+    from scipy.sparse import csgraph
+
+    calls = []
+    passes = csgraph.connected_components
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return passes(*args, **kwargs)
+
+    monkeypatch.setattr(csgraph, "connected_components", counted)
+    scores = eigenvector_centrality(_two_components(), largest_scc=True)
+    assert calls == [(8, 8)]
+    assert np.count_nonzero(scores.centrality) == 5
+
+
 def test_eigenvector_matches_dense_eigensolver():
     rng = np.random.default_rng(0)
     for _ in range(10):
