@@ -6,22 +6,26 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import sparse
-from scipy.sparse import linalg as splinalg
+from scipy.sparse import csgraph, linalg as splinalg
 
 from enflow import (
     ConvergenceError,
     NetworkShape,
     NumericalError,
     ReducibleNetworkError,
+    SourceClass,
     SupraAdjacency,
     TemporalMultilayerNetwork,
     ValidationError,
+    build_temporal_network,
     eigenvector_centrality,
     hits,
     md_hits,
     md_hits_single_period,
     rank,
 )
+from enflow.centrality import EigScores, _as_csr, _dominant, _perron_start
+from enflow.dataio import SyntheticSpec, generate_synthetic
 
 from oracles import dense_hits, dense_hits_projection, naive_md_hits
 
@@ -101,10 +105,6 @@ def reference_eigenvector_centrality(matrix, tol=1e-12, max_iter=10_000, *, larg
     """The recursive restriction that ``eigenvector_centrality`` replaced: it
     read the largest component's submatrix again and ran a second component
     pass on it."""
-    from scipy.sparse import csgraph
-
-    from enflow.centrality import EigScores, _as_csr, _dominant, _perron_start
-
     w = _as_csr(matrix)
     if w.nnz == 0:
         raise NumericalError("eigenvector centrality is undefined for an all-zero matrix")
@@ -166,9 +166,6 @@ def test_eig_matches_the_recursive_restriction_bit_for_bit(name):
 
 
 def test_eig_matches_the_recursive_restriction_on_built_periods():
-    from enflow import SourceClass, build_temporal_network
-    from enflow.dataio import SyntheticSpec, generate_synthetic
-
     spec = SyntheticSpec(shape=NetworkShape(6, 4, 3), density=0.2, seed=5)
     net = build_temporal_network(generate_synthetic(spec).periods, SourceClass.RENEWABLE)
     for matrix in net.matrices:
@@ -188,8 +185,6 @@ def test_eig_errors_match_the_recursive_restriction(w):
 
 
 def test_largest_scc_takes_one_component_pass(monkeypatch):
-    from scipy.sparse import csgraph
-
     calls = []
     passes = csgraph.connected_components
 

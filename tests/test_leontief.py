@@ -1,3 +1,5 @@
+from collections import deque
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -271,10 +273,6 @@ def test_leontief_apply_rejects_a_matrix_of_the_wrong_shape(a, rhs):
 def reference_leontief_apply(a, rhs, tol=1e-10, max_iter=10_000, *, period=None):
     """The two-iterate loop that ``leontief_apply`` replaced: it kept x, a x,
     their successors and the residual v + a x_new - x_new apart."""
-    from collections import deque
-
-    from enflow.errors import ConvergenceError as _ConvergenceError
-
     v = np.asarray(rhs, dtype=np.float64)
     squeeze = v.ndim == 1
     if squeeze:
@@ -303,8 +301,8 @@ def reference_leontief_apply(a, rhs, tol=1e-10, max_iter=10_000, *, period=None)
             "the economy is not productive",
             period=period,
         )
-    raise _ConvergenceError(f"total-requirements solve{where}", tol, max_iter, "iterations",
-                            residuals)
+    raise ConvergenceError(f"total-requirements solve{where}", tol, max_iter, "iterations",
+                           residuals)
 
 
 def consumption_side_matrix(seed):
