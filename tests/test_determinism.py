@@ -270,3 +270,37 @@ def test_criticality_sizes_its_pool_by_cpu_count_where_affinity_is_unknown(tmp_p
     assert written[0] == written[1] == written[2]
     assert len([name for name in written[0][1] if name.startswith("criticality_")]) == 3 * 4
     assert workers == [mask] * 3 + [3] * 3 + [1] * 3
+
+
+# One sha256, made as ACCEPTANCE_DIGEST is, over the 32 files that one paper-shape
+# pipeline writes (``synth --shape 26,189,1 --density 0.05 --seed 5``, ``build``,
+# ``mdhits --per-year``, ``hits``, ``eig --largest-scc``, ``consumption``): a period
+# of 1.2 M arcs over many ``_ARC_CHUNK`` chunks, and eigenvector and hub scores of
+# 4,914-node matrices. The same with OPENBLAS_NUM_THREADS=1 and =2.
+PAPER_SHAPE_DIGEST = "dd95ee901336a55170e84a787addcd1c0c643012ed90d4b113703c43c9069777"
+
+
+def test_paper_shape_outputs_keep_their_bytes(tmp_path):
+    src = str(Path(enflow.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    data, out = str(tmp_path / "data"), str(tmp_path / "out")
+    manifest = data + "/manifest.json"
+    for argv in (
+        ["synth", "--shape", "26,189,1", "--density", "0.05", "--seed", "5", "--out", data],
+        ["build", "--manifest", manifest, "--out", out],
+        ["mdhits", "--per-year", "--out", out],
+        ["hits", "--out", out],
+        ["eig", "--largest-scc", "--out", out],
+        ["consumption", "--manifest", manifest, "--out", out],
+    ):
+        subprocess.run([sys.executable, "-c", "import sys; from enflow.cli import main; "
+                        "sys.exit(main(sys.argv[1:]))", *argv],
+                       env=env, check=True, capture_output=True, timeout=300)
+    files = [p for p in sorted(tmp_path.rglob("*")) if p.is_file()]
+    digest = hashlib.sha256()
+    for p in files:
+        digest.update(p.relative_to(tmp_path).as_posix().encode() + b"\0")
+        digest.update(hashlib.sha256(p.read_bytes()).digest())
+    assert len(files) == 32
+    assert digest.hexdigest() == PAPER_SHAPE_DIGEST
