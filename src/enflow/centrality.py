@@ -94,12 +94,17 @@ class MdHitsScores:
 
 
 def _as_csr(matrix) -> sparse.csr_array:
+    """A ``scipy.sparse.csr_array`` over the arrays of a SupraAdjacency, with
+    no copy, or over the square :func:`_nonnegative_csr` of any other input."""
+    from scipy import sparse
+
     if isinstance(matrix, SupraAdjacency):
-        return matrix.matrix
+        dim = matrix.shape.supra_dim
+        return sparse.csr_array((matrix.data, matrix.indices, matrix.indptr), shape=(dim, dim))
     m = _nonnegative_csr(matrix, "matrix")
     if m.shape[0] != m.shape[1]:
         raise ValidationError(f"matrix must be square, got shape {m.shape}")
-    return m.scipy()
+    return sparse.csr_array(m[:3], shape=m.shape)
 
 
 def eigenvector_centrality(
@@ -274,12 +279,12 @@ def md_hits(
 
     g = _check_gamma(gamma)
     n, n_layers = net.shape.n_nodes, net.shape.n_layers
-    loaded = [m.matrix for m in net.matrices]
+    loaded, size = net.matrices, (net.shape.supra_dim,) * 2
     if not any(w.nnz for w in loaded):
         raise NumericalError("cannot score a network with no arcs")
     powered = {}  # distinct exponent -> ([W_t^(g)], [W_t^(g)T])
     for e in set(g.tolist()):
-        mats = [sparse.csr_array((w.data**e, w.indices, w.indptr), shape=w.shape) for w in loaded]
+        mats = [sparse.csr_array((w.data**e, w.indices, w.indptr), shape=size) for w in loaded]
         powered[e] = (mats, [w.T for w in mats])
 
     def blocks(k, transposed, layer, sector):  # R_t per period; W_t^(g)T if transposed

@@ -20,7 +20,6 @@ Arc weights are stored only when strictly positive.
 from __future__ import annotations
 
 import enum
-import functools
 from collections import deque
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -119,10 +118,10 @@ class MrioPeriod:
         from economy a (0-based), the MRIO final-demand block Y; any input
         that ``intermediate_use`` takes.
 
-    U and Y are held as the arrays of their canonical CSR form, ``u`` and
-    ``y`` (:class:`~enflow.multinet.CsrArrays`), read without SciPy;
-    ``intermediate_use`` and ``final_demand`` are ``scipy.sparse.csr_array``
-    views over those arrays, made on first read.
+    U and Y are held only as the arrays of their canonical CSR form, ``u``
+    and ``y`` (:class:`~enflow.multinet.CsrArrays`), read without SciPy;
+    ``scipy.sparse.csr_array(period.u[:3], shape=period.u.shape)`` is U as
+    a SciPy matrix over the same arrays. Nothing is set after construction.
     """
 
     def __init__(
@@ -169,16 +168,6 @@ class MrioPeriod:
         self.energy_consumption = f
         self.y = _nonnegative_csr(final_demand, f"period {label}: final demand",
                                   (dim, shape.n_layers))
-
-    @functools.cached_property
-    def intermediate_use(self) -> sparse.csr_array:
-        """U as a ``scipy.sparse.csr_array`` over the arrays of ``u``."""
-        return self.u.scipy()
-
-    @functools.cached_property
-    def final_demand(self) -> sparse.csr_array:
-        """Y as a ``scipy.sparse.csr_array`` over the arrays of ``y``."""
-        return self.y.scipy()
 
     def __repr__(self) -> str:
         s = self.shape

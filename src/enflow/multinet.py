@@ -6,10 +6,10 @@ blocks has intra-layer flows on the diagonal blocks and inter-layer flows off
 the diagonal. A temporal network is an ordered sequence of such matrices over
 a shared node/layer universe.
 
-Each matrix is held as the three numpy arrays of its canonical CSR form, so
-reading one from dense, COO or SciPy input, building one from entries,
-aggregating it to its layers and writing it out need no SciPy;
-``scipy.sparse`` is imported only where a SciPy matrix is made.
+Each matrix is held only as the three numpy arrays of its canonical CSR
+form, so reading one from dense, COO or SciPy input, building one from
+entries, aggregating it to its layers and writing it out need no SciPy; the
+numerical code wraps the arrays in a SciPy matrix where it multiplies by one.
 One rule makes every weight matrix canonical (:func:`canonical_csr`): repeated
 entries summed in input order from 0.0, int32 indices where they fit.
 
@@ -19,17 +19,13 @@ h = a*N + i.
 
 from __future__ import annotations
 
-import functools
 import operator
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import ValidationError
-
-if TYPE_CHECKING:
-    from scipy import sparse
 
 __all__ = [
     "NetworkShape",
@@ -111,12 +107,6 @@ class CsrArrays(NamedTuple):
     indptr: np.ndarray
     shape: tuple[int, int]
 
-    def scipy(self) -> sparse.csr_array:
-        """A ``scipy.sparse.csr_array`` over the same arrays."""
-        from scipy import sparse
-
-        return sparse.csr_array(self[:3], shape=self.shape)
-
 
 def _nonnegative_csr(matrix, what: str, shape: tuple[int, int] | None = None) -> CsrArrays:
     """``matrix`` as the float64 :func:`canonical_csr` of its stored entries,
@@ -185,8 +175,8 @@ class SupraAdjacency:
     The matrix is held as the ``indptr``, ``indices`` and ``data`` arrays of
     its canonical CSR form (no duplicate, column indices ascending in each
     row, no stored zero, int32 indices where they fit), which
-    :func:`canonical_csr` makes however the entries arrive; ``matrix`` is a
-    ``scipy.sparse.csr_array`` over the same arrays, made on first use.
+    :func:`canonical_csr` makes however the entries arrive. Nothing is set
+    after construction.
     """
 
     def __init__(self, shape: NetworkShape, matrix):
@@ -205,12 +195,6 @@ class SupraAdjacency:
         dim = shape.supra_dim
         w.data, w.indices, w.indptr = canonical_csr(key, weights, (dim, dim), "supra-adjacency")
         return w
-
-    @functools.cached_property
-    def matrix(self) -> sparse.csr_array:
-        """The matrix as a ``scipy.sparse.csr_array`` sharing the three arrays."""
-        dim = self.shape.supra_dim
-        return CsrArrays(self.data, self.indices, self.indptr, (dim, dim)).scipy()
 
     @property
     def nnz(self) -> int:

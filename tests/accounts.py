@@ -1,5 +1,5 @@
-"""Final demand and energy use in the oracles' form, and small supra-adjacency
-matrices from their entries."""
+"""Final demand and energy use in the oracles' form, small supra-adjacency
+matrices from their entries, and SciPy matrices over held arrays."""
 
 import numpy as np
 from scipy import sparse
@@ -9,10 +9,10 @@ from enflow.multinet import SupraAdjacency
 
 
 def demand_dict(period) -> dict[tuple[int, int, int], float]:
-    """Stored entries of ``period.final_demand`` as {(sector j, economy a, economy b): value},
+    """Stored entries of ``period.y`` as {(sector j, economy a, economy b): value},
     the form of ``oracles.dense_embodied_flows``: y[a*N + j, b] is the demand of b for the
     goods of sector j from economy a."""
-    y = period.final_demand.tocoo()
+    y = csr(period.y).tocoo()
     a, j = divmod(y.row, period.shape.n_nodes)
     return dict(zip(zip(j.tolist(), a.tolist(), y.col.tolist()), y.data.tolist()))
 
@@ -38,3 +38,9 @@ def supra(shape, entries) -> SupraAdjacency:
     r, c, x = np.array(entries, dtype=np.float64).reshape(-1, 3).T
     return SupraAdjacency(shape, sparse.coo_array((x, (r.astype(int), c.astype(int))),
                                                   shape=(dim, dim)))
+
+
+def csr(m) -> sparse.csr_array:
+    """A ``SupraAdjacency`` or ``CsrArrays`` as a ``scipy.sparse.csr_array`` over its arrays."""
+    shape = (m.shape.supra_dim,) * 2 if isinstance(m, SupraAdjacency) else m.shape
+    return sparse.csr_array((m.data, m.indices, m.indptr), shape=shape)

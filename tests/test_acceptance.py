@@ -30,7 +30,7 @@ from enflow import (
 from enflow.cli import main as cli_main
 from enflow.dataio import SyntheticSpec
 
-from accounts import demand_dict, energy_dict
+from accounts import csr, demand_dict, energy_dict
 from oracles import (
     NONRENEWABLE,
     RENEWABLE,
@@ -79,7 +79,7 @@ def test_acceptance_1_embodied_flow_oracle():
             source = [SourceClass.ALL, SourceClass.RENEWABLE, SourceClass.NONRENEWABLE][
                 case % 3
             ]
-            got = embodied_flow_matrix(period, source, tol=1e-13).matrix.toarray()
+            got = csr(embodied_flow_matrix(period, source, tol=1e-13)).toarray()
             carriers = {
                 SourceClass.ALL: RENEWABLE + NONRENEWABLE,
                 SourceClass.RENEWABLE: RENEWABLE,
@@ -89,7 +89,7 @@ def test_acceptance_1_embodied_flow_oracle():
             want = dense_embodied_flows(
                 n,
                 n_layers,
-                period.intermediate_use.toarray(),
+                csr(period.u).toarray(),
                 period.total_output,
                 c,
                 demand_dict(period),
@@ -118,8 +118,8 @@ def test_acceptance_2_source_additivity():
                 nets[SourceClass.RENEWABLE].matrices,
                 nets[SourceClass.NONRENEWABLE].matrices,
             ):
-                total = m_all.matrix.toarray()
-                split = m_ren.matrix.toarray() + m_non.matrix.toarray()
+                total = csr(m_all).toarray()
+                split = csr(m_ren).toarray() + csr(m_non).toarray()
                 mask = (total != 0) | (split != 0)
                 if mask.any():
                     rel = np.abs(split - total)[mask] / np.abs(total)[mask]

@@ -19,7 +19,7 @@ from enflow import MrioPeriod, NetworkShape, SourceClass, cli, dataio, flowcrit,
 from enflow.cli import main
 from enflow.dataio import CodeBook, MrioDataset, save_dataset
 
-from accounts import energy_array
+from accounts import csr, energy_array
 
 
 def run(*argv) -> int:
@@ -134,7 +134,7 @@ def test_build_arc_counts_match_recount_oracle(tmp_path):
     for period in dataset.periods:
         c = class_consumption(energy_dict(period), 4, RENEWABLE + NONRENEWABLE)
         dense = dense_embodied_flows(
-            2, 2, period.intermediate_use.toarray(), period.total_output, c,
+            2, 2, csr(period.u).toarray(), period.total_output, c,
             demand_dict(period),
         )
         expected[str(period.label)] = int((dense > 0).sum())
@@ -153,8 +153,8 @@ def test_source_split_adds_up(workspace):
     non, _ = load_network(out, SourceClass.NONRENEWABLE)
     for m_all, m_ren, m_non in zip(total.matrices, ren.matrices, non.matrices):
         assert np.allclose(
-            m_all.matrix.toarray(),
-            m_ren.matrix.toarray() + m_non.matrix.toarray(),
+            csr(m_all).toarray(),
+            csr(m_ren).toarray() + csr(m_non).toarray(),
             rtol=1e-9,
             atol=1e-12,
         )
@@ -596,7 +596,7 @@ def test_build_frees_each_class_network_before_the_next(tmp_path, monkeypatch, c
             tracemalloc.stop()
     capsys.readouterr()
     net, _ = load_network(out, SourceClass.ALL)
-    nbytes = sum(m.matrix.data.nbytes + m.matrix.indices.nbytes + m.matrix.indptr.nbytes
+    nbytes = sum(m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
                  for m in net.matrices)
     # Holding one class's network while the next is built adds most of it.
     assert peaks[0] - peaks[2] < nbytes / 2, (peaks, nbytes)

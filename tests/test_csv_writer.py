@@ -10,7 +10,7 @@ from enflow.dataio import Labels, load_network, save_network, write_csv
 from enflow.leontief import SourceClass
 from enflow.multinet import EntityCodes, NetworkShape, TemporalMultilayerNetwork
 
-from accounts import supra
+from accounts import csr, supra
 
 CODES = ["plain", "a,b", 'say "hi"', " lead", "trail ", "Côte d’Ivoire", "日本", "line\nbreak", ""]
 FLOATS = [1e-05, 0.0001, 1e16, 1e+16, 5e-324, 0.1 + 0.2, 0.0, -0.0, 1.5e300, float("nan"),
@@ -81,7 +81,7 @@ def test_network_export_with_an_empty_period_and_quoted_codes(tmp_path, chunk):
     labels = codes.supra_labels
     rows = []
     for label, matrix in periods:
-        coo = matrix.matrix.tocoo()
+        coo = csr(matrix).tocoo()
         rows += [(label, *labels[h], *labels[k], w)
                  for h, k, w in zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist())]
     assert len(rows) == 5

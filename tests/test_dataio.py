@@ -33,7 +33,7 @@ from enflow import (
 from enflow.cli import main
 from enflow.dataio import CodeBook, MrioDataset, load_code_list
 
-from accounts import demand_dict, energy_array, energy_dict, supra
+from accounts import csr, demand_dict, energy_array, energy_dict, supra
 
 
 def small_spec(**kw):
@@ -97,7 +97,7 @@ def test_synthetic_deterministic(tmp_path):
 
 def test_synthetic_full_density_is_dense():
     ds = generate_synthetic(SyntheticSpec(shape=NetworkShape(2, 2, 1), density=1.0, seed=0))
-    assert ds.periods[0].intermediate_use.nnz == 16
+    assert ds.periods[0].u.data.size == 16
 
 
 def test_synthetic_respects_rho_cap():
@@ -161,7 +161,7 @@ def test_load_values_survive(tmp_path):
     loaded = load_dataset(DatasetManifest.from_json(manifest_path))
     for original, reread in zip(ds.periods, loaded.periods):
         assert np.array_equal(
-            original.intermediate_use.toarray(), reread.intermediate_use.toarray()
+            csr(original.u).toarray(), csr(reread.u).toarray()
         )
         assert np.array_equal(original.total_output, reread.total_output)
         assert demand_dict(original) == demand_dict(reread)
@@ -176,7 +176,7 @@ def test_empty_transactions_gives_zero_coefficients(tmp_path):
     )
     loaded = load_dataset(DatasetManifest.from_json(manifest_path))
     for period in loaded.periods:
-        assert period.intermediate_use.nnz == 0
+        assert period.u.data.size == 0
 
 
 def test_year_filter(tmp_path):
@@ -494,7 +494,7 @@ def test_network_save_load_round_trip(tmp_path):
     assert codes == ds.codes
     assert back.labels == net.labels
     for (_, a), (_, b) in zip(net.periods, back.periods):
-        assert np.array_equal(a.matrix.toarray(), b.matrix.toarray())
+        assert np.array_equal(csr(a).toarray(), csr(b).toarray())
 
 
 def test_load_network_missing(tmp_path):
@@ -511,8 +511,8 @@ def test_save_load_keeps_demand_arrays(tmp_path):
     ds = generate_synthetic(small_spec(shape=NetworkShape(4, 3, 3), density=0.4))
     loaded = load_dataset(DatasetManifest.from_json(save_dataset(ds, tmp_path)))
     for original, reread in zip(ds.periods, loaded.periods):
-        y, z = original.final_demand, reread.final_demand
-        assert y.shape == z.shape == (12, 3) and y.nnz > 0
+        y, z = original.y, reread.y
+        assert y.shape == z.shape == (12, 3) and y.data.size > 0
         assert np.array_equal(y.indptr, z.indptr)
         assert np.array_equal(y.indices, z.indices)
         assert np.array_equal(y.data, z.data)

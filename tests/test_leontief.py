@@ -26,8 +26,9 @@ from enflow.dataio import (
     load_dataset,
     save_dataset,
 )
+from enflow.multinet import CsrArrays
 
-from accounts import demand_dict, energy_array, energy_dict
+from accounts import csr, demand_dict, energy_array, energy_dict
 from oracles import NONRENEWABLE, RENEWABLE, class_consumption, dense_embodied_flows, neumann_series
 
 
@@ -185,8 +186,8 @@ def test_mrio_period_demand_layout():
     # 0's goods from economy 1. The explicit zero at (0, 0) is not stored.
     y = sparse.coo_array(([4.0, 0.0], ([1 * 2 + 0, 0], [2, 0])), shape=(6, 3))
     period = MrioPeriod(2000, NetworkShape(2, 3), np.zeros((6, 6)), np.ones(6), energy_array(6), y)
-    assert isinstance(period.final_demand, sparse.csr_array)
-    assert period.final_demand.shape == (6, 3) and period.final_demand.nnz == 1
+    assert isinstance(period.y, CsrArrays)
+    assert period.y.shape == (6, 3) and period.y.data.size == 1
     assert demand_dict(period) == {(0, 1, 2): 4.0}
 
 
@@ -368,7 +369,7 @@ def test_embodied_flow_zero_consumption():
 def test_embodied_flow_scalar_instance():
     # requirements = 2, consumption 3, demand 5 -> weight 3*2*5 = 30
     w = embodied_flow_matrix(scalar_period(), SourceClass.ALL, tol=1e-14)
-    assert w.matrix[0, 0] == pytest.approx(30.0, rel=1e-12)
+    assert csr(w)[0, 0] == pytest.approx(30.0, rel=1e-12)
     assert w.nnz == 1
 
 
@@ -387,7 +388,7 @@ def test_embodied_flow_identity_requirements_two_layers():
     )
     w = embodied_flow_matrix(period, SourceClass.ALL)
     for (j, a, b), d in demand_dict(period).items():
-        assert w.matrix[a, b] == pytest.approx(c[a] * d, rel=1e-12)
+        assert csr(w)[a, b] == pytest.approx(c[a] * d, rel=1e-12)
 
 
 def test_build_single_period():
@@ -399,9 +400,9 @@ def test_build_identical_periods_deterministic():
     periods = [scalar_period(label=1990 + t) for t in range(3)]
     net = build_temporal_network(periods, SourceClass.ALL)
     assert net.shape.n_periods == 3
-    first = net.matrices[0].matrix.toarray()
+    first = csr(net.matrices[0]).toarray()
     for m in net.matrices[1:]:
-        assert np.array_equal(m.matrix.toarray(), first)
+        assert np.array_equal(csr(m).toarray(), first)
 
 
 def test_build_consumption_linearity_across_periods():
@@ -423,7 +424,7 @@ def test_build_consumption_linearity_across_periods():
     )
     net = build_temporal_network([p1, p2], SourceClass.ALL)
     assert np.allclose(
-        net.matrices[1].matrix.toarray(), 2 * net.matrices[0].matrix.toarray(), rtol=1e-12
+        csr(net.matrices[1]).toarray(), 2 * csr(net.matrices[0]).toarray(), rtol=1e-12
     )
 
 
@@ -457,7 +458,7 @@ def _dense_oracle_for(period, source):
     return dense_embodied_flows(
         period.shape.n_nodes,
         period.shape.n_layers,
-        period.intermediate_use.toarray(),
+        csr(period.u).toarray(),
         period.total_output,
         c,
         demand_dict(period),
@@ -474,7 +475,7 @@ def test_embodied_flow_matches_dense_oracle(seed):
     )
     period = generate_synthetic(spec).periods[0]
     for source in SourceClass:
-        got = embodied_flow_matrix(period, source).matrix.toarray()
+        got = csr(embodied_flow_matrix(period, source)).toarray()
         want = _dense_oracle_for(period, source)
         assert np.allclose(got, want, rtol=1e-9, atol=1e-12)
 
@@ -485,40 +486,40 @@ def test_homogeneity_in_consumption():
     scaled = MrioPeriod(
         period.label,
         period.shape,
-        period.intermediate_use,
+        csr(period.u),
         period.total_output,
         3.0 * period.energy_consumption,
-        period.final_demand,
+        csr(period.y),
     )
-    w = embodied_flow_matrix(period, SourceClass.ALL).matrix.toarray()
-    w3 = embodied_flow_matrix(scaled, SourceClass.ALL).matrix.toarray()
+    w = csr(embodied_flow_matrix(period, SourceClass.ALL)).toarray()
+    w3 = csr(embodied_flow_matrix(scaled, SourceClass.ALL)).toarray()
     assert np.allclose(w3, 3.0 * w, rtol=1e-9)
 
 
 def test_monotonicity_in_demand():
     spec = SyntheticSpec(shape=NetworkShape(2, 2, 1), density=0.8, seed=9)
     period = generate_synthetic(spec).periods[0]
-    bumped_demand = period.final_demand.copy()
+    bumped_demand = csr(period.y).copy()
     bumped_demand.data[0] = bumped_demand.data[0] + 1.5
     bumped = MrioPeriod(
         period.label,
         period.shape,
-        period.intermediate_use,
+        csr(period.u),
         period.total_output,
         period.energy_consumption,
         bumped_demand,
     )
-    w = embodied_flow_matrix(period, SourceClass.ALL).matrix.toarray()
-    wb = embodied_flow_matrix(bumped, SourceClass.ALL).matrix.toarray()
+    w = csr(embodied_flow_matrix(period, SourceClass.ALL)).toarray()
+    wb = csr(embodied_flow_matrix(bumped, SourceClass.ALL)).toarray()
     assert np.all(wb >= w - 1e-15)
 
 
 def test_source_additivity():
     spec = SyntheticSpec(shape=NetworkShape(3, 2, 1), density=0.7, seed=21)
     period = generate_synthetic(spec).periods[0]
-    total = embodied_flow_matrix(period, SourceClass.ALL).matrix.toarray()
-    ren = embodied_flow_matrix(period, SourceClass.RENEWABLE).matrix.toarray()
-    non = embodied_flow_matrix(period, SourceClass.NONRENEWABLE).matrix.toarray()
+    total = csr(embodied_flow_matrix(period, SourceClass.ALL)).toarray()
+    ren = csr(embodied_flow_matrix(period, SourceClass.RENEWABLE)).toarray()
+    non = csr(embodied_flow_matrix(period, SourceClass.NONRENEWABLE)).toarray()
     assert np.allclose(ren + non, total, rtol=1e-12, atol=1e-14)
 
 
@@ -562,5 +563,5 @@ def test_flow_assembly_matches_per_entry_loop(seed):
             for i in range(n):
                 want[a * n + i, b * n + j] = by_sector[i, a * n + j] * value
         got = embodied_flow_matrix(period, source)
-        assert np.array_equal(got.matrix.toarray(), want)
+        assert np.array_equal(csr(got).toarray(), want)
         assert got.nnz == np.count_nonzero(want)

@@ -6,13 +6,22 @@ from scipy import sparse
 from enflow import (
     MrioPeriod,
     NetworkShape,
+    SourceClass,
     SupraAdjacency,
+    SyntheticSpec,
     TemporalMultilayerNetwork,
     EntityCodes,
     ValidationError,
     aggregate_to_layers,
+    build_temporal_network,
+    country_level_criticality,
     eigenvector_centrality,
+    generate_synthetic,
     hits,
+    load_network,
+    md_hits,
+    md_hits_single_period,
+    save_network,
 )
 
 from enflow.centrality import _as_csr
@@ -20,7 +29,7 @@ from enflow.errors import first_failure
 from enflow.flowcrit import FlowNetwork
 from enflow.multinet import merged, stacked_entries
 
-from accounts import energy_array, supra
+from accounts import csr, energy_array, supra
 
 
 def test_shape_validation():
@@ -35,8 +44,8 @@ def test_supra_rejects_negative_and_drops_zeros():
         supra(shape, [(0, 1, -1.0)])
     w = supra(shape, [(0, 1, 0.0), (1, 2, 3.0)])
     assert w.nnz == 1
-    assert w.matrix[0, 1] == 0.0
-    assert w.matrix[1, 2] == 3.0
+    assert csr(w)[0, 1] == 0.0
+    assert csr(w)[1, 2] == 3.0
 
 
 NO_ENERGY = energy_array(1)
@@ -104,11 +113,12 @@ def test_duplicates_that_sum_past_the_float_range_are_rejected(taker):
 
 def test_weight_matrix_is_canonical_and_a_supra_adjacency_is_scored_as_held():
     w = SupraAdjacency(TWO_LAYERS, tangled_csr())
-    m = w.matrix
+    m = _as_csr(w)
     assert m.has_canonical_format and m.data.tolist() == [2.0, 1.0]
     assert m.toarray().tolist() == [[0.0, 2.0], [1.0, 0.0]]
     assert m.indptr.dtype == m.indices.dtype == np.int32
-    assert _as_csr(w) is m
+    for name in ("indptr", "indices", "data"):
+        assert np.shares_memory(getattr(m, name), getattr(w, name))
 
 
 def input_order_sums(keys, values):
@@ -131,7 +141,7 @@ def test_one_summation_order_for_every_entry_point():
     period = MrioPeriod(2000, shape, coo, np.full(6, 1e11), energy_array(6), np.zeros((6, 1)))
     network = FlowNetwork(7, np.column_stack((np.full(20, 6), cols, weights)))
     assert SupraAdjacency(shape, coo).data.tolist() == expected
-    assert period.intermediate_use.data.tolist() == expected
+    assert period.u.data.tolist() == expected
     assert SupraAdjacency.from_entries(shape, cols.copy(), weights).data.tolist() == expected
     assert [capacity for _, _, capacity in network.arcs] == expected
 
@@ -180,23 +190,52 @@ def test_from_entries_and_a_coo_build_the_input_order_csr(case):
     assert w.indptr.tolist() == indptr and w.indices.tolist() == indices
     assert [x.hex() for x in w.data.tolist()] == [x.hex() for x in data]
     assert w.indptr.dtype == w.indices.dtype == np.int32
-    assert w.total_weight.hex() == float(w.matrix.sum()).hex()
+    assert w.total_weight.hex() == float(csr(w).sum()).hex()
     coo = sparse.coo_array((x, (r, c)), shape=(dim, dim))
     from_coo = SupraAdjacency(shape, coo)
     for name in ("indptr", "indices", "data"):
         assert same_array(getattr(from_coo, name), getattr(w, name))
-    assert same_array(aggregate_to_layers(w), parent_fold(w.matrix, shape.n_nodes, shape.n_layers))
+    assert same_array(aggregate_to_layers(w), parent_fold(csr(w), shape.n_nodes, shape.n_layers))
 
 
-def test_matrix_is_a_cached_view_of_the_arrays():
+def test_from_entries_arrays_make_a_scipy_matrix_without_a_copy():
     keys = np.array([3 * 4 + 0, 0 * 4 + 2, 3 * 4 + 0])
     w = SupraAdjacency.from_entries(NetworkShape(2, 2), keys, np.array([1.0, 2.0, 4.0]))
     assert w.indptr.tolist() == [0, 1, 1, 1, 2] and w.indices.tolist() == [2, 0]
     assert w.data.tolist() == [2.0, 5.0] and w.total_weight == 7.0
-    m = w.matrix
-    assert m is w.matrix and m.shape == (4, 4)
+    m = csr(w)
+    assert m.shape == (4, 4)
     for name in ("indptr", "indices", "data"):
         assert np.shares_memory(getattr(m, name), getattr(w, name))
+
+
+def test_no_call_adds_or_rebinds_an_attribute_of_a_period_or_a_matrix(tmp_path):
+    dataset = generate_synthetic(SyntheticSpec(NetworkShape(3, 4, 2), density=0.6, seed=1))
+    held = list(dataset.periods)
+
+    def attributes():
+        return [{name: id(value) for name, value in vars(obj).items()} for obj in held]
+
+    def unchanged(call, *args, **kwargs):
+        """``call``'s result; the attribute names and object ids of every held
+        period and matrix are the same after it as before."""
+        before = attributes()
+        result = call(*args, **kwargs)
+        assert attributes() == before, call
+        return result
+
+    built = unchanged(build_temporal_network, dataset.periods, SourceClass.ALL)
+    held += built.matrices
+    unchanged(save_network, built, dataset.codes, SourceClass.ALL, tmp_path)
+    loaded, _ = unchanged(load_network, tmp_path, SourceClass.ALL)
+    held += loaded.matrices
+    for net in (built, loaded):
+        unchanged(md_hits, net)
+        for w in net.matrices:
+            unchanged(hits, w)
+            unchanged(eigenvector_centrality, w, largest_scc=True)
+            unchanged(md_hits_single_period, w)
+            unchanged(country_level_criticality, w)
 
 
 def test_from_entries_does_not_share_the_callers_array():
@@ -226,7 +265,7 @@ def test_supra_adjacency_names_what_is_wrong_with_its_matrix(matrix, message):
 
 def test_from_entries_keeps_self_loops():
     w = SupraAdjacency.from_entries(NetworkShape(2, 1), np.array([1 * 2 + 1]), np.array([2.0]))
-    assert w.matrix[1, 1] == 2.0
+    assert csr(w)[1, 1] == 2.0
 
 
 def test_aggregate_single_entry():
@@ -340,7 +379,7 @@ def test_entries_in_row_col_order_from_unsorted_csr():
     # Row 0 stores columns 3, 1: the matrix is kept canonical, so arcs come
     # back sorted, as the network writer needs.
     m = sparse.csr_array(([1.0, 2.0, 3.0], [3, 1, 0], [0, 2, 3, 3, 3]), shape=(4, 4))
-    _, rows, cols, vals = stacked_entries([SupraAdjacency(NetworkShape(2, 2), m).matrix])
+    _, rows, cols, vals = stacked_entries([SupraAdjacency(NetworkShape(2, 2), m)])
     assert rows.tolist() == [0, 0, 1] and cols.tolist() == [1, 3, 0]
     assert vals.tolist() == [2.0, 1.0, 3.0]
 

@@ -23,6 +23,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
 import legacy_reader
+from accounts import csr
 from enflow import (
     DataFormatError,
     NumericalError,
@@ -77,13 +78,13 @@ def assert_same_dataset(a, b):
     assert a.labels == b.labels
     assert a.codebook == b.codebook
     for p, q in zip(a.periods, b.periods):
-        u, v = p.intermediate_use, q.intermediate_use
+        u, v = p.u, q.u
         assert np.array_equal(u.indptr, v.indptr)
         assert np.array_equal(u.indices, v.indices)
         assert np.array_equal(u.data, v.data)
         assert np.array_equal(p.total_output, q.total_output)
         assert np.array_equal(p.energy_consumption, q.energy_consumption)
-        y, z = p.final_demand, q.final_demand
+        y, z = p.y, q.y
         assert np.array_equal(y.indptr, z.indptr)
         assert np.array_equal(y.indices, z.indices)
         assert np.array_equal(y.data, z.data)
@@ -106,9 +107,9 @@ def assert_same_network(a, b):
     assert codes_a == codes_b
     assert net_a.labels == net_b.labels
     for (_, p), (_, q) in zip(net_a.periods, net_b.periods):
-        assert np.array_equal(p.matrix.indptr, q.matrix.indptr)
-        assert np.array_equal(p.matrix.indices, q.matrix.indices)
-        assert np.array_equal(p.matrix.data, q.matrix.data)
+        assert np.array_equal(p.indptr, q.indptr)
+        assert np.array_equal(p.indices, q.indices)
+        assert np.array_equal(p.data, q.data)
 
 
 def read_rows(path: Path) -> list[list[str]]:
@@ -675,7 +676,7 @@ def test_years_window_is_applied_while_loading(tmp_path):
     part, _ = load_network(tmp_path / "net", SourceClass.ALL, (1991, 1992))
     assert part.labels == (1991, 1992)
     for label, matrix in part.periods:
-        assert np.array_equal(matrix.matrix.toarray(), dict(full.periods)[label].matrix.toarray())
+        assert np.array_equal(csr(matrix).toarray(), csr(dict(full.periods)[label]).toarray())
     # A record outside the window is checked all the same.
     path = tmp_path / "net" / "network_all.npy"
     first = int(np.flatnonzero(np.load(path)["year"] == 1990)[0])
@@ -789,7 +790,7 @@ def test_load_merges_a_period_out_of_order_across_chunks_in_record_order(tmp_pat
         for name in ("indptr", "indices", "data"):
             got, want = getattr(w, name), getattr(expected, name)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-    assert net.periods[1][1].matrix[1, 2].hex() == (0.0 + 0.1 + 0.2 + 0.3).hex()
+    assert csr(net.periods[1][1])[1, 2].hex() == (0.0 + 0.1 + 0.2 + 0.3).hex()
     assert net.periods[1][1].nnz == 4
 
 
@@ -797,7 +798,7 @@ def test_from_entries_takes_an_array_and_sums_duplicates():
     shape = NetworkShape(2, 2)
     keys = np.array([0 * 4 + 1, 3 * 4 + 2, 0 * 4 + 1])
     w = SupraAdjacency.from_entries(shape, keys, np.array([1.0, 2.0, 0.5]))
-    assert w.matrix[0, 1] == 1.5 and w.matrix[3, 2] == 2.0 and w.nnz == 2
+    assert csr(w)[0, 1] == 1.5 and csr(w)[3, 2] == 2.0 and w.nnz == 2
     assert SupraAdjacency.from_entries(shape, np.empty(0, np.int64), np.empty(0)).nnz == 0
 
 
